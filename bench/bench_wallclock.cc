@@ -34,7 +34,7 @@ namespace {
 
 struct WallclockResult {
   uint64_t events = 0;          // scheduler events dispatched
-  uint64_t slices = 0;          // events that were OS thread handoffs
+  uint64_t slices = 0;          // events that resumed a SimThread fiber
   uint64_t sim_bytes = 0;       // bytes moved through the fabric
   uint64_t virtual_nanos = 0;   // exact end-of-run virtual clock
   double virtual_seconds = 0;   // simulated time covered
@@ -249,13 +249,7 @@ int main() {
                  "    {\"host_threads\": %u, \"wall_seconds\": %.3f,\n"
                  "     \"events_per_sec\": %.0f,\n"
                  "     \"speedup_vs_legacy\": %.3f}\n"
-                 "  ],\n"
-                 "  \"baseline_pre_batching\": {\n"
-                 "    \"wall_seconds\": 0.688,\n"
-                 "    \"events_dispatched\": 56424,\n"
-                 "    \"sim_bytes_per_real_sec\": 2671900000,\n"
-                 "    \"tier1_suite_seconds\": 12.70\n"
-                 "  }\n"
+                 "  ]\n"
                  "}\n",
                  best.events, best.slices, best.sim_bytes,
                  best.virtual_seconds, best.wall_seconds, events_per_sec,

@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <ostream>
+#include <utility>
 
 namespace rstore::check {
 namespace {
 
-// Annotation scopes are per OS thread; simulated threads are real OS
-// threads under the cooperative scheduler, so thread_local gives exactly
-// per-sim-thread scoping.
-thread_local int t_speculative = 0;
-thread_local int t_sync_cell = 0;
-thread_local const char* t_label = nullptr;
+// Annotation scopes of the running context: the installed SimThread's
+// (see detail::SwapScopeState), else the host thread's own.
+thread_local detail::ScopeState t_host_scopes;
+thread_local detail::ScopeState* t_scopes = nullptr;
+
+detail::ScopeState& Scopes() noexcept {
+  detail::ScopeState* s = t_scopes;
+  return s != nullptr ? *s : t_host_scopes;
+}
 
 void JsonEscape(std::ostream& os, std::string_view s) {
   for (char c : s) {
@@ -33,16 +37,19 @@ void JsonEscape(std::ostream& os, std::string_view s) {
 }  // namespace
 
 namespace detail {
-void PushSpeculative() noexcept { ++t_speculative; }
-void PopSpeculative() noexcept { --t_speculative; }
-void PushSyncCell() noexcept { ++t_sync_cell; }
-void PopSyncCell() noexcept { --t_sync_cell; }
-const char* SwapLabel(const char* label) noexcept {
-  const char* prev = t_label;
-  t_label = label;
+ScopeState* SwapScopeState(ScopeState* s) noexcept {
+  ScopeState* prev = t_scopes;
+  t_scopes = s;
   return prev;
 }
-const char* CurrentLabel() noexcept { return t_label; }
+void PushSpeculative() noexcept { ++Scopes().speculative; }
+void PopSpeculative() noexcept { --Scopes().speculative; }
+void PushSyncCell() noexcept { ++Scopes().sync_cell; }
+void PopSyncCell() noexcept { --Scopes().sync_cell; }
+const char* SwapLabel(const char* label) noexcept {
+  return std::exchange(Scopes().label, label);
+}
+const char* CurrentLabel() noexcept { return Scopes().label; }
 }  // namespace detail
 
 std::string_view ToString(ViolationType t) noexcept {
@@ -169,7 +176,8 @@ uint32_t Checker::OnPost(uint32_t initiator, uint32_t target, OpClass cls,
                          uint64_t remote_lo, uint64_t remote_hi,
                          const LocalRange* sges, uint32_t n_sges,
                          uint32_t expected) {
-  if (t_speculative > 0) return 0;
+  const detail::ScopeState& scopes = Scopes();
+  if (scopes.speculative > 0) return 0;
 
   PendingOp op;
   op.initiator = initiator;
@@ -179,10 +187,10 @@ uint32_t Checker::OnPost(uint32_t initiator, uint32_t target, OpClass cls,
   op.remote_hi = remote_hi;
   op.post_vtime = NowVirtual();
   op.post_clock = NodeClock(initiator);
-  op.label = t_label;
+  op.label = scopes.label;
   op.expected = static_cast<uint8_t>(expected);
   op.sges.assign(sges, sges + n_sges);
-  op.sync_cell = t_sync_cell > 0 && remote_hi - remote_lo == 8 &&
+  op.sync_cell = scopes.sync_cell > 0 && remote_hi - remote_lo == 8 &&
                  (cls == OpClass::kRemoteRead || cls == OpClass::kRemoteWrite);
 
   if (cls != OpClass::kMessage) {
@@ -369,6 +377,7 @@ void Checker::OnExecute(uint32_t ref) {
 uint32_t Checker::AddAndCheck(const PendingOp& op, uint64_t lo, uint64_t hi,
                               AccessKind kind, bool remote) {
   const uint32_t idx = static_cast<uint32_t>(records_.size());
+  const uint32_t owner = remote ? op.target : op.initiator;
 
   // Gather distinct overlap candidates from every shadow page the range
   // touches (ranges spanning pages would otherwise be checked twice).
@@ -383,6 +392,7 @@ uint32_t Checker::AddAndCheck(const PendingOp& op, uint64_t lo, uint64_t hi,
       const uint32_t cand = slot - 1;
       const Record& a = records_[cand];
       if (a.initiator == op.initiator) continue;  // same node never races
+      if (a.owner != owner) continue;  // another machine's memory
       if (a.hi <= lo || a.lo >= hi) continue;
       if (!Conflicts(a.kind, kind)) continue;
       bool dup = false;
@@ -398,7 +408,7 @@ uint32_t Checker::AddAndCheck(const PendingOp& op, uint64_t lo, uint64_t hi,
     if (!reported_pairs_.insert(key).second) continue;
     Violation v;
     v.type = ViolationType::kRace;
-    v.target_node = remote ? op.target : op.initiator;
+    v.target_node = owner;
     FillRegionInfo(&v, v.target_node, std::max(lo, a.lo),
                    std::min(hi, a.hi));
     v.a = MakeEndpoint(a);
@@ -413,6 +423,7 @@ uint32_t Checker::AddAndCheck(const PendingOp& op, uint64_t lo, uint64_t hi,
   rec.hi = hi;
   rec.vtime = NowVirtual();
   rec.initiator = op.initiator;
+  rec.owner = owner;
   rec.kind = kind;
   rec.remote = remote;
   rec.label = op.label;

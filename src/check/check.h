@@ -19,6 +19,11 @@
 //     by the node clock; the hooks only tick the node's own component
 //     so stamps stay strictly monotone across blocking points.
 //   - Two accesses issued by the same node never race by definition.
+//   - Neither do accesses to different nodes' memory. Records carry
+//     the node owning the bytes (the target of a remote access, the
+//     initiator of a local one): all nodes share one host address
+//     space, so a buffer one node freed can come back at the same
+//     address on another node.
 //
 // Happens-before edges (see DESIGN.md for the full table):
 //   - message edges: a verbs SEND (and RDMA-write-with-imm) carries the
@@ -213,6 +218,7 @@ class Checker {
     uint64_t stamp = kPendingStamp;  // initiator clock component at poll
     uint64_t vtime = 0;
     uint32_t initiator = 0;
+    uint32_t owner = 0;  // node whose memory [lo, hi) is
     AccessKind kind = AccessKind::kRead;
     bool remote = false;
     const char* label = nullptr;
@@ -310,6 +316,19 @@ class Checker {
 };
 
 namespace detail {
+// The annotation scopes open in one execution context. Every simulated
+// thread owns one, which the simulator installs for the duration of each
+// of its slices (SwapScopeState), so a thread parked inside a scope does
+// not leak it into the threads that run meanwhile on the same host
+// thread. Host threads outside any slice use their own.
+struct ScopeState {
+  int speculative = 0;
+  int sync_cell = 0;
+  const char* label = nullptr;
+};
+// Makes `s` the calling host thread's current scope state (nullptr: the
+// host thread's own) and returns the previous one.
+ScopeState* SwapScopeState(ScopeState* s) noexcept;
 void PushSpeculative() noexcept;
 void PopSpeculative() noexcept;
 void PushSyncCell() noexcept;

@@ -23,8 +23,8 @@ constexpr size_t kMmapThreshold = kHugePageBytes;
 // allocated in a handful of repeating sizes, so pooling converts the
 // dominant cost of a fresh arena — one minor fault per 4 KiB page on
 // first touch — into a single streaming memset over warm pages. The pool
-// is process-wide and mutex-guarded: simulated threads are cooperative,
-// but they are real OS threads.
+// is process-wide and mutex-guarded: simulated threads are cooperative
+// fibers, but partitioned runs dispatch them from several host threads.
 constexpr size_t kPoolCapBytes = 1ULL << 30;
 
 std::mutex& PoolMu() {

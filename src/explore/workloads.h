@@ -28,9 +28,12 @@
 //                    a per-key linearizability violation.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -52,6 +55,21 @@ inline void Require(bool ok, const char* what) {
   }
 }
 
+// Server memory for one run of a workload. rcheck prints raw host
+// addresses for bytes outside RStore regions, and a replay must reproduce
+// its report byte for byte, so every run gets the same block: one
+// process-lifetime buffer per size, refilled with `fill` on each call. (A
+// heap vector would not do: node programs share the driver's allocator,
+// so where the next run's vector lands depends on what earlier runs left
+// behind.) Runs must therefore not overlap, and the Explorer runs them in
+// turn.
+template <size_t kBytes>
+std::span<std::byte> ServerBlock(std::byte fill) {
+  alignas(64) static std::array<std::byte, kBytes> block;
+  block.fill(fill);
+  return block;
+}
+
 // The write/publish/read handoff described above. `fenced` selects whether
 // the writer's completion wait is unbounded (always correct) or bounded by
 // a 40 us deadline the baseline schedule meets with ~3x slack (the
@@ -71,7 +89,7 @@ inline void RunHandoff(const RunContext& ctx, bool fenced) {
   verbs::Device& reader_dev = net.AddDevice(reader);
 
   // Server memory: the data block, then an 8-byte flag cell.
-  std::vector<std::byte> region(kDataBytes + 8);
+  const std::span<std::byte> region = ServerBlock<kDataBytes + 8>({});
   verbs::ProtectionDomain& server_pd = server_dev.CreatePd();
   auto server_mr = server_pd.RegisterMemory(
       region.data(), region.size(),
@@ -197,7 +215,7 @@ inline void RunAtomicCounter(const RunContext& ctx) {
   sim::Node& server = sim.AddNode("server");
   verbs::Device& server_dev = net.AddDevice(server);
 
-  std::vector<std::byte> cell(8);
+  const std::span<std::byte> cell = ServerBlock<8>({});
   verbs::ProtectionDomain& server_pd = server_dev.CreatePd();
   auto server_mr = server_pd.RegisterMemory(
       cell.data(), cell.size(), verbs::kLocalWrite | verbs::kRemoteAtomic);
@@ -278,7 +296,8 @@ inline void RunStaleCachedRead(const RunContext& ctx) {
 
   // Server memory: the value cell, a ready flag (reader -> writer: "my
   // cache is warm"), and a publish flag (writer -> reader: "v1 is out").
-  std::vector<std::byte> region(kValBytes + 16, std::byte{0x11});
+  const std::span<std::byte> region =
+      ServerBlock<kValBytes + 16>(std::byte{0x11});
   std::memset(region.data() + kValBytes, 0, 16);
   verbs::ProtectionDomain& server_pd = server_dev.CreatePd();
   auto server_mr = server_pd.RegisterMemory(

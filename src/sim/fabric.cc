@@ -12,7 +12,10 @@ namespace rstore::sim {
 namespace {
 // Stamps of the message whose on_delivered callback is executing on this
 // host thread (partitioned deliveries run concurrently, so the record is
-// per-thread). Null outside a delivery callback.
+// per-thread). Null outside a delivery callback. Delivery callbacks run in
+// scheduler context and never block or resume a SimThread, so no fiber
+// ever runs — or parks — while this is set, and SimThreads need no copy
+// of their own.
 thread_local const DeliveryStamps* g_current_delivery = nullptr;
 }  // namespace
 

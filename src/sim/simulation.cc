@@ -1,15 +1,21 @@
 #include "sim/simulation.h"
 
+#include <cxxabi.h>
+#include <pthread.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <mutex>
+#include <thread>
 
 #include "check/check.h"
 #include "check/lin.h"
@@ -19,15 +25,272 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-namespace rstore::sim {
+#if defined(__SANITIZE_ADDRESS__)
+#define RSTORE_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RSTORE_FIBER_ASAN 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define RSTORE_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define RSTORE_FIBER_TSAN 1
+#endif
+#endif
+#ifdef RSTORE_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef RSTORE_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 // ---------------------------------------------------------------------------
-// SimPartition: one event queue + clock + thread-handoff channel. Legacy
-// mode has exactly one (every node shares it — the historical global
-// scheduler). Partitioned mode gives every node its own, plus partition 0
-// for driver-scheduled events; partitions dispatch independently inside
-// conservative epochs and exchange cross-partition events through
-// `outbox`, merged deterministically at epoch barriers (FlushOutboxes).
+// Fiber context switch. A parked context is nothing but its stack pointer:
+// rstore_fiber_switch pushes the callee-saved registers (and, on x86-64,
+// the MXCSR / x87 control words) onto the running stack, stores the stack
+// pointer through `from`, loads `to`, and pops the frame the other context
+// pushed when it parked. Caller-saved state is already spilled by the
+// compiler around the call, so this is the whole machine state.
+//
+// A new fiber's stack is prepared (PrepareFiberStack) to look like a
+// parked context whose return address is rstore_fiber_trampoline, which
+// calls entry(arg) from two callee-saved registers and marks the end of
+// the stack for unwinders.
+// ---------------------------------------------------------------------------
+extern "C" {
+void rstore_fiber_switch(void** from, void* to);
+void rstore_fiber_trampoline();
+}
+
+#if defined(__x86_64__)
+asm(R"(
+  .text
+  .globl rstore_fiber_switch
+  .hidden rstore_fiber_switch
+  .type rstore_fiber_switch, @function
+  .p2align 4
+rstore_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .cfi_endproc
+  .size rstore_fiber_switch, .-rstore_fiber_switch
+
+  .globl rstore_fiber_trampoline
+  .hidden rstore_fiber_trampoline
+  .type rstore_fiber_trampoline, @function
+  .p2align 4
+rstore_fiber_trampoline:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%rbx
+  ud2
+  .cfi_endproc
+  .size rstore_fiber_trampoline, .-rstore_fiber_trampoline
+)");
+#elif defined(__aarch64__)
+asm(R"(
+  .text
+  .globl rstore_fiber_switch
+  .hidden rstore_fiber_switch
+  .type rstore_fiber_switch, %function
+  .p2align 4
+rstore_fiber_switch:
+  .cfi_startproc
+  sub sp, sp, #160
+  stp x19, x20, [sp, #0]
+  stp x21, x22, [sp, #16]
+  stp x23, x24, [sp, #32]
+  stp x25, x26, [sp, #48]
+  stp x27, x28, [sp, #64]
+  stp x29, x30, [sp, #80]
+  stp d8, d9, [sp, #96]
+  stp d10, d11, [sp, #112]
+  stp d12, d13, [sp, #128]
+  stp d14, d15, [sp, #144]
+  mov x9, sp
+  str x9, [x0]
+  mov sp, x1
+  ldp x19, x20, [sp, #0]
+  ldp x21, x22, [sp, #16]
+  ldp x23, x24, [sp, #32]
+  ldp x25, x26, [sp, #48]
+  ldp x27, x28, [sp, #64]
+  ldp x29, x30, [sp, #80]
+  ldp d8, d9, [sp, #96]
+  ldp d10, d11, [sp, #112]
+  ldp d12, d13, [sp, #128]
+  ldp d14, d15, [sp, #144]
+  add sp, sp, #160
+  ret
+  .cfi_endproc
+  .size rstore_fiber_switch, .-rstore_fiber_switch
+
+  .globl rstore_fiber_trampoline
+  .hidden rstore_fiber_trampoline
+  .type rstore_fiber_trampoline, %function
+  .p2align 4
+rstore_fiber_trampoline:
+  .cfi_startproc
+  .cfi_undefined x30
+  mov x0, x19
+  blr x20
+  brk #0
+  .cfi_endproc
+  .size rstore_fiber_trampoline, .-rstore_fiber_trampoline
+)");
+#else
+#error "SimThread fibers need a context switch for this architecture"
+#endif
+
+namespace rstore::sim {
+namespace {
+
+// Lays out a parked-context frame at the top of a fresh stack so that the
+// first rstore_fiber_switch into it "returns" into the trampoline, which
+// calls entry(arg) on a 16-byte-aligned stack. Returns the stack pointer.
+void* PrepareFiberStack(char* top, void* entry, void* arg) {
+  void** sp = nullptr;
+#if defined(__x86_64__)
+  // [fp control][r15 r14 r13 r12 rbx rbp][ret][pad pad]: after the final
+  // ret the stack pointer is top - 16, aligned for the trampoline's call.
+  sp = reinterpret_cast<void**>(top) - 10;
+  std::memset(sp, 0, 10 * sizeof(void*));
+  const uint64_t fp_control = 0x1F80 | (uint64_t{0x037F} << 32);  // defaults
+  std::memcpy(&sp[0], &fp_control, sizeof fp_control);
+  sp[4] = arg;    // r12
+  sp[5] = entry;  // rbx
+  sp[7] = reinterpret_cast<void*>(&rstore_fiber_trampoline);
+#elif defined(__aarch64__)
+  // x19..x30 then d8..d15; the restore leaves sp at `top`.
+  sp = reinterpret_cast<void**>(top) - 20;
+  std::memset(sp, 0, 20 * sizeof(void*));
+  sp[0] = arg;    // x19
+  sp[1] = entry;  // x20
+  sp[11] = reinterpret_cast<void*>(&rstore_fiber_trampoline);  // x30
+#endif
+  return sp;
+}
+
+// Fiber stacks: lazily committed anonymous mappings, sized like the
+// default OS-thread stack (so no node program loses depth), whose lowest
+// page is PROT_NONE so runaway recursion faults instead of scribbling
+// over the neighbouring mapping. An exited fiber's stack goes back to a
+// process-wide free list for the next Spawn.
+class StackPool {
+ public:
+  static StackPool& Instance() {
+    // Never destroyed: a Simulation may outlive function-local statics.
+    static StackPool* pool = new StackPool;
+    return *pool;
+  }
+
+  // Returns the mapping's base (its guard page).
+  char* Acquire() {
+    char* base = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        base = free_.back();
+        free_.pop_back();
+      }
+    }
+    if (base != nullptr) return base;
+    void* m = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+    if (m == MAP_FAILED || mprotect(m, page_, PROT_NONE) != 0) {
+      std::fprintf(stderr, "fatal: cannot map a %zu-byte SimThread stack\n",
+                   size_);
+      std::abort();
+    }
+    return static_cast<char*>(m);
+  }
+
+  void Release(char* base) {
+#ifdef RSTORE_FIBER_ASAN
+    // The fiber left for good mid-frame; drop its frames' redzones before
+    // the range is reused, by a fiber or by a later mapping.
+    ASAN_UNPOISON_MEMORY_REGION(lo(base), usable());
+#endif
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (free_.size() < kMaxFree) {
+        free_.push_back(base);
+        return;
+      }
+    }
+    munmap(base, size_);
+  }
+
+  // Usable range of a stack: [lo, lo + usable()).
+  [[nodiscard]] char* lo(char* base) const noexcept { return base + page_; }
+  [[nodiscard]] size_t usable() const noexcept { return size_ - page_; }
+
+ private:
+  static constexpr size_t kMaxFree = 256;
+
+  StackPool()
+      : page_(static_cast<size_t>(sysconf(_SC_PAGESIZE))),
+        size_(page_ + RoundUp(DefaultThreadStackSize(), page_)) {}
+
+  static size_t DefaultThreadStackSize() {
+    size_t size = 0;
+    pthread_attr_t attr;
+    if (pthread_getattr_default_np(&attr) == 0) {
+      (void)pthread_attr_getstacksize(&attr, &size);
+      pthread_attr_destroy(&attr);
+    }
+    return size >= (size_t{64} << 10) ? size : size_t{8} << 20;
+  }
+  static size_t RoundUp(size_t n, size_t to) { return (n + to - 1) / to * to; }
+
+  const size_t page_;
+  const size_t size_;  // whole mapping, guard page included
+  std::mutex mu_;
+  std::vector<char*> free_;
+};
+
+// The C++ runtime's per-thread exception state (libstdc++ and libc++abi
+// share this layout): the caught-exception stack that `throw;` rethrows
+// from, and the count std::uncaught_exceptions() reports.
+struct EhGlobals {
+  void* caught_exceptions = nullptr;
+  unsigned int uncaught_exceptions = 0;
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// SimPartition: one event queue + clock. Legacy mode has exactly one
+// (every node shares it — the historical global scheduler). Partitioned
+// mode gives every node its own, plus partition 0 for driver-scheduled
+// events; partitions dispatch independently inside conservative epochs
+// and exchange cross-partition events through `outbox`, merged
+// deterministically at epoch barriers (FlushOutboxes).
 // ---------------------------------------------------------------------------
 struct SimPartition {
   using Event = Simulation::Event;
@@ -50,26 +313,26 @@ struct SimPartition {
   // function of this partition's schedule).
   Nanos tie_streak_t = kNever;
   uint64_t tie_streak = 0;
-  // Handoff state: mu orders the handoff edges; active is additionally
-  // atomic so the dispatcher can spin-wait for the slice end without
-  // taking the mutex (see RunThreadSlice).
-  std::mutex mu;
-  std::condition_variable scheduler_cv;
-  std::atomic<SimThread*> active = nullptr;
 };
 
 // ---------------------------------------------------------------------------
-// SimThread: one cooperative thread. The handoff protocol keeps the
-// invariant that at any instant exactly one of {dispatcher, one SimThread}
-// is executing per partition:
+// SimThread: one cooperative thread, run as a stackful fiber on whichever
+// host thread dispatches its partition:
 //
-//   dispatcher -> thread : set part.active = t (under part.mu), notify cv_
-//   thread -> dispatcher : set part.active = nullptr (under part.mu),
-//                          notify part.scheduler_cv
+//   dispatcher -> thread : Resume() switches onto the fiber's stack
+//   thread -> dispatcher : Block() (or the fiber's exit) switches back
 //
-// A thread "yields" by calling Block(), which performs the second handoff
-// and waits to be re-activated. Wake events carry the generation number of
-// the block instance they intend to end; stale wakes are ignored.
+// so at any instant exactly one of {dispatcher, one SimThread} executes per
+// partition, and a slice costs two register switches. Wake events carry
+// the generation number of the block instance they intend to end; stale
+// wakes are ignored.
+//
+// Context that node code reaches through host-thread state is swapped by
+// the dispatcher around every slice, so each fiber sees only its own: the
+// current-thread pointer, the C++ exception state, and rcheck's
+// annotation scopes. A parked fiber may resume on a different host thread
+// (epoch workers are recreated by every RunUntil), which is why node code
+// reads the context pointers through out-of-line accessors below.
 // ---------------------------------------------------------------------------
 class SimThread {
  public:
@@ -79,32 +342,29 @@ class SimThread {
             std::function<void()> fn)
       : node_(node),
         sim_(node.sim()),
-        part_(*node.partition_),
         name_(std::move(name)),
         tid_(tid),
         fn_(std::move(fn)),
-        os_thread_([this] { ThreadMain(); }) {}
+        stack_(StackPool::Instance().Acquire()) {
+    StackPool& pool = StackPool::Instance();
+    sp_ = PrepareFiberStack(pool.lo(stack_) + pool.usable(),
+                            reinterpret_cast<void*>(&FiberMain), this);
+#ifdef RSTORE_FIBER_TSAN
+    tsan_fiber_ = __tsan_create_fiber(0);
+#endif
+  }
 
   ~SimThread() {
     assert(exited_ && "simulation must unwind threads before destruction");
-    if (os_thread_.joinable()) os_thread_.join();
+    ReleaseStack();
   }
 
   SimThread(const SimThread&) = delete;
   SimThread& operator=(const SimThread&) = delete;
 
-  // The dispatcher reads these after the handoff's release/acquire edge on
-  // part.active, but they are atomic so the ThreadSanitizer build can
-  // verify the protocol instead of trusting this comment.
-  [[nodiscard]] bool exited() const noexcept {
-    return exited_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool blocked() const noexcept {
-    return blocked_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t gen() const noexcept {
-    return gen_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool exited() const noexcept { return exited_; }
+  [[nodiscard]] bool blocked() const noexcept { return blocked_; }
+  [[nodiscard]] uint64_t gen() const noexcept { return gen_; }
   [[nodiscard]] Node& node() noexcept { return node_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] uint64_t tid() const noexcept { return tid_; }
@@ -126,40 +386,89 @@ class SimThread {
     return wake_reason_;
   }
 
+  // Called by the dispatcher: runs the fiber until it blocks or exits.
+  void Resume();
+
  private:
   friend class Simulation;
 
   [[nodiscard]] bool ShuttingDown() const noexcept;
 
   void YieldToScheduler() {
-    std::unique_lock<std::mutex> lock(part_.mu);
-    blocked_.store(true, std::memory_order_relaxed);
-    part_.active.store(nullptr, std::memory_order_release);
-    part_.scheduler_cv.notify_one();
-    cv_.wait(lock, [this] {
-      return part_.active.load(std::memory_order_relaxed) == this;
-    });
-    blocked_.store(false, std::memory_order_relaxed);
+    blocked_ = true;
+    SwitchToDispatcher(/*exiting=*/false);
+    blocked_ = false;
     // Invalidate any other pending wakes for the finished block.
-    gen_.fetch_add(1, std::memory_order_relaxed);
+    ++gen_;
   }
 
-  void ThreadMain();
+  // Fiber side of a switch: parks this fiber and resumes the dispatcher
+  // that ran Resume(). An exiting fiber is never resumed.
+  void SwitchToDispatcher(bool exiting) {
+#ifdef RSTORE_FIBER_ASAN
+    // No fake-stack slot for an exiting fiber: ASan frees its frames.
+    __sanitizer_start_switch_fiber(exiting ? nullptr : &asan_fake_stack_,
+                                   asan_caller_bottom_, asan_caller_size_);
+#else
+    (void)exiting;
+#endif
+#ifdef RSTORE_FIBER_TSAN
+    __tsan_switch_to_fiber(tsan_caller_, 0);
+#endif
+    rstore_fiber_switch(&sp_, dispatcher_sp_);
+    FinishSwitchIn();
+  }
+
+  // First thing a fiber runs after every switch onto its stack.
+  void FinishSwitchIn() {
+#ifdef RSTORE_FIBER_ASAN
+    // Learns the dispatcher's stack bounds: they change whenever the
+    // fiber resumes on a different host thread.
+    __sanitizer_finish_switch_fiber(asan_fake_stack_, &asan_caller_bottom_,
+                                    &asan_caller_size_);
+#endif
+  }
+
+  void ReleaseStack() {
+    if (stack_ != nullptr) {
+      StackPool::Instance().Release(stack_);
+      stack_ = nullptr;
+    }
+#ifdef RSTORE_FIBER_TSAN
+    if (tsan_fiber_ != nullptr) {
+      __tsan_destroy_fiber(tsan_fiber_);
+      tsan_fiber_ = nullptr;
+    }
+#endif
+  }
+
+  static void FiberMain(SimThread* self) noexcept;
 
   Node& node_;
   Simulation& sim_;
-  SimPartition& part_;
   const std::string name_;
   const uint64_t tid_;  // simulation-unique id for trace attribution
   std::function<void()> fn_;
 
-  std::condition_variable cv_;
-  std::atomic<bool> blocked_ = true;  // starts "blocked"; ends at kStart
-  std::atomic<bool> exited_ = false;
-  std::atomic<uint64_t> gen_ = 0;
+  bool blocked_ = true;  // starts "blocked"; ends at kStart
+  bool exited_ = false;
+  uint64_t gen_ = 0;
   WakeReason wake_reason_ = kStart;
 
-  std::thread os_thread_;  // last member: starts after state is ready
+  char* stack_;                    // StackPool mapping; null once released
+  void* sp_ = nullptr;             // the fiber's stack pointer while parked
+  void* dispatcher_sp_ = nullptr;  // the dispatcher's, during a slice
+  EhGlobals eh_;                   // exception state while parked
+  check::detail::ScopeState scopes_;
+#ifdef RSTORE_FIBER_ASAN
+  void* asan_fake_stack_ = nullptr;
+  const void* asan_caller_bottom_ = nullptr;
+  size_t asan_caller_size_ = 0;
+#endif
+#ifdef RSTORE_FIBER_TSAN
+  void* tsan_fiber_ = nullptr;
+  void* tsan_caller_ = nullptr;
+#endif
 };
 
 namespace {
@@ -167,11 +476,23 @@ thread_local SimThread* g_current_thread = nullptr;
 // Set on a host thread (driver or epoch worker) for the duration of one
 // partition's dispatch, so scheduler-context callbacks resolve their
 // clock and event queue. Node threads resolve through g_current_thread
-// instead (they run on their own OS threads).
+// instead.
 thread_local SimPartition* g_current_partition = nullptr;
 
+// Every read of the two context pointers goes through these out-of-line
+// accessors: a fiber that parks on one host thread may resume on another,
+// and a compiler may otherwise compute a thread_local's address once per
+// function and reuse it across the Block() that moved the fiber. (Writes
+// happen only on the dispatcher side, which never migrates.)
+[[gnu::noinline]] SimThread* CurrentThreadOrNull() noexcept {
+  return g_current_thread;
+}
+[[gnu::noinline]] SimPartition* DispatchingPartitionOrNull() noexcept {
+  return g_current_partition;
+}
+
 SimThread* Current() {
-  SimThread* t = g_current_thread;
+  SimThread* t = CurrentThreadOrNull();
   if (t == nullptr) {
     std::fprintf(stderr,
                  "fatal: sim primitive called from outside a simulated "
@@ -189,32 +510,53 @@ bool PartitionedEnvRequested() {
 
 bool SimThread::ShuttingDown() const noexcept { return sim_.shutting_down(); }
 
-void SimThread::ThreadMain() {
+void SimThread::Resume() {
+  SimThread* const outer = g_current_thread;
   g_current_thread = this;
-  {
-    // First activation mirrors the tail of YieldToScheduler().
-    std::unique_lock<std::mutex> lock(part_.mu);
-    cv_.wait(lock, [this] {
-      return part_.active.load(std::memory_order_relaxed) == this;
-    });
-    blocked_.store(false, std::memory_order_relaxed);
-    gen_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (node_.alive() && !ShuttingDown()) {
+  auto* const eh = reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals());
+  const EhGlobals outer_eh = *eh;
+  *eh = eh_;
+  check::detail::ScopeState* const outer_scopes =
+      check::detail::SwapScopeState(&scopes_);
+#ifdef RSTORE_FIBER_ASAN
+  void* fake_stack = nullptr;
+  StackPool& pool = StackPool::Instance();
+  __sanitizer_start_switch_fiber(&fake_stack, pool.lo(stack_), pool.usable());
+#endif
+#ifdef RSTORE_FIBER_TSAN
+  tsan_caller_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
+  rstore_fiber_switch(&dispatcher_sp_, sp_);
+#ifdef RSTORE_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+  check::detail::SwapScopeState(outer_scopes);
+  eh_ = *eh;
+  *eh = outer_eh;
+  g_current_thread = outer;
+  if (exited_) ReleaseStack();
+}
+
+void SimThread::FiberMain(SimThread* self) noexcept {
+  self->FinishSwitchIn();
+  // First activation mirrors the tail of YieldToScheduler().
+  self->blocked_ = false;
+  ++self->gen_;
+  if (self->node_.alive() && !self->ShuttingDown()) {
     try {
-      fn_();
+      self->fn_();
     } catch (const ThreadKilled&) {
       // Normal teardown path.
     } catch (const std::exception& e) {
-      LOG_ERROR << "uncaught exception in sim thread '" << name_
-                << "' on node " << node_.name() << ": " << e.what();
+      LOG_ERROR << "uncaught exception in sim thread '" << self->name_
+                << "' on node " << self->node_.name() << ": " << e.what();
     }
   }
-  // Exit handoff: give control back to the scheduler permanently.
-  std::lock_guard<std::mutex> lock(part_.mu);
-  exited_.store(true, std::memory_order_relaxed);
-  part_.active.store(nullptr, std::memory_order_release);
-  part_.scheduler_cv.notify_one();
+  // Exit: give control back to the scheduler permanently.
+  self->exited_ = true;
+  self->SwitchToDispatcher(/*exiting=*/true);
+  __builtin_unreachable();
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +603,7 @@ void Yield() { Sleep(0); }
 
 Node& CurrentNode() { return Current()->node(); }
 
-bool InSimThread() noexcept { return g_current_thread != nullptr; }
+bool InSimThread() noexcept { return CurrentThreadOrNull() != nullptr; }
 
 // ---------------------------------------------------------------------------
 // CondVar
@@ -327,8 +669,10 @@ void CondVar::NotifyOne() {
   // subsumed by the notifier's node clock); ticking keeps stamps taken
   // around the notify distinct. Scheduler-context notifies (fabric
   // delivery) have no owning node and are ordered by the event loop.
-  if (sim_.checker_ != nullptr && g_current_thread != nullptr) {
-    sim_.checker_->OnCondNotify(g_current_thread->node().id());
+  if (sim_.checker_ != nullptr) {
+    if (SimThread* self = CurrentThreadOrNull(); self != nullptr) {
+      sim_.checker_->OnCondNotify(self->node().id());
+    }
   }
   sim_.ScheduleWake(t, t->gen(), sim_.NowNanos(), SimThread::kNotify);
 }
@@ -432,12 +776,13 @@ Node& Simulation::AddNode(std::string name) {
 }
 
 Simulation::Partition* Simulation::CurrentPartition() const noexcept {
-  if (g_current_thread != nullptr &&
-      &g_current_thread->node().sim() == this) {
-    return g_current_thread->node().partition_;
+  if (SimThread* t = CurrentThreadOrNull();
+      t != nullptr && &t->node().sim() == this) {
+    return t->node().partition_;
   }
-  if (g_current_partition != nullptr && g_current_partition->sim == this) {
-    return g_current_partition;
+  if (Partition* p = DispatchingPartitionOrNull();
+      p != nullptr && p->sim == this) {
+    return p;
   }
   return nullptr;
 }
@@ -490,7 +835,8 @@ void Simulation::AttachTelemetry(obs::Telemetry* telemetry) {
   // observation hooks, never inputs to the event timeline.
   telemetry_->SetClock([this] { return static_cast<uint64_t>(NowNanos()); });
   telemetry_->SetTidSource([]() -> uint64_t {
-    return g_current_thread != nullptr ? g_current_thread->tid() : 0;
+    const SimThread* t = CurrentThreadOrNull();
+    return t != nullptr ? t->tid() : 0;
   });
   for (const auto& node : nodes_) {
     (void)telemetry_->metrics().ForNode(node->id(), node->name());
@@ -504,10 +850,10 @@ void Simulation::AttachTelemetry(obs::Telemetry* telemetry) {
     if (telemetry_ == nullptr) return;
     static constexpr std::string_view kCounterNames[] = {
         "log.debug", "log.info", "log.warn", "log.error"};
+    SimThread* t = CurrentThreadOrNull();
     obs::NodeMetrics& node =
-        g_current_thread != nullptr
-            ? telemetry_->metrics().ForNode(g_current_thread->node().id(),
-                                            g_current_thread->node().name())
+        t != nullptr
+            ? telemetry_->metrics().ForNode(t->node().id(), t->node().name())
             : telemetry_->metrics().ForNode(~0u, "host");
     node.GetCounter(kCounterNames[static_cast<int>(level)]).Inc();
   });
@@ -595,45 +941,11 @@ void Simulation::ScheduleWake(SimThread* t, uint64_t gen, Nanos at,
   PushEvent(target, std::move(e));
 }
 
-void Simulation::RunThreadSlice(Partition& p, SimThread* t) {
+void Simulation::RunThreadSlice(SimThread* t) {
   // Scheduler hand-off edge: tick the node's clock component so shadow
   // stamps taken on either side of the slice boundary stay distinct.
   if (checker_ != nullptr) checker_->OnThreadSlice(t->node().id());
-  {
-    std::lock_guard<std::mutex> lock(p.mu);
-    p.active.store(t, std::memory_order_release);
-  }
-  t->cv_.notify_one();
-  // Slices are typically a few microseconds of real work, so poll for the
-  // handback before parking on the condvar: most slices end while we
-  // watch, which halves the OS handoff cost (one futex round trip instead
-  // of two). *How* to poll depends on the host: with spare cores the
-  // slice proceeds in parallel, so pause-spin; on a uniprocessor the
-  // woken thread cannot run while we occupy the core — spinning only
-  // delays it — so donate the core with sched_yield and check between
-  // reschedules.
-  static const bool kUniprocessor = std::thread::hardware_concurrency() == 1;
-  if (kUniprocessor) {
-    constexpr int kYieldIters = 64;
-    for (int i = 0; i < kYieldIters; ++i) {
-      if (p.active.load(std::memory_order_acquire) == nullptr) return;
-      std::this_thread::yield();
-    }
-  } else {
-    constexpr int kSpinIters = 4096;
-    for (int i = 0; i < kSpinIters; ++i) {
-      if (p.active.load(std::memory_order_acquire) == nullptr) return;
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#elif defined(__aarch64__)
-      asm volatile("yield");
-#endif
-    }
-  }
-  std::unique_lock<std::mutex> lock(p.mu);
-  p.scheduler_cv.wait(lock, [&p] {
-    return p.active.load(std::memory_order_relaxed) == nullptr;
-  });
+  t->Resume();
 }
 
 Simulation::Event Simulation::ExploreTieBreak(Partition& p, Event first) {
@@ -723,7 +1035,7 @@ void Simulation::DispatchPartition(Partition& p, Nanos deadline, Nanos until,
       ++p.thread_slices;
       e.wake_target->wake_reason_ =
           static_cast<SimThread::WakeReason>(e.wake_reason);
-      RunThreadSlice(p, e.wake_target);
+      RunThreadSlice(e.wake_target);
     } else {
       e.fn();
     }
@@ -934,7 +1246,7 @@ void Simulation::SweepKilledThreads(Node& node) {
   for (auto& t : node.threads_) {
     if (!t->exited() && t->blocked()) {
       t->wake_reason_ = SimThread::kKilled;
-      RunThreadSlice(*node.partition_, t.get());
+      RunThreadSlice(t.get());
     }
   }
 }
@@ -959,21 +1271,18 @@ void Simulation::Shutdown() {
     for (auto& t : node->threads_) {
       if (!t->exited() && t->blocked()) {
         t->wake_reason_ = SimThread::kKilled;
-        RunThreadSlice(*node->partition_, t.get());
+        RunThreadSlice(t.get());
       }
     }
   }
-  // All threads have exited; their destructors join the OS threads.
+  // All threads have exited and returned their stacks to the pool.
   for (auto& node : nodes_) {
     for ([[maybe_unused]] auto& t : node->threads_) {
       assert(t->exited());
     }
   }
-  // Join now rather than from ~Node: members are destroyed in reverse
-  // declaration order, so the partitions (and their condvars) die before
-  // nodes_, and an exiting thread may still be inside its final
-  // notify_one — except partitions_ is declared first, so they outlive
-  // nodes_; the explicit clear below keeps the historical join point.
+  // Destroy the threads (and the closures they captured) now rather than
+  // from ~Node, so the checkers below see every capture released.
   for (auto& node : nodes_) {
     node->threads_.clear();
   }

@@ -10,11 +10,19 @@
 //
 // Concurrency model
 // -----------------
-//   * Node code runs on OS threads, but cooperatively: the scheduler hands
-//     control to one thread at a time and regains it when the thread blocks
-//     (Sleep, CondVar::Wait, ...) or exits. There is therefore no data race
-//     between node programs, the fabric, or the scheduler, even though the
-//     code "looks" multithreaded.
+//   * Every simulated thread is a stackful fiber: it has its own stack
+//     (sized like a default OS-thread stack, with a guard page) but no OS
+//     thread. The host thread dispatching a partition switches into one
+//     fiber at a time and gets control back when the fiber blocks (Sleep,
+//     CondVar::Wait, ...) or exits; a slice costs two register switches.
+//     There is therefore no data race between node programs, the fabric,
+//     or the scheduler, even though the code "looks" multithreaded.
+//   * A fiber's view of host-thread state is its own: the current-thread
+//     pointer, the C++ exception state (`throw;`,
+//     std::uncaught_exceptions) and rcheck's annotation scopes are
+//     swapped in and out with every slice. Node code must not keep other
+//     thread_local state across a blocking call — a parked fiber may
+//     resume on a different host thread in partitioned mode.
 //   * Virtual time advances only in the scheduler, between thread slices.
 //     Pure computation inside a thread is instantaneous in virtual time;
 //     code charges compute costs explicitly via Sleep()/cost models
@@ -45,14 +53,11 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -288,9 +293,9 @@ class Simulation {
   // excluded), summed over partitions. The denominator of the wall-clock
   // harness's events/sec.
   [[nodiscard]] uint64_t events_processed() const noexcept;
-  // Subset of events_processed() that handed control to an OS thread —
-  // each costs a real context-switch round trip, so the slice share of
-  // the event mix is what wall-clock tuning watches.
+  // Subset of events_processed() that resumed a SimThread — each costs a
+  // fiber switch round trip, so the slice share of the event mix is what
+  // wall-clock tuning watches.
   [[nodiscard]] uint64_t thread_slices() const noexcept;
 
   // Schedules `fn` to run in scheduler context at virtual time `t`
@@ -458,9 +463,9 @@ class Simulation {
   using Partition = struct SimPartition;
   struct EpochSync;
 
-  // Scheduler internals (see .cc for the handoff protocol and the epoch
+  // Scheduler internals (see .cc for the fiber switch and the epoch
   // loop).
-  void RunThreadSlice(Partition& p, SimThread* t);
+  void RunThreadSlice(SimThread* t);
   void ScheduleWake(SimThread* t, uint64_t gen, Nanos at, int reason);
   void PushEvent(Partition& p, Event e);
   Event PopEvent(Partition& p);

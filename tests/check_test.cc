@@ -4,7 +4,8 @@
 // asserted to be reported exactly once, plus the two meta-properties the
 // design leans on: zero probe effect (attaching the checker never moves
 // virtual time) and zero false positives on representative E4 (PageRank)
-// and E9 (KV) workloads.
+// and E9 (KV) workloads. One more pins that annotation scopes stay with
+// the simulated thread that opened them.
 //
 // All tests attach the checker programmatically, so Shutdown() leaves
 // the verdict to the test instead of aborting the process.
@@ -24,6 +25,7 @@
 #include "core/cluster.h"
 #include "kv/kv.h"
 #include "obs/trace_check.h"
+#include "sim/simulation.h"
 
 namespace rstore {
 namespace {
@@ -381,6 +383,51 @@ TEST(CheckTest, EpochCacheModeViolationReportedOnce) {
 
   EXPECT_EQ(CountType(checker, check::ViolationType::kCacheMode), 1u);
   EXPECT_EQ(checker.violations().size(), 1u);
+}
+
+// ------------------------------------------------- annotation scopes ----
+
+// Annotation scopes belong to the simulated thread that opened them. Two
+// threads share one node, and so one host thread: while one is parked
+// inside a SpeculativeScope and an OpLabelScope, the other's one-sided
+// access must be recorded as non-speculative, under its own label.
+TEST(CheckScopeTest, ParkedThreadsScopesStayWithIt) {
+  check::Checker checker;
+  sim::Simulation sim;
+  sim.AttachChecker(&checker);
+  sim::Node& client = sim.AddNode("client");
+  (void)sim.AddNode("server");
+  constexpr uint64_t kLo = 1 << 20;
+  constexpr uint64_t kHi = kLo + 4096;
+  checker.OnRegionSlab(1, "r", kHi - kLo, 1, kLo, kHi, 0);
+  // Every recorded post from the client to the region now reports a
+  // use-after-unmap carrying the post's label.
+  checker.OnUnmap(0, 1);
+  uint32_t parked_ref = ~0u;
+  const char* parked_label = nullptr;
+  uint32_t other_ref = 0;
+  client.Spawn("parked", [&] {
+    check::SpeculativeScope speculative(&checker);
+    check::OpLabelScope label(&checker, "parked.read");
+    sim::Sleep(sim::Micros(10));
+    parked_label = check::detail::CurrentLabel();
+    parked_ref = checker.OnPost(0, 1, check::OpClass::kRemoteRead, kLo,
+                                kLo + 8, nullptr, 0, 1);
+  });
+  client.Spawn("other", [&] {
+    sim::Sleep(sim::Micros(5));
+    check::OpLabelScope label(&checker, "other.write");
+    other_ref = checker.OnPost(0, 1, check::OpClass::kRemoteWrite, kLo,
+                               kLo + 8, nullptr, 0, 1);
+  });
+  sim.Run();
+  EXPECT_NE(other_ref, 0u);   // recorded: not speculative
+  EXPECT_EQ(parked_ref, 0u);  // the parked thread's own scope still holds
+  EXPECT_STREQ(parked_label, "parked.read");
+  ASSERT_EQ(checker.violation_count(), 1u);
+  EXPECT_EQ(checker.violations()[0].type, check::ViolationType::kUseAfterUnmap);
+  EXPECT_EQ(checker.violations()[0].b.label, "other.write");
+  EXPECT_EQ(check::detail::CurrentLabel(), nullptr);  // driver's own scopes
 }
 
 // ------------------------------------------------- meta-properties ----

@@ -87,10 +87,13 @@ ClusterConfig SortCluster(uint32_t workers, uint64_t capacity_mb = 96) {
   return cfg;
 }
 
+// No padding bytes: gtest names each case with a byte dump of the param,
+// and padding would put stack garbage into the test names.
 struct SortCase {
-  uint32_t workers;
+  uint64_t workers;
   uint64_t records;
 };
+static_assert(sizeof(SortCase) == 2 * sizeof(uint64_t));
 
 class SortFixture : public ::testing::TestWithParam<SortCase> {};
 

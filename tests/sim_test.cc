@@ -1,9 +1,18 @@
 // Unit tests for the virtual-time simulator: clock behaviour, cooperative
-// scheduling determinism, condition variables, failure injection, and the
-// CPU/disk cost models.
+// scheduling determinism, condition variables, failure injection, the
+// SimThread fibers' per-thread state and stack guard, and the CPU/disk
+// cost models.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
+#include <cstdint>
+#include <exception>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -376,6 +385,177 @@ TEST(ShutdownTest, DestructorUnwindsBlockedThreads) {
     EXPECT_EQ(sim.live_thread_count(), 1u);
   }
   EXPECT_TRUE(cleaned_up);
+}
+
+// ---------------------------------------------------------------- Fibers --
+// A thread that blocks inside a catch handler, or in a destructor while
+// an exception unwinds, keeps its own C++ exception state: the threads
+// that run meanwhile on the same host thread neither see it nor disturb
+// what its `throw;` rethrows.
+TEST(FiberTest, ExceptionStateIsPerThread) {
+  Simulation sim;
+  Node& n = sim.AddNode("a");
+  std::string a_rethrew;
+  int a_uncaught_in_unwind = -1;
+  std::string b_caught;
+  int b_uncaught = -1;
+  n.Spawn("a", [&] {
+    try {
+      try {
+        throw std::runtime_error("from a");
+      } catch (const std::runtime_error&) {
+        Sleep(Micros(10));  // b throws and parks in its handler meanwhile
+        throw;
+      }
+    } catch (const std::runtime_error& e) {
+      a_rethrew = e.what();
+    }
+    struct Unwinder {
+      int* uncaught;
+      ~Unwinder() {
+        Sleep(Micros(10));  // parked mid-unwind while b checks its count
+        *uncaught = std::uncaught_exceptions();
+      }
+    };
+    try {
+      Unwinder u{&a_uncaught_in_unwind};
+      throw 1;
+    } catch (int) {
+    }
+  });
+  n.Spawn("b", [&] {
+    Sleep(Micros(5));
+    try {
+      throw std::logic_error("from b");
+    } catch (const std::logic_error& e) {
+      Sleep(Micros(10));  // a rethrows at t=10 while this handler is open
+      b_caught = e.what();
+    }
+    b_uncaught = std::uncaught_exceptions();  // t=15: a is mid-unwind
+  });
+  sim.Run();
+  EXPECT_EQ(a_rethrew, "from a");
+  EXPECT_EQ(a_uncaught_in_unwind, 1);
+  EXPECT_EQ(b_caught, "from b");
+  EXPECT_EQ(b_uncaught, 0);
+}
+
+// Partitioned mode starts fresh epoch workers on every RunUntil, so a
+// thread parked across RunUntil calls resumes on a different host thread
+// than it parked on. It must still see its own clock and node.
+TEST(FiberTest, ParkedThreadsResumeOnOtherHostThreads) {
+  Simulation sim(SimConfig{.host_threads = 4});
+  constexpr uint32_t kNodes = 8;
+  constexpr int kSteps = 3;
+  struct Seen {
+    Nanos now;
+    uint32_t node;
+    long host_tid;
+  };
+  std::vector<std::vector<Seen>> seen(kNodes);
+  for (uint32_t i = 0; i < kNodes; ++i) {
+    Node& n = sim.AddNode(std::to_string(i));
+    n.Spawn("w", [&seen, i] {
+      for (int k = 0; k < kSteps; ++k) {
+        seen[i].push_back({Now(), CurrentNode().id(), syscall(SYS_gettid)});
+        Sleep(Micros(10) + i);
+      }
+    });
+  }
+  sim.RunUntil(Micros(5));
+  sim.RunUntil(Micros(15));
+  sim.RunUntil(Micros(25));
+  sim.Run();
+  int migrations = 0;
+  for (uint32_t i = 0; i < kNodes; ++i) {
+    ASSERT_EQ(seen[i].size(), static_cast<size_t>(kSteps));
+    for (int k = 0; k < kSteps; ++k) {
+      EXPECT_EQ(seen[i][k].now, k * (Micros(10) + i)) << "node " << i;
+      EXPECT_EQ(seen[i][k].node, i);
+      if (k > 0 && seen[i][k].host_tid != seen[i][k - 1].host_tid) {
+        ++migrations;
+      }
+    }
+  }
+  // Two nodes share the driver's worker slot; the rest run on workers
+  // that each RunUntil creates anew — unless the environment serializes
+  // dispatch (an env-attached checker or policy, RSTORE_PARTITION_SERIAL),
+  // in which case everything runs on this thread and nothing migrates.
+  std::set<long> hosts;
+  for (const auto& steps : seen) {
+    for (const Seen& s : steps) hosts.insert(s.host_tid);
+  }
+  if (hosts.size() == 1) GTEST_SKIP() << "dispatch serialized";
+  EXPECT_GT(migrations, 0);
+}
+
+// Runaway recursion in a SimThread must fault on its stack's guard page,
+// not run on into whatever is mapped below the stack.
+const char* volatile g_fiber_stack_top = nullptr;
+volatile size_t g_fiber_stack_size = 0;
+volatile int g_recursion_stop = -1;
+
+int Recurse(int depth) {
+  if (depth == g_recursion_stop) return 0;
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  return Recurse(depth + 1) + frame[0];
+}
+
+size_t DefaultThreadStackSize() {
+  size_t size = 0;
+  pthread_attr_t attr;
+  if (pthread_getattr_default_np(&attr) == 0) {
+    (void)pthread_attr_getstacksize(&attr, &size);
+    pthread_attr_destroy(&attr);
+  }
+  return size;
+}
+
+void ExitOnGuardPageFault(int /*sig*/, siginfo_t* info, void* /*ctx*/) {
+  const auto top = reinterpret_cast<uintptr_t>(g_fiber_stack_top);
+  const auto fault = reinterpret_cast<uintptr_t>(info->si_addr);
+  const size_t size = g_fiber_stack_size;
+  const size_t depth = top - fault;
+  constexpr char kGuard[] = "fault on the guard page\n";
+  constexpr char kElsewhere[] = "fault away from the guard page\n";
+  if (fault < top && depth + (size_t{64} << 10) >= size &&
+      depth <= size + (size_t{64} << 10)) {
+    (void)!write(2, kGuard, sizeof kGuard - 1);
+    _exit(3);
+  }
+  (void)!write(2, kElsewhere, sizeof kElsewhere - 1);
+  _exit(4);
+}
+
+TEST(FiberDeathTest, RunawayRecursionFaultsOnGuardPage) {
+  EXPECT_EXIT(
+      {
+        static std::vector<char> alt(size_t{256} << 10);
+        stack_t ss{};
+        ss.ss_sp = alt.data();
+        ss.ss_size = alt.size();
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa{};
+        sa.sa_sigaction = ExitOnGuardPageFault;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        sigaction(SIGBUS, &sa, nullptr);
+        g_fiber_stack_size = DefaultThreadStackSize();
+        // One host thread: the fiber runs on this one, whose alternate
+        // signal stack the handler needs.
+        Simulation sim(SimConfig{.host_threads = 1});
+        Node& n = sim.AddNode("a");
+        n.Spawn("deep", [] {
+          // The frame address, not a local's: under ASan's use-after-return
+          // mode locals live on a heap-backed fake stack.
+          g_fiber_stack_top =
+              static_cast<const char*>(__builtin_frame_address(0));
+          (void)Recurse(0);
+        });
+        sim.Run();
+      },
+      testing::ExitedWithCode(3), "fault on the guard page");
 }
 
 // ------------------------------------------------------------ Cost model --
