@@ -294,6 +294,46 @@ struct EhGlobals {
 // ---------------------------------------------------------------------------
 struct SimPartition {
   using Event = Simulation::Event;
+  using EventKey = Simulation::EventKey;
+
+  SimPartition(Simulation* owner, uint32_t idx, size_t capacity)
+      : sim(owner), index(idx) {
+    heap.reserve(capacity);
+    slab.reserve(capacity);
+    free_slots.reserve(capacity);
+  }
+
+  // Queues `e` at `t` behind every event already scheduled here.
+  void Push(Nanos t, Event&& e) {
+    PushKey({t, next_seq++, Store(std::move(e))});
+  }
+  // Moves `e` into a free slab slot and returns the slot.
+  uint32_t Store(Event&& e) {
+    if (free_slots.empty()) {
+      slab.push_back(std::move(e));
+      return static_cast<uint32_t>(slab.size() - 1);
+    }
+    const uint32_t slot = free_slots.back();
+    free_slots.pop_back();
+    slab[slot] = std::move(e);
+    return slot;
+  }
+  // Returns a slot whose body has been dispatched or discarded (its fn is
+  // empty by then) to the free list.
+  void Free(uint32_t slot) { free_slots.push_back(slot); }
+  void PushKey(EventKey k) {
+    heap.push_back(k);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  }
+  EventKey PopKey() {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const EventKey k = heap.back();
+    heap.pop_back();
+    return k;
+  }
+  // True when `slot` holds a wake whose block has already ended (or whose
+  // thread exited). Staleness is permanent: generations only grow.
+  [[nodiscard]] bool StaleWake(uint32_t slot) const noexcept;
 
   Simulation* sim = nullptr;
   uint32_t index = 0;
@@ -301,14 +341,26 @@ struct SimPartition {
   uint64_t next_seq = 0;
   uint64_t events_processed = 0;
   uint64_t thread_slices = 0;
-  // Event queue as a manual binary min-heap over a reserved vector: the
-  // storage is pooled across the run (no reallocation churn once warm)
-  // and the top entry can be moved out instead of copied.
-  std::vector<Event> events;
-  // Cross-partition posts created while this partition dispatches, as
-  // (destination partition index, event) in post order. Only the owning
-  // dispatcher appends; only the driver thread drains, at barriers.
-  std::vector<std::pair<uint32_t, Event>> outbox;
+  // Event queue, in two parts: `heap` is a binary min-heap of 24-byte
+  // keys ordered by (t, seq), and each key names the `slab` slot holding
+  // its event's body. A body stays in its slot until the event is
+  // dispatched or discarded, so sifts, the explore tie-break's re-push and
+  // the put-back at a deadline move keys only, never a callback. Freed
+  // slots are reused last-in first-out, and all three vectors are pooled
+  // across the run (no reallocation churn once warm).
+  std::vector<EventKey> heap;
+  static_assert(sizeof(EventKey) == 24);
+  std::vector<Event> slab;
+  std::vector<uint32_t> free_slots;
+  // Cross-partition posts created while this partition dispatches, in
+  // post order. Only the owning dispatcher appends; only the driver
+  // thread drains, at barriers.
+  struct Post {
+    uint32_t dst;  // destination partition index
+    Nanos t;
+    Event ev;
+  };
+  std::vector<Post> outbox;
   // Livelock-guard streak for ExploreTieBreak (per partition: a pure
   // function of this partition's schedule).
   Nanos tie_streak_t = kNever;
@@ -470,6 +522,13 @@ class SimThread {
   void* tsan_caller_ = nullptr;
 #endif
 };
+
+bool SimPartition::StaleWake(uint32_t slot) const noexcept {
+  const Event& e = slab[slot];
+  const SimThread* t = e.wake_target;
+  return t != nullptr &&
+         (t->exited() || !t->blocked() || t->gen() != e.wake_gen);
+}
 
 namespace {
 thread_local SimThread* g_current_thread = nullptr;
@@ -710,10 +769,7 @@ Simulation::Simulation(SimConfig config)
     config_.serialize_dispatch = true;
   }
   partitioned_ = config_.host_threads >= 1;
-  partitions_.push_back(std::make_unique<Partition>());
-  partitions_.back()->sim = this;
-  partitions_.back()->index = 0;
-  partitions_.back()->events.reserve(1024);
+  partitions_.push_back(std::make_unique<Partition>(this, 0, 1024));
   // Opt-in runtime verification for whole test/bench processes: every
   // simulation in the process gets its own checker, and Shutdown() turns
   // any violation into a report + abort (the CI rcheck gate).
@@ -760,10 +816,8 @@ Node& Simulation::AddNode(std::string name) {
       std::make_unique<Node>(*this, id, std::move(name), seeder_.Next()));
   Node& node = *nodes_.back();
   if (partitioned_) {
-    partitions_.push_back(std::make_unique<Partition>());
-    partitions_.back()->sim = this;
-    partitions_.back()->index = static_cast<uint32_t>(partitions_.size() - 1);
-    partitions_.back()->events.reserve(64);
+    partitions_.push_back(std::make_unique<Partition>(
+        this, static_cast<uint32_t>(partitions_.size()), 64));
     node.partition_ = partitions_.back().get();
   } else {
     node.partition_ = partitions_.front().get();
@@ -873,26 +927,11 @@ void Simulation::AttachPolicy(explore::SchedulePolicy* policy) {
   policy_ = policy;
 }
 
-void Simulation::PushEvent(Partition& p, Event e) {
-  p.events.push_back(std::move(e));
-  std::push_heap(p.events.begin(), p.events.end(), std::greater<>{});
-}
-
-Simulation::Event Simulation::PopEvent(Partition& p) {
-  std::pop_heap(p.events.begin(), p.events.end(), std::greater<>{});
-  Event e = std::move(p.events.back());
-  p.events.pop_back();
-  return e;
-}
-
 void Simulation::At(Nanos t, EventFn fn) {
   Partition* cur = CurrentPartition();
   Partition& p = cur != nullptr ? *cur : *partitions_.front();
-  Event e;
-  e.t = std::max(t, cur != nullptr ? cur->now : driver_now_);
-  e.seq = p.next_seq++;
-  e.fn = std::move(fn);
-  PushEvent(p, std::move(e));
+  p.Push(std::max(t, cur != nullptr ? cur->now : driver_now_),
+         Event{.fn = std::move(fn)});
 }
 
 void Simulation::After(Nanos delay, EventFn fn) {
@@ -902,43 +941,35 @@ void Simulation::After(Nanos delay, EventFn fn) {
 void Simulation::PostToNode(uint32_t node_id, Nanos t, EventFn fn) {
   Partition& target = *nodes_.at(node_id)->partition_;
   Partition* cur = CurrentPartition();
-  Event e;
-  e.fn = std::move(fn);
+  Event e{.fn = std::move(fn)};
   if (cur != nullptr && cur != &target) {
     // Cross-partition: buffered in post order, merged at the next epoch
     // barrier (seq stamped there, under the merge rule).
-    e.t = t;
-    e.seq = 0;
-    cur->outbox.emplace_back(target.index, std::move(e));
+    cur->outbox.push_back({target.index, t, std::move(e)});
     return;
   }
   // Same partition, or driver context between runs (no dispatcher is
   // touching any heap): push directly.
-  e.t = std::max(t, cur != nullptr ? cur->now : driver_now_);
-  e.seq = target.next_seq++;
-  PushEvent(target, std::move(e));
+  target.Push(std::max(t, cur != nullptr ? cur->now : driver_now_),
+              std::move(e));
 }
 
 void Simulation::ScheduleWake(SimThread* t, uint64_t gen, Nanos at,
                               int reason) {
   Partition& target = *t->node().partition_;
   Partition* cur = CurrentPartition();
-  Event e;
-  e.wake_target = t;
-  e.wake_gen = gen;
-  e.wake_reason = reason;
+  Event e{
+      .fn = {}, .wake_target = t, .wake_gen = gen, .wake_reason = reason};
   if (cur != nullptr && cur != &target) {
     // Cross-partition notify (e.g. a CondVar poked from another node's
     // context under serialized dispatch): routed through the epoch
     // boundary; the generation check makes late arrivals safe.
-    e.t = std::max(at, cur->now);
-    e.seq = 0;
-    cur->outbox.emplace_back(target.index, std::move(e));
+    cur->outbox.push_back(
+        {target.index, std::max(at, cur->now), std::move(e)});
     return;
   }
-  e.t = std::max(at, cur != nullptr ? cur->now : driver_now_);
-  e.seq = target.next_seq++;
-  PushEvent(target, std::move(e));
+  target.Push(std::max(at, cur != nullptr ? cur->now : driver_now_),
+              std::move(e));
 }
 
 void Simulation::RunThreadSlice(SimThread* t) {
@@ -948,96 +979,96 @@ void Simulation::RunThreadSlice(SimThread* t) {
   t->Resume();
 }
 
-Simulation::Event Simulation::ExploreTieBreak(Partition& p, Event first) {
+Simulation::EventKey Simulation::ExploreTieBreak(Partition& p,
+                                                 EventKey first) {
   // Gather every candidate at this instant. Stale wakes are discarded
   // here instead of at dispatch — staleness is permanent (generations
   // only grow), so early discard is behaviour-identical to the baseline's
   // lazy discard and keeps the clock untouched either way.
-  tie_events_.clear();
-  tie_events_.push_back(std::move(first));
-  const Nanos t = tie_events_.front().t;
-  while (!p.events.empty() && p.events.front().t == t) {
-    Event e = PopEvent(p);
-    if (e.wake_target != nullptr) {
-      SimThread* th = e.wake_target;
-      if (th->exited() || !th->blocked() || th->gen() != e.wake_gen) {
-        continue;
-      }
+  tie_keys_.clear();
+  tie_keys_.push_back(first);
+  const Nanos t = first.t;
+  while (!p.heap.empty() && p.heap.front().t == t) {
+    const EventKey k = p.PopKey();
+    if (p.StaleWake(k.slot)) {
+      p.Free(k.slot);
+      continue;
     }
-    tie_events_.push_back(std::move(e));
+    tie_keys_.push_back(k);
   }
   size_t pick = 0;
-  if (tie_events_.size() > 1) {
+  if (tie_keys_.size() > 1) {
     if (t != p.tie_streak_t) {
       p.tie_streak_t = t;
       p.tie_streak = 0;
     }
     if (++p.tie_streak <= kMaxSameInstantPicks) {
       tie_lanes_.clear();
-      for (const Event& e : tie_events_) {
-        tie_lanes_.push_back(e.wake_target != nullptr
-                                 ? e.wake_target->node().id()
-                                 : explore::kNoLane);
+      for (const EventKey& k : tie_keys_) {
+        SimThread* th = p.slab[k.slot].wake_target;
+        tie_lanes_.push_back(th != nullptr ? th->node().id()
+                                           : explore::kNoLane);
       }
       pick = policy_->PickEvent(tie_lanes_.data(),
                                 static_cast<uint32_t>(tie_lanes_.size()));
     }
     // else: livelock guard tripped — baseline FIFO until time advances.
   }
-  Event chosen = std::move(tie_events_[pick]);
-  for (size_t i = 0; i < tie_events_.size(); ++i) {
-    if (i != pick) PushEvent(p, std::move(tie_events_[i]));
+  for (size_t i = 0; i < tie_keys_.size(); ++i) {
+    if (i != pick) p.PushKey(tie_keys_[i]);
   }
-  tie_events_.clear();
-  return chosen;
+  return tie_keys_[pick];
 }
 
 void Simulation::Run() { RunUntil(kNever); }
 
 void Simulation::DispatchPartition(Partition& p, Nanos deadline, Nanos until,
                                    bool obey_stop) {
-  while (!p.events.empty()) {
+  while (!p.heap.empty()) {
     if (obey_stop && stop_requested_.load(std::memory_order_relaxed)) return;
     // Conservative epoch horizon: nothing at or past `until` may run this
     // epoch (cross-partition arrivals up to the horizon are already
     // merged; later ones are not yet visible).
-    if (until != kNever && p.events.front().t >= until) return;
-    Event e = PopEvent(p);
-    if (e.wake_target != nullptr) {
-      SimThread* t = e.wake_target;
-      if (t->exited() || !t->blocked() || t->gen() != e.wake_gen) {
-        continue;  // stale wake: discard without touching the clock
-      }
+    if (until != kNever && p.heap.front().t >= until) return;
+    EventKey k = p.PopKey();
+    if (p.StaleWake(k.slot)) {
+      p.Free(k.slot);
+      continue;  // stale wake: discard without touching the clock
     }
     // Same-instant tie-break: only consulted when a policy is attached
     // and another event shares this instant, so the un-explored fast
     // path is one branch.
-    if (policy_ != nullptr && !p.events.empty() &&
-        p.events.front().t == e.t && e.t <= deadline) {
-      e = ExploreTieBreak(p, std::move(e));
+    if (policy_ != nullptr && !p.heap.empty() && p.heap.front().t == k.t &&
+        k.t <= deadline) {
+      k = ExploreTieBreak(p, k);
     }
-    if (e.t > deadline) {
+    if (k.t > deadline) {
       // Put it back and stop at the deadline.
-      PushEvent(p, std::move(e));
+      p.PushKey(k);
       p.now = std::max(p.now, deadline);
       return;
     }
-    if (e.t > config_.horizon) {
+    if (k.t > config_.horizon) {
       std::fprintf(stderr,
                    "fatal: simulation passed its horizon (%.3f s) — likely "
                    "livelock\n",
                    ToSeconds(config_.horizon));
       std::abort();
     }
-    p.now = std::max(p.now, e.t);
+    p.now = std::max(p.now, k.t);
     ++p.events_processed;
-    if (e.wake_target != nullptr) {
+    // Release the slot before running the event: whatever it schedules
+    // may reuse it (and may grow the slab under any reference into it).
+    Event& e = p.slab[k.slot];
+    if (SimThread* t = e.wake_target; t != nullptr) {
+      t->wake_reason_ = static_cast<SimThread::WakeReason>(e.wake_reason);
+      p.Free(k.slot);
       ++p.thread_slices;
-      e.wake_target->wake_reason_ =
-          static_cast<SimThread::WakeReason>(e.wake_reason);
-      RunThreadSlice(e.wake_target);
+      RunThreadSlice(t);
     } else {
-      e.fn();
+      EventFn fn = std::move(e.fn);
+      p.Free(k.slot);
+      fn();
     }
   }
 }
@@ -1047,7 +1078,7 @@ void Simulation::DispatchShare(uint32_t worker, uint32_t stride,
   const size_t count = partitions_.size();
   for (size_t i = worker; i < count; i += stride) {
     Partition& p = *partitions_[i];
-    if (p.events.empty()) continue;
+    if (p.heap.empty()) continue;
     g_current_partition = &p;
     DispatchPartition(p, deadline, until, /*obey_stop=*/false);
     g_current_partition = nullptr;
@@ -1060,21 +1091,26 @@ void Simulation::FlushOutboxes() {
   // stable sort by t refines it to (t, source partition, post order) —
   // THE cross-partition merge rule. Destination seqs are stamped in that
   // order, so merged events obey the normal same-instant FIFO tie-break.
+  // Bodies go straight into the destination's slab; only their keys are
+  // sorted.
   for (auto& sp : partitions_) {
-    for (auto& [dst, ev] : sp->outbox) {
-      if (merge_scratch_[dst].empty()) merge_dirty_.push_back(dst);
-      merge_scratch_[dst].push_back(std::move(ev));
+    for (auto& post : sp->outbox) {
+      auto& arrivals = merge_scratch_[post.dst];
+      if (arrivals.empty()) merge_dirty_.push_back(post.dst);
+      arrivals.push_back(
+          {post.t, 0, partitions_[post.dst]->Store(std::move(post.ev))});
     }
     sp->outbox.clear();
   }
   for (const uint32_t dst : merge_dirty_) {
     auto& arrivals = merge_scratch_[dst];
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const Event& a, const Event& b) { return a.t < b.t; });
+    std::stable_sort(
+        arrivals.begin(), arrivals.end(),
+        [](const EventKey& a, const EventKey& b) { return a.t < b.t; });
     Partition& d = *partitions_[dst];
-    for (Event& ev : arrivals) {
-      ev.seq = d.next_seq++;
-      PushEvent(d, std::move(ev));
+    for (EventKey& k : arrivals) {
+      k.seq = d.next_seq++;
+      d.PushKey(k);
     }
     arrivals.clear();
   }
@@ -1154,8 +1190,8 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
     if (stop_requested_.load(std::memory_order_relaxed)) break;
     Nanos tmin = kNever;
     for (const auto& p : partitions_) {
-      if (!p->events.empty() && p->events.front().t < tmin) {
-        tmin = p->events.front().t;
+      if (!p->heap.empty() && p->heap.front().t < tmin) {
+        tmin = p->heap.front().t;
       }
     }
     if (tmin == kNever) break;  // quiescent

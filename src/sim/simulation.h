@@ -79,10 +79,10 @@ class SchedulePolicy;
 
 namespace rstore::sim {
 
-// Event callbacks live inline in the event heap: 48 bytes of capture
-// space covers every hot-path callback (a couple of pointers and
-// scalars) without a heap allocation; larger captures fall back to the
-// heap transparently.
+// Event callbacks live inline in their partition's event slab: 48 bytes
+// of capture space covers every hot-path callback (a couple of pointers
+// and scalars) without a heap allocation; larger captures fall back to
+// the heap transparently.
 using EventFn = common::SmallFn<void(), 48>;
 
 class Simulation;
@@ -432,10 +432,20 @@ class Simulation {
   friend void Sleep(Nanos);
   friend void Yield();
 
-  // Two event kinds share the queue: callback events (fn set) and thread
-  // wakes (wake_target set). Wakes carry the generation of the block they
-  // intend to end; a stale wake is discarded *without* advancing the
-  // clock, so cancelled timeouts and killed threads leave no time skew.
+  // An event's body. Two kinds share the queue: callback events (fn set)
+  // and thread wakes (wake_target set). Wakes carry the generation of the
+  // block they intend to end; a stale wake is discarded *without*
+  // advancing the clock, so cancelled timeouts and killed threads leave no
+  // time skew. Bodies sit still in their partition's slab while queued;
+  // only EventKeys move through the heap.
+  struct Event {
+    EventFn fn;
+    SimThread* wake_target = nullptr;
+    uint64_t wake_gen = 0;
+    int wake_reason = 0;
+  };
+  // A queued event's heap entry: when it fires, its scheduling order, and
+  // the slab slot holding its body.
   //
   // Equal-vtime ordering (THE tie-break rule — pinned by
   // SameInstantEventsDispatchInFifoOrder in sim_test.cc): the heap orders
@@ -449,14 +459,11 @@ class Simulation {
   // candidates (ExploreTieBreak), with pick 0 defined as exactly this
   // baseline order, which is what makes the baseline policy bit-identical
   // to running with no policy at all.
-  struct Event {
+  struct EventKey {
     Nanos t;
     uint64_t seq;
-    EventFn fn;
-    SimThread* wake_target = nullptr;
-    uint64_t wake_gen = 0;
-    int wake_reason = 0;
-    bool operator>(const Event& o) const noexcept {
+    uint32_t slot;
+    bool operator>(const EventKey& o) const noexcept {
       return t != o.t ? t > o.t : seq > o.seq;
     }
   };
@@ -467,14 +474,12 @@ class Simulation {
   // loop).
   void RunThreadSlice(SimThread* t);
   void ScheduleWake(SimThread* t, uint64_t gen, Nanos at, int reason);
-  void PushEvent(Partition& p, Event e);
-  Event PopEvent(Partition& p);
   // Exploration hook: `first` was popped and more events share its
-  // instant. Gathers the same-t candidates, lets policy_ pick one, and
-  // re-pushes the rest (seqs preserved, so the baseline order survives).
-  // Only reached under serialized dispatch (attaching a policy
+  // instant. Gathers the same-t candidates' keys, lets policy_ pick one,
+  // and re-pushes the rest (seqs preserved, so the baseline order
+  // survives). Only reached under serialized dispatch (attaching a policy
   // serializes), so the shared scratch vectors are safe.
-  Event ExploreTieBreak(Partition& p, Event first);
+  EventKey ExploreTieBreak(Partition& p, EventKey first);
   // The dispatch loop shared by every mode. Runs events with t <= deadline
   // and (when `until` != kNever) t < until, on one partition. `obey_stop`
   // checks stop_requested_ before every event (legacy semantics); epochs
@@ -521,12 +526,13 @@ class Simulation {
   // Pooled scratch for ExploreTieBreak / CondVar waiter picks — only ever
   // touched from scheduler context / the single active thread (policies
   // force serialized dispatch).
-  std::vector<Event> tie_events_;
+  std::vector<EventKey> tie_keys_;
   std::vector<uint32_t> tie_lanes_;
   std::vector<size_t> waiter_pick_scratch_;
   std::vector<uint32_t> waiter_lane_scratch_;
-  // Epoch-merge scratch (driver thread only, at barriers).
-  std::vector<std::vector<Event>> merge_scratch_;
+  // Epoch-merge scratch (driver thread only, at barriers): per destination
+  // partition, the keys of arrivals already stored in its slab.
+  std::vector<std::vector<EventKey>> merge_scratch_;
   std::vector<uint32_t> merge_dirty_;
   std::vector<std::function<void()>> prepare_hooks_;
   std::vector<std::function<void()>> barrier_hooks_;

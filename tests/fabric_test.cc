@@ -182,12 +182,34 @@ TEST_F(FabricFixture, PartitionDropsWithDetectionDelay) {
 }
 
 TEST_F(FabricFixture, HealedLinkDeliversAgain) {
+  // A link taken down drops, and delivers again once healed — both while
+  // another link is still down and after the last one heals (when no
+  // link is down, LinkUp skips its lookup).
+  int delivered = 0;
+  int dropped = 0;
+  auto send = [&] {
+    fabric.Send(0, 1, 64, [&] { ++delivered; }, [&] { ++dropped; });
+    sim.Run();
+  };
   fabric.SetLinkDown(0, 1, true);
+  fabric.SetLinkDown(2, 3, true);
+  send();
+  EXPECT_EQ(dropped, 1);
+  EXPECT_EQ(delivered, 0);
+  fabric.SetLinkDown(1, 0, false);  // healing is bidirectional too
+  EXPECT_TRUE(fabric.LinkUp(0, 1));
+  EXPECT_FALSE(fabric.LinkUp(3, 2));
+  send();
+  EXPECT_EQ(delivered, 1);
+  fabric.SetLinkDown(2, 3, false);
+  fabric.SetLinkDown(0, 1, true);
+  send();
+  EXPECT_EQ(dropped, 2);
   fabric.SetLinkDown(0, 1, false);
-  bool delivered = false;
-  fabric.Send(0, 1, 64, [&] { delivered = true; });
-  sim.Run();
-  EXPECT_TRUE(delivered);
+  EXPECT_TRUE(fabric.LinkUp(2, 3));
+  send();
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(dropped, 2);
 }
 
 TEST_F(FabricFixture, SendToDeadNodeDrops) {

@@ -7,15 +7,21 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <deque>
 #include <exception>
+#include <functional>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "explore/policy.h"
 #include "sim/cost_model.h"
 #include "sim/simulation.h"
@@ -139,6 +145,146 @@ TEST(SimulationTest, SameInstantEventsDispatchInFifoOrder) {
   EXPECT_EQ(run(nullptr), expected);
   explore::BaselinePolicy baseline;
   EXPECT_EQ(run(&baseline), expected);
+}
+
+// Queue-order property over a seeded mix that exercises every path that
+// moves queued events: callbacks and thread wakes with heavy same-instant
+// ties, at-now posts from inside callbacks, CondVar wakes racing their
+// timeouts (the loser becomes a stale wake), and RunUntil at random
+// deadlines (the first event past a deadline is put back). Every event
+// scheduled on the node's queue gets an id in scheduling order; each live
+// one must run exactly once, in (t, id) order. Returns the dispatched
+// (t, id) sequence.
+std::vector<std::pair<Nanos, uint64_t>> RunQueueOrderMix(
+    uint64_t seed, uint32_t host_threads, explore::SchedulePolicy* policy) {
+  constexpr size_t kMaxEvents = 4000;
+  constexpr int kThreads = 6;
+  constexpr int kStepsPerThread = 60;
+  Simulation sim(SimConfig{.seed = seed, .host_threads = host_threads});
+  if (policy != nullptr) sim.AttachPolicy(policy);
+  Node& node = sim.AddNode("a");
+  CondVar cv(sim);
+  Rng rng(seed);
+
+  enum State : uint8_t { kPending, kRan, kCancelled };
+  std::vector<Nanos> when;  // by id
+  std::vector<State> state;  // by id
+  std::vector<std::pair<Nanos, uint64_t>> ran;
+  auto track = [&](Nanos t) {
+    when.push_back(t);
+    state.push_back(kPending);
+    return static_cast<uint64_t>(when.size() - 1);
+  };
+  auto fire = [&](uint64_t id) {
+    EXPECT_EQ(state[id], kPending) << "event " << id;
+    EXPECT_EQ(when[id], sim.NowNanos()) << "event " << id;
+    state[id] = kRan;
+    ran.emplace_back(when[id], id);
+  };
+  auto tie_delay = [&]() -> Nanos {
+    static constexpr Nanos kDelays[] = {0, 0, 0, 1, 3};
+    return kDelays[rng.NextBelow(std::size(kDelays))];
+  };
+  // Mirror of cv's waiter queue, and the notify wake (if any) sent to
+  // each waiting thread.
+  std::deque<int> waiters;
+  std::vector<std::optional<uint64_t>> notify_wake(kThreads);
+
+  std::function<void(Nanos)> post = [&](Nanos delay) {
+    if (when.size() >= kMaxEvents) return;
+    const Nanos t = sim.NowNanos() + delay;
+    const uint64_t id = track(t);
+    sim.PostToNode(node.id(), t, [&, id] {
+      fire(id);
+      for (uint64_t n = rng.NextBelow(4); n > 0; --n) post(tie_delay());
+      if (!waiters.empty() && rng.NextBool(0.3)) {
+        const int th = waiters.front();
+        waiters.pop_front();
+        notify_wake[th] = track(sim.NowNanos());
+        cv.NotifyOne();
+      }
+    });
+  };
+
+  for (int i = 0; i < kThreads; ++i) {
+    const uint64_t start = track(0);
+    node.Spawn("t" + std::to_string(i), [&, i, start] {
+      fire(start);
+      for (int step = 0; step < kStepsPerThread; ++step) {
+        const Nanos now = Now();
+        switch (rng.NextBelow(3)) {
+          case 0: {
+            const Nanos d = tie_delay();
+            const uint64_t id = track(now + d);
+            Sleep(d);
+            fire(id);
+            break;
+          }
+          case 1: {
+            const Nanos timeout = 1 + tie_delay();
+            waiters.push_back(i);
+            notify_wake[i].reset();
+            const uint64_t timeout_id = track(now + timeout);
+            const bool notified = cv.WaitFor(timeout);
+            // Whichever of the two wakes sorts first ends the wait; the
+            // other is stale and must never run.
+            const std::optional<uint64_t> n = notify_wake[i];
+            const bool notify_first =
+                n.has_value() && std::pair(when[*n], *n) <
+                                     std::pair(when[timeout_id], timeout_id);
+            EXPECT_EQ(notified, notify_first);
+            if (notified) {
+              fire(*n);
+              state[timeout_id] = kCancelled;
+            } else {
+              fire(timeout_id);
+              if (n.has_value()) state[*n] = kCancelled;
+              std::erase(waiters, i);
+            }
+            break;
+          }
+          default:
+            post(tie_delay());
+            break;
+        }
+      }
+    });
+  }
+
+  Nanos deadline = 0;
+  for (int round = 0; round < 64; ++round) {
+    for (uint64_t n = rng.NextBelow(4); n > 0; --n) post(tie_delay());
+    deadline += static_cast<Nanos>(rng.NextBelow(4));
+    sim.RunUntil(deadline);
+  }
+  sim.Run();
+
+  for (uint64_t id = 0; id < state.size(); ++id) {
+    EXPECT_NE(state[id], kPending) << "event " << id << " never ran";
+  }
+  EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+  // The mix must actually exercise ties and stale wakes.
+  size_t ties = 0;
+  for (size_t i = 1; i < ran.size(); ++i) {
+    if (ran[i].first == ran[i - 1].first) ++ties;
+  }
+  EXPECT_GT(ties, ran.size() / 2);
+  EXPECT_GT(std::count(state.begin(), state.end(), kCancelled), 10);
+  return ran;
+}
+
+TEST(EventQueueProperty, EveryEventRunsOnceInTimeThenScheduleOrder) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const auto reference = RunQueueOrderMix(seed, 0, nullptr);
+    EXPECT_GT(reference.size(), 1000u);
+    for (const uint32_t host_threads : {0u, 1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", host_threads "
+                                      << host_threads);
+      EXPECT_EQ(RunQueueOrderMix(seed, host_threads, nullptr), reference);
+      explore::BaselinePolicy baseline;
+      EXPECT_EQ(RunQueueOrderMix(seed, host_threads, &baseline), reference);
+    }
+  }
 }
 
 TEST(SimulationTest, RunUntilStopsAtDeadline) {
