@@ -6,6 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <condition_variable>
 #include <cstdio>
@@ -300,6 +302,7 @@ struct SimPartition {
       : sim(owner), index(idx) {
     heap.reserve(capacity);
     slab.reserve(capacity);
+    links.reserve(capacity);
     free_slots.reserve(capacity);
   }
 
@@ -311,6 +314,7 @@ struct SimPartition {
   uint32_t Store(Event&& e) {
     if (free_slots.empty()) {
       slab.push_back(std::move(e));
+      links.emplace_back();
       return static_cast<uint32_t>(slab.size() - 1);
     }
     const uint32_t slot = free_slots.back();
@@ -321,19 +325,95 @@ struct SimPartition {
   // Returns a slot whose body has been dispatched or discarded (its fn is
   // empty by then) to the free list.
   void Free(uint32_t slot) { free_slots.push_back(slot); }
-  void PushKey(EventKey k) {
+  // Appends `k` to its ring bucket when its instant is inside the window
+  // and it sorts after the bucket's tail (true of every fresh seq);
+  // otherwise it goes on the heap. PushKey and PopKey are forced inline:
+  // out of line, their 24-byte key crosses the call through the stack,
+  // which measurably slowed both Yield() slices and kv-overload.
+  [[gnu::always_inline]] void PushKey(EventKey k) {
+    if (k.t - ring_base < kRingBuckets) {  // unsigned: also rejects t < base
+      const auto b = static_cast<uint32_t>(k.t) & (kRingBuckets - 1);
+      Bucket& q = ring[b];
+      const bool occupied = (ring_bits[b / 64] >> (b % 64) & 1) != 0;
+      if (!occupied || links[q.tail].seq < k.seq) {
+        if (occupied) {
+          links[q.tail].next = k.slot;
+        } else {
+          q.head = k.slot;
+          ring_bits[b / 64] |= uint64_t{1} << (b % 64);
+          ring_words |= uint64_t{1} << (b / 64);
+        }
+        q.tail = k.slot;
+        links[k.slot].seq = k.seq;
+        ++ring_size;
+        return;
+      }
+    }
     heap.push_back(k);
     std::push_heap(heap.begin(), heap.end(), std::greater<>{});
   }
-  EventKey PopKey() {
+  [[nodiscard]] bool empty() const noexcept {
+    return ring_size == 0 && heap.empty();
+  }
+  // The (t, seq)-smallest queued key: the earlier of the ring's first
+  // bucket head and the heap top. Requires !empty().
+  [[nodiscard]] EventKey Top() const noexcept {
+    if (ring_size == 0) return heap.front();
+    const EventKey r = RingHead(RingFirst());
+    return heap.empty() || heap.front() > r ? r : heap.front();
+  }
+  [[gnu::always_inline]] EventKey PopKey() {
+    if (ring_size != 0) {
+      const uint32_t b = RingFirst();
+      const EventKey r = RingHead(b);
+      if (heap.empty() || heap.front() > r) {
+        Bucket& q = ring[b];
+        if (q.head == q.tail) {
+          ring_bits[b / 64] &= ~(uint64_t{1} << (b % 64));
+          if (ring_bits[b / 64] == 0) ring_words &= ~(uint64_t{1} << (b / 64));
+        } else {
+          q.head = links[q.head].next;
+        }
+        --ring_size;
+        ring_base = r.t;
+        return r;
+      }
+    }
     std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
     const EventKey k = heap.back();
     heap.pop_back();
+    // k sorts before every ring key, so the window may start at k.t.
+    ring_base = std::max(ring_base, k.t);
     return k;
   }
   // True when `slot` holds a wake whose block has already ended (or whose
   // thread exited). Staleness is permanent: generations only grow.
   [[nodiscard]] bool StaleWake(uint32_t slot) const noexcept;
+
+  // The first non-empty bucket at or after ring_base's, circularly: a
+  // masked word of ring_bits, else the lowest non-empty word after it in
+  // ring_words, else (wrapped) the lowest non-empty word overall. Requires
+  // ring_size > 0.
+  [[nodiscard]] uint32_t RingFirst() const noexcept {
+    const auto start = static_cast<uint32_t>(ring_base) & (kRingBuckets - 1);
+    const uint32_t w0 = start / 64;
+    if (const uint64_t bits = ring_bits[w0] & (~uint64_t{0} << (start % 64));
+        bits != 0) {
+      return w0 * 64 + static_cast<uint32_t>(std::countr_zero(bits));
+    }
+    uint64_t words = ring_words & (~uint64_t{1} << w0);
+    if (words == 0) words = ring_words;
+    const auto w = static_cast<uint32_t>(std::countr_zero(words));
+    return w * 64 + static_cast<uint32_t>(std::countr_zero(ring_bits[w]));
+  }
+  // Bucket b's head key; its instant is the one instant in the window
+  // that maps to b.
+  [[nodiscard]] EventKey RingHead(uint32_t b) const noexcept {
+    const uint32_t slot = ring[b].head;
+    const Nanos ahead =
+        (b - static_cast<uint32_t>(ring_base)) & (kRingBuckets - 1);
+    return {ring_base + ahead, links[slot].seq, slot};
+  }
 
   Simulation* sim = nullptr;
   uint32_t index = 0;
@@ -341,17 +421,51 @@ struct SimPartition {
   uint64_t next_seq = 0;
   uint64_t events_processed = 0;
   uint64_t thread_slices = 0;
-  // Event queue, in two parts: `heap` is a binary min-heap of 24-byte
-  // keys ordered by (t, seq), and each key names the `slab` slot holding
-  // its event's body. A body stays in its slot until the event is
-  // dispatched or discarded, so sifts, the explore tie-break's re-push and
-  // the put-back at a deadline move keys only, never a callback. Freed
-  // slots are reused last-in first-out, and all three vectors are pooled
-  // across the run (no reallocation churn once warm).
+  // Event queue. Bodies live in `slab` and stay in their slot until the
+  // event is dispatched or discarded; the queue itself moves only keys
+  // ({t, seq, slot}), ordered by (t, seq), in two structures:
+  //
+  //   * a ring of kRingBuckets one-nanosecond buckets covering the window
+  //     [ring_base, ring_base + kRingBuckets), where ring_base is the
+  //     largest instant popped so far. Bucket t % kRingBuckets holds the
+  //     window's keys at instant t as a FIFO chained through `links`
+  //     (parallel to the slab) in ascending seq; `ring_bits` marks the
+  //     non-empty buckets and `ring_words` the non-empty words of it.
+  //   * a binary min-heap for everything else: instants past the window
+  //     (far timers, stale timeout wakes), arrivals already behind
+  //     ring_base, and re-queued keys whose seq is below their bucket's
+  //     tail (the explore tie-break's re-push, the deadline put-back).
+  //
+  // Every key popped is the smaller of the ring's first head and the heap
+  // top, so dispatch order is exactly (t, seq), as with the heap alone.
+  // The window only slides forward, and never past a queued ring key, so
+  // a bucket never mixes two instants. Freed slots are reused last-in
+  // first-out, and the vectors are pooled across the run.
+  //
+  // 4096 ns spans the fabric's near-future work (a frame's flight, an
+  // ack, a CQ poll): it takes nearly every push on the KV workloads.
+  static constexpr uint32_t kRingBuckets = 4096;
+  // A power of two, one to 64 words of ring_bits (one ring_words bit each).
+  static_assert(std::has_single_bit(kRingBuckets) && kRingBuckets >= 64 &&
+                kRingBuckets <= 64 * 64);
+  struct Bucket {
+    uint32_t head = 0;
+    uint32_t tail = 0;
+  };
+  struct Link {
+    uint64_t seq = 0;
+    uint32_t next = 0;  // the bucket's following slot (unset at the tail)
+  };
   std::vector<EventKey> heap;
   static_assert(sizeof(EventKey) == 24);
   std::vector<Event> slab;
+  std::vector<Link> links;
   std::vector<uint32_t> free_slots;
+  std::array<Bucket, kRingBuckets> ring{};
+  uint64_t ring_bits[kRingBuckets / 64] = {};
+  uint64_t ring_words = 0;
+  Nanos ring_base = 0;
+  size_t ring_size = 0;
   // Cross-partition posts created while this partition dispatches, in
   // post order. Only the owning dispatcher appends; only the driver
   // thread drains, at barriers.
@@ -949,7 +1063,7 @@ void Simulation::PostToNode(uint32_t node_id, Nanos t, EventFn fn) {
     return;
   }
   // Same partition, or driver context between runs (no dispatcher is
-  // touching any heap): push directly.
+  // touching any queue): push directly.
   target.Push(std::max(t, cur != nullptr ? cur->now : driver_now_),
               std::move(e));
 }
@@ -988,7 +1102,7 @@ Simulation::EventKey Simulation::ExploreTieBreak(Partition& p,
   tie_keys_.clear();
   tie_keys_.push_back(first);
   const Nanos t = first.t;
-  while (!p.heap.empty() && p.heap.front().t == t) {
+  while (!p.empty() && p.Top().t == t) {
     const EventKey k = p.PopKey();
     if (p.StaleWake(k.slot)) {
       p.Free(k.slot);
@@ -1024,12 +1138,12 @@ void Simulation::Run() { RunUntil(kNever); }
 
 void Simulation::DispatchPartition(Partition& p, Nanos deadline, Nanos until,
                                    bool obey_stop) {
-  while (!p.heap.empty()) {
+  while (!p.empty()) {
     if (obey_stop && stop_requested_.load(std::memory_order_relaxed)) return;
     // Conservative epoch horizon: nothing at or past `until` may run this
     // epoch (cross-partition arrivals up to the horizon are already
     // merged; later ones are not yet visible).
-    if (until != kNever && p.heap.front().t >= until) return;
+    if (until != kNever && p.Top().t >= until) return;
     EventKey k = p.PopKey();
     if (p.StaleWake(k.slot)) {
       p.Free(k.slot);
@@ -1038,7 +1152,7 @@ void Simulation::DispatchPartition(Partition& p, Nanos deadline, Nanos until,
     // Same-instant tie-break: only consulted when a policy is attached
     // and another event shares this instant, so the un-explored fast
     // path is one branch.
-    if (policy_ != nullptr && !p.heap.empty() && p.heap.front().t == k.t &&
+    if (policy_ != nullptr && !p.empty() && p.Top().t == k.t &&
         k.t <= deadline) {
       k = ExploreTieBreak(p, k);
     }
@@ -1078,7 +1192,7 @@ void Simulation::DispatchShare(uint32_t worker, uint32_t stride,
   const size_t count = partitions_.size();
   for (size_t i = worker; i < count; i += stride) {
     Partition& p = *partitions_[i];
-    if (p.heap.empty()) continue;
+    if (p.empty()) continue;
     g_current_partition = &p;
     DispatchPartition(p, deadline, until, /*obey_stop=*/false);
     g_current_partition = nullptr;
@@ -1190,9 +1304,7 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
     if (stop_requested_.load(std::memory_order_relaxed)) break;
     Nanos tmin = kNever;
     for (const auto& p : partitions_) {
-      if (!p->heap.empty() && p->heap.front().t < tmin) {
-        tmin = p->heap.front().t;
-      }
+      if (!p->empty()) tmin = std::min(tmin, p->Top().t);
     }
     if (tmin == kNever) break;  // quiescent
     if (tmin > deadline) {

@@ -437,22 +437,23 @@ class Simulation {
   // block they intend to end; a stale wake is discarded *without*
   // advancing the clock, so cancelled timeouts and killed threads leave no
   // time skew. Bodies sit still in their partition's slab while queued;
-  // only EventKeys move through the heap.
+  // only EventKeys move through the queue.
   struct Event {
     EventFn fn;
     SimThread* wake_target = nullptr;
     uint64_t wake_gen = 0;
     int wake_reason = 0;
   };
-  // A queued event's heap entry: when it fires, its scheduling order, and
-  // the slab slot holding its body.
+  // A queued event's key: when it fires, its scheduling order, and the
+  // slab slot holding its body.
   //
   // Equal-vtime ordering (THE tie-break rule — pinned by
-  // SameInstantEventsDispatchInFifoOrder in sim_test.cc): the heap orders
-  // by (t, seq), and seq is a single monotonically increasing counter
-  // *per partition* assigned at scheduling time (At/After/ScheduleWake
-  // all stamp the partition's next_seq++; cross-partition arrivals are
-  // stamped at the epoch merge, in merge-rule order). Events at the same
+  // SameInstantEventsDispatchInFifoOrder in sim_test.cc): the queue
+  // dispatches in (t, seq) order, and seq is a single monotonically
+  // increasing counter *per partition* assigned at scheduling time
+  // (At/After/ScheduleWake all stamp the partition's next_seq++;
+  // cross-partition arrivals are stamped at the epoch merge, in
+  // merge-rule order). Events at the same
   // virtual instant therefore dispatch in FIFO scheduling order — first
   // scheduled, first run — regardless of kind (callback vs thread wake).
   // An attached explore::SchedulePolicy may permute same-instant

@@ -603,7 +603,7 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                       stamps = op->stamps](WcStatus st, uint32_t len) {
                        CompleteSqViaAck(*pnet, tnode, seq, st, len, stamps);
                      },
-                     /*data_already_placed=*/false, std::move(op->payload));
+                     /*data_already_placed=*/false, op->payload);
       net.ReleaseWireOp(op);
       return;
     }
@@ -756,7 +756,7 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
 // the RNR buffer. `on_executed` reports the initiator completion.
 void QueuePair::AcceptSend(const SendWr& wr, uint32_t src_node,
                            CompletionFn on_executed, bool data_already_placed,
-                           std::vector<std::byte> payload) {
+                           const std::vector<std::byte>& payload) {
   if (rq_.empty()) {
     if (rnr_buffer_.size() >= kMaxRnrBuffered) {
       on_executed(WcStatus::kRnrRetryExceeded, 0);
@@ -764,7 +764,7 @@ void QueuePair::AcceptSend(const SendWr& wr, uint32_t src_node,
       return;
     }
     rnr_buffer_.push_back(RnrEntry{wr, src_node, std::move(on_executed),
-                                   data_already_placed, std::move(payload)});
+                                   data_already_placed, payload});
     rnr_buffer_.back().wr.next = nullptr;
     return;
   }

@@ -237,12 +237,13 @@ struct WireOp {
   uint32_t src_node = 0;
   uint32_t dst_node = 0;
   uint32_t dst_qp = 0;
-  // Partitioned mode: the op's data travels in this bounce buffer instead
-  // of being read through raw SGE/MR pointers at the far end, so no
-  // partition ever touches another partition's memory. Gathered from the
-  // source SGEs at doorbell time (SEND/WRITE), or filled from the target
-  // MR at execute time (READ response). Capacity persists across pool
-  // reuse. Legacy mode leaves it empty and copies directly, as before.
+  // The op's data travels in this bounce buffer instead of being read
+  // through raw SGE/MR pointers at the far end, under every scheduler, so
+  // no partition ever touches another partition's memory. Gathered from
+  // the source SGEs at doorbell time (SEND/WRITE), or filled from the
+  // target MR at execute time (READ response). Capacity persists across
+  // pool reuse: every path reads it in place, and a SEND that parks in
+  // RNR copies it out.
   std::vector<std::byte> payload;
   // Wire trip stamps accumulated as the op crosses each boundary; copied
   // onto the initiator-side WorkCompletion (via the ack / response path).
@@ -402,9 +403,10 @@ class QueuePair {
     uint32_t src_node;
     CompletionFn on_executed;
     bool data_already_placed;
-    // Partitioned mode: the parked SEND's data (the initiator's buffers
-    // may be reused the instant its completion fires, so the RNR buffer
-    // must own a copy). Empty in legacy mode.
+    // The parked SEND's doorbell-time data, copied out of the pooled
+    // bounce buffer (which is reused as soon as the op is released, as
+    // are the initiator's buffers once its completion fires). Empty when
+    // the data is already placed (WRITE_WITH_IMM).
     std::vector<std::byte> payload;
   };
 
@@ -422,11 +424,12 @@ class QueuePair {
   void ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                        WireOp* op);
   // Target side of SEND / WRITE_WITH_IMM: consume a RECV or park in RNR.
-  // `payload` carries the data in partitioned mode (bounce buffer, moved
-  // into the RNR entry if parked); empty in legacy mode.
+  // `payload` is the op's doorbell-time bounce buffer (empty when the
+  // data is already placed); it is copied into the RNR entry only if the
+  // SEND parks.
   void AcceptSend(const SendWr& wr, uint32_t src_node,
                   CompletionFn on_executed, bool data_already_placed,
-                  std::vector<std::byte> payload = {});
+                  const std::vector<std::byte>& payload = {});
   void MatchRecv(const SendWr& wr, uint32_t src_node, CompletionFn& done,
                  bool data_already_placed,
                  const std::vector<std::byte>& payload);

@@ -151,10 +151,12 @@ TEST(SimulationTest, SameInstantEventsDispatchInFifoOrder) {
 // moves queued events: callbacks and thread wakes with heavy same-instant
 // ties, at-now posts from inside callbacks, CondVar wakes racing their
 // timeouts (the loser becomes a stale wake), and RunUntil at random
-// deadlines (the first event past a deadline is put back). Every event
-// scheduled on the node's queue gets an id in scheduling order; each live
-// one must run exactly once, in (t, id) order. Returns the dispatched
-// (t, id) sequence.
+// deadlines (the first event past a deadline is put back). Delays also
+// straddle the 4096 ns edge of the queue's near-future ring (4095, 4096,
+// 4097) or reach far past it (1 us to 2 ms), so keys cross between ring
+// and heap and the ring wraps many times. Every event scheduled on the
+// node's queue gets an id in scheduling order; each live one must run
+// exactly once, in (t, id) order. Returns the dispatched (t, id) sequence.
 std::vector<std::pair<Nanos, uint64_t>> RunQueueOrderMix(
     uint64_t seed, uint32_t host_threads, explore::SchedulePolicy* policy) {
   constexpr size_t kMaxEvents = 4000;
@@ -181,8 +183,16 @@ std::vector<std::pair<Nanos, uint64_t>> RunQueueOrderMix(
     state[id] = kRan;
     ran.emplace_back(when[id], id);
   };
+  // Mostly same-instant ties; then the ring's window edge; then far.
+  size_t far_delays = 0;
   auto tie_delay = [&]() -> Nanos {
-    static constexpr Nanos kDelays[] = {0, 0, 0, 1, 3};
+    static constexpr Nanos kDelays[] = {0,    0,    0,    0,   0,   1,
+                                        3,    0,    0,    1,   3,   4095,
+                                        4096, 4097, 4095, 4097};
+    if (rng.NextBool(0.03)) {
+      ++far_delays;
+      return Micros(1) + rng.NextBelow(Millis(2));
+    }
     return kDelays[rng.NextBelow(std::size(kDelays))];
   };
   // Mirror of cv's waiter queue, and the notify wake (if any) sent to
@@ -252,9 +262,10 @@ std::vector<std::pair<Nanos, uint64_t>> RunQueueOrderMix(
   }
 
   Nanos deadline = 0;
-  for (int round = 0; round < 64; ++round) {
+  for (int round = 0; round < 256; ++round) {
     for (uint64_t n = rng.NextBelow(4); n > 0; --n) post(tie_delay());
-    deadline += static_cast<Nanos>(rng.NextBelow(4));
+    deadline += rng.NextBool(0.5) ? static_cast<Nanos>(rng.NextBelow(4))
+                                  : tie_delay();
     sim.RunUntil(deadline);
   }
   sim.Run();
@@ -270,6 +281,9 @@ std::vector<std::pair<Nanos, uint64_t>> RunQueueOrderMix(
   }
   EXPECT_GT(ties, ran.size() / 2);
   EXPECT_GT(std::count(state.begin(), state.end(), kCancelled), 10);
+  // ... and far delays, across many wraps of the 4096 ns ring.
+  EXPECT_GT(far_delays, 20u);
+  EXPECT_GT(ran.back().first, Nanos{4096} * 100);
   return ran;
 }
 

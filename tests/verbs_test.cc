@@ -224,30 +224,50 @@ TEST_F(VerbsFixture, SendRecvMovesBytesAndImmediate) {
       });
 }
 
+// A parked SEND owns its doorbell-time bytes: neither the initiator
+// rewriting its buffer nor a later op reusing the pooled bounce buffer
+// changes what the receiver gets once it posts.
 TEST_F(VerbsFixture, SendBeforeRecvParksInRnrBufferThenDelivers) {
   std::vector<std::byte> src, dst;
   RunPair(
       [&](QueuePair& qp) {
         MemoryRegion* mr = Register(client_dev, src, 64, kLocalWrite);
-        ASSERT_TRUE(qp.PostSend(SendWr{.wr_id = 1,
-                                       .opcode = Opcode::kSend,
-                                       .local = {src.data(), 64, mr->lkey()}})
-                        .ok());
-        auto wc = qp.send_cq().WaitOne();
-        EXPECT_TRUE(wc.ok() && wc->ok());
+        for (const auto& [wr_id, fill] : {std::pair(1, 0x5A), {2, 0xC3}}) {
+          std::memset(src.data(), fill, src.size());
+          ASSERT_TRUE(
+              qp.PostSend(SendWr{.wr_id = static_cast<uint64_t>(wr_id),
+                                 .opcode = Opcode::kSend,
+                                 .local = {src.data(), 64, mr->lkey()}})
+                  .ok());
+          // Long enough for the SEND to arrive and park in RNR.
+          sim::Sleep(Millis(1));
+        }
+        std::memset(src.data(), 0xEE, src.size());
+        for (int i = 0; i < 2; ++i) {
+          auto wc = qp.send_cq().WaitOne();
+          EXPECT_TRUE(wc.ok() && wc->ok());
+        }
       },
       [&](QueuePair& qp) {
-        // Post the receive well after the send arrived.
+        // Post the receives well after both sends arrived.
         sim::Sleep(Millis(5));
-        MemoryRegion* mr = Register(server_dev, dst, 64, kLocalWrite);
-        ASSERT_TRUE(
-            qp.PostRecv(RecvWr{.wr_id = 9, .local = {dst.data(), 64,
-                                                     mr->lkey()}})
-                .ok());
-        auto wc = qp.recv_cq().WaitOne();
-        ASSERT_TRUE(wc.ok());
-        EXPECT_TRUE(wc->ok());
-        EXPECT_EQ(wc->byte_len, 64u);
+        MemoryRegion* mr = Register(server_dev, dst, 128, kLocalWrite);
+        for (uint64_t i = 0; i < 2; ++i) {
+          ASSERT_TRUE(qp.PostRecv(RecvWr{.wr_id = 9 + i,
+                                         .local = {dst.data() + 64 * i, 64,
+                                                   mr->lkey()}})
+                          .ok());
+        }
+        for (int i = 0; i < 2; ++i) {
+          auto wc = qp.recv_cq().WaitOne();
+          ASSERT_TRUE(wc.ok());
+          EXPECT_TRUE(wc->ok());
+          EXPECT_EQ(wc->byte_len, 64u);
+        }
+        for (size_t i = 0; i < dst.size(); ++i) {
+          EXPECT_EQ(std::to_integer<int>(dst[i]), i < 64 ? 0x5A : 0xC3)
+              << "byte " << i;
+        }
       });
 }
 
