@@ -11,7 +11,7 @@
 // Sweeps offered load x admission control, zipf skew, session count, and
 // the YCSB mixes; emits the curve to BENCH_fanin.json and hard-fails
 // (exit 1) if the virtual end time or event count diverges across
-// partitioned-scheduler host thread counts.
+// host thread counts of the per-node partition layout.
 //
 // Flags (see bench_util.h): --offered-load/--sessions/--duration/--skew
 // override the sweep's default point grammar; --smoke shrinks everything
@@ -285,17 +285,16 @@ int main(int argc, char** argv) {
                  /*admission=*/true, 'b');
 
   // Determinism cross-check: the smallest point must land on the same
-  // virtual end time on the legacy scheduler and on partitioned
-  // schedulers with different worker counts, and the same event count
-  // across partitioned worker counts (the partitioned scheduler posts
-  // extra cross-partition bridging events, so its event count is only
-  // comparable to other partitioned runs — same contract as
-  // bench_scaling).
+  // virtual end time on the one-queue layout and on the per-node layout
+  // with different worker counts, and the same event count across
+  // per-node worker counts (the per-node layout posts extra
+  // cross-partition bridging events, so its event count is only
+  // comparable to other per-node runs — same contract as bench_scaling).
   if (determinism) {
-    // Probe-effect and scheduler cross-check: every rtrace mode must land
-    // on the reference virtual end time on the legacy scheduler and on
-    // partitioned schedulers with different worker counts — attaching the
-    // tracer never moves virtual time.
+    // Probe-effect and layout cross-check: every rtrace mode must land on
+    // the reference virtual end time on the one-queue layout and on the
+    // per-node layout with different worker counts — attaching the tracer
+    // never moves virtual time.
     load::LoadOptions dbase = base;
     dbase.rtrace.mode = obs::RtraceMode::kOff;
     FaninPoint ref = RunFanin(dbase, loads[0], default_theta, base.sessions,
@@ -317,7 +316,7 @@ int main(int argc, char** argv) {
                        p.virtual_nanos, ref.virtual_nanos);
           rc = 1;
         }
-        if (t == 0) continue;  // legacy event counts are not comparable
+        if (t == 0) continue;  // one-queue event counts are not comparable
         if (part_events == 0) {
           part_events = p.events;
         } else if (p.events != part_events) {
@@ -332,8 +331,8 @@ int main(int argc, char** argv) {
     }
     // rlin probe-effect gate: attaching the linearizability checker
     // (recording the full per-op KV history) must not move virtual time
-    // either — same reference point, every scheduler. Event counts follow
-    // the same partitioned-only comparability rule as above. The env var
+    // either — same reference point, every layout. Event counts follow
+    // the same per-node-only comparability rule as above. The env var
     // is read per-Simulation, exactly like --rlin sets it binary-wide
     // (in which case it is already on and stays on after the gate).
     const bool rlin_already_on = std::getenv("RSTORE_RLIN") != nullptr;

@@ -1,4 +1,4 @@
-// Scaling harness: how does the partitioned scheduler scale with host
+// Scaling harness: how does the per-node partition layout scale with host
 // worker threads and with cluster size?
 //
 // Sweeps host threads {1, 2, 4, 8} x total machines {12, 32, 64, 128}

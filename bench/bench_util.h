@@ -35,10 +35,10 @@
 //                   aborts.
 //
 //   --host-threads <N>
-//                   run every simulation on the partitioned scheduler with
-//                   N host worker threads (RSTORE_HOST_THREADS). Virtual
-//                   times are bit-identical to the legacy scheduler for
-//                   every N; only host wall-clock changes.
+//                   run every simulation on the per-node partition layout
+//                   with N host worker threads (RSTORE_HOST_THREADS).
+//                   Virtual times are bit-identical to the one-queue
+//                   layout for every N; only host wall-clock changes.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -170,11 +170,11 @@ inline void ParseObsArgs(int* argc, char** argv) {
       config.trace_path = std::string(arg.substr(8));
     } else if ((arg == "--host-threads" && i + 1 < *argc) ||
                arg.rfind("--host-threads=", 0) == 0) {
-      // Partitioned scheduler: every Simulation the binary constructs
-      // reads RSTORE_HOST_THREADS in its constructor (same env-var
-      // mechanism as --rcheck). N >= 1 turns on per-node event-loop
-      // partitions dispatched by N host worker threads; virtual times are
-      // bit-identical for every N (and to N=0, the legacy scheduler).
+      // Per-node layout: every Simulation the binary constructs reads
+      // RSTORE_HOST_THREADS in its constructor (same env-var mechanism as
+      // --rcheck). N >= 1 gives every node its own event-loop partition,
+      // dispatched by N host worker threads; virtual times are
+      // bit-identical for every N (and to N=0, the one-queue layout).
       const std::string n = arg == "--host-threads"
                                 ? std::string(argv[++i])
                                 : std::string(arg.substr(15));

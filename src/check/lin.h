@@ -30,7 +30,8 @@
 // host-side computation — no simulator events, RNG draws, or cost-model
 // charges — so virtual time is bit-identical with the checker on or off.
 // Recording is not thread-safe; the simulator serializes dispatch while
-// a checker is attached (legacy mode is already cooperative).
+// a checker is attached (the one-queue layout already runs one event at
+// a time).
 //
 // Key ids: the load engine records its dense integer key ids directly;
 // the KvStore client path records StableHash64(key bytes). The two key

@@ -28,10 +28,10 @@ struct ClusterConfig {
   sim::NicConfig nic;
   sim::CpuCostModel cpu;
   uint64_t seed = 1;
-  // Host threads for the partitioned scheduler: 0 = legacy single-loop
-  // scheduler (or RSTORE_HOST_THREADS from the environment), >= 1 =
-  // partitioned event loops (1 per node) dispatched by this many host
-  // worker threads. Virtual time is identical for every value >= 1.
+  // Simulation partition layout (SimConfig::host_threads): 0 = every node
+  // on one shared event queue (or RSTORE_HOST_THREADS from the
+  // environment), >= 1 = one event queue per node, dispatched by this many
+  // host worker threads. Virtual time is identical for every value >= 1.
   uint32_t host_threads = 0;
   // Optional observability sink (caller-owned, may outlive the cluster).
   // Attaching it never changes virtual time — see Simulation's

@@ -37,20 +37,17 @@ void Master::Start() {
     }
   });
 
-  sim::Simulation& sim = device_.network().sim();
-  if (sim.partitioned()) {
-    // Publish cross-partition introspection snapshots at every epoch
-    // barrier (no partition is dispatching there, so reading the tables
-    // is race-free). Any state change is at least one fabric latency —
-    // i.e. at least one epoch — older than any remote observer's
-    // knowledge of it, so observers never see a *staler* value than the
-    // messages they have received imply.
-    sim.AtEpochBarrier([this] {
-      published_live_servers_.store(CountLiveServers(),
-                                    std::memory_order_relaxed);
-      published_free_slabs_.store(CountFreeSlabs(), std::memory_order_relaxed);
-    });
-  }
+  // Publish cross-partition introspection snapshots at every epoch
+  // barrier (no partition is dispatching there, so reading the tables is
+  // race-free). Any state change is at least one fabric latency — i.e. at
+  // least one epoch — older than any remote observer's knowledge of it,
+  // so observers never see a *staler* value than the messages they have
+  // received imply.
+  device_.network().sim().AtEpochBarrier([this] {
+    published_live_servers_.store(CountLiveServers(),
+                                  std::memory_order_relaxed);
+    published_free_slabs_.store(CountFreeSlabs(), std::memory_order_relaxed);
+  });
 }
 
 uint32_t Master::CountLiveServers() const {
@@ -68,16 +65,14 @@ uint64_t Master::CountFreeSlabs() const {
 }
 
 uint32_t Master::live_servers() const {
-  sim::Simulation& sim = device_.network().sim();
-  if (sim.partitioned() && !sim.InContextOfNode(device_.node_id())) {
+  if (!device_.network().sim().InContextOfNode(device_.node_id())) {
     return published_live_servers_.load(std::memory_order_relaxed);
   }
   return CountLiveServers();
 }
 
 uint64_t Master::free_slabs() const {
-  sim::Simulation& sim = device_.network().sim();
-  if (sim.partitioned() && !sim.InContextOfNode(device_.node_id())) {
+  if (!device_.network().sim().InContextOfNode(device_.node_id())) {
     return published_free_slabs_.load(std::memory_order_relaxed);
   }
   return CountFreeSlabs();

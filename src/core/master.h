@@ -70,7 +70,7 @@ class Master {
   void Start();
 
   // --- introspection for tests & benches -----------------------------
-  // Under the partitioned scheduler, callers on other partitions (client
+  // In the per-node layout, callers on other partitions (client
   // polling loops, test bodies running as client programs) get an
   // epoch-granularity snapshot published at the barrier — a pure function
   // of virtual time, so polls stay deterministic across host-thread

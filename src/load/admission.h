@@ -14,8 +14,8 @@
 // intended send time, as it must be — diverges.
 //
 // One controller per engine keeps the state partition-local (engines on
-// different client nodes never share memory), so partitioned-scheduler
-// runs stay deterministic; the cluster-wide in-flight bound is then
+// different client nodes never share memory), so per-node-layout runs
+// stay deterministic; the cluster-wide in-flight bound is then
 // window_per_server x engines.
 #pragma once
 

@@ -1016,8 +1016,8 @@ Status LoadEngine::Run() {
 namespace {
 
 // Deliveries that share a virtual instant can be queued around this
-// thread's wake in a scheduler-dependent order: the legacy single queue
-// stamps global post order, the partitioned merge stamps
+// thread's wake in a layout-dependent order: the one-queue layout stamps
+// global post order, the per-node layout's epoch merge stamps
 // (source partition, post order). Sorting the batch by completion cookie
 // makes processing a pure function of the batch contents, so the
 // engine's timeline is bit-identical across --host-threads settings.

@@ -11,7 +11,7 @@
 // the event queue, or any RNG. Recording a metric can never change a
 // simulated outcome; enabling telemetry costs wall-clock time only.
 //
-// Thread-safety (partitioned scheduler): Counter increments are atomic
+// Thread-safety (per-node partition layout): Counter increments are atomic
 // (relaxed — counts only, no ordering guarantees needed), and instrument/
 // node creation is mutex-guarded, so instruments shared across partitions
 // (e.g. a sender incrementing the receiver's bytes_in) stay exact.

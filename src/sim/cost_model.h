@@ -67,7 +67,7 @@ struct NicConfig;
 // earliest a message touches its destination is one base propagation
 // delay after the sender pumps it (cut-through first bit; loopback is
 // node-local and never crosses partitions; drop detection is far larger).
-// The partitioned scheduler may therefore dispatch each epoch up to
+// The per-node layout may therefore dispatch each epoch up to
 // T_min + ConservativeLookahead() without ever missing a cross-partition
 // arrival. See DESIGN.md "Parallel simulation".
 [[nodiscard]] Nanos ConservativeLookahead(const NicConfig& nic) noexcept;

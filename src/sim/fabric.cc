@@ -11,7 +11,7 @@ namespace rstore::sim {
 
 namespace {
 // Stamps of the message whose on_delivered callback is executing on this
-// host thread (partitioned deliveries run concurrently, so the record is
+// host thread (per-node partitions deliver concurrently, so the record is
 // per-thread). Null outside a delivery callback. Delivery callbacks run in
 // scheduler context and never block or resume a SimThread, so no fiber
 // ever runs — or parks — while this is set, and SimThreads need no copy
@@ -26,19 +26,17 @@ const DeliveryStamps* Fabric::CurrentDelivery() noexcept {
 Fabric::Fabric(Simulation& sim, NicConfig config)
     : sim_(sim), config_(config) {
   pools_.emplace_back();
-  if (sim_.partitioned()) {
-    // The fabric is the cross-partition channel: its base propagation
-    // delay bounds how soon one node's work can affect another, which is
-    // the epoch lookahead of the partitioned scheduler.
-    sim_.ProposeLookahead(ConservativeLookahead(config_));
-    sim_.AtPartitionedRunStart([this] { PrepareForPartitionedRun(); });
-  }
+  // The fabric is the cross-partition channel: its base propagation delay
+  // bounds how soon one node's work can affect another, which is the
+  // epoch lookahead of the per-node layout.
+  sim_.ProposeLookahead(ConservativeLookahead(config_));
+  sim_.AtRunStart([this] { PrepareForRun(); });
 }
 
-void Fabric::PrepareForPartitionedRun() {
-  // Pre-size every shared container and pre-resolve telemetry
-  // instruments so the parallel phase mutates nothing but per-port state
-  // owned by the dispatching partition (egress on the source port,
+void Fabric::PrepareForRun() {
+  // Pre-size every shared container and resolve telemetry instruments
+  // against the attached sink, so a run mutates nothing but per-port
+  // state owned by the dispatching partition (egress on the source port,
   // ingress on the destination port) and atomic counters.
   const auto n = static_cast<uint32_t>(sim_.node_count());
   if (n > 0) (void)port(n - 1);
@@ -143,36 +141,22 @@ void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
     return;
   }
 
+  // The caller runs in src's partition, so only src-port state may be
+  // touched here; dst ingress is counted in ApplyIngress, on dst's
+  // partition. Instruments were resolved by the run-start hook (counters
+  // are atomic).
   PortState& sp = port(src);
   sp.bytes_out += payload_bytes;
   sp.messages_out += 1;
-  if (!sim_.partitioned()) {
-    PortState& dp = port(dst);
-    dp.bytes_in += payload_bytes;
-    EnsureObs(src, sp);
-    if (sp.obs_bytes_out != nullptr) {
-      sp.obs_bytes_out->Inc(payload_bytes);
-      sp.obs_msgs_out->Inc();
-      EnsureObs(dst, dp);
-      dp.obs_bytes_in->Inc(payload_bytes);
-    }
-  } else {
-    // Partitioned: the caller runs in src's partition, so only src-port
-    // state may be touched here; dst ingress accounting happens in
-    // ApplyIngress on dst's partition. Instruments were pre-resolved by
-    // the run-start hook (counters are atomic).
-    if (sp.obs_bytes_out != nullptr) {
-      sp.obs_bytes_out->Inc(payload_bytes);
-      sp.obs_msgs_out->Inc();
-    }
-    if (src == dst) {
-      sp.bytes_in += payload_bytes;
-      if (sp.obs_bytes_in != nullptr) sp.obs_bytes_in->Inc(payload_bytes);
-    }
+  if (sp.obs_bytes_out != nullptr) {
+    sp.obs_bytes_out->Inc(payload_bytes);
+    sp.obs_msgs_out->Inc();
   }
 
   if (src == dst) {
     // Node-local loopback: bypasses the port model entirely.
+    sp.bytes_in += payload_bytes;
+    if (sp.obs_bytes_in != nullptr) sp.obs_bytes_in->Inc(payload_bytes);
     sim_.At(now + config_.loopback_latency, std::move(on_delivered));
     return;
   }
@@ -281,7 +265,7 @@ void Fabric::PumpEgress(uint32_t node) {
     extra = pol->FabricDelayNs();
   }
   // The ingress reservation belongs to the destination: the message is
-  // handed over at its first-bit instant (in partitioned mode the post is
+  // handed over at its first-bit instant (across partitions the post is
   // at least one lookahead — base_latency — ahead of this partition's
   // clock, so it is never clamped), staged, and reserved by the
   // end-of-instant drain in (src, tx_seq) order. The per-(src,dst) clamp
@@ -295,11 +279,7 @@ void Fabric::PumpEgress(uint32_t node) {
   last[msg->dst] = first_bit;
   msg->first_bit = first_bit;
   msg->tx_seq = p.tx_seq++;
-  if (!sim_.partitioned()) {
-    sim_.At(first_bit, [this, msg] { ApplyIngress(msg); });
-  } else {
-    sim_.PostToNode(msg->dst, first_bit, [this, msg] { ApplyIngress(msg); });
-  }
+  sim_.PostToNode(msg->dst, first_bit, [this, msg] { ApplyIngress(msg); });
 
   if (p.egress_backlog > 0) SchedulePump(node, p.egress_free_at);
 }
@@ -308,11 +288,13 @@ void Fabric::ApplyIngress(Message* msg) {
   // Runs on the destination's partition at the first-bit arrival instant.
   // Arrivals that share the instant are staged and reserved together by
   // DrainIngress: the drain event is posted *during* the instant, so it
-  // sorts behind every same-instant arrival under both schedulers (the
-  // legacy queue and the partitioned merge both order equal-time events
-  // by post order), and the stage then holds the complete tie set.
+  // sorts behind every same-instant arrival in either layout (a shared
+  // queue and the epoch merge both order equal-time events by post
+  // order), and the stage then holds the complete tie set. Bytes count as
+  // received when their first bit reaches a live destination port; a
+  // message already dropped in flight is only the sender's.
   PortState& q = port(msg->dst);
-  if (sim_.partitioned()) {
+  if (sim_.node(msg->dst).alive() && LinkUp(msg->src, msg->dst)) {
     q.bytes_in += msg->payload_bytes;
     if (q.obs_bytes_in != nullptr) q.obs_bytes_in->Inc(msg->payload_bytes);
   }
@@ -354,11 +336,9 @@ void Fabric::Deliver(Message* msg) {
       // Propagation plus any ingress-port wait: everything between the
       // end of egress queueing/serialization and delivery.
       const Nanos wire = now - msg->tx_start - msg->wire_time;
+      // sp may belong to another partition: reading the instrument
+      // pointer the run-start hook resolved plus an atomic Inc is safe.
       PortState& sp = port(msg->src);
-      // Partitioned: sp belongs to another partition — read-only access
-      // to the pre-resolved instrument pointer plus an atomic Inc is
-      // safe; lazy resolution (a write) is not, so it is legacy-only.
-      if (!sim_.partitioned()) EnsureObs(msg->src, sp);
       if (sp.obs_wire_ns != nullptr) {
         sp.obs_wire_ns->Inc(static_cast<uint64_t>(wire));
       }
@@ -392,11 +372,11 @@ void Fabric::Deliver(Message* msg) {
   } else if (msg->on_dropped) {
     // The destination died (or the link partitioned) in flight. The drop
     // callback belongs to the sender (verbs maps it to a retry-exceeded
-    // completion on the initiator), so in partitioned mode it is routed
-    // back to the source's partition.
+    // completion on the initiator), so it is routed back to the source's
+    // partition.
     const Nanos detect = msg->sent_at + config_.drop_detect_latency;
     const Nanos at = std::max(detect, sim_.NowNanos());
-    if (sim_.partitioned() && !sim_.InContextOfNode(msg->src)) {
+    if (!sim_.InContextOfNode(msg->src)) {
       sim_.PostToNode(msg->src, at,
                       [cb = std::move(msg->on_dropped)]() mutable { cb(); });
     } else {

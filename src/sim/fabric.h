@@ -99,11 +99,14 @@ class Fabric {
   // Stamps of the message being delivered, valid only for the duration of
   // an on_delivered callback (nullptr elsewhere — notably for loopback
   // sends, which bypass the port model and carry no stamps). Thread-local
-  // so concurrent partitioned deliveries on different host threads each
-  // see their own message.
+  // so concurrent deliveries on different host threads each see their
+  // own message.
   [[nodiscard]] static const DeliveryStamps* CurrentDelivery() noexcept;
 
-  // Cumulative statistics, for tests and bandwidth accounting.
+  // Cumulative statistics, for tests and bandwidth accounting. A message
+  // counts in bytes_out when it is sent and in bytes_in when its first bit
+  // reaches a live destination, so one dropped in flight is only in
+  // bytes_out.
   [[nodiscard]] uint64_t bytes_out(uint32_t node) const;
   [[nodiscard]] uint64_t bytes_in(uint32_t node) const;
   [[nodiscard]] uint64_t messages_out(uint32_t node) const;
@@ -144,16 +147,13 @@ class Fabric {
     Nanos egress_free_at = 0;
     bool pump_scheduled = false;  // a pump event exists at egress_free_at
     // Ingress service is likewise a reservation timestamp. Messages are
-    // served in first-bit arrival order: every message is handed to the
-    // destination at its first-bit instant (ApplyIngress — an ordinary
-    // event in legacy mode, a cross-partition post in partitioned mode),
+    // served in first-bit arrival order: every message is posted to the
+    // destination's partition for its first-bit instant (ApplyIngress),
     // staged per instant, and reserved in (first_bit, src, tx_seq) order
     // by DrainIngress. The explicit per-instant sort makes the service
     // order at *tied* first-bit instants a pure function of the arrival
-    // set — bit-identical under the legacy and partitioned schedulers —
-    // where the old scheme (legacy: reservation in pump order;
-    // partitioned: epoch-merge order) let the two schedulers pick
-    // different winners and diverge under contended fan-in.
+    // set, so the one-queue and per-node layouts pick the same winners
+    // under contended fan-in.
     Nanos ingress_free_at = 0;
     // Same-instant arrivals staged for the end-of-instant drain.
     std::vector<Message*> ingress_stage;
@@ -168,9 +168,10 @@ class Fabric {
     uint64_t bytes_in = 0;
     uint64_t messages_out = 0;
 
-    // Telemetry instruments, resolved lazily against the simulation's
-    // attached obs::Telemetry (null while detached — recording is then a
-    // single pointer test). `obs_owner` detects attach/detach.
+    // Telemetry instruments, resolved at the start of every run against
+    // the simulation's attached obs::Telemetry (null while detached —
+    // recording is then a single pointer test). `obs_owner` detects
+    // attach/detach.
     obs::Telemetry* obs_owner = nullptr;
     obs::Counter* obs_bytes_out = nullptr;
     obs::Counter* obs_msgs_out = nullptr;
@@ -191,7 +192,7 @@ class Fabric {
   void ApplyIngress(Message* msg);
   void DrainIngress(uint32_t node);
   void Deliver(Message* msg);
-  void PrepareForPartitionedRun();
+  void PrepareForRun();
   [[nodiscard]] static uint64_t LinkKey(uint32_t a, uint32_t b) noexcept {
     if (a > b) std::swap(a, b);
     return (static_cast<uint64_t>(a) << 32) | b;
@@ -200,17 +201,17 @@ class Fabric {
   Simulation& sim_;
   NicConfig config_;
   // deque: grows without invalidating references (delivery callbacks can
-  // trigger nested Sends that add ports). In partitioned mode the prepare
-  // hook pre-sizes it to the node count so the parallel phase never
-  // mutates the container (each partition then only writes its own port's
-  // egress state and its own port's ingress state).
+  // trigger nested Sends that add ports). The run-start hook pre-sizes it
+  // to the node count so a parallel run never mutates the container (each
+  // partition then only writes its own port's egress state and its own
+  // port's ingress state).
   std::deque<PortState> ports_;
   std::unordered_set<uint64_t> down_links_;
 
   // Message pools (stable storage + freelist), one per partition index so
   // concurrent partitions never contend: acquired from the sender's pool,
   // released into the releasing context's pool — pool membership does not
-  // affect the timeline. Legacy mode uses pool 0 only.
+  // affect the timeline. The one-queue layout uses pool 0 only.
   struct MsgPool {
     std::deque<Message> arena;
     std::vector<Message*> free;

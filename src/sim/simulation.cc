@@ -51,8 +51,8 @@
 
 // ---------------------------------------------------------------------------
 // Fiber context switch. A parked context is nothing but its stack pointer:
-// rstore_fiber_switch pushes the callee-saved registers (and, on x86-64,
-// the MXCSR / x87 control words) onto the running stack, stores the stack
+// rstore_fiber_switch pushes the callee-saved registers and the MXCSR /
+// x87 control words onto the running stack, stores the stack
 // pointer through `from`, loads `to`, and pops the frame the other context
 // pushed when it parked. Caller-saved state is already spilled by the
 // compiler around the call, so this is the whole machine state.
@@ -113,57 +113,6 @@ rstore_fiber_trampoline:
   .cfi_endproc
   .size rstore_fiber_trampoline, .-rstore_fiber_trampoline
 )");
-#elif defined(__aarch64__)
-asm(R"(
-  .text
-  .globl rstore_fiber_switch
-  .hidden rstore_fiber_switch
-  .type rstore_fiber_switch, %function
-  .p2align 4
-rstore_fiber_switch:
-  .cfi_startproc
-  sub sp, sp, #160
-  stp x19, x20, [sp, #0]
-  stp x21, x22, [sp, #16]
-  stp x23, x24, [sp, #32]
-  stp x25, x26, [sp, #48]
-  stp x27, x28, [sp, #64]
-  stp x29, x30, [sp, #80]
-  stp d8, d9, [sp, #96]
-  stp d10, d11, [sp, #112]
-  stp d12, d13, [sp, #128]
-  stp d14, d15, [sp, #144]
-  mov x9, sp
-  str x9, [x0]
-  mov sp, x1
-  ldp x19, x20, [sp, #0]
-  ldp x21, x22, [sp, #16]
-  ldp x23, x24, [sp, #32]
-  ldp x25, x26, [sp, #48]
-  ldp x27, x28, [sp, #64]
-  ldp x29, x30, [sp, #80]
-  ldp d8, d9, [sp, #96]
-  ldp d10, d11, [sp, #112]
-  ldp d12, d13, [sp, #128]
-  ldp d14, d15, [sp, #144]
-  add sp, sp, #160
-  ret
-  .cfi_endproc
-  .size rstore_fiber_switch, .-rstore_fiber_switch
-
-  .globl rstore_fiber_trampoline
-  .hidden rstore_fiber_trampoline
-  .type rstore_fiber_trampoline, %function
-  .p2align 4
-rstore_fiber_trampoline:
-  .cfi_startproc
-  .cfi_undefined x30
-  mov x0, x19
-  blr x20
-  brk #0
-  .cfi_endproc
-  .size rstore_fiber_trampoline, .-rstore_fiber_trampoline
-)");
 #else
 #error "SimThread fibers need a context switch for this architecture"
 #endif
@@ -175,25 +124,15 @@ namespace {
 // first rstore_fiber_switch into it "returns" into the trampoline, which
 // calls entry(arg) on a 16-byte-aligned stack. Returns the stack pointer.
 void* PrepareFiberStack(char* top, void* entry, void* arg) {
-  void** sp = nullptr;
-#if defined(__x86_64__)
   // [fp control][r15 r14 r13 r12 rbx rbp][ret][pad pad]: after the final
   // ret the stack pointer is top - 16, aligned for the trampoline's call.
-  sp = reinterpret_cast<void**>(top) - 10;
+  void** sp = reinterpret_cast<void**>(top) - 10;
   std::memset(sp, 0, 10 * sizeof(void*));
   const uint64_t fp_control = 0x1F80 | (uint64_t{0x037F} << 32);  // defaults
   std::memcpy(&sp[0], &fp_control, sizeof fp_control);
   sp[4] = arg;    // r12
   sp[5] = entry;  // rbx
   sp[7] = reinterpret_cast<void*>(&rstore_fiber_trampoline);
-#elif defined(__aarch64__)
-  // x19..x30 then d8..d15; the restore leaves sp at `top`.
-  sp = reinterpret_cast<void**>(top) - 20;
-  std::memset(sp, 0, 20 * sizeof(void*));
-  sp[0] = arg;    // x19
-  sp[1] = entry;  // x20
-  sp[11] = reinterpret_cast<void*>(&rstore_fiber_trampoline);  // x30
-#endif
   return sp;
 }
 
@@ -287,12 +226,12 @@ struct EhGlobals {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SimPartition: one event queue + clock. Legacy mode has exactly one
-// (every node shares it — the historical global scheduler). Partitioned
-// mode gives every node its own, plus partition 0 for driver-scheduled
-// events; partitions dispatch independently inside conservative epochs
-// and exchange cross-partition events through `outbox`, merged
-// deterministically at epoch barriers (FlushOutboxes).
+// SimPartition: one event queue + clock. The one-queue layout has exactly
+// one, which every node shares. The per-node layout gives every node its
+// own, plus partition 0 for driver-scheduled events; partitions dispatch
+// independently inside conservative epochs and exchange cross-partition
+// events through `outbox`, merged deterministically at epoch barriers
+// (FlushOutboxes).
 // ---------------------------------------------------------------------------
 struct SimPartition {
   using Event = Simulation::Event;
@@ -866,7 +805,7 @@ Nanos CondVar::NowInternal() const { return sim_.NowNanos(); }
 // ---------------------------------------------------------------------------
 Simulation::Simulation(SimConfig config)
     : config_(config), seeder_(config.seed) {
-  // Partitioned mode: explicit config wins; otherwise the environment
+  // Per-node layout: explicit config wins; otherwise the environment
   // opts whole processes in (the bench --host-threads flag and the CI
   // parallel-determinism gate both use the env).
   if (config_.host_threads == 0) {
@@ -882,7 +821,6 @@ Simulation::Simulation(SimConfig config)
       e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0) {
     config_.serialize_dispatch = true;
   }
-  partitioned_ = config_.host_threads >= 1;
   partitions_.push_back(std::make_unique<Partition>(this, 0, 1024));
   // Opt-in runtime verification for whole test/bench processes: every
   // simulation in the process gets its own checker, and Shutdown() turns
@@ -929,13 +867,11 @@ Node& Simulation::AddNode(std::string name) {
   nodes_.push_back(
       std::make_unique<Node>(*this, id, std::move(name), seeder_.Next()));
   Node& node = *nodes_.back();
-  if (partitioned_) {
+  if (config_.host_threads >= 1) {
     partitions_.push_back(std::make_unique<Partition>(
         this, static_cast<uint32_t>(partitions_.size()), 64));
-    node.partition_ = partitions_.back().get();
-  } else {
-    node.partition_ = partitions_.front().get();
   }
+  node.partition_ = partitions_.back().get();
   if (telemetry_ != nullptr) {
     (void)telemetry_->metrics().ForNode(id, node.name());
     telemetry_->tracer().RegisterNode(id, node.name());
@@ -966,7 +902,6 @@ uint32_t Simulation::CurrentPartitionIndex() const noexcept {
 }
 
 bool Simulation::InContextOfNode(uint32_t node_id) const noexcept {
-  if (!partitioned_) return true;
   const Partition* cur = CurrentPartition();
   return cur == nullptr || cur == nodes_.at(node_id)->partition_;
 }
@@ -983,7 +918,7 @@ uint64_t Simulation::thread_slices() const noexcept {
   return n;
 }
 
-void Simulation::AtPartitionedRunStart(std::function<void()> hook) {
+void Simulation::AtRunStart(std::function<void()> hook) {
   prepare_hooks_.push_back(std::move(hook));
 }
 
@@ -1188,13 +1123,13 @@ void Simulation::DispatchPartition(Partition& p, Nanos deadline, Nanos until,
 }
 
 void Simulation::DispatchShare(uint32_t worker, uint32_t stride,
-                               Nanos deadline, Nanos until) {
+                               Nanos deadline, Nanos until, bool obey_stop) {
   const size_t count = partitions_.size();
   for (size_t i = worker; i < count; i += stride) {
     Partition& p = *partitions_[i];
     if (p.empty()) continue;
     g_current_partition = &p;
-    DispatchPartition(p, deadline, until, /*obey_stop=*/false);
+    DispatchPartition(p, deadline, until, obey_stop);
     g_current_partition = nullptr;
   }
 }
@@ -1247,13 +1182,18 @@ struct Simulation::EpochSync {
   bool quit = false;
 };
 
-void Simulation::RunPartitionedUntil(Nanos deadline) {
+void Simulation::RunUntil(Nanos deadline) {
+  assert(!InSimThread() && "Run must be driven from outside the simulation");
+  stop_requested_.store(false, std::memory_order_relaxed);
   merge_scratch_.resize(partitions_.size());
   // Run-start hooks: models pre-size per-partition pools and pre-resolve
   // telemetry instruments so the parallel phase never mutates shared
   // tables.
   for (auto& hook : prepare_hooks_) hook();
   const auto count = static_cast<uint32_t>(partitions_.size());
+  // One partition has no one to exchange events with: it runs as one
+  // unbounded epoch and checks for a requested stop before every event.
+  const bool single = count == 1;
   // A checker, a policy, or span tracing observes one global order:
   // dispatch partitions serially (in id order) on this thread. The
   // timeline is identical to parallel dispatch by construction — the
@@ -1265,11 +1205,11 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
       lin_ != nullptr || policy_ != nullptr ||
       (telemetry_ != nullptr && telemetry_->tracing());
   const uint32_t workers =
-      serialize ? 1 : std::min(config_.host_threads, count);
+      serialize ? 1 : std::clamp(config_.host_threads, 1u, count);
 
   EpochSync sync;
   std::vector<std::thread> pool;
-  pool.reserve(workers > 0 ? workers - 1 : 0);
+  pool.reserve(workers - 1);
   for (uint32_t w = 1; w < workers; ++w) {
     pool.emplace_back([this, &sync, w, workers] {
       uint64_t seen = 0;
@@ -1285,7 +1225,7 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
           dl = sync.deadline;
           hor = sync.until;
         }
-        DispatchShare(w, workers, dl, hor);
+        DispatchShare(w, workers, dl, hor, /*obey_stop=*/false);
         {
           std::lock_guard<std::mutex> lock(sync.mu);
           --sync.outstanding;
@@ -1298,9 +1238,9 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
   for (;;) {
     FlushOutboxes();
     for (auto& hook : barrier_hooks_) hook();
-    // Stop requests take effect at epoch boundaries only — sampling the
-    // flag mid-epoch would make the dispatched set depend on worker
-    // timing.
+    // With several partitions, stop requests take effect at epoch
+    // boundaries only — sampling the flag mid-epoch would make the
+    // dispatched set depend on worker timing.
     if (stop_requested_.load(std::memory_order_relaxed)) break;
     Nanos tmin = kNever;
     for (const auto& p : partitions_) {
@@ -1323,7 +1263,8 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
     // instant-sized epochs also keep RequestStop sampling prompt.
     const Nanos la =
         (lookahead_ == kNever || lookahead_ == 0) ? 1 : lookahead_;
-    const Nanos until = la >= kNever - tmin ? kNever : tmin + la;
+    const Nanos until =
+        single || la >= kNever - tmin ? kNever : tmin + la;
     if (workers > 1) {
       {
         std::lock_guard<std::mutex> lock(sync.mu);
@@ -1333,11 +1274,11 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
         sync.until = until;
       }
       sync.go_cv.notify_all();
-      DispatchShare(0, workers, deadline, until);
+      DispatchShare(0, workers, deadline, until, /*obey_stop=*/false);
       std::unique_lock<std::mutex> lock(sync.mu);
       sync.done_cv.wait(lock, [&] { return sync.outstanding == 0; });
     } else {
-      DispatchShare(0, 1, deadline, until);
+      DispatchShare(0, 1, deadline, until, /*obey_stop=*/single);
     }
   }
 
@@ -1352,20 +1293,6 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
   Nanos max_now = driver_now_;
   for (const auto& p : partitions_) max_now = std::max(max_now, p->now);
   driver_now_ = max_now;
-}
-
-void Simulation::RunUntil(Nanos deadline) {
-  assert(!InSimThread() && "Run must be driven from outside the simulation");
-  stop_requested_.store(false, std::memory_order_relaxed);
-  if (partitioned_) {
-    RunPartitionedUntil(deadline);
-    return;
-  }
-  Partition& p = *partitions_.front();
-  g_current_partition = &p;
-  DispatchPartition(p, deadline, kNever, /*obey_stop=*/true);
-  g_current_partition = nullptr;
-  driver_now_ = p.now;
 }
 
 void Simulation::KillNode(uint32_t id) {

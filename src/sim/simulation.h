@@ -22,27 +22,31 @@
 //     std::uncaught_exceptions) and rcheck's annotation scopes are
 //     swapped in and out with every slice. Node code must not keep other
 //     thread_local state across a blocking call — a parked fiber may
-//     resume on a different host thread in partitioned mode.
+//     resume on a different host thread when the layout is per-node.
 //   * Virtual time advances only in the scheduler, between thread slices.
 //     Pure computation inside a thread is instantaneous in virtual time;
 //     code charges compute costs explicitly via Sleep()/cost models
 //     (see cost_model.h) — which keeps performance accounting explicit,
 //     documented, and machine-independent.
 //
-// Partitioned (parallel) mode
-// ---------------------------
-//   With SimConfig::host_threads >= 1 (or RSTORE_HOST_THREADS set), every
-//   node gets its own event queue and clock — a *partition* — and
-//   partitions execute independently inside barrier-synced virtual-time
-//   epochs bounded by the conservative lookahead (the minimum
-//   cross-partition fabric latency, see ProposeLookahead). Cross-partition
-//   events are exchanged at epoch boundaries through a deterministic merge
-//   rule (sort by timestamp, then by (source partition, post order)), so
-//   the timeline is a pure function of the workload and NOT of the host
-//   thread count: --host-threads=8 is bit-identical to --host-threads=1.
-//   host_threads == 0 (the default) selects the original single-queue
-//   scheduler, byte-for-byte unchanged. See DESIGN.md "Parallel
-//   simulation".
+// Partitions and the epoch loop
+// -----------------------------
+//   Events live on *partitions*, each an event queue with its own clock,
+//   and one loop dispatches them in barrier-synced virtual-time epochs.
+//   The host-thread setting only picks the layout, in AddNode:
+//     * host_threads == 0 (the default): every node shares partition 0,
+//       the one-queue layout. The loop then runs one unbounded epoch and
+//       checks for a requested stop before every event.
+//     * host_threads >= 1 (or RSTORE_HOST_THREADS set): every node gets a
+//       partition of its own. Epochs are bounded by the conservative
+//       lookahead (the minimum cross-partition fabric latency, see
+//       ProposeLookahead), up to host_threads workers dispatch them, and
+//       cross-partition events are exchanged at epoch boundaries through
+//       a deterministic merge rule (sort by timestamp, then by (source
+//       partition, post order)). The timeline is a pure function of the
+//       workload and NOT of the host thread count: --host-threads=8 is
+//       bit-identical to --host-threads=1.
+//   See DESIGN.md "Parallel simulation".
 //
 // Failure injection
 // -----------------
@@ -89,10 +93,10 @@ class Simulation;
 class Node;
 class SimThread;
 
-// True when the RSTORE_HOST_THREADS environment variable requests
-// partitioned scheduling for every Simulation in the process (the CI
-// parallel-determinism gate). Tests that pin exact *legacy-scheduler*
-// timelines use this to skip themselves under the gate.
+// True when the RSTORE_HOST_THREADS environment variable requests the
+// per-node layout for every Simulation in the process (the CI
+// parallel-determinism gate). Tests that pin exact one-queue timelines use
+// this to skip themselves under the gate.
 [[nodiscard]] bool PartitionedEnvRequested();
 
 // Thrown out of blocking calls when the hosting node has been killed (or
@@ -138,8 +142,8 @@ class Node {
   // while all partitions are quiesced), but *read* by other partitions on
   // the fabric path-up check, so the TSan build needs the atomic.
   std::atomic<bool> alive_ = true;
-  // The event queue this node's events live on. Legacy mode: the single
-  // shared partition 0. Partitioned mode: a dedicated partition per node.
+  // The event queue this node's events live on: the shared partition 0 in
+  // the one-queue layout, a dedicated partition in the per-node layout.
   struct SimPartition* partition_ = nullptr;
   std::vector<std::unique_ptr<SimThread>> threads_;
 };
@@ -168,7 +172,7 @@ void Yield();
 // besides Sleep; everything higher (completion queues, RPC futures, BSP
 // barriers) is built from it.
 //
-// Partitioned mode: a CondVar must only be notified from its waiters' own
+// Per-node layout: a CondVar must only be notified from its waiters' own
 // node (or from scheduler callbacks running on that node's partition) —
 // which every simulator primitive (CQs, RPC futures, BSP barriers)
 // already satisfies, since they are per-node objects poked by delivery
@@ -224,9 +228,9 @@ struct SimConfig {
   uint64_t seed = 1;
   // Safety valve: Run() aborts the process if virtual time passes this.
   Nanos horizon = Seconds(36000);
-  // 0 (default): the original single-queue scheduler, byte-for-byte the
-  // historical behaviour. N >= 1: partitioned scheduling with one event
-  // queue per node and up to N host worker threads dispatching epochs in
+  // Picks the partition layout. 0 (default): every node shares one event
+  // queue, dispatched on the calling thread. N >= 1: one event queue per
+  // node, with up to N host worker threads dispatching epochs in
   // parallel. The *timeline* is identical for every N >= 1 — only wall
   // clock changes — so N=1 is the golden reference for the N=8 run.
   // Overridden by RSTORE_HOST_THREADS when left 0.
@@ -257,14 +261,11 @@ class Simulation {
 
   // Current virtual time of the calling context: a node thread or a
   // partition dispatch callback sees its partition's clock; the driver
-  // (outside Run) sees the maximum over partitions. In legacy mode all of
-  // these are the single global clock.
+  // (outside Run) sees the maximum over partitions. In the one-queue
+  // layout all of these are the single global clock.
   [[nodiscard]] Nanos NowNanos() const noexcept;
   [[nodiscard]] uint64_t seed() const noexcept { return config_.seed; }
 
-  // True when this simulation runs the partitioned scheduler
-  // (host_threads >= 1).
-  [[nodiscard]] bool partitioned() const noexcept { return partitioned_; }
   [[nodiscard]] uint32_t host_threads() const noexcept {
     return config_.host_threads;
   }
@@ -279,19 +280,18 @@ class Simulation {
   }
 
   // Partition index of the calling context: node threads and partition
-  // callbacks return their partition; the driver returns 0. Legacy mode
-  // always returns 0. Used by pooled allocators (fabric messages, verbs
+  // callbacks return their partition; the driver returns 0. The one-queue
+  // layout always returns 0. Used by pooled allocators (fabric messages, verbs
   // wire ops) to pick a per-partition freelist.
   [[nodiscard]] uint32_t CurrentPartitionIndex() const noexcept;
   // True when the calling context may touch `node_id`'s state directly:
-  // legacy mode, driver context between runs, or the node's own
-  // partition. Cross-partition work must instead be posted via
-  // PostToNode.
+  // driver context between runs, or the node's own partition (always, in
+  // the one-queue layout). Cross-partition work must instead be posted
+  // via PostToNode.
   [[nodiscard]] bool InContextOfNode(uint32_t node_id) const noexcept;
 
   // Events dispatched so far (callbacks run + thread slices; stale wakes
-  // excluded), summed over partitions. The denominator of the wall-clock
-  // harness's events/sec.
+  // excluded), summed over partitions.
   [[nodiscard]] uint64_t events_processed() const noexcept;
   // Subset of events_processed() that resumed a SimThread — each costs a
   // fiber switch round trip, so the slice share of the event mix is what
@@ -306,8 +306,7 @@ class Simulation {
   void After(Nanos delay, EventFn fn);
 
   // Schedules `fn` at virtual time `t` on the partition owning `node_id`,
-  // from any context. Same-partition (and legacy) posts are ordinary At()
-  // events; cross-partition posts are buffered in the source partition's
+  // from any context. Same-partition posts are ordinary At() events; cross-partition posts are buffered in the source partition's
   // outbox and merged at the next epoch boundary under the deterministic
   // merge rule — sorted by t, then (source partition, post order) — and
   // fire at max(t, destination clock). Posts at least `lookahead()` ahead
@@ -324,9 +323,10 @@ class Simulation {
   // exceed `deadline`.
   void RunUntil(Nanos deadline);
 
-  // Asks the dispatch loop to return after the current slice (legacy) or
-  // at the current epoch boundary (partitioned — sampling the flag only
-  // at barriers is what keeps the timeline thread-count-independent).
+  // Asks the dispatch loop to return: after the current event in the
+  // one-queue layout, at the current epoch boundary in the per-node one
+  // (sampling the flag only at barriers is what keeps the timeline
+  // thread-count-independent).
   // Callable from node threads and scheduler callbacks; the natural way
   // for a workload driver to end a simulation whose background services
   // (heartbeats, sweepers) would otherwise generate events forever.
@@ -340,10 +340,10 @@ class Simulation {
   void KillNode(uint32_t id);
 
   // Registers a hook run on the driver thread at the start of every
-  // partitioned Run/RunUntil, before workers exist. Models use it to
-  // pre-size per-partition pools and pre-resolve telemetry instruments so
-  // the parallel phase never mutates shared tables.
-  void AtPartitionedRunStart(std::function<void()> hook);
+  // Run/RunUntil, before workers exist. Models use it to pre-size
+  // per-partition pools and pre-resolve telemetry instruments so the
+  // parallel phase never mutates shared tables.
+  void AtRunStart(std::function<void()> hook);
   // Registers a hook run on the driver thread at every epoch boundary
   // (all partitions quiescent). Used to publish cross-partition snapshot
   // state (e.g. the master's live-server count) with epoch granularity —
@@ -371,7 +371,7 @@ class Simulation {
   // "0"), the constructor attaches an owned checker automatically and
   // Shutdown() prints its reports, dumps them as JSON (into
   // $RSTORE_RCHECK_OUT or ./rcheck_report.json), and aborts if any
-  // violation was found — the CI gate. In partitioned mode an attached
+  // violation was found — the CI gate. In the per-node layout an attached
   // checker serializes epoch dispatch, so its vector clocks observe one
   // global order and its reports are identical for every host thread
   // count.
@@ -387,8 +387,8 @@ class Simulation {
   // an owned checker automatically and Shutdown() finalizes it, prints
   // reports, dumps them as JSON (into $RSTORE_RLIN_OUT or
   // ./rlin_report.json), and aborts on any violation — the CI gate. Like
-  // rcheck, an attached lin checker serializes epoch dispatch in
-  // partitioned mode so capture sites record in one global order.
+  // rcheck, an attached lin checker serializes epoch dispatch in the
+  // per-node layout so capture sites record in one global order.
   void AttachLinChecker(check::LinChecker* lin);
   [[nodiscard]] check::LinChecker* lin() const noexcept { return lin_; }
 
@@ -405,7 +405,7 @@ class Simulation {
   // Simulation instances in the process cycle through `runs` derived
   // seeds, and on an rcheck violation Shutdown() writes the replayable
   // decision trace next to the rcheck report (into $RSTORE_EXPLORE_OUT or
-  // ./explore_trace.json) before aborting. In partitioned mode a policy
+  // ./explore_trace.json) before aborting. In the per-node layout a policy
   // serializes epoch dispatch (partitions in id order), so choice points
   // fire in one canonical order under any host thread count.
   void AttachPolicy(explore::SchedulePolicy* policy);
@@ -481,15 +481,14 @@ class Simulation {
   // survives). Only reached under serialized dispatch (attaching a policy
   // serializes), so the shared scratch vectors are safe.
   EventKey ExploreTieBreak(Partition& p, EventKey first);
-  // The dispatch loop shared by every mode. Runs events with t <= deadline
-  // and (when `until` != kNever) t < until, on one partition. `obey_stop`
-  // checks stop_requested_ before every event (legacy semantics); epochs
-  // pass false and sample the flag at barriers instead.
+  // Runs one partition's events with t <= deadline and (when `until` !=
+  // kNever) t < until. `obey_stop` checks stop_requested_ before every
+  // event: set when the partition is the only one, whose unbounded epoch
+  // has no barrier to sample the flag at.
   void DispatchPartition(Partition& p, Nanos deadline, Nanos until,
                          bool obey_stop);
   void DispatchShare(uint32_t worker, uint32_t stride, Nanos deadline,
-                     Nanos until);
-  void RunPartitionedUntil(Nanos deadline);
+                     Nanos until, bool obey_stop);
   void SweepKilledThreads(Node& node);
   // Deterministic epoch merge: drains every partition's outbox (ascending
   // partition id, each in post order), stable-sorts each destination's
@@ -503,16 +502,15 @@ class Simulation {
   }
 
   SimConfig config_;
-  bool partitioned_ = false;
   Rng seeder_;
   // Virtual clock seen by the driver between runs: the max over partition
-  // clocks at the last dispatch exit (legacy: the single global clock).
+  // clocks at the last dispatch exit.
   Nanos driver_now_ = 0;
   Nanos lookahead_ = kNever;
   // Partitions are stable (unique_ptr) and declared before nodes_ so node
-  // teardown can still reach its partition. Legacy mode: exactly one.
-  // Partitioned mode: partition 0 carries driver-scheduled events; node i
-  // owns partition i+1.
+  // teardown can still reach its partition. Partition 0 carries
+  // driver-scheduled events; in the one-queue layout it is the only one,
+  // in the per-node layout node i owns partition i+1.
   std::vector<std::unique_ptr<Partition>> partitions_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::atomic<bool> shutting_down_ = false;

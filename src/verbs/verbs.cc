@@ -262,7 +262,7 @@ CompletionQueue& Device::CreateCq() {
 QueuePair& Device::CreateQueuePair(QpConfig config, CompletionQueue* send_cq,
                                    CompletionQueue* recv_cq) {
   // Per-device numbering, a pure function of this device's creation
-  // count — deterministic under the partitioned scheduler (a global
+  // count — deterministic in the per-node layout (a global
   // counter would be raced by concurrent partitions and hand out
   // interleaving-dependent numbers). The node-id stride keeps numbers
   // cluster-unique for readable logs; correctness only needs per-device
@@ -341,8 +341,8 @@ constexpr uint64_t kAtomicResponseBytes = 8;
 // completions fire when the responder's ack arrives, one base_latency
 // after target execution — the same round trip reads and atomics pay.
 // (Besides fidelity, this keeps every cross-node effect at fabric
-// latency, which the partitioned scheduler's lookahead requires for
-// legacy/partitioned bit-identical timelines; the old model completed
+// latency, which the per-node layout's epoch lookahead requires for
+// layout-independent timelines; the old model completed
 // writes in zero time across nodes, which an epoch-based scheduler
 // cannot reproduce exactly.)
 constexpr uint64_t kAckBytes = 12;
@@ -525,11 +525,11 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
       // Bounce buffer: snapshot the outgoing data at doorbell time — the
       // target then never reads the initiator's memory. Matches HCA
       // semantics: the NIC reads the source buffers when it processes the
-      // descriptor. Under the partitioned scheduler this is also what
-      // keeps the target off memory another partition may be mutating;
-      // it runs in legacy mode too so both schedulers sample racing
-      // buffers at the identical virtual instant (scheduler-invariant
-      // timelines need identical data, not just identical event times).
+      // descriptor. In the per-node layout this is also what keeps the
+      // target off memory another partition may be mutating; it runs in
+      // the one-queue layout too so both layouts sample racing buffers at
+      // the identical virtual instant (layout-invariant timelines need
+      // identical data, not just identical event times).
       switch (wr.opcode) {
         case Opcode::kSend:
         case Opcode::kRdmaWrite:
@@ -583,7 +583,7 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
 }
 
 // Target-side execution of an arriving request, in scheduler context (the
-// target's partition when the scheduler is partitioned). Owns `op`: every
+// target's partition). Owns `op`: every
 // path releases it exactly once — immediately for ops that finish here,
 // or when the response message's wire event fires. Initiator-side
 // completions are routed through CompleteSqFromWire, which hops back to
@@ -825,7 +825,7 @@ Status QueuePair::PostRecv(const RecvWr& wr) {
 void QueuePair::CompleteSqFromWire(uint64_t seq, WcStatus status,
                                    uint32_t byte_len, WireStamps stamps) {
   sim::Simulation& sim = device_.network().sim();
-  if (sim.partitioned() && !sim.InContextOfNode(device_.node_id())) {
+  if (!sim.InContextOfNode(device_.node_id())) {
     // Target-side code finishing an op: the send queue and send CQ belong
     // to the initiator's partition, so hop there. The event carries the
     // current virtual instant — completion time is unchanged; arrivals
@@ -949,12 +949,10 @@ Network::Network(sim::Simulation& sim, sim::NicConfig nic,
                  sim::CpuCostModel cpu)
     : sim_(sim), fabric_(sim, nic), cpu_(cpu) {
   op_pools_.emplace_back();
-  if (sim_.partitioned()) {
-    sim_.AtPartitionedRunStart([this] { PrepareForPartitionedRun(); });
-  }
+  sim_.AtRunStart([this] { PrepareForRun(); });
 }
 
-void Network::PrepareForPartitionedRun() {
+void Network::PrepareForRun() {
   while (op_pools_.size() < sim_.node_count() + 1) op_pools_.emplace_back();
 }
 

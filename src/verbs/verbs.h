@@ -442,8 +442,9 @@ class QueuePair {
   // Same, callable from any partition: routes to the initiator's
   // partition when the caller runs elsewhere (target-side execution,
   // response drops), at the current virtual instant — the modelled
-  // completion time is unchanged, only the mutation site moves. Legacy
-  // mode calls CompleteSq directly, byte-identical to before.
+  // completion time is unchanged, only the mutation site moves. In the
+  // one-queue layout every caller is in context and calls CompleteSq
+  // directly.
   void CompleteSqFromWire(uint64_t seq, WcStatus status, uint32_t byte_len,
                           WireStamps stamps = {});
   // Initiator-side completion delivered by an RC ack message from the
@@ -523,8 +524,8 @@ class Device {
   uint32_t next_key_ = 1;
   // QP numbers are allocated per device (FindQp is per-device, and both
   // CreateQueuePair call sites — client connect, server accept — run on
-  // the owning node's partition), so numbering is deterministic under the
-  // partitioned scheduler regardless of host-thread interleaving.
+  // the owning node's partition), so numbering is deterministic in the
+  // per-node layout regardless of host-thread interleaving.
   uint32_t next_qp_index_ = 0;
 
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
@@ -605,10 +606,10 @@ class Network {
   // partition index so concurrent partitions never contend — acquired
   // from the doorbell-ringing partition, released into whichever
   // partition fires the op's last wire event (pool membership does not
-  // affect the timeline). Legacy mode uses pool 0 only.
+  // affect the timeline). The one-queue layout uses pool 0 only.
   WireOp* AcquireWireOp();
   void ReleaseWireOp(WireOp* op);
-  void PrepareForPartitionedRun();
+  void PrepareForRun();
 
   sim::Simulation& sim_;
   sim::Fabric fabric_;

@@ -419,7 +419,7 @@ TEST(MapCacheTest, RunmapDropsCache) {
 TEST(AtomicTest, FetchAddAcrossClients) {
   TestCluster cluster(SmallCluster());
   // Atomic: the two clients finish on different partitions, possibly on
-  // concurrent host threads under the partitioned scheduler.
+  // concurrent host threads in the per-node layout.
   std::atomic<int> finished{0};
   for (size_t c = 0; c < 2; ++c) {
     cluster.SpawnClient(c, [&finished, c](RStoreClient& client) {

@@ -2,7 +2,7 @@
 // admission control (window / FIFO deferral / shed), workload vocabulary
 // (YCSB mixes, arrival curves), session-to-QP multiplexing ratios, the
 // LoadEngine state machines end to end on a small cluster, determinism
-// across partitioned-scheduler host thread counts, rcheck cleanliness,
+// across partition layouts and host thread counts, rcheck cleanliness,
 // coordinated-omission-safe latency anchoring under overload, rtrace
 // per-op causal tracing (stage sums, slowest-K reservoir, probe-effect
 // bit-identity), and the space-saving hot-key sketch.
@@ -221,15 +221,15 @@ TEST(LoadEngineTest, SmokeCompletesEveryArrivalAtLowLoad) {
 TEST(LoadEngineTest, VirtualTimeIsBitIdenticalAcrossHostThreads) {
   LoadOptions opts = SmallOptions();
   opts.offered_load = 400e3;  // some queueing, so ordering is stressed
-  const RunResult legacy = RunEngine(opts, 0);
+  const RunResult shared = RunEngine(opts, 0);
   for (uint32_t threads : {1u, 2u}) {
     const RunResult part = RunEngine(opts, threads);
-    EXPECT_EQ(part.virtual_nanos, legacy.virtual_nanos)
+    EXPECT_EQ(part.virtual_nanos, shared.virtual_nanos)
         << "host_threads=" << threads;
-    EXPECT_EQ(part.stats.completed, legacy.stats.completed);
-    EXPECT_EQ(part.stats.retries, legacy.stats.retries);
+    EXPECT_EQ(part.stats.completed, shared.stats.completed);
+    EXPECT_EQ(part.stats.retries, shared.stats.retries);
     EXPECT_EQ(part.stats.latency.Quantile(0.999),
-              legacy.stats.latency.Quantile(0.999));
+              shared.stats.latency.Quantile(0.999));
   }
 }
 
@@ -344,7 +344,7 @@ TEST(LoadEngineTest, RtraceReservoirRetainsTheTrueSlowestOp) {
 
 TEST(LoadEngineTest, RtraceModesAreProbeFree) {
   // The probe-effect contract: rtrace off / sampled / full land on the
-  // same virtual end time, on the legacy and the partitioned scheduler.
+  // same virtual end time, on the one-queue and the per-node layout.
   LoadOptions opts = SmallOptions();
   opts.offered_load = 400e3;
   opts.rtrace.mode = obs::RtraceMode::kOff;

@@ -1,4 +1,4 @@
-// Determinism matrix for the partitioned scheduler.
+// Determinism matrix for the per-node partition layout.
 //
 // The tentpole claim of the parallel simulator: the timeline — virtual
 // end time, event count, every application-visible result — is a pure
@@ -133,11 +133,11 @@ TEST(PartitionMatrixTest, PageRankTimelineIdenticalAcrossHostThreads) {
     EXPECT_EQ(got.events, ref.events) << "threads=" << kThreadMatrix[i];
     EXPECT_EQ(got.digest, ref.digest) << "threads=" << kThreadMatrix[i];
   }
-  // The legacy scheduler is a different dispatch engine over the same
-  // model; its application results (the ranks) must agree bitwise even
-  // though its bookkeeping (event count) may differ.
-  const RunSignature legacy = RunPageRank(0);
-  EXPECT_EQ(legacy.digest, ref.digest);
+  // The one-queue layout runs the same model on one shared event queue;
+  // its application results (the ranks) must agree bitwise even though
+  // its bookkeeping (event count) may differ.
+  const RunSignature shared = RunPageRank(0);
+  EXPECT_EQ(shared.digest, ref.digest);
 }
 
 // ------------------------------------------------------------ E9: KV ----
@@ -194,14 +194,14 @@ TEST(PartitionMatrixTest, KvTimelineIdenticalAcrossHostThreads) {
     EXPECT_EQ(got.events, ref.events) << "threads=" << kThreadMatrix[i];
     EXPECT_EQ(got.digest, ref.digest) << "threads=" << kThreadMatrix[i];
   }
-  const RunSignature legacy = RunKv(0);
-  EXPECT_EQ(legacy.digest, ref.digest);
+  const RunSignature shared = RunKv(0);
+  EXPECT_EQ(shared.digest, ref.digest);
 }
 
 // ------------------------------------- rcheck + rexplore planted race ----
 // The race-unfenced explore workload under a seeded random-walk policy
 // and the happens-before checker. Attaching either serializes dispatch,
-// so this pins the other half of the claim: the *serialized* partitioned
+// so this pins the other half of the claim: the *serialized* per-node
 // timeline — including the checker's report and the policy's decision
 // sequence — does not depend on the configured worker count.
 RunSignature RunPlantedRace(uint32_t host_threads, uint64_t seed) {

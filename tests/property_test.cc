@@ -180,7 +180,7 @@ TEST_P(FabricPropertyTest, EveryMessageDeliversOnceAndRespectsLatencyFloor) {
 
   Rng rng(seed);
   // Atomic: deliveries on different destination nodes can run on
-  // concurrent host threads under the partitioned scheduler.
+  // concurrent host threads in the per-node layout.
   std::atomic<int> delivered{0};
   std::atomic<int> dropped{0};
   int sent = 0;
@@ -348,7 +348,7 @@ TEST(DeterminismProperty, MixedWorkloadTimelineIsReproducible) {
     cfg.seed = 12345;
     TestCluster cluster(cfg);
     // One slot per client: the clients live on different nodes, so under
-    // the partitioned scheduler they may finish on concurrent host
+    // the per-node layout they may finish on concurrent host
     // threads — indexing by client id keeps the collection race-free and
     // the comparison order-independent (the timestamps themselves are the
     // determinism claim).

@@ -74,7 +74,7 @@ TEST(SimulationTest, ThreadsInterleaveDeterministically) {
   // is ONE host vector shared by threads on three nodes: the global order
   // of same-instant pushes from different partitions is defined only
   // under serialized dispatch (virtual time is deterministic either way),
-  // so pin serialize_dispatch for the partitioned-scheduler gate.
+  // so pin serialize_dispatch for the per-node-layout gate.
   auto run = [] {
     Simulation sim(SimConfig{.seed = 77, .serialize_dispatch = true});
     std::vector<std::string> trace;
@@ -109,14 +109,14 @@ TEST(SimulationTest, SameInstantEventsRunInScheduleOrder) {
 // one seq counter, so kind never matters. The baseline exploration policy
 // must preserve exactly this order (its pick 0 *is* this order).
 TEST(SimulationTest, SameInstantEventsDispatchInFifoOrder) {
-  // This pins the *legacy* single-queue interleaving: a driver callback
+  // This pins the one-queue layout's interleaving: a driver callback
   // notifying a node-owned CondVar interleaved with same-instant driver
-  // callbacks shares one seq counter. Under the partitioned scheduler the
+  // callbacks shares one seq counter. In the per-node layout the
   // driver and node "a" live on different partitions, so that interleaving
   // cannot exist (cross-partition wakes merge at epoch boundaries) — the
   // per-partition FIFO rule is pinned by partition_test.cc instead.
   if (PartitionedEnvRequested()) {
-    GTEST_SKIP() << "pins legacy single-queue interleaving";
+    GTEST_SKIP() << "pins the one-queue layout's interleaving";
   }
   auto run = [](explore::SchedulePolicy* policy) {
     Simulation sim;
@@ -316,6 +316,73 @@ TEST(SimulationTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(sim.NowNanos(), Millis(3));
   sim.Run();
   EXPECT_EQ(steps, 10);
+}
+
+// The partition a node's thread runs on, and for how many of the
+// cluster's nodes it may touch state directly.
+struct LayoutProbe {
+  uint32_t partition = ~0u;
+  uint32_t nodes_in_context = 0;
+};
+
+std::vector<LayoutProbe> ProbeLayout(uint32_t host_threads) {
+  constexpr uint32_t kNodes = 3;
+  Simulation sim(SimConfig{.host_threads = host_threads});
+  // One element per node: threads on different partitions may run on
+  // concurrent host threads, but each writes only its own.
+  std::vector<LayoutProbe> probes(kNodes);
+  for (uint32_t i = 0; i < kNodes; ++i) {
+    sim.AddNode("n" + std::to_string(i)).Spawn("probe", [&sim, &probes, i] {
+      probes[i].partition = sim.CurrentPartitionIndex();
+      for (uint32_t j = 0; j < kNodes; ++j) {
+        if (sim.InContextOfNode(j)) ++probes[i].nodes_in_context;
+      }
+    });
+  }
+  sim.Run();
+  return probes;
+}
+
+TEST(SimulationTest, HostThreadsPickThePartitionLayout) {
+  // host_threads >= 1: every node owns a partition and only its own
+  // state.
+  std::set<uint32_t> partitions;
+  for (const LayoutProbe& p : ProbeLayout(2)) {
+    partitions.insert(p.partition);
+    EXPECT_EQ(p.nodes_in_context, 1u);
+  }
+  EXPECT_EQ(partitions.size(), 3u);
+  if (PartitionedEnvRequested()) {
+    GTEST_SKIP() << "RSTORE_HOST_THREADS overrides host_threads 0";
+  }
+  // host_threads 0: every node shares partition 0 and every node's state.
+  for (const LayoutProbe& p : ProbeLayout(0)) {
+    EXPECT_EQ(p.partition, 0u);
+    EXPECT_EQ(p.nodes_in_context, 3u);
+  }
+}
+
+TEST(SimulationTest, OneQueueStopSkipsTheRestOfTheInstant) {
+  // With one partition the stop flag is read before every event, not at
+  // epoch barriers: the stop lands between two events of one instant,
+  // and the next Run() starts with the second.
+  if (PartitionedEnvRequested()) {
+    GTEST_SKIP() << "pins the one-queue layout";
+  }
+  Simulation sim;
+  sim.AddNode("a");
+  std::vector<int> order;
+  sim.At(Micros(5), [&] {
+    order.push_back(1);
+    sim.RequestStop();
+  });
+  sim.At(Micros(5), [&] { order.push_back(2); });
+  sim.At(Micros(6), [&] { order.push_back(3); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.NowNanos(), Micros(5));
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SimulationTest, YieldRunsAfterAlreadyQueuedEvents) {
