@@ -5,13 +5,14 @@
 // The comparison isolates the data-path architecture at the
 // key-value abstraction level:
 //   RKV GET   = 2 one-sided reads (slot + seqlock validate),
-//   RKV PUT   = 1 read + CAS + payload write + release write,
+//   RKV PUT   = the GET's 2 reads + version peek + CAS + re-check read
+//               + payload write + release write,
 //   RPC GET/PUT = one two-sided round trip through the server CPU.
 //
 // Expected shape — the classic one-sided-KV trade-off the literature of
 // the period converged on (HERD vs Pilaf/FaRM): a single two-sided RPC
 // *wins small-object latency* (one round trip vs RKV's two reads per
-// GET and read+CAS+write+release per PUT), while the one-sided design
+// GET and seven dependent IOs per PUT), while the one-sided design
 // keeps the server CPU at zero and therefore scales with client count
 // (E6 shows that axis). Reproducing that crossover, rather than a
 // one-sided sweep, is the point of this experiment.

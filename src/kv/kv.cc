@@ -42,38 +42,29 @@ struct OpObs {
   uint64_t t0 = 0;
 };
 
-// Slot layout lives in kv.h (SlotLayout) so other dataplanes can speak
-// the same bytes; these aliases keep the implementation terse.
-constexpr uint64_t kVersionOff = SlotLayout::kVersionOff;
-constexpr uint64_t kKeyLenOff = SlotLayout::kKeyLenOff;
-constexpr uint64_t kValLenOff = SlotLayout::kValLenOff;
-constexpr uint64_t kPayloadOff = SlotLayout::kPayloadOff;
+uint64_t Load64(const std::byte* p) noexcept {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
 }  // namespace
-
-uint64_t SlotLayout::HomeSlot(std::string_view key,
-                              uint64_t buckets) noexcept {
-  return StableHash64(key) % buckets;
-}
-
-void SlotLayout::Compose(std::byte* dst, uint32_t slot_bytes,
-                         uint64_t version, std::string_view key,
-                         std::span<const std::byte> value) noexcept {
-  std::memset(dst, 0, slot_bytes);
-  const auto key_len = static_cast<uint16_t>(key.size());
-  const auto val_len = static_cast<uint32_t>(value.size());
-  std::memcpy(dst + kVersionOff, &version, 8);
-  std::memcpy(dst + kKeyLenOff, &key_len, 2);
-  std::memcpy(dst + kValLenOff, &val_len, 4);
-  std::memcpy(dst + kPayloadOff, key.data(), key.size());
-  if (!value.empty()) {
-    std::memcpy(dst + kPayloadOff + key.size(), value.data(), value.size());
-  }
-}
 
 KvStore::KvStore(core::RStoreClient& client, core::MappedRegion* region,
                  KvOptions options)
     : client_(client), region_(region), options_(options) {}
+
+Result<std::unique_ptr<KvStore>> KvStore::Make(core::RStoreClient& client,
+                                               core::MappedRegion* region,
+                                               KvOptions options) {
+  auto store =
+      std::unique_ptr<KvStore>(new KvStore(client, region, options));
+  RSTORE_ASSIGN_OR_RETURN(
+      store->scratch_,
+      client.AllocBuffer(SlotOp::ScratchBytes(options.slot_bytes, 1)));
+  store->op_.Bind(store->options_, kRetryPolicy, store->scratch_.begin(), 1);
+  return store;
+}
 
 Result<std::unique_ptr<KvStore>> KvStore::Create(core::RStoreClient& client,
                                                  const std::string& name,
@@ -83,31 +74,18 @@ Result<std::unique_ptr<KvStore>> KvStore::Create(core::RStoreClient& client,
     return Result<std::unique_ptr<KvStore>>(ErrorCode::kInvalidArgument,
                                             "bad table geometry");
   }
-  const uint64_t bytes =
-      kHeaderBytes + options.buckets * options.slot_bytes;
+  const uint64_t bytes = SlotLayout::kHeaderBytes +
+                         options.buckets * options.slot_bytes;
   RSTORE_RETURN_IF_ERROR(client.Ralloc(name, bytes));
   auto region = client.Rmap(name);
   if (!region.ok()) return region.status();
-
-  // Header: magic, buckets, slot_bytes, max_probe. Slots rely on the
-  // arena being zero-initialized (version 0 = never used).
-  auto hdr = client.AllocBuffer(kHeaderBytes);
+  // Slots rely on the arena being zero-initialized (version 0 = never
+  // used); only the header is written.
+  auto hdr = client.AllocBuffer(SlotLayout::kHeaderBytes);
   if (!hdr.ok()) return hdr.status();
-  std::memset(hdr->begin(), 0, kHeaderBytes);
-  std::memcpy(hdr->begin(), &kMagic, 8);
-  std::memcpy(hdr->begin() + 8, &options.buckets, 8);
-  std::memcpy(hdr->begin() + 16, &options.slot_bytes, 4);
-  std::memcpy(hdr->begin() + 20, &options.max_probe, 4);
+  SlotLayout::WriteHeader(hdr->begin(), options);
   RSTORE_RETURN_IF_ERROR((*region)->Write(0, hdr->data));
-
-  auto store = std::unique_ptr<KvStore>(
-      new KvStore(client, *region, options));
-  RSTORE_ASSIGN_OR_RETURN(store->scratch_,
-                          client.AllocBuffer(options.slot_bytes));
-  RSTORE_ASSIGN_OR_RETURN(store->write_buf_,
-                          client.AllocBuffer(options.slot_bytes));
-  RSTORE_ASSIGN_OR_RETURN(store->version_buf_, client.AllocBuffer(8));
-  return store;
+  return Make(client, *region, options);
 }
 
 Result<std::unique_ptr<KvStore>> KvStore::Open(core::RStoreClient& client,
@@ -115,40 +93,15 @@ Result<std::unique_ptr<KvStore>> KvStore::Open(core::RStoreClient& client,
                                                uint32_t cache_slots) {
   auto region = client.Rmap(name);
   if (!region.ok()) return region.status();
-  auto hdr = client.AllocBuffer(kHeaderBytes);
+  auto hdr = client.AllocBuffer(SlotLayout::kHeaderBytes);
   if (!hdr.ok()) return hdr.status();
   RSTORE_RETURN_IF_ERROR((*region)->Read(0, hdr->data));
-  uint64_t magic = 0;
+  auto geometry = SlotLayout::ReadHeader(hdr->data);
+  if (!geometry.ok()) return geometry.status();
   KvOptions options;
-  std::memcpy(&magic, hdr->begin(), 8);
-  if (magic != kMagic) {
-    return Result<std::unique_ptr<KvStore>>(
-        ErrorCode::kInvalidArgument,
-        "region '" + name + "' does not hold an RKV table");
-  }
-  std::memcpy(&options.buckets, hdr->begin() + 8, 8);
-  std::memcpy(&options.slot_bytes, hdr->begin() + 16, 4);
-  std::memcpy(&options.max_probe, hdr->begin() + 20, 4);
+  static_cast<TableGeometry&>(options) = *geometry;
   options.cache_slots = cache_slots;  // client-local, not table geometry
-
-  auto store = std::unique_ptr<KvStore>(
-      new KvStore(client, *region, options));
-  RSTORE_ASSIGN_OR_RETURN(store->scratch_,
-                          client.AllocBuffer(options.slot_bytes));
-  RSTORE_ASSIGN_OR_RETURN(store->write_buf_,
-                          client.AllocBuffer(options.slot_bytes));
-  RSTORE_ASSIGN_OR_RETURN(store->version_buf_, client.AllocBuffer(8));
-  return store;
-}
-
-KvStore::SlotView KvStore::Parse(const std::byte* slot) const {
-  SlotView view{};
-  std::memcpy(&view.version, slot + kVersionOff, 8);
-  std::memcpy(&view.key_len, slot + kKeyLenOff, 2);
-  std::memcpy(&view.val_len, slot + kValLenOff, 4);
-  view.key = slot + kPayloadOff;
-  view.value = slot + kPayloadOff + view.key_len;
-  return view;
+  return Make(client, *region, options);
 }
 
 void KvStore::CacheStore(uint64_t slot, uint64_t version,
@@ -182,372 +135,145 @@ void KvStore::CacheErase(uint64_t slot) {
   ++stats_.cache_invalidations;
 }
 
-Result<uint64_t> KvStore::ReadSlot(uint64_t slot, std::byte* dst) {
-  ++stats_.probe_reads;
-  // Seqlock readers never take the lock: the payload read may observe a
-  // concurrent writer's bytes and is discarded when the version moved.
-  // Racy by design, so every read in here is speculative for rcheck.
-  check::SpeculativeScope spec(
-      client_.device().network().sim().checker());
-  if (options_.cache_slots > 0) {
-    auto it = slot_cache_.find(slot);
-    if (it != slot_cache_.end()) {
-      // Validate-on-hit: one 8-byte read of the seqlock word. Unchanged
-      // and even means the remote slot is byte-identical to the cached
-      // image (every writer bumps the version), so serving the cached
-      // bytes is indistinguishable from a full read that validated.
-      RSTORE_RETURN_IF_ERROR(region_->Read(
-          SlotOffset(slot) + kVersionOff,
-          std::span<std::byte>(version_buf_.begin(), 8)));
-      uint64_t current = 0;
-      std::memcpy(&current, version_buf_.begin(), 8);
-      if (current == it->second.version && current % 2 == 0) {
-        ++stats_.cache_hits;
-        std::memcpy(dst, it->second.bytes.data(), options_.slot_bytes);
-        sim::ChargeCpu(sim::CacheCopyCost(
-            client_.device().network().cpu_model(), options_.slot_bytes));
-        if (it->second.lru != slot_lru_.begin()) {
-          slot_lru_.splice(slot_lru_.begin(), slot_lru_, it->second.lru);
-        }
-        return current;
+Result<bool> KvStore::ProbeCached(const SlotStep& step) {
+  const uint64_t slot = op_.slot();
+  auto it = slot_cache_.find(slot);
+  if (it != slot_cache_.end()) {
+    // Validate-on-hit: the probe's own 8-byte version re-read. Unchanged
+    // and even means the remote slot is byte-identical to the cached
+    // image (every writer bumps the version), so serving the cached
+    // bytes is indistinguishable from a full read that validated.
+    const SlotIo& validate = step.io[1];
+    RSTORE_RETURN_IF_ERROR(Issue(validate));
+    const uint64_t current = Load64(validate.local);
+    if (current == it->second.version && current % 2 == 0) {
+      ++stats_.cache_hits;
+      std::memcpy(step.io[0].local, it->second.bytes.data(),
+                  options_.slot_bytes);
+      sim::ChargeCpu(sim::CacheCopyCost(
+          client_.device().network().cpu_model(), options_.slot_bytes));
+      if (it->second.lru != slot_lru_.begin()) {
+        slot_lru_.splice(slot_lru_.begin(), slot_lru_, it->second.lru);
       }
-      // Stale (a writer moved the version): drop and fall through.
-      CacheErase(slot);
+      return true;
     }
-    ++stats_.cache_misses;
+    // Stale (a writer moved the version): drop and fall through.
+    CacheErase(slot);
   }
-  RSTORE_RETURN_IF_ERROR(region_->Read(
-      SlotOffset(slot), std::span<std::byte>(dst, options_.slot_bytes)));
-  uint64_t version = 0;
-  std::memcpy(&version, dst + kVersionOff, 8);
-  // Seqlock validation: re-read the version word; if it moved (or was
-  // odd), a writer raced us and the payload may be torn.
-  RSTORE_RETURN_IF_ERROR(region_->Read(
-      SlotOffset(slot) + kVersionOff,
-      std::span<std::byte>(version_buf_.begin(), 8)));
-  uint64_t check = 0;
-  std::memcpy(&check, version_buf_.begin(), 8);
-  if (version % 2 == 1 || check != version) {
-    ++stats_.version_retries;
-    return Result<uint64_t>(ErrorCode::kAborted, "slot is being written");
-  }
-  if (options_.cache_slots > 0) CacheStore(slot, version, dst);
-  return version;
+  ++stats_.cache_misses;
+  return false;
 }
 
-Status KvStore::ReadSlotRaw(uint64_t slot, std::byte* dst) {
-  ++stats_.probe_reads;
-  // Callers hold the slot seqlock, which freezes the payload but not the
-  // version cell — contending writers keep CASing it while they probe.
-  // Reading from key_len onward stays clear of that cell, so the payload
-  // read is genuinely race-free (and rcheck verifies it stays that way).
-  // No caller consumes the version word from a raw read; zero it so
-  // Parse() stays deterministic.
-  std::memset(dst, 0, kKeyLenOff);
-  return region_->Read(
-      SlotOffset(slot) + kKeyLenOff,
-      std::span<std::byte>(dst + kKeyLenOff,
-                           options_.slot_bytes - kKeyLenOff));
+Status KvStore::Issue(const SlotIo& io) {
+  LaneScope lane(client_.device().network().sim().checker(), io.lane);
+  switch (io.kind) {
+    case SlotIo::Kind::kRead:
+      return region_->Read(io.offset,
+                           std::span<std::byte>(io.local, io.length));
+    case SlotIo::Kind::kWrite:
+      return region_->Write(io.offset,
+                            std::span<const std::byte>(io.local, io.length));
+    case SlotIo::Kind::kCas: {
+      auto old = region_->CompareSwap(io.offset, io.compare, io.swap);
+      if (!old.ok()) return old.status();
+      std::memcpy(io.local, &*old, sizeof(uint64_t));
+      return Status::Ok();
+    }
+  }
+  return Status(ErrorCode::kInternal, "unknown slot IO");
 }
 
-Result<uint64_t> KvStore::LockSlot(uint64_t slot) {
-  constexpr int kMaxAttempts = 64;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    {
-      // Optimistic peek at the version word before the CAS; a concurrent
-      // unlock write is expected and resolved by the CAS itself.
-      check::SpeculativeScope spec(
-          client_.device().network().sim().checker());
-      RSTORE_RETURN_IF_ERROR(region_->Read(
-          SlotOffset(slot) + kVersionOff,
-          std::span<std::byte>(version_buf_.begin(), 8)));
+Status KvStore::IssueStep(const SlotStep& step) {
+  const bool cached = step.kind == SlotStep::Kind::kProbe &&
+                      options_.cache_slots > 0;
+  if (cached) {
+    RSTORE_ASSIGN_OR_RETURN(const bool served, ProbeCached(step));
+    if (served) return Status::Ok();
+  }
+  for (const SlotIo& io : step.ios()) RSTORE_RETURN_IF_ERROR(Issue(io));
+  if (cached && op_.ProbeValidated()) {
+    CacheStore(op_.slot(), Load64(op_.image()), op_.image());
+  }
+  return Status::Ok();
+}
+
+Status KvStore::Drive(std::string_view key, obs::ObsSpan* span) {
+  sim::Simulation& sim = client_.device().network().sim();
+  if (span != nullptr && span->active()) {
+    // Server attribution: the home slot's owner serves (almost) every
+    // probe of this op, so rtrace flows and kv spans agree on the target.
+    const uint64_t home = op_.home();
+    span->Arg("home_slot", static_cast<double>(home));
+    if (auto sp = region_->Resolve(
+            SlotLayout::SlotOffset(home, options_.slot_bytes), 8);
+        sp.ok()) {
+      span->Arg("server_node", static_cast<double>(sp->server_node));
     }
-    uint64_t current = 0;
-    std::memcpy(&current, version_buf_.begin(), 8);
-    if (current % 2 == 1) {
-      ++stats_.version_retries;
-      sim::Sleep(sim::Micros(5));
+  }
+  const auto invoked = static_cast<uint64_t>(sim.NowNanos());
+  while (!op_.done()) {
+    const SlotStep step = op_.step();
+    if (step.kind == SlotStep::Kind::kBackoff) {
+      sim::Sleep(step.backoff);
+      op_.Complete();
       continue;
     }
-    auto old = region_->CompareSwap(SlotOffset(slot) + kVersionOff, current,
-                                    current + 1);
-    if (!old.ok()) return old.status();
-    if (*old == current) return current + 1;  // we hold the lock
-    ++stats_.version_retries;
+    if (step.kind == SlotStep::Kind::kProbe ||
+        step.kind == SlotStep::Kind::kRecheck) {
+      ++stats_.probe_reads;
+    }
+    if (Status st = IssueStep(step); !st.ok()) {
+      op_.Fail(std::move(st));
+      continue;
+    }
+    op_.Complete();
   }
-  return Result<uint64_t>(ErrorCode::kAborted,
-                          "could not take slot seqlock (hot contention)");
+  stats_.version_retries += op_.retries();
+  if (check::LinChecker* lin = sim.lin(); lin != nullptr) {
+    // rlin history capture (see check/lin.h): pure host-side observation,
+    // so virtual time is bit-identical with the checker on or off.
+    op_.RecordLin(*lin, client_.device().node_id(), StableHash64(key),
+                  invoked, static_cast<uint64_t>(sim.NowNanos()));
+  }
+  return op_.status();
 }
 
-Status KvStore::UnlockSlot(uint64_t slot, uint64_t locked_version) {
-  const uint64_t released = locked_version + 1;  // odd -> next even
-  std::memcpy(version_buf_.begin(), &released, 8);
-  // The version word is the slot's seqlock: this 8-byte store is the
-  // release half of the LockSlot CAS acquire, so rcheck treats it as a
-  // synchronization cell rather than a plain data write.
-  check::SyncCellScope sync(client_.device().network().sim().checker());
-  return region_->Write(SlotOffset(slot) + kVersionOff,
-                        std::span<const std::byte>(version_buf_.begin(), 8));
-}
-
-// rlin history capture (see check/lin.h): each public op wrapper records
-// one (kind, key-hash, value-digest, [inv, resp]) entry with a
-// LinChecker when one is attached to the simulation. Pure host-side
-// observation — no simulator events, RNG draws, or cost charges — so
-// virtual time is bit-identical with the checker on or off; with no
-// checker attached the wrappers cost one pointer compare.
 Result<std::vector<std::byte>> KvStore::Get(std::string_view key) {
-  check::LinChecker* lin = client_.device().network().sim().lin();
-  if (lin == nullptr) return GetImpl(key);
-  const auto inv =
-      static_cast<uint64_t>(client_.device().network().sim().NowNanos());
-  Result<std::vector<std::byte>> r = GetImpl(key);
-  const auto resp =
-      static_cast<uint64_t>(client_.device().network().sim().NowNanos());
-  const uint64_t k = StableHash64(key);
-  if (r.ok()) {
-    lin->RecordOp(client_.device().node_id(), check::LinOpKind::kRead, k,
-                  check::LinChecker::Digest(r->data(), r->size()), inv, resp);
-  } else if (r.code() == ErrorCode::kNotFound) {
-    lin->RecordOp(client_.device().node_id(), check::LinOpKind::kRead, k,
-                  check::kLinAbsent, inv, resp);
-  }
-  // Other errors (seqlock contention, transport) returned no answer:
-  // reads are no-ops, legal to drop.
-  return r;
-}
-
-Status KvStore::Put(std::string_view key, std::span<const std::byte> value) {
-  check::LinChecker* lin = client_.device().network().sim().lin();
-  if (lin == nullptr) return PutImpl(key, value);
-  const auto inv =
-      static_cast<uint64_t>(client_.device().network().sim().NowNanos());
-  lin_wrote_payload_ = false;
-  const Status st = PutImpl(key, value);
-  const auto resp =
-      static_cast<uint64_t>(client_.device().network().sim().NowNanos());
-  const uint64_t k = StableHash64(key);
-  const uint64_t digest = check::LinChecker::Digest(value.data(), value.size());
-  if (st.ok()) {
-    lin->RecordOp(client_.device().node_id(), check::LinOpKind::kWrite, k,
-                  digest, inv, resp);
-  } else if (lin_wrote_payload_) {
-    // The payload write was posted before the failure: the value may or
-    // may not be visible. Pending = may linearize any time >= inv, or
-    // never.
-    lin->RecordPending(client_.device().node_id(), check::LinOpKind::kWrite,
-                       k, digest, inv);
-  }
-  return st;
-}
-
-Status KvStore::Delete(std::string_view key) {
-  check::LinChecker* lin = client_.device().network().sim().lin();
-  if (lin == nullptr) return DeleteImpl(key);
-  const auto inv =
-      static_cast<uint64_t>(client_.device().network().sim().NowNanos());
-  lin_wrote_payload_ = false;
-  const Status st = DeleteImpl(key);
-  const auto resp =
-      static_cast<uint64_t>(client_.device().network().sim().NowNanos());
-  const uint64_t k = StableHash64(key);
-  if (st.ok()) {
-    // Delete is a write of "absent".
-    lin->RecordOp(client_.device().node_id(), check::LinOpKind::kWrite, k,
-                  check::kLinAbsent, inv, resp);
-  } else if (st.code() == ErrorCode::kNotFound) {
-    // Observed no mapping for the key — semantically a read of absent.
-    lin->RecordOp(client_.device().node_id(), check::LinOpKind::kRead, k,
-                  check::kLinAbsent, inv, resp);
-  } else if (lin_wrote_payload_) {
-    lin->RecordPending(client_.device().node_id(), check::LinOpKind::kWrite,
-                       k, check::kLinAbsent, inv);
-  }
-  return st;
-}
-
-Result<std::vector<std::byte>> KvStore::GetImpl(std::string_view key) {
   ++stats_.gets;
   check::OpLabelScope label(client_.device().network().sim().checker(),
                             "kv.get");
   OpObs obs(client_, "kv.gets", "kv.get_ns");
   obs::ObsSpan span(obs.tel, obs.node, "app", "kv.get");
-  const uint64_t home = StableHash64(key) % options_.buckets;
-  if (span.active()) {
-    // Server attribution: the home slot's owner serves (almost) every
-    // probe of this op, so rtrace flows and kv spans agree on the target.
-    span.Arg("home_slot", static_cast<double>(home));
-    if (auto sp = region_->Resolve(SlotOffset(home) + kVersionOff, 8);
-        sp.ok()) {
-      span.Arg("server_node", static_cast<double>(sp->server_node));
-    }
-  }
-  for (uint32_t probe = 0; probe < options_.max_probe; ++probe) {
-    const uint64_t slot = (home + probe) % options_.buckets;
-    Result<uint64_t> version(0ULL);
-    // Retry transient seqlock conflicts on this slot.
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      version = ReadSlot(slot, scratch_.begin());
-      if (version.ok() || version.code() != ErrorCode::kAborted) break;
-      sim::Sleep(sim::Micros(5));
-    }
-    if (!version.ok()) return version.status();
-    const SlotView view = Parse(scratch_.begin());
-    if (view.version == 0 && view.key_len == 0) {
-      return Result<std::vector<std::byte>>(ErrorCode::kNotFound,
-                                            "key not found");
-    }
-    if (view.key_len == key.size() &&
-        std::memcmp(view.key, key.data(), key.size()) == 0) {
-      return std::vector<std::byte>(view.value, view.value + view.val_len);
-    }
-    // Tombstone or other key: keep probing.
-  }
-  return Result<std::vector<std::byte>>(ErrorCode::kNotFound,
-                                        "key not found (probe window)");
+  op_.Start(SlotOpKind::kGet, key);
+  RSTORE_RETURN_IF_ERROR(Drive(key, &span));
+  const std::span<const std::byte> value = op_.value();
+  return std::vector<std::byte>(value.begin(), value.end());
 }
 
-Status KvStore::PutImpl(std::string_view key,
-                        std::span<const std::byte> value) {
+Status KvStore::Put(std::string_view key, std::span<const std::byte> value) {
   ++stats_.puts;
   check::OpLabelScope label(client_.device().network().sim().checker(),
                             "kv.put");
   OpObs obs(client_, "kv.puts", "kv.put_ns");
   obs::ObsSpan span(obs.tel, obs.node, "app", "kv.put");
-  if (key.empty() ||
-      kSlotHeader + key.size() + value.size() > options_.slot_bytes) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "key/value exceed slot capacity");
+  op_.Start(SlotOpKind::kUpsert, key, value);
+  RSTORE_RETURN_IF_ERROR(Drive(key, &span));
+  if (options_.cache_slots > 0) {
+    // The op's image is now the slot exactly as the table holds it, so
+    // the next GET of this key hits.
+    CacheStore(op_.slot(), Load64(op_.image()), op_.image());
   }
-  const uint64_t home = StableHash64(key) % options_.buckets;
-  if (span.active()) {
-    span.Arg("home_slot", static_cast<double>(home));
-    if (auto sp = region_->Resolve(SlotOffset(home) + kVersionOff, 8);
-        sp.ok()) {
-      span.Arg("server_node", static_cast<double>(sp->server_node));
-    }
-  }
-  // Pass 1: find the key (overwrite) or the first reusable slot.
-  int64_t target = -1;
-  for (uint32_t probe = 0; probe < options_.max_probe; ++probe) {
-    const uint64_t slot = (home + probe) % options_.buckets;
-    auto version = ReadSlot(slot, scratch_.begin());
-    if (!version.ok() && version.code() == ErrorCode::kAborted) {
-      // A writer is on this slot; it is occupied — remember nothing,
-      // keep probing (if it held our key we will fail below and the
-      // caller retries, as in any lock-free structure).
-      continue;
-    }
-    if (!version.ok()) return version.status();
-    const SlotView view = Parse(scratch_.begin());
-    if (view.key_len == key.size() &&
-        std::memcmp(view.key, key.data(), key.size()) == 0) {
-      target = static_cast<int64_t>(slot);  // overwrite in place
-      break;
-    }
-    if (target < 0 && (view.key_len == 0)) {
-      target = static_cast<int64_t>(slot);  // empty or tombstone
-      if (view.version == 0) break;         // end of chain anyway
-    }
-  }
-  if (target < 0) {
-    return Status(ErrorCode::kOutOfMemory, "probe window full");
-  }
-
-  const auto slot = static_cast<uint64_t>(target);
-  RSTORE_ASSIGN_OR_RETURN(const uint64_t locked, LockSlot(slot));
-  // Re-check under the lock: between the probe and the CAS another
-  // client may have claimed this slot for a different key.
-  RSTORE_RETURN_IF_ERROR(ReadSlotRaw(slot, scratch_.begin()));
-  {
-    const SlotView now = Parse(scratch_.begin());
-    const bool ours = now.key_len == key.size() &&
-                      std::memcmp(now.key, key.data(), key.size()) == 0;
-    const bool reusable = now.key_len == 0;
-    if (!ours && !reusable) {
-      (void)UnlockSlot(slot, locked);
-      return Status(ErrorCode::kAborted,
-                    "slot claimed concurrently; retry the put");
-    }
-  }
-  // Compose the payload (everything after the version word) and write it
-  // while the lock is held, then release by bumping the version.
-  std::byte* out = write_buf_.begin();
-  std::memset(out, 0, kSlotHeader);
-  const auto key_len = static_cast<uint16_t>(key.size());
-  const auto val_len = static_cast<uint32_t>(value.size());
-  std::memcpy(out + kKeyLenOff, &key_len, 2);
-  std::memcpy(out + kValLenOff, &val_len, 4);
-  std::memcpy(out + kPayloadOff, key.data(), key.size());
-  if (!value.empty()) {
-    std::memcpy(out + kPayloadOff + key.size(), value.data(), value.size());
-  }
-  lin_wrote_payload_ = true;
-  Status wrote = region_->Write(
-      SlotOffset(slot) + kKeyLenOff,
-      std::span<const std::byte>(out + kKeyLenOff,
-                                 kSlotHeader - kKeyLenOff + key.size() +
-                                     value.size()));
-  if (!wrote.ok()) {
-    (void)UnlockSlot(slot, locked);
-    return wrote;
-  }
-  Status unlocked = UnlockSlot(slot, locked);
-  if (unlocked.ok() && options_.cache_slots > 0) {
-    // scratch_ still holds the slot as read under the lock; grafting the
-    // bytes just written plus the released version yields the exact
-    // remote image, so the next GET of this key hits.
-    const uint64_t released = locked + 1;
-    std::memcpy(scratch_.begin() + kVersionOff, &released, 8);
-    std::memcpy(scratch_.begin() + kKeyLenOff, out + kKeyLenOff,
-                kSlotHeader - kKeyLenOff + key.size() + value.size());
-    CacheStore(slot, released, scratch_.begin());
-  }
-  return unlocked;
+  return Status::Ok();
 }
 
-Status KvStore::DeleteImpl(std::string_view key) {
+Status KvStore::Delete(std::string_view key) {
   ++stats_.deletes;
   check::OpLabelScope label(client_.device().network().sim().checker(),
                             "kv.delete");
-  const uint64_t home = StableHash64(key) % options_.buckets;
-  for (uint32_t probe = 0; probe < options_.max_probe; ++probe) {
-    const uint64_t slot = (home + probe) % options_.buckets;
-    auto version = ReadSlot(slot, scratch_.begin());
-    if (!version.ok() && version.code() == ErrorCode::kAborted) continue;
-    if (!version.ok()) return version.status();
-    const SlotView view = Parse(scratch_.begin());
-    if (view.version == 0 && view.key_len == 0) break;  // end of chain
-    if (view.key_len != key.size() ||
-        std::memcmp(view.key, key.data(), key.size()) != 0) {
-      continue;
-    }
-    RSTORE_ASSIGN_OR_RETURN(const uint64_t locked, LockSlot(slot));
-    // Re-check under the lock: the slot may have been rewritten.
-    RSTORE_RETURN_IF_ERROR(ReadSlotRaw(slot, scratch_.begin()));
-    const SlotView now = Parse(scratch_.begin());
-    const bool still_ours =
-        now.key_len == key.size() &&
-        std::memcmp(now.key, key.data(), key.size()) == 0;
-    if (!still_ours) {
-      (void)UnlockSlot(slot, locked);
-      return Status(ErrorCode::kNotFound, "key vanished during delete");
-    }
-    // Tombstone: key_len = 0 (version stays > 0 so probes continue past).
-    std::byte* out = write_buf_.begin();
-    std::memset(out, 0, 16);
-    lin_wrote_payload_ = true;
-    Status wrote = region_->Write(
-        SlotOffset(slot) + kKeyLenOff,
-        std::span<const std::byte>(out, 8));  // clears key_len + val_len
-    if (!wrote.ok()) {
-      (void)UnlockSlot(slot, locked);
-      return wrote;
-    }
-    CacheErase(slot);
-    return UnlockSlot(slot, locked);
-  }
-  return Status(ErrorCode::kNotFound, "key not found");
+  op_.Start(SlotOpKind::kDelete, key);
+  const Status st = Drive(key, nullptr);
+  if (op_.wrote()) CacheErase(op_.slot());
+  return st;
 }
 
 }  // namespace rstore::kv

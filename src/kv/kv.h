@@ -15,15 +15,18 @@
 //     terminates a probe chain.
 //
 // Every client maps the region once and then operates with no master
-// involvement: GET costs one slot read (plus a version validate), PUT a
-// CAS + two writes. Multiple clients on multiple machines can operate
-// concurrently on the same table.
+// involvement. The seqlock protocol itself is kv::SlotOp (slot_op.h);
+// KvStore is its blocking driver, issuing each of the op's IOs as one
+// MappedRegion call in order. An uncontended GET is a slot read plus a
+// version re-read; a PUT is that probe, a version peek, a CAS, a
+// re-check read under the lock, the payload write and the release write.
+// Multiple clients on multiple machines can operate concurrently on the
+// same table.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -32,50 +35,18 @@
 
 #include "common/status.h"
 #include "core/client.h"
+#include "kv/slot_op.h"
+
+namespace rstore::obs {
+class ObsSpan;
+}  // namespace rstore::obs
 
 namespace rstore::kv {
 
-// The on-region table format, public so other dataplanes (the open-loop
-// load engine in src/load composes slot IO with raw verbs, the bulk
-// loader composes whole table images locally) speak exactly the byte
-// layout KvStore reads and writes. Offsets are within one slot:
-//   0  u64 version   even = stable, odd = writer holds the seqlock;
-//                    0 with key_len 0 = never used (ends probe chains)
-//   8  u16 key_len   0 with version > 0 = tombstone
-//  10  u16 (pad)
-//  12  u32 val_len
-//  16  (pad to 24)
-//  24  key bytes, then value bytes
-// The region starts with a 64-byte header: magic, buckets, slot_bytes,
-// max_probe (see KvStore::Create).
-struct SlotLayout {
-  static constexpr uint64_t kMagic = 0x524b563144424d53ULL;  // "RKV1DBMS"
-  static constexpr uint64_t kHeaderBytes = 64;
-  static constexpr uint32_t kSlotHeader = 24;
-  static constexpr uint64_t kVersionOff = 0;
-  static constexpr uint64_t kKeyLenOff = 8;
-  static constexpr uint64_t kValLenOff = 12;
-  static constexpr uint64_t kPayloadOff = 24;
-
-  // Byte offset of `slot` within the region.
-  [[nodiscard]] static constexpr uint64_t SlotOffset(
-      uint64_t slot, uint32_t slot_bytes) noexcept {
-    return kHeaderBytes + slot * slot_bytes;
-  }
-  // Home slot of a key (the probe chain starts here).
-  [[nodiscard]] static uint64_t HomeSlot(std::string_view key,
-                                         uint64_t buckets) noexcept;
-  // Composes a stable slot image (even `version`, key, value) into
-  // `dst[0, slot_bytes)`. Requires key+value to fit the slot.
-  static void Compose(std::byte* dst, uint32_t slot_bytes, uint64_t version,
-                      std::string_view key,
-                      std::span<const std::byte> value) noexcept;
-};
-
-struct KvOptions {
-  uint64_t buckets = 4096;   // slots in the table (fixed at create time)
-  uint32_t slot_bytes = 256; // per-slot storage incl. 24-byte header
-  uint32_t max_probe = 16;   // linear-probe window before "table full"
+// The table format and the geometry type live with the protocol in
+// slot_op.h, so other dataplanes (the load engine in src/load, the bulk
+// loader) speak exactly the bytes KvStore reads and writes.
+struct KvOptions : TableGeometry {
   // Client-local slot cache (0 = off; not part of the table geometry).
   // A cached slot is validated on every hit with one 8-byte remote read
   // of its seqlock word: version unchanged and even means the cached
@@ -91,7 +62,7 @@ struct KvStats {
   uint64_t puts = 0;
   uint64_t deletes = 0;
   uint64_t probe_reads = 0;     // slot reads issued (≥ ops)
-  uint64_t version_retries = 0; // seqlock conflicts observed
+  uint64_t version_retries = 0; // SlotOp retries (seqlock conflicts)
   uint64_t cache_hits = 0;      // slot reads served locally (validated)
   uint64_t cache_misses = 0;    // lookups that fell back to a full read
   uint64_t cache_invalidations = 0;  // entries dropped (delete/stale)
@@ -133,43 +104,37 @@ class KvStore {
   [[nodiscard]] uint32_t max_value_bytes() const noexcept {
     return options_.slot_bytes - kSlotHeader;
   }
+  // The table's region, as mapped by Create/Open.
+  [[nodiscard]] core::MappedRegion& region() const noexcept {
+    return *region_;
+  }
 
  private:
-  static constexpr uint64_t kMagic = SlotLayout::kMagic;
-  static constexpr uint64_t kHeaderBytes = SlotLayout::kHeaderBytes;
   static constexpr uint32_t kSlotHeader = SlotLayout::kSlotHeader;
+  // A blocking client outwaits a lock holder for ~1024 backoffs of 5 µs
+  // (plus the probes between them) before the op fails with kAborted.
+  static constexpr SlotOp::Policy kRetryPolicy{1024, sim::Micros(5)};
 
   KvStore(core::RStoreClient& client, core::MappedRegion* region,
           KvOptions options);
+  // Wraps a mapped table: allocates the op scratch and binds op_.
+  static Result<std::unique_ptr<KvStore>> Make(core::RStoreClient& client,
+                                               core::MappedRegion* region,
+                                               KvOptions options);
 
-  [[nodiscard]] uint64_t SlotOffset(uint64_t slot) const noexcept {
-    return kHeaderBytes + slot * options_.slot_bytes;
-  }
-  // Reads slot into scratch; returns its version word. Fails with
-  // kAborted when the slot's seqlock indicates a concurrent writer.
-  // Serves from the slot cache (validate-on-hit) when one is configured.
-  Result<uint64_t> ReadSlot(uint64_t slot, std::byte* dst);
-  // Unvalidated slot read, for re-checks while holding the seqlock.
-  Status ReadSlotRaw(uint64_t slot, std::byte* dst);
-  // Takes the slot's seqlock (even -> odd). Retries while writers hold
-  // it; fails after too many conflicts.
-  Result<uint64_t> LockSlot(uint64_t slot);
-  Status UnlockSlot(uint64_t slot, uint64_t locked_version);
-
-  struct SlotView {
-    uint64_t version;
-    uint16_t key_len;
-    uint32_t val_len;
-    const std::byte* key;
-    const std::byte* value;
-  };
-  [[nodiscard]] SlotView Parse(const std::byte* slot) const;
-
-  // Op bodies; the public wrappers add rlin history capture (observe-only,
-  // see check/lin.h) around them when the simulation has a LinChecker.
-  Result<std::vector<std::byte>> GetImpl(std::string_view key);
-  Status PutImpl(std::string_view key, std::span<const std::byte> value);
-  Status DeleteImpl(std::string_view key);
+  // Runs op_ (already started) to completion: issues each IO step as
+  // MappedRegion calls under its lane's rcheck scope, sleeps through
+  // backoffs, serves probes from the slot cache, and records the op's
+  // rlin outcome when the simulation has a LinChecker. `span` (may be
+  // null) gets the home slot's server attribution.
+  Status Drive(std::string_view key, obs::ObsSpan* span);
+  // Issues an IO step in order; a probe may be served from (and fills)
+  // the slot cache instead.
+  Status IssueStep(const SlotStep& step);
+  Status Issue(const SlotIo& io);
+  // Serves a probe step from the slot cache: one 8-byte validate read
+  // instead of slot read + re-read. Returns whether it was served.
+  Result<bool> ProbeCached(const SlotStep& step);
 
   // Slot-cache bookkeeping (only active when options_.cache_slots > 0).
   struct CachedSlot {
@@ -184,17 +149,11 @@ class KvStore {
   core::RStoreClient& client_;
   core::MappedRegion* region_;
   KvOptions options_;
-  core::PinnedBuffer scratch_{};  // one slot for reads
-  core::PinnedBuffer write_buf_{};
-  core::PinnedBuffer version_buf_{};  // 8-byte pinned word for seqlock IO
+  core::PinnedBuffer scratch_{};  // op_'s slot image and seqlock cells
+  SlotOp op_;
   std::unordered_map<uint64_t, CachedSlot> slot_cache_;
   std::list<uint64_t> slot_lru_;  // front = most recently used
   KvStats stats_;
-  // Set by PutImpl/DeleteImpl once the payload/tombstone write has been
-  // posted: a failure after this point leaves the op's effect undefined,
-  // so the wrapper records it as *pending* (may have happened) rather
-  // than dropping it. KvStore is client-thread-local, so a plain bool.
-  bool lin_wrote_payload_ = false;
 };
 
 }  // namespace rstore::kv

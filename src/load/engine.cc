@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "check/lin.h"
+#include "kv/kv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/cost_model.h"
@@ -15,16 +16,6 @@ namespace rstore::load {
 using kv::SlotLayout;
 
 namespace {
-
-uint64_t Load64(const std::byte* p) noexcept {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void Store64(std::byte* p, uint64_t v) noexcept {
-  std::memcpy(p, &v, sizeof(v));
-}
 
 std::string_view KeyView(const std::byte* key) noexcept {
   return {reinterpret_cast<const char*>(key), 8};
@@ -53,14 +44,6 @@ void LoadEngine::EncodeKey(uint64_t id, std::byte out[8]) noexcept {
   std::memcpy(out, &id, sizeof(id));
 }
 
-uint64_t LoadEngine::SlotOffset(uint64_t slot) const noexcept {
-  return SlotLayout::SlotOffset(slot, geometry_.slot_bytes);
-}
-
-std::byte* LoadEngine::Scratch(uint32_t s) noexcept {
-  return arena_.data() + static_cast<size_t>(s) * stride_;
-}
-
 uint64_t LoadEngine::Cookie(uint32_t s) const noexcept {
   return (static_cast<uint64_t>(s) << 32) | sessions_[s].gen;
 }
@@ -69,7 +52,10 @@ uint32_t LoadEngine::ServerIndexOf(uint64_t slot) {
   // The slot's version cell (8 bytes at the slot start) never straddles a
   // slab boundary (slab sizes are 8-aligned; validated in Setup), so the
   // home server of an op is always well defined.
-  auto span = region_->Resolve(SlotOffset(slot) + SlotLayout::kVersionOff, 8);
+  auto span = region_->Resolve(
+      SlotLayout::SlotOffset(slot, geometry_.slot_bytes) +
+          SlotLayout::kVersionOff,
+      8);
   if (!span.ok()) return 0;
   return server_index_.at(span->server_node);
 }
@@ -83,34 +69,46 @@ size_t LoadEngine::Moderation() const noexcept {
   return std::min<size_t>(m, static_cast<size_t>(inflight_wrs_));
 }
 
-verbs::SendWr LoadEngine::ReadWr(const core::RemoteSpan& span, std::byte* dst,
-                                 uint32_t len, uint64_t cookie,
-                                 bool signaled) {
-  verbs::SendWr wr;
-  wr.wr_id = cookie;
-  wr.opcode = verbs::Opcode::kRdmaRead;
-  wr.local = {dst, len, arena_mr_->lkey()};
-  wr.remote_addr = span.remote_addr;
-  wr.rkey = span.rkey;
-  wr.signaled = signaled;
-  return wr;
-}
-
-Status LoadEngine::CollectPieces(uint64_t offset, uint64_t length,
-                                 std::byte* local) {
-  pieces_.clear();
+Status LoadEngine::CollectPieces(const kv::SlotIo& io, uint32_t index) {
   const uint64_t slab = region_->desc().slab_size;
+  uint64_t offset = io.offset;
+  uint64_t length = io.length;
+  std::byte* local = io.local;
   while (length > 0) {
     const uint64_t in_slab = offset % slab;
     const uint64_t n = std::min(length, slab - in_slab);
     auto span = region_->Resolve(offset, n);
     if (!span.ok()) return span.status();
-    pieces_.push_back({*span, local, static_cast<uint32_t>(n)});
+    pieces_.push_back({*span, local, static_cast<uint32_t>(n), index});
     offset += n;
     local += n;
     length -= n;
   }
   return Status::Ok();
+}
+
+void LoadEngine::StagePiece(uint32_t s, const kv::SlotIo& io, const Piece& p,
+                            uint64_t cookie, bool signaled) {
+  verbs::SendWr wr;
+  wr.wr_id = cookie;
+  switch (io.kind) {
+    case kv::SlotIo::Kind::kRead:
+      wr.opcode = verbs::Opcode::kRdmaRead;
+      break;
+    case kv::SlotIo::Kind::kWrite:
+      wr.opcode = verbs::Opcode::kRdmaWrite;
+      break;
+    case kv::SlotIo::Kind::kCas:
+      wr.opcode = verbs::Opcode::kCompareSwap;
+      wr.compare = io.compare;
+      wr.swap_or_add = io.swap;
+      break;
+  }
+  wr.local = {p.local, p.length, arena_mr_->lkey()};
+  wr.remote_addr = p.span.remote_addr;
+  wr.rkey = p.span.rkey;
+  wr.signaled = signaled;
+  mux_.Stage(server_index_.at(p.span.server_node), s, io.lane, wr);
 }
 
 void LoadEngine::ResolveObs() {
@@ -145,12 +143,8 @@ Status LoadEngine::Setup() {
   RSTORE_ASSIGN_OR_RETURN(core::PinnedBuffer hdr,
                           client_.AllocBuffer(SlotLayout::kHeaderBytes));
   RSTORE_RETURN_IF_ERROR(region_->Read(0, hdr.data));
-  if (Load64(hdr.begin()) != SlotLayout::kMagic) {
-    return Status(ErrorCode::kInvalidArgument, "not an RKV table");
-  }
-  geometry_.buckets = Load64(hdr.begin() + 8);
-  std::memcpy(&geometry_.slot_bytes, hdr.begin() + 16, 4);
-  std::memcpy(&geometry_.max_probe, hdr.begin() + 20, 4);
+  RSTORE_ASSIGN_OR_RETURN(geometry_, SlotLayout::ReadHeader(hdr.data));
+  retry_policy_ = {options_.op_retry_budget, options_.retry_backoff};
 
   // Dense server index in slab order (mux + admission addressing).
   for (const auto& slab : region_->desc().slabs) {
@@ -180,23 +174,25 @@ Status LoadEngine::Setup() {
     return Status(ErrorCode::kInvalidArgument, "engine has no sessions");
   }
   sessions_.resize(count);
-  for (uint32_t s = 0; s < count; ++s) {
-    const uint64_t gsid = first_global_session_ + s;
-    sessions_[s].rng =
-        Rng(options_.seed ^ (0x2545f4914f6cdd1dULL * (gsid + 1)));
-  }
-
-  // Scratch arena: per-session read/compose area plus three 8-byte cells
-  // (version validate, CAS result, unlock word).
-  const uint32_t slots =
+  // Scratch arena: one SlotOp scratch per session, 8-byte aligned. Its
+  // slot area holds a whole scan run when the mix scans.
+  const uint32_t area_slots =
       options_.mix.scan > 0.0 ? std::max(options_.scan_len, 1u) : 1u;
-  read_area_ = static_cast<size_t>(geometry_.slot_bytes) * slots;
-  stride_ = (read_area_ + 24 + 7) & ~size_t{7};
-  arena_.assign(static_cast<size_t>(count) * stride_, std::byte{0});
+  const size_t stride =
+      (kv::SlotOp::ScratchBytes(geometry_.slot_bytes, area_slots) + 7) &
+      ~size_t{7};
+  arena_.assign(static_cast<size_t>(count) * stride, std::byte{0});
   pd_ = &client_.device().CreatePd();
   RSTORE_ASSIGN_OR_RETURN(
       arena_mr_,
       pd_->RegisterMemory(arena_.data(), arena_.size(), verbs::kLocalWrite));
+  for (uint32_t s = 0; s < count; ++s) {
+    const uint64_t gsid = first_global_session_ + s;
+    sessions_[s].rng =
+        Rng(options_.seed ^ (0x2545f4914f6cdd1dULL * (gsid + 1)));
+    sessions_[s].slot_op.Bind(geometry_, retry_policy_,
+                              arena_.data() + s * stride, area_slots);
+  }
   stats_.sessions = count;
   stats_.qps = mux_.qp_count();
   if (options_.rtrace.mode != obs::RtraceMode::kOff) {
@@ -213,8 +209,6 @@ Status LoadEngine::PreloadTable(core::RStoreClient& client,
   geo.slot_bytes = options.slot_bytes;
   geo.max_probe = options.max_probe;
   RSTORE_ASSIGN_OR_RETURN(auto store, kv::KvStore::Create(client, name, geo));
-  (void)store;
-  RSTORE_ASSIGN_OR_RETURN(core::MappedRegion * region, client.Rmap(name));
 
   // Compose the whole table locally, then stream it with one large write:
   // the per-key Put protocol (probe, CAS, write, release) is pure waste
@@ -224,7 +218,7 @@ Status LoadEngine::PreloadTable(core::RStoreClient& client,
                           client.AllocBuffer(table_bytes));
   std::memset(img.begin(), 0, table_bytes);
   Rng values(options.seed ^ 0x6c078965ULL);
-  std::vector<std::byte> value(options.value_bytes);
+  check::LinChecker* lin = client.device().network().sim().lin();
   uint64_t placed = 0;
   for (uint64_t id = 0; id < options.preload_keys; ++id) {
     std::byte kb[8];
@@ -233,15 +227,16 @@ Status LoadEngine::PreloadTable(core::RStoreClient& client,
     for (uint32_t p = 0; p < geo.max_probe; ++p) {
       const uint64_t slot = (home + p) % geo.buckets;
       std::byte* dst = img.begin() + slot * geo.slot_bytes;
-      if (Load64(dst + SlotLayout::kVersionOff) != 0) continue;
-      values.Fill(value.data(), value.size());
-      SlotLayout::Compose(dst, geo.slot_bytes, /*version=*/2, KeyView(kb),
-                          value);
+      uint64_t version;
+      std::memcpy(&version, dst + SlotLayout::kVersionOff, sizeof(version));
+      if (version != 0) continue;
+      std::byte* value = SlotLayout::Compose(dst, /*version=*/2, KeyView(kb),
+                                             options.value_bytes);
+      values.Fill(value, options.value_bytes);
       // rlin: the preloaded value is the key's initial register state.
-      if (check::LinChecker* lin = client.device().network().sim().lin();
-          lin != nullptr) {
-        lin->RecordInit(id,
-                        check::LinChecker::Digest(value.data(), value.size()));
+      if (lin != nullptr) {
+        lin->RecordInit(
+            id, check::LinChecker::Digest(value, options.value_bytes));
       }
       ++placed;
       break;
@@ -250,8 +245,9 @@ Status LoadEngine::PreloadTable(core::RStoreClient& client,
   if (placed < options.preload_keys) {
     return Status(ErrorCode::kOutOfMemory, "preload overflowed probe window");
   }
-  return region->Write(SlotLayout::kHeaderBytes,
-                       std::span<const std::byte>(img.begin(), table_bytes));
+  return store->region().Write(
+      SlotLayout::kHeaderBytes,
+      std::span<const std::byte>(img.begin(), table_bytes));
 }
 
 // ---------------------------------------------------------------------------
@@ -300,13 +296,13 @@ void LoadEngine::OnArrival(uint32_t s, sim::Nanos intended) {
   // is busy — the op starts late and the wait shows up in the histogram.
   ses.backlog.push_back(intended);
   PushNextArrival(s);
-  if (ses.phase == Phase::kIdle) StartNextFromBacklog(s);
+  if (!ses.busy) StartNextFromBacklog(s);
 }
 
 void LoadEngine::StartNextFromBacklog(uint32_t s) {
   Session& ses = sessions_[s];
-  while (ses.phase == Phase::kIdle && !ses.backlog.empty()) {
-    BeginOp(s);  // leaves phase == kIdle only when the op was shed
+  while (!ses.busy && !ses.backlog.empty()) {
+    BeginOp(s);  // leaves the session idle only when the op was shed
   }
 }
 
@@ -325,7 +321,7 @@ void LoadEngine::BeginOp(uint32_t s) {
     --open_ops_;
     ResolveObs();
     if (obs_shed_ != nullptr) obs_shed_->Inc();
-    return;  // phase stays kIdle; caller loop starts the next backlog op
+    return;  // the session stays idle; caller loop starts the next op
   }
   if (rtrace_ != nullptr) {
     // New op: reset the stage breakdown and charge everything between the
@@ -342,27 +338,23 @@ void LoadEngine::BeginOp(uint32_t s) {
   ++ses.op_count;
   DrawKey(s);
   hotkeys_.Offer(ses.key_id);
-  ses.retries_left = options_.op_retry_budget;
-  ses.probe = 0;
-  ses.reusable = -1;
-  ses.target = -1;
-  ses.failed = false;
+  ses.next_io = 0;
   ses.step_error = false;
-  ses.lin_staged = false;
-  ses.server_idx = ServerIndexOf(ses.home);
+  ses.server_idx = ServerIndexOf(ses.slot_op.home());
   switch (admission_->TryAdmit(ses.server_idx, s)) {
     case Admit::kAdmit:
+      ses.busy = true;
       BeginAdmitted(s);
       break;
     case Admit::kDefer:
-      ses.phase = Phase::kDeferred;
+      ses.busy = true;  // parked: BeginAdmitted runs on readmit
       break;
     case Admit::kShed:
       ++stats_.shed;
       --open_ops_;
       ResolveObs();
       if (obs_shed_ != nullptr) obs_shed_->Inc();
-      break;  // phase stays kIdle; caller loop starts the next backlog op
+      break;  // the session stays idle; caller loop starts the next op
   }
 }
 
@@ -372,11 +364,7 @@ void LoadEngine::BeginAdmitted(uint32_t s) {
     // when this is the readmit callback of a released window slot.
     ChargeStage(sessions_[s], obs::RtraceStage::kAdmit, sim::Now());
   }
-  if (sessions_[s].op == OpType::kScan) {
-    StageScan(s);
-  } else {
-    StageProbe(s);
-  }
+  Advance(s);
 }
 
 void LoadEngine::DrawKey(uint32_t s) {
@@ -393,240 +381,82 @@ void LoadEngine::DrawKey(uint32_t s) {
     ses.key_id = zipf_->Next();
   }
   EncodeKey(ses.key_id, ses.key_bytes);
-  ses.home = SlotLayout::HomeSlot(KeyView(ses.key_bytes), geometry_.buckets);
+  const std::string_view key = KeyView(ses.key_bytes);
+  // Writes draw their value from the session RNG when the payload is
+  // composed, so a retried op writes fresh bytes.
+  switch (ses.op) {
+    case OpType::kRead:
+      ses.slot_op.Start(kv::SlotOpKind::kGet, key);
+      break;
+    case OpType::kScan:
+      ses.slot_op.Start(kv::SlotOpKind::kScan, key);
+      break;
+    case OpType::kUpdate:
+    case OpType::kInsert:
+      ses.slot_op.StartDrawn(kv::SlotOpKind::kUpsert, key, ses.rng,
+                             options_.value_bytes);
+      break;
+    case OpType::kReadModifyWrite:
+      ses.slot_op.StartDrawn(kv::SlotOpKind::kUpdate, key, ses.rng,
+                             options_.value_bytes);
+      break;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Op state machine: staging.
+// Session driver.
 
-void LoadEngine::StageProbe(uint32_t s) {
+void LoadEngine::Advance(uint32_t s) {
   Session& ses = sessions_[s];
-  const uint64_t slot = (ses.home + ses.probe) % geometry_.buckets;
-  std::byte* scratch = Scratch(s);
-  if (Status st =
-          CollectPieces(SlotOffset(slot), geometry_.slot_bytes, scratch);
-      !st.ok()) {
-    FinishOp(s, false);
+  const kv::SlotStep step = ses.slot_op.step();
+  if (step.kind == kv::SlotStep::Kind::kDone) {
+    FinishOp(s);
     return;
   }
-  ++ses.gen;
-  const uint64_t cookie = Cookie(s);
-  if (pieces_.size() == 1) {
-    // Common case: the slot lives in one slab. Chain the full-slot read
-    // and the 8-byte version re-read on the same QP — RC execution order
-    // makes the re-read observe any version change that raced the slot
-    // read, which is the seqlock validation, in a single round trip.
-    const Piece& p = pieces_[0];
-    const uint32_t si = server_index_.at(p.span.server_node);
-    mux_.Stage(si, s, Lane::kSpeculative,
-               ReadWr(p.span, p.local, p.length, 0, /*signaled=*/false));
-    mux_.Stage(si, s, Lane::kSpeculative,
-               ReadWr(p.span, scratch + read_area_, 8, cookie,
-                      /*signaled=*/true));
-    ses.pending = 1;
-    inflight_wrs_ += 1;
-    ses.phase = Phase::kProbe;
-  } else {
-    // Slab-straddling slot: pieces may land on different QPs, so chained
-    // ordering cannot carry the validation — read the pieces first, then
-    // issue the version re-read as its own step (kProbeVerify).
-    for (const Piece& p : pieces_) {
-      mux_.Stage(server_index_.at(p.span.server_node), s, Lane::kSpeculative,
-                 ReadWr(p.span, p.local, p.length, cookie,
-                        /*signaled=*/true));
+  if (step.kind == kv::SlotStep::Kind::kBackoff) {
+    retries_.push({sim::Now() + step.backoff, s});
+    return;
+  }
+  ses.step_ios = step.io_count;
+  const std::span<const kv::SlotIo> ios = step.ios().subspan(ses.next_io);
+  pieces_.clear();
+  for (uint32_t i = 0; i < ios.size(); ++i) {
+    if (Status st = CollectPieces(ios[i], i); !st.ok()) {
+      ses.slot_op.Fail(std::move(st));
+      FinishOp(s);
+      return;
     }
-    ses.pending = static_cast<uint32_t>(pieces_.size());
-    inflight_wrs_ += pieces_.size();
-    ses.phase = Phase::kProbePieces;
   }
-}
-
-void LoadEngine::StageProbeVerify(uint32_t s) {
-  Session& ses = sessions_[s];
-  const uint64_t slot = (ses.home + ses.probe) % geometry_.buckets;
-  auto span = region_->Resolve(SlotOffset(slot) + SlotLayout::kVersionOff, 8);
-  if (!span.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  mux_.Stage(server_index_.at(span->server_node), s, Lane::kSpeculative,
-             ReadWr(*span, Scratch(s) + read_area_, 8, Cookie(s),
-                    /*signaled=*/true));
-  ses.pending = 1;
-  inflight_wrs_ += 1;
-  ses.phase = Phase::kProbeVerify;
-}
-
-void LoadEngine::StageLockPeek(uint32_t s) {
-  Session& ses = sessions_[s];
-  auto span = region_->Resolve(
-      SlotOffset(static_cast<uint64_t>(ses.target)) + SlotLayout::kVersionOff,
-      8);
-  if (!span.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  mux_.Stage(server_index_.at(span->server_node), s, Lane::kSpeculative,
-             ReadWr(*span, Scratch(s) + read_area_, 8, Cookie(s),
-                    /*signaled=*/true));
-  ses.pending = 1;
-  inflight_wrs_ += 1;
-  ses.phase = Phase::kLockPeek;
-}
-
-void LoadEngine::StageLockCas(uint32_t s) {
-  Session& ses = sessions_[s];
-  auto span = region_->Resolve(
-      SlotOffset(static_cast<uint64_t>(ses.target)) + SlotLayout::kVersionOff,
-      8);
-  if (!span.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  verbs::SendWr wr;
-  wr.wr_id = Cookie(s);
-  wr.opcode = verbs::Opcode::kCompareSwap;
-  wr.local = {Scratch(s) + read_area_ + 8, 8, arena_mr_->lkey()};
-  wr.remote_addr = span->remote_addr;
-  wr.rkey = span->rkey;
-  wr.compare = ses.lock_compare;
-  wr.swap_or_add = ses.lock_compare + 1;  // even -> odd: locked
-  wr.signaled = true;
-  mux_.Stage(server_index_.at(span->server_node), s, Lane::kPlain, wr);
-  ses.pending = 1;
-  inflight_wrs_ += 1;
-  ses.phase = Phase::kLockCas;
-}
-
-void LoadEngine::StageRecheck(uint32_t s) {
-  Session& ses = sessions_[s];
-  std::byte* scratch = Scratch(s);
-  // The slot is locked, so a plain (checked) read is safe. The version
-  // word is ours — zero the local copy and read from key_len onward.
-  Store64(scratch + SlotLayout::kVersionOff, 0);
-  if (Status st = CollectPieces(
-          SlotOffset(static_cast<uint64_t>(ses.target)) +
-              SlotLayout::kKeyLenOff,
-          geometry_.slot_bytes - SlotLayout::kKeyLenOff,
-          scratch + SlotLayout::kKeyLenOff);
-      !st.ok()) {
-    FinishOp(s, false);
-    return;
+  // Chain the IOs when each is one slab piece and all ride one QP and
+  // lane: RC execution order then carries the step's ordering (the
+  // probe's version re-read observes any change that raced its slot
+  // read) in a single round trip. Otherwise — a slot straddling slabs —
+  // each IO is its own round trip, in order.
+  bool chain = ios.size() > 1 && pieces_.size() == ios.size();
+  for (const Piece& p : pieces_) {
+    chain = chain && p.span.server_node == pieces_[0].span.server_node &&
+            ios[p.io].lane == ios[0].lane;
   }
   ++ses.gen;
   const uint64_t cookie = Cookie(s);
-  for (const Piece& p : pieces_) {
-    mux_.Stage(server_index_.at(p.span.server_node), s, Lane::kPlain,
-               ReadWr(p.span, p.local, p.length, cookie, /*signaled=*/true));
+  if (chain) {
+    for (size_t i = 0; i < pieces_.size(); ++i) {
+      const bool last = i + 1 == pieces_.size();
+      StagePiece(s, ios[i], pieces_[i], last ? cookie : 0, last);
+    }
+    ses.pending = 1;
+    ses.next_io = ses.step_ios;
+  } else {
+    ses.pending = 0;
+    for (const Piece& p : pieces_) {
+      if (p.io != 0) break;
+      StagePiece(s, ios[0], p, cookie, /*signaled=*/true);
+      ++ses.pending;
+    }
+    ++ses.next_io;
   }
-  ses.pending = static_cast<uint32_t>(pieces_.size());
-  inflight_wrs_ += pieces_.size();
-  ses.phase = Phase::kRecheck;
+  inflight_wrs_ += ses.pending;
 }
-
-void LoadEngine::StageWrite(uint32_t s) {
-  Session& ses = sessions_[s];
-  std::byte* img = Scratch(s);
-  // Compose the new slot image in place (the recheck bytes are spent) and
-  // write everything from key_len onward; the locked version word is
-  // untouched until the release.
-  std::memset(img, 0, SlotLayout::kSlotHeader);
-  const uint16_t key_len = 8;
-  const uint32_t val_len = options_.value_bytes;
-  std::memcpy(img + SlotLayout::kKeyLenOff, &key_len, sizeof(key_len));
-  std::memcpy(img + SlotLayout::kValLenOff, &val_len, sizeof(val_len));
-  std::memcpy(img + SlotLayout::kPayloadOff, ses.key_bytes, key_len);
-  ses.rng.Fill(img + SlotLayout::kPayloadOff + key_len, val_len);
-  const uint64_t write_len =
-      SlotLayout::kSlotHeader - SlotLayout::kKeyLenOff + key_len + val_len;
-  if (Status st = CollectPieces(
-          SlotOffset(static_cast<uint64_t>(ses.target)) +
-              SlotLayout::kKeyLenOff,
-          write_len, img + SlotLayout::kKeyLenOff);
-      !st.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  const uint64_t cookie = Cookie(s);
-  for (const Piece& p : pieces_) {
-    verbs::SendWr wr;
-    wr.wr_id = cookie;
-    wr.opcode = verbs::Opcode::kRdmaWrite;
-    wr.local = {p.local, p.length, arena_mr_->lkey()};
-    wr.remote_addr = p.span.remote_addr;
-    wr.rkey = p.span.rkey;
-    // Signaled: the release below must not be posted until this write's
-    // completion is polled, both for the seqlock protocol and so rcheck
-    // sees the payload write retired before the release edge.
-    wr.signaled = true;
-    mux_.Stage(server_index_.at(p.span.server_node), s, Lane::kPlain, wr);
-  }
-  ses.pending = static_cast<uint32_t>(pieces_.size());
-  inflight_wrs_ += pieces_.size();
-  // rlin: the payload leaves the client here. Recorded as the op's write
-  // digest on success, or as a pending maybe-write if the op fails after
-  // this point.
-  if (lin_ != nullptr) {
-    ses.lin_write_digest = check::LinChecker::Digest(
-        img + SlotLayout::kPayloadOff + key_len, val_len);
-    ses.lin_staged = true;
-  }
-  ses.phase = Phase::kWrite;
-}
-
-void LoadEngine::StageUnlock(uint32_t s) {
-  Session& ses = sessions_[s];
-  auto span = region_->Resolve(
-      SlotOffset(static_cast<uint64_t>(ses.target)) + SlotLayout::kVersionOff,
-      8);
-  if (!span.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  std::byte* cell = Scratch(s) + read_area_ + 16;
-  Store64(cell, ses.locked_version + 1);  // odd -> next even: released
-  ++ses.gen;
-  verbs::SendWr wr;
-  wr.wr_id = Cookie(s);
-  wr.opcode = verbs::Opcode::kRdmaWrite;
-  wr.local = {cell, 8, arena_mr_->lkey()};
-  wr.remote_addr = span->remote_addr;
-  wr.rkey = span->rkey;
-  wr.signaled = true;
-  mux_.Stage(server_index_.at(span->server_node), s, Lane::kSyncCell, wr);
-  ses.pending = 1;
-  inflight_wrs_ += 1;
-  ses.phase = Phase::kUnlock;
-}
-
-void LoadEngine::StageScan(uint32_t s) {
-  Session& ses = sessions_[s];
-  const uint64_t count =
-      std::min<uint64_t>(std::max(options_.scan_len, 1u),
-                         geometry_.buckets - ses.home);
-  if (Status st = CollectPieces(SlotOffset(ses.home),
-                                count * geometry_.slot_bytes, Scratch(s));
-      !st.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  const uint64_t cookie = Cookie(s);
-  for (const Piece& p : pieces_) {
-    mux_.Stage(server_index_.at(p.span.server_node), s, Lane::kSpeculative,
-               ReadWr(p.span, p.local, p.length, cookie, /*signaled=*/true));
-  }
-  ses.pending = static_cast<uint32_t>(pieces_.size());
-  inflight_wrs_ += pieces_.size();
-  ses.phase = Phase::kScan;
-}
-
-// ---------------------------------------------------------------------------
-// Op state machine: completion handling.
 
 void LoadEngine::HandleCompletion(const verbs::WorkCompletion& wc) {
   const auto s = static_cast<uint32_t>(wc.wr_id >> 32);
@@ -643,254 +473,56 @@ void LoadEngine::HandleCompletion(const verbs::WorkCompletion& wc) {
   }
   --ses.pending;
   if (!wc.ok()) ses.step_error = true;
-  if (ses.pending > 0) return;  // multi-piece step still draining
+  if (ses.pending > 0) return;  // multi-piece IO still draining
   if (rtrace_ != nullptr) {
     ChargeWireStages(ses, wc.stamps, sim::Now());
   }
   if (ses.step_error) {
-    FinishOp(s, false);
+    ses.slot_op.Fail(Status(ErrorCode::kUnavailable, "work request failed"));
+    FinishOp(s);
     return;
   }
-  switch (ses.phase) {
-    case Phase::kProbe:
-    case Phase::kProbeVerify:
-      OnProbeDone(s);
-      break;
-    case Phase::kProbePieces:
-      StageProbeVerify(s);
-      break;
-    case Phase::kLockPeek:
-      OnLockPeekDone(s);
-      break;
-    case Phase::kLockCas:
-      OnLockCasDone(s);
-      break;
-    case Phase::kRecheck:
-      OnRecheckDone(s);
-      break;
-    case Phase::kWrite:
-      StageUnlock(s);
-      break;
-    case Phase::kUnlock:
-      OnUnlockDone(s);
-      break;
-    case Phase::kScan:
-      OnScanDone(s);
-      break;
-    default:
-      ++stats_.stale_completions;
-      break;
-  }
-}
-
-void LoadEngine::OnProbeDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  const std::byte* scratch = Scratch(s);
-  const uint64_t v_slot = Load64(scratch + SlotLayout::kVersionOff);
-  const uint64_t v_check = Load64(scratch + read_area_);
-  if ((v_slot & 1) != 0 || v_check != v_slot) {
-    RetryOp(s, /*backoff=*/true);  // torn or locked: seqlock retry
+  if (ses.next_io < ses.step_ios) {
+    Advance(s);  // the step's next IO, as its own round trip
     return;
   }
-  uint16_t key_len;
-  std::memcpy(&key_len, scratch + SlotLayout::kKeyLenOff, sizeof(key_len));
-  const bool writes = ses.op == OpType::kUpdate || ses.op == OpType::kInsert;
-
-  if (v_slot == 0 && key_len == 0) {
-    // Never-used slot: the probe chain ends here.
-    if (!writes) {
-      FinishOp(s, true, /*found=*/false);
-    } else {
-      ses.target = ses.reusable >= 0
-                       ? ses.reusable
-                       : static_cast<int64_t>(
-                             (ses.home + ses.probe) % geometry_.buckets);
-      StageLockPeek(s);
-    }
-    return;
-  }
-  if (key_len == 8 &&
-      std::memcmp(scratch + SlotLayout::kPayloadOff, ses.key_bytes, 8) == 0) {
-    if (ses.op == OpType::kRead) {
-      FinishOp(s, true);
-    } else {
-      ses.target =
-          static_cast<int64_t>((ses.home + ses.probe) % geometry_.buckets);
-      StageLockPeek(s);
-    }
-    return;
-  }
-  if (key_len == 0 && ses.reusable < 0) {
-    // Tombstone: remember it for inserts, keep probing (the key may live
-    // further along the chain).
-    ses.reusable =
-        static_cast<int64_t>((ses.home + ses.probe) % geometry_.buckets);
-  }
-  if (++ses.probe >= geometry_.max_probe) {
-    if (!writes) {
-      FinishOp(s, true, /*found=*/false);
-    } else if (ses.reusable >= 0) {
-      ses.target = ses.reusable;
-      StageLockPeek(s);
-    } else {
-      FinishOp(s, false);  // probe window full
-    }
-    return;
-  }
-  StageProbe(s);
-}
-
-void LoadEngine::OnLockPeekDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  const uint64_t ver = Load64(Scratch(s) + read_area_);
-  if ((ver & 1) != 0) {
-    RetryOp(s, /*backoff=*/true);  // someone holds the lock
-    return;
-  }
-  ses.lock_compare = ver;
-  StageLockCas(s);
-}
-
-void LoadEngine::OnLockCasDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  const uint64_t old = Load64(Scratch(s) + read_area_ + 8);
-  if (old == ses.lock_compare) {
-    ses.locked_version = ses.lock_compare + 1;
-    StageRecheck(s);
-    return;
-  }
-  // CAS lost. If the winner still holds the lock, back off; otherwise
-  // re-peek immediately (same scheduling round).
-  RetryOp(s, /*backoff=*/(old & 1) != 0);
-}
-
-void LoadEngine::OnRecheckDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  const std::byte* scratch = Scratch(s);
-  uint16_t key_len;
-  std::memcpy(&key_len, scratch + SlotLayout::kKeyLenOff, sizeof(key_len));
-  const bool ours =
-      key_len == 8 &&
-      std::memcmp(scratch + SlotLayout::kPayloadOff, ses.key_bytes, 8) == 0;
-  if (ours || key_len == 0) {
-    StageWrite(s);
-    return;
-  }
-  // The slot changed hands between the probe and the lock: release it and
-  // restart the whole op.
-  ses.failed = true;
-  StageUnlock(s);
-}
-
-void LoadEngine::OnUnlockDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  if (ses.failed) {
-    ses.failed = false;
-    RetryOp(s, /*backoff=*/true);
-    return;
-  }
-  FinishOp(s, true);
-}
-
-void LoadEngine::OnScanDone(uint32_t s) {
-  // Best-effort snapshot scan (no per-slot seqlock validation); the read
-  // itself rode the speculative lane so rcheck knows it may race.
-  FinishOp(s, true);
-}
-
-void LoadEngine::RetryOp(uint32_t s, bool backoff) {
-  Session& ses = sessions_[s];
-  ++stats_.retries;
-  if (ses.retries_left == 0) {
-    FinishOp(s, false);
-    return;
-  }
-  --ses.retries_left;
-  // Lock-path conflicts resume at the peek (the target slot is known);
-  // everything else restarts the probe where it stood. A post-recheck
-  // restart re-probes from the home slot: the chain may have shifted.
-  Phase resume = Phase::kProbe;
-  if ((ses.phase == Phase::kLockPeek || ses.phase == Phase::kLockCas) &&
-      ses.target >= 0) {
-    resume = Phase::kLockPeek;
-  } else if (ses.phase == Phase::kUnlock) {
-    ses.probe = 0;
-    ses.reusable = -1;
-    ses.target = -1;
-  }
-  if (backoff) {
-    ses.resume = resume;
-    ses.phase = Phase::kBackoff;
-    retries_.push({sim::Now() + options_.retry_backoff, s});
-    return;
-  }
-  if (resume == Phase::kLockPeek) {
-    StageLockPeek(s);
-  } else {
-    StageProbe(s);
-  }
+  ses.next_io = 0;
+  ses.slot_op.Complete();
+  Advance(s);
 }
 
 void LoadEngine::OnRetryTimer(uint32_t s) {
   Session& ses = sessions_[s];
-  if (ses.phase != Phase::kBackoff) {
+  if (!ses.busy || ses.slot_op.step_kind() != kv::SlotStep::Kind::kBackoff) {
     ++stats_.stale_completions;
     return;
   }
   if (rtrace_ != nullptr) {
     ChargeStage(ses, obs::RtraceStage::kBackoff, sim::Now());
   }
-  if (ses.resume == Phase::kLockPeek) {
-    StageLockPeek(s);
-  } else {
-    StageProbe(s);
-  }
+  ses.slot_op.Complete();
+  Advance(s);
 }
 
-void LoadEngine::FinishOp(uint32_t s, bool ok, bool found) {
+void LoadEngine::FinishOp(uint32_t s) {
   Session& ses = sessions_[s];
   const sim::Nanos now = sim::Now();
   const int64_t readmit = admission_->Release(ses.server_idx);
+  const Status& st = ses.slot_op.status();
+  const bool found = st.ok();
+  const bool ok = found || st.code() == ErrorCode::kNotFound;
+  stats_.retries += ses.slot_op.retries();
   // rlin history capture, before StartNextFromBacklog can reuse the
   // session's scratch. The invocation edge is the coordinated-omission
   // anchor (ses.intended): widening the interval only adds legal
   // linearization orders, so this stays sound (zero false positives)
   // while it may mask violations an exact-send anchor would expose.
   // Shed and never-admitted deferred ops never reach FinishOp, so they
-  // never appear as completed responses. Scans are not single-register
-  // ops and are skipped.
-  if (lin_ != nullptr && ses.op != OpType::kScan) {
-    const uint32_t lin_client = first_global_session_ + s;
-    const auto inv = static_cast<uint64_t>(ses.intended);
-    if (ok) {
-      const bool is_write =
-          ses.op == OpType::kUpdate || ses.op == OpType::kInsert ||
-          (ses.op == OpType::kReadModifyWrite && found);
-      if (is_write) {
-        lin_->RecordOp(lin_client, check::LinOpKind::kWrite, ses.key_id,
-                       ses.lin_write_digest, inv, static_cast<uint64_t>(now));
-      } else {
-        // Read path (including rmw that found no mapping): digest the
-        // value bytes still in this session's scratch slot image.
-        uint64_t digest = check::kLinAbsent;
-        if (found) {
-          const std::byte* scratch = Scratch(s);
-          uint32_t val_len = 0;
-          std::memcpy(&val_len, scratch + SlotLayout::kValLenOff,
-                      sizeof(val_len));
-          digest = check::LinChecker::Digest(
-              scratch + SlotLayout::kPayloadOff + 8, val_len);
-        }
-        lin_->RecordOp(lin_client, check::LinOpKind::kRead, ses.key_id,
-                       digest, inv, static_cast<uint64_t>(now));
-      }
-    } else if (ses.lin_staged) {
-      // The op failed after its payload write was posted: the value may
-      // or may not be visible to readers. Pending = may linearize at any
-      // point after invocation, or never.
-      lin_->RecordPending(lin_client, check::LinOpKind::kWrite, ses.key_id,
-                          ses.lin_write_digest, inv);
-    }
+  // never appear as completed responses.
+  if (lin_ != nullptr) {
+    ses.slot_op.RecordLin(*lin_, first_global_session_ + s, ses.key_id,
+                          static_cast<uint64_t>(ses.intended),
+                          static_cast<uint64_t>(now));
   }
   if (ok) {
     ++stats_.completed;
@@ -930,7 +562,7 @@ void LoadEngine::FinishOp(uint32_t s, bool ok, bool found) {
     ++stats_.errors;
   }
   --open_ops_;
-  ses.phase = Phase::kIdle;
+  ses.busy = false;
   StartNextFromBacklog(s);
   if (readmit >= 0) BeginAdmitted(static_cast<uint32_t>(readmit));
 }

@@ -1,15 +1,17 @@
 // LoadEngine: an open-loop workload engine driving thousands of client
 // sessions from ONE simulated thread per client node.
 //
-// Sessions are lightweight state machines, not SimThreads: a 10k-session
-// run costs 10k small structs, not 10k stacks. Each session follows a
-// deterministic open-loop arrival schedule (exponential gaps at the
-// curve's instantaneous rate, drawn from a per-session RNG) and runs one
-// RKV operation at a time through an asynchronous replica of KvStore's
-// slot protocol — speculative probe reads with seqlock validation, CAS
-// lock acquire, raw re-check under the lock, payload write, 8-byte
-// release — posted through the SessionMux and resumed by completion
-// cookies (wr_id = session << 32 | generation).
+// Sessions are lightweight, not SimThreads: a 10k-session run costs 10k
+// small structs, not 10k stacks. Each session follows a deterministic
+// open-loop arrival schedule (exponential gaps at the curve's
+// instantaneous rate, drawn from a per-session RNG) and runs one RKV
+// operation at a time as a kv::SlotOp — the one implementation of RKV's
+// slot protocol, which KvStore drives synchronously. The engine is the
+// SlotOp's session driver: it splits each step's IOs into slab pieces,
+// stages them through the SessionMux (chained into one round trip when a
+// step's IOs resolve to one QP), resumes the op from completion cookies
+// (wr_id = session << 32 | generation), arms its backoff timers, and
+// charges rtrace stages per round trip.
 //
 // Coordinated-omission safety: every operation's latency is measured
 // from its *intended* send time under the arrival schedule. When a
@@ -43,7 +45,7 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "core/client.h"
-#include "kv/kv.h"
+#include "kv/slot_op.h"
 #include "load/admission.h"
 #include "load/hotkeys.h"
 #include "load/session_mux.h"
@@ -117,46 +119,28 @@ class LoadEngine {
   static void EncodeKey(uint64_t id, std::byte out[8]) noexcept;
 
  private:
-  enum class Phase : uint8_t {
-    kIdle,
-    kDeferred,     // admission parked the op; no WR in flight
-    kBackoff,      // seqlock conflict backoff; resumes via retries_ heap
-    kProbe,        // chained slot+version speculative read outstanding
-    kProbePieces,  // slab-split slot read outstanding (then verify)
-    kProbeVerify,  // post-split version validation read outstanding
-    kLockPeek,     // speculative 8-byte version read outstanding
-    kLockCas,      // seqlock CAS outstanding
-    kRecheck,      // raw re-read under the lock outstanding
-    kWrite,        // payload write outstanding
-    kUnlock,       // 8-byte release write outstanding
-    kScan,         // one or more scan-run reads outstanding
-  };
-
+  // Fields touched by every completion come first, next to the SlotOp,
+  // so a completion's session work stays on few cache lines.
   struct Session {
+    // --- current op ---
+    uint32_t gen = 0;        // completion cookie generation
+    uint32_t pending = 0;    // signaled WRs outstanding for this round trip
+    uint8_t step_ios = 0;    // IOs in the step being staged
+    uint8_t next_io = 0;     // the step's first IO not yet staged
+    bool step_error = false; // a WR of the current round trip errored
+    bool busy = false;       // an op is open (deferred, in flight, backoff)
+    OpType op = OpType::kRead;
+    uint32_t server_idx = 0;     // admission charge (home slot's server)
+    kv::SlotOp slot_op;      // the protocol; this engine only drives it
+    sim::Nanos intended = 0;
+    uint64_t key_id = 0;
+    std::byte key_bytes[8] = {};
+    // --- arrival schedule ---
     Rng rng{0};
     sim::Nanos next_intended = 0;  // head of this session's schedule
     // Ops whose intended time has passed but which have not started yet
     // (the session was busy). Latency anchors pop from here.
     std::deque<sim::Nanos> backlog;
-    // --- current op ---
-    Phase phase = Phase::kIdle;
-    Phase resume = Phase::kProbe;  // where a kBackoff wakeup re-enters
-    OpType op = OpType::kRead;
-    sim::Nanos intended = 0;
-    uint64_t key_id = 0;
-    std::byte key_bytes[8] = {};
-    uint64_t home = 0;       // home slot
-    uint32_t probe = 0;      // probe distance so far
-    int64_t reusable = -1;   // first tombstone seen during the probe
-    int64_t target = -1;     // slot being locked/written
-    uint64_t lock_compare = 0;   // version the CAS expects
-    uint64_t locked_version = 0; // odd version we hold
-    uint32_t server_idx = 0;     // admission charge (home slot's server)
-    uint32_t retries_left = 0;
-    bool failed = false;     // unlock-then-retry instead of complete
-    bool step_error = false; // a WR of the current step errored
-    uint32_t gen = 0;        // completion cookie generation
-    uint32_t pending = 0;    // signaled WRs outstanding for this step
     uint64_t insert_seq = 0; // per-session unique-key counter
     // --- rtrace (maintained only when the collector is attached) ---
     uint64_t op_id = 0;      // (global session id << 32) | op ordinal
@@ -164,17 +148,15 @@ class LoadEngine {
     sim::Nanos tr_cursor = 0;          // last instant charged to a stage
     obs::RtraceStageNs tr_stage{};     // per-stage ns of the current op
     verbs::WireStamps tr_last{};       // stamps of the last completed step
-    // --- rlin (maintained only when a LinChecker is attached) ---
-    uint64_t lin_write_digest = 0;  // digest of the last staged payload
-    bool lin_staged = false;        // a payload write was posted this op
   };
 
-  // One slab-contiguous piece of a slot range (slots may straddle slab
+  // One slab-contiguous piece of a step's IO (slots may straddle slab
   // boundaries: the 64-byte table header shifts slot addresses).
   struct Piece {
     core::RemoteSpan span;
     std::byte* local;
     uint32_t length;
+    uint32_t io;  // index of the IO within the staged run
   };
 
   // Timed wakeups (retry backoff) and arrivals share one comparator:
@@ -195,29 +177,18 @@ class LoadEngine {
   void ScheduleFirstArrivals();
   void PushNextArrival(uint32_t s);
 
-  // State-machine steps. Each stages at most one mux step and returns.
+  // Session driver. Each call stages at most one round trip and returns.
   void OnArrival(uint32_t s, sim::Nanos intended);
   void StartNextFromBacklog(uint32_t s);
   void BeginOp(uint32_t s);
   void BeginAdmitted(uint32_t s);
+  // Acts on the SlotOp's current step: stages its IOs (chained into one
+  // round trip when they resolve to one QP, else one IO per round trip),
+  // arms its backoff timer, or finishes the op.
+  void Advance(uint32_t s);
   void HandleCompletion(const verbs::WorkCompletion& wc);
-  void OnProbeDone(uint32_t s);
-  void OnLockPeekDone(uint32_t s);
-  void OnLockCasDone(uint32_t s);
-  void OnRecheckDone(uint32_t s);
-  void OnUnlockDone(uint32_t s);
-  void OnScanDone(uint32_t s);
   void OnRetryTimer(uint32_t s);
-  void StageProbe(uint32_t s);
-  void StageProbeVerify(uint32_t s);
-  void StageLockPeek(uint32_t s);
-  void StageLockCas(uint32_t s);
-  void StageRecheck(uint32_t s);
-  void StageWrite(uint32_t s);
-  void StageUnlock(uint32_t s);
-  void StageScan(uint32_t s);
-  void RetryOp(uint32_t s, bool backoff);
-  void FinishOp(uint32_t s, bool ok, bool found = true);
+  void FinishOp(uint32_t s);
 
   // rtrace stage accounting: charges [tr_cursor, now] to `stage` and
   // advances the cursor; ChargeWireStages subdivides the interval by the
@@ -228,15 +199,13 @@ class LoadEngine {
                         sim::Nanos now);
 
   // Helpers.
-  [[nodiscard]] uint64_t SlotOffset(uint64_t slot) const noexcept;
   [[nodiscard]] uint32_t ServerIndexOf(uint64_t slot);
-  [[nodiscard]] std::byte* Scratch(uint32_t s) noexcept;
   [[nodiscard]] uint64_t Cookie(uint32_t s) const noexcept;
-  [[nodiscard]] verbs::SendWr ReadWr(const core::RemoteSpan& span,
-                                     std::byte* dst, uint32_t len,
-                                     uint64_t cookie, bool signaled);
-  // Splits [offset, offset+length) at slab boundaries into pieces_.
-  Status CollectPieces(uint64_t offset, uint64_t length, std::byte* local);
+  // Splits `io` at slab boundaries and appends its pieces to pieces_.
+  Status CollectPieces(const kv::SlotIo& io, uint32_t index);
+  void StagePiece(uint32_t s, const kv::SlotIo& io, const Piece& p,
+                  uint64_t cookie, bool signaled);
+  // Draws the op type and key, and starts the session's SlotOp.
   void DrawKey(uint32_t s);
   [[nodiscard]] size_t Moderation() const noexcept;
   void ResolveObs();
@@ -248,7 +217,8 @@ class LoadEngine {
   const uint32_t engine_count_;
 
   core::MappedRegion* region_ = nullptr;
-  kv::KvOptions geometry_;  // from the table header
+  kv::TableGeometry geometry_;  // from the table header
+  kv::SlotOp::Policy retry_policy_;
   SessionMux mux_;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<ZipfGenerator> zipf_;
@@ -259,12 +229,11 @@ class LoadEngine {
   TimerHeap retries_;
   std::vector<Piece> pieces_;  // CollectPieces scratch
 
-  // One registered scratch arena, carved into per-session strides.
+  // One registered scratch arena, carved into per-session SlotOp
+  // scratch strides.
   std::vector<std::byte> arena_;
   verbs::ProtectionDomain* pd_ = nullptr;
   verbs::MemoryRegion* arena_mr_ = nullptr;
-  size_t stride_ = 0;
-  size_t read_area_ = 0;  // bytes of the slot/scan read area in a stride
 
   // server_node -> dense server index (admission + mux addressing).
   std::vector<uint32_t> server_nodes_;

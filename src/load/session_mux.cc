@@ -30,7 +30,7 @@ Status SessionMux::Connect(std::span<const uint32_t> server_nodes,
   return Status::Ok();
 }
 
-void SessionMux::Stage(uint32_t server_idx, uint32_t session, Lane lane,
+void SessionMux::Stage(uint32_t server_idx, uint32_t session, kv::Lane lane,
                        const verbs::SendWr& wr) {
   const uint32_t qi = QpIndexFor(server_idx, session);
   LaneQueue& q = staging_.at(qi)[static_cast<uint32_t>(lane)];
@@ -49,12 +49,12 @@ Result<size_t> SessionMux::Flush() {
   // unblock every contending writer), then data IO, then speculative
   // probes. A session never has WRs in two lanes in the same round (one
   // step in flight per session), so this never reorders a session's ops.
-  static constexpr Lane kLaneOrder[kLanes] = {Lane::kSyncCell, Lane::kPlain,
-                                              Lane::kSpeculative};
+  static constexpr kv::Lane kLaneOrder[kv::kLanes] = {
+      kv::Lane::kSyncCell, kv::Lane::kPlain, kv::Lane::kSpeculative};
   for (size_t qi = 0; qi < qps_.size(); ++qi) {
     verbs::QueuePair* qp = qps_[qi];
     size_t headroom = qp->send_headroom();
-    for (const Lane lane : kLaneOrder) {
+    for (const kv::Lane lane : kLaneOrder) {
       LaneQueue& q = staging_[qi][static_cast<uint32_t>(lane)];
       const size_t avail = q.wrs.size() - q.head;
       if (avail == 0) {
@@ -74,20 +74,9 @@ Result<size_t> SessionMux::Flush() {
       }
       q.wrs[q.head + n - 1].next = nullptr;
       Status posted;
-      switch (lane) {
-        case Lane::kSpeculative: {
-          check::SpeculativeScope scope(checker);
-          posted = qp->PostSend(q.wrs[q.head]);
-          break;
-        }
-        case Lane::kSyncCell: {
-          check::SyncCellScope scope(checker);
-          posted = qp->PostSend(q.wrs[q.head]);
-          break;
-        }
-        case Lane::kPlain:
-          posted = qp->PostSend(q.wrs[q.head]);
-          break;
+      {
+        kv::LaneScope scope(checker, lane);
+        posted = qp->PostSend(q.wrs[q.head]);
       }
       // Chain pointers reference the staging vector; sever them before it
       // can grow again.

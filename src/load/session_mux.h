@@ -20,11 +20,12 @@
 //     round processed, the wider the chains this flush posts, so the
 //     per-WR doorbell cost amortizes exactly when load rises.
 //
-// Lanes exist for the happens-before checker: a doorbell chain is posted
-// under one rcheck scope, so WRs with different race semantics —
-// speculative seqlock reads, plain data IO, the 8-byte seqlock release
-// — must ride separate chains. Three lanes per QP, flushed in fixed
-// order, keep one PostSend per (QP, lane) per round.
+// Lanes (kv::Lane, chosen by the slot protocol in kv/slot_op.h) exist
+// for the happens-before checker: a doorbell chain is posted under one
+// rcheck scope, so WRs with different race semantics — speculative
+// seqlock reads, plain data IO, the 8-byte seqlock release — must ride
+// separate chains. Three lanes per QP, flushed in fixed order, keep one
+// PostSend per (QP, lane) per round.
 //
 // Completion demux is the caller's: wr_id is caller-owned (the engine
 // encodes session/generation cookies in it); the mux only moves
@@ -38,17 +39,10 @@
 
 #include "common/stats.h"
 #include "common/status.h"
+#include "kv/slot_op.h"
 #include "verbs/verbs.h"
 
 namespace rstore::load {
-
-// Which rcheck scope a staged WR posts under.
-enum class Lane : uint8_t {
-  kSpeculative = 0,  // seqlock-validated reads (racy by design)
-  kPlain = 1,        // data IO + atomics (protected by the seqlock)
-  kSyncCell = 2,     // the 8-byte seqlock release write
-};
-inline constexpr uint32_t kLanes = 3;
 
 struct MuxStats {
   uint64_t wrs_posted = 0;
@@ -79,7 +73,7 @@ class SessionMux {
   }
 
   // Copies `wr` (chain pointer must be unset) into the staging queue.
-  void Stage(uint32_t server_idx, uint32_t session, Lane lane,
+  void Stage(uint32_t server_idx, uint32_t session, kv::Lane lane,
              const verbs::SendWr& wr);
 
   // Posts staged WRs as doorbell chains, up to each QP's send-queue
@@ -109,7 +103,7 @@ class SessionMux {
   verbs::CompletionQueue* cq_ = nullptr;
   uint32_t qp_per_server_ = 1;
   std::vector<verbs::QueuePair*> qps_;  // [server_idx * qp_per_server + i]
-  std::vector<std::array<LaneQueue, kLanes>> staging_;  // per QP
+  std::vector<std::array<LaneQueue, kv::kLanes>> staging_;  // per QP
   size_t staged_total_ = 0;
   MuxStats stats_;
 };

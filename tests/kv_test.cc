@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "kv/kv.h"
+#include "sim/simulation.h"
 
 namespace rstore::kv {
 namespace {
@@ -244,6 +247,84 @@ TEST(KvTest, ConcurrentWritersOnTheSameKeyConverge) {
   }
   cluster.sim().Run();
   EXPECT_EQ(done, static_cast<int>(kClients));
+}
+
+// A second client's op on a key whose seqlock another client holds must
+// wait for the release, not skip past the slot. Client 0 puts "k" = "a",
+// takes k's seqlock with a raw CAS (2 -> 3), holds it for 2 ms of
+// virtual time and releases it by writing 4. `contender` runs on client
+// 1 as soon as the lock is held; client 1 then waits for the release and
+// runs `after`.
+void WhileSlotLocked(const std::function<void(KvStore&)>& contender,
+                     const std::function<void(KvStore&)>& after) {
+  TestCluster cluster(KvCluster(2));
+  int done = 0;
+  cluster.SpawnClient(0, [&](RStoreClient& client) {
+    auto kv = KvStore::Create(client, "table");
+    ASSERT_TRUE(kv.ok()) << kv.status();
+    ASSERT_TRUE(client.NotifyInc("ready").ok());
+    ASSERT_TRUE(client.WaitNotify("opened", 1).ok());
+    ASSERT_TRUE((*kv)->Put("k", "a").ok());
+    const KvOptions& geo = (*kv)->options();
+    const uint64_t version_at =
+        SlotLayout::SlotOffset(SlotLayout::HomeSlot("k", geo.buckets),
+                               geo.slot_bytes) +
+        SlotLayout::kVersionOff;
+    auto mapped = client.Rmap("table");
+    ASSERT_TRUE(mapped.ok());
+    core::MappedRegion& region = **mapped;
+    auto old = region.CompareSwap(version_at, 2, 3);
+    ASSERT_TRUE(old.ok()) << old.status();
+    ASSERT_EQ(*old, 2u);
+    ASSERT_TRUE(client.NotifyInc("locked").ok());
+    sim::Sleep(sim::Millis(2));
+    auto word = client.AllocBuffer(8);
+    ASSERT_TRUE(word.ok());
+    const uint64_t released = 4;
+    std::memcpy(word->begin(), &released, 8);
+    {
+      check::SyncCellScope sync(client.device().network().sim().checker());
+      ASSERT_TRUE(region.Write(version_at, word->data).ok());
+    }
+    ASSERT_TRUE(client.NotifyInc("released").ok());
+    ++done;
+  });
+  cluster.SpawnClient(1, [&](RStoreClient& client) {
+    ASSERT_TRUE(client.WaitNotify("ready", 1).ok());
+    auto kv = KvStore::Open(client, "table");
+    ASSERT_TRUE(kv.ok()) << kv.status();
+    ASSERT_TRUE(client.NotifyInc("opened").ok());
+    ASSERT_TRUE(client.WaitNotify("locked", 1).ok());
+    contender(**kv);
+    ASSERT_TRUE(client.WaitNotify("released", 1).ok());
+    after(**kv);
+    ++done;
+  });
+  cluster.sim().Run();
+  EXPECT_EQ(done, 2);
+}
+
+TEST(KvTest, PutOnALockedSlotOverwritesTheKeyInPlace) {
+  WhileSlotLocked(
+      [](KvStore& kv) { ASSERT_TRUE(kv.Put("k", "b").ok()); },
+      [](KvStore& kv) {
+        EXPECT_EQ(Str(*kv.Get("k")), "b");
+        ASSERT_TRUE(kv.Delete("k").ok());
+        // A Put that skipped the locked slot would have written a second
+        // "k" behind it, which the Delete leaves visible.
+        EXPECT_EQ(kv.Get("k").code(), ErrorCode::kNotFound);
+      });
+}
+
+TEST(KvTest, DeleteOnALockedSlotWaitsAndDeletes) {
+  WhileSlotLocked(
+      [](KvStore& kv) {
+        const Status st = kv.Delete("k");
+        EXPECT_TRUE(st.ok()) << st;
+      },
+      [](KvStore& kv) {
+        EXPECT_EQ(kv.Get("k").code(), ErrorCode::kNotFound);
+      });
 }
 
 // Model-based sweep against std::map.
