@@ -60,6 +60,7 @@ std::string_view ToString(ViolationType t) noexcept {
     case ViolationType::kUseAfterUnmap: return "use-after-unmap";
     case ViolationType::kGrowRace: return "grow-race";
     case ViolationType::kCacheMode: return "cache-mode";
+    case ViolationType::kPostedBufferStore: return "posted-buffer-store";
   }
   return "unknown";
 }
@@ -467,6 +468,34 @@ void Checker::OnObserve(uint32_t ref, uint32_t node, bool recv_side,
     for (uint32_t r : op.records) records_[r].stamp = stamp;
   }
   if (++op.seen >= op.expected) pending_.erase(it);
+}
+
+void Checker::OnPostedBufferChanged(uint32_t ref, uint32_t owner,
+                                    uint64_t lo, uint64_t hi,
+                                    uint64_t armed_vtime) {
+  Violation v;
+  v.type = ViolationType::kPostedBufferStore;
+  v.target_node = owner;
+  FillRegionInfo(&v, owner, lo, hi);
+  v.a.node = owner;
+  if (auto it = pending_.find(ref); it != pending_.end()) {
+    v.a = MakeOpEndpoint(it->second, lo, hi, AccessKind::kRead);
+    v.a.remote = it->second.initiator != owner;
+  }
+  v.a.vtime = armed_vtime;
+  v.a.lo = lo;
+  v.a.hi = hi;
+  v.b.node = owner;
+  v.b.vtime = NowVirtual();
+  v.b.lo = lo;
+  v.b.hi = hi;
+  v.b.kind = AccessKind::kWrite;
+  v.b.label = "cpu store";
+  v.detail =
+      "bytes changed between the op's post and the NIC reading them at "
+      "transmit start; a posted buffer belongs to the NIC until the op "
+      "completes";
+  Report(std::move(v));
 }
 
 void Checker::OnDeregister(uint32_t node, uint64_t lo, uint64_t hi) {

@@ -78,6 +78,7 @@ enum class ViolationType : uint8_t {
   kUseAfterUnmap = 3,  // post through a mapping the client Runmap'd
   kGrowRace = 4,       // Rgrow while ops on the region were in flight
   kCacheMode = 5,      // remote write violating a declared cache contract
+  kPostedBufferStore = 6,  // CPU store into bytes the NIC had yet to read
 };
 
 [[nodiscard]] std::string_view ToString(ViolationType t) noexcept;
@@ -153,6 +154,14 @@ class Checker {
   // receiver's half of a SEND / write-with-imm (joins the sender's
   // post clock instead of stamping records).
   void OnObserve(uint32_t ref, uint32_t node, bool recv_side, bool ok);
+  // The NIC read a posted op's source bytes — a SEND/WRITE gather on the
+  // initiator, or a served READ's range on the target (`owner` is the
+  // node whose memory [lo, hi) is) — and they no longer hash to what they
+  // held when the op was handed to it at `armed_vtime` (doorbell or
+  // service). Verbs writes into such bytes make the NIC read them first,
+  // so only a CPU store can cause this: the buffer belonged to the NIC.
+  void OnPostedBufferChanged(uint32_t ref, uint32_t owner, uint64_t lo,
+                             uint64_t hi, uint64_t armed_vtime);
   // A memory region was deregistered; any un-settled op still scattering
   // or gathering through [lo, hi) on `node` is a use-after-deregister.
   void OnDeregister(uint32_t node, uint64_t lo, uint64_t hi);

@@ -92,6 +92,7 @@ Fabric::Message* Fabric::AcquireMessage() {
 void Fabric::ReleaseMessage(Message* msg) {
   msg->on_delivered.Reset();
   msg->on_dropped.Reset();
+  msg->on_tx_start.Reset();
   pools_[sim_.CurrentPartitionIndex()].free.push_back(msg);
 }
 
@@ -129,7 +130,8 @@ uint64_t Fabric::messages_out(uint32_t node) const {
 }
 
 void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
-                  FabricFn on_delivered, FabricFn on_dropped) {
+                  FabricFn on_delivered, FabricFn on_dropped,
+                  TxStartFn on_tx_start) {
   const Nanos now = sim_.NowNanos();
 
   const bool path_up = LinkUp(src, dst) && sim_.node(src).alive() &&
@@ -157,6 +159,7 @@ void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
     // Node-local loopback: bypasses the port model entirely.
     sp.bytes_in += payload_bytes;
     if (sp.obs_bytes_in != nullptr) sp.obs_bytes_in->Inc(payload_bytes);
+    if (on_tx_start) on_tx_start();
     sim_.At(now + config_.loopback_latency, std::move(on_delivered));
     return;
   }
@@ -172,6 +175,7 @@ void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
   msg->service_time = std::max(wire_time, config_.per_message_gap);
   msg->on_delivered = std::move(on_delivered);
   msg->on_dropped = std::move(on_dropped);
+  msg->on_tx_start = std::move(on_tx_start);
   msg->sent_at = now;
   msg->tx_start = now;
 
@@ -242,6 +246,10 @@ void Fabric::PumpEgress(uint32_t node) {
   p.rr_cursor = dst;
   p.egress_free_at = now + msg->service_time;
   msg->tx_start = now;
+  if (msg->on_tx_start) {
+    msg->on_tx_start();
+    msg->on_tx_start.Reset();
+  }
   if (p.obs_rr_rounds != nullptr && p.obs_owner == sim_.telemetry()) {
     p.obs_rr_rounds->Inc();
     p.obs_queue_ns->Inc(static_cast<uint64_t>(now - msg->sent_at));

@@ -46,6 +46,9 @@ namespace rstore::sim {
 // scalars — including the RC ack's wire-stamp record — without heap
 // allocation.
 using FabricFn = common::SmallFn<void(), 64>;
+// Transmit-start callback (see Fabric::Send): the verbs layer's
+// {network, wire-op} pair, kept small because every message carries one.
+using TxStartFn = common::SmallFn<void(), 16>;
 
 // Stamps of the message whose on_delivered callback is currently running
 // (see Fabric::CurrentDelivery). Pure observation for tracing layers:
@@ -86,8 +89,14 @@ class Fabric {
   // Models one message. `on_delivered` runs in scheduler context at the
   // delivery instant; `on_dropped` (optional) runs if the path is down or
   // the destination is dead. Exactly one of the two callbacks fires.
+  // `on_tx_start` (optional) runs on the source's partition at the instant
+  // the message starts transmitting — its egress service start, or the
+  // Send call itself for loopback — and so before either of the others.
+  // It never runs for a message dropped at Send. The verbs layer reads a
+  // payload out of memory there, as a NIC DMA-reads it as it transmits.
   void Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
-            FabricFn on_delivered, FabricFn on_dropped = {});
+            FabricFn on_delivered, FabricFn on_dropped = {},
+            TxStartFn on_tx_start = {});
 
   // Partitions (or heals) the bidirectional link between a and b.
   void SetLinkDown(uint32_t a, uint32_t b, bool down);
@@ -125,6 +134,7 @@ class Fabric {
     Nanos service_time;  // max(wire_time, per_message_gap)
     FabricFn on_delivered;
     FabricFn on_dropped;
+    TxStartFn on_tx_start;
     Nanos sent_at;
     Nanos tx_start;   // egress transmission start (set by PumpEgress)
     Nanos first_bit;  // arrival of the first bit at dst

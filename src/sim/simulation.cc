@@ -897,6 +897,9 @@ Nanos Simulation::NowNanos() const noexcept {
 }
 
 uint32_t Simulation::CurrentPartitionIndex() const noexcept {
+  // One partition (the one-queue layout): skip the thread-local lookups
+  // of the per-op pool paths.
+  if (partitions_.size() == 1) return 0;
   const Partition* p = CurrentPartition();
   return p != nullptr ? p->index : 0;
 }
@@ -920,6 +923,10 @@ uint64_t Simulation::thread_slices() const noexcept {
 
 void Simulation::AtRunStart(std::function<void()> hook) {
   prepare_hooks_.push_back(std::move(hook));
+}
+
+void Simulation::AtNodeKilled(std::function<void(uint32_t node)> hook) {
+  kill_hooks_.push_back(std::move(hook));
 }
 
 void Simulation::AtEpochBarrier(std::function<void()> hook) {
@@ -1305,12 +1312,14 @@ void Simulation::KillNode(uint32_t id) {
     PostToNode(id, cur->now, [this, &node] {
       if (!node.alive()) return;
       node.alive_.store(false, std::memory_order_relaxed);
+      for (auto& hook : kill_hooks_) hook(node.id());
       SweepKilledThreads(node);
     });
     return;
   }
   if (!node.alive()) return;
   node.alive_.store(false, std::memory_order_relaxed);
+  for (auto& hook : kill_hooks_) hook(id);
   // Sweep at the current instant: wake every still-blocked thread so it
   // unwinds. Gens are read at fire time, so threads that ran in between
   // are still caught (their next Block() throws on the alive_ check).

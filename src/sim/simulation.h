@@ -344,6 +344,11 @@ class Simulation {
   // per-partition pools and pre-resolve telemetry instruments so the
   // parallel phase never mutates shared tables.
   void AtRunStart(std::function<void()> hook);
+  // Registers a hook run when KillNode takes a node down, on that node's
+  // partition, before its threads unwind (and so before anything they
+  // own is freed). Must not schedule events. The verbs layer reads every
+  // payload the dead node's NIC still owed the wire out of its memory.
+  void AtNodeKilled(std::function<void(uint32_t node)> hook);
   // Registers a hook run on the driver thread at every epoch boundary
   // (all partitions quiescent). Used to publish cross-partition snapshot
   // state (e.g. the master's live-server count) with epoch granularity —
@@ -535,6 +540,7 @@ class Simulation {
   std::vector<uint32_t> merge_dirty_;
   std::vector<std::function<void()>> prepare_hooks_;
   std::vector<std::function<void()>> barrier_hooks_;
+  std::vector<std::function<void(uint32_t)>> kill_hooks_;
   // Livelock guard: a policy that keeps favouring a Yield-spinning lane
   // could pin virtual time forever. After this many consecutive
   // same-instant tie-break consultations the scheduler falls back to the

@@ -1,11 +1,13 @@
 #include "verbs/verbs.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
 #include "check/check.h"
 #include "common/log.h"
+#include "common/rng.h"
 #include "explore/policy.h"
 #include "obs/trace.h"
 
@@ -234,6 +236,10 @@ Status ProtectionDomain::DeregisterMemory(MemoryRegion* mr) {
         ck->OnDeregister(dev.node_id(), it->second->remote_addr(),
                          it->second->remote_addr() + it->second->length());
       }
+      // The app may free the memory next: the NIC reads what it still
+      // owes the wire from it first.
+      dev.network().ReadPendingOverlaps(dev, it->second->remote_addr(),
+                                        it->second->length());
       dev.mrs_by_rkey_.erase(it->second->rkey());
       dev.mrs_by_lkey_.erase(it);
       return Status::Ok();
@@ -392,6 +398,44 @@ uint32_t CheckPost(check::Checker& ck, const SendWr& wr, uint32_t initiator,
   return ck.OnPost(initiator, target, cls, remote_lo, remote_hi, sges.data(),
                    n, expected);
 }
+
+// Calls fn(addr, len) for each non-empty source range of the op's
+// payload, in payload order: the contiguous target range of a READ, the
+// gather SGEs of anything else.
+template <typename Fn>
+void ForEachSource(const SendWr& wr, Fn fn) {
+  if (wr.opcode == Opcode::kRdmaRead) {
+    fn(reinterpret_cast<const std::byte*>(wr.remote_addr),
+       wr.total_length());
+    return;
+  }
+  for (uint32_t i = 0; i < wr.num_sge; ++i) {
+    const Sge& g = wr.sge(i);
+    if (g.length > 0) fn(static_cast<const std::byte*>(g.addr), g.length);
+  }
+}
+
+// Hash of the op's payload bytes: read from its source ranges, or from
+// `block` (the same bytes, contiguous) when given. Both walk the ranges
+// so the two agree byte for byte.
+uint64_t HashPayload(const SendWr& wr, const std::byte* block) {
+  uint64_t h = 0;
+  ForEachSource(wr, [&](const std::byte* p, uint64_t len) {
+    const std::byte* bytes = block != nullptr ? block : p;
+    h = h * 0x100000001b3ULL ^
+        StableHash64({reinterpret_cast<const char*>(bytes), len});
+    if (block != nullptr) block += len;
+  });
+  return h;
+}
+
+bool StartsBefore(const PendingSnapshot& e, uint64_t lo) { return e.lo < lo; }
+bool StartsAfter(uint64_t lo, const PendingSnapshot& e) { return lo < e.lo; }
+
+std::span<const std::byte> PayloadOf(const WireOp& op) {
+  if (op.payload == nullptr) return {};
+  return {op.payload->bytes.get(), op.wr.total_length()};
+}
 }  // namespace
 
 Status QueuePair::PostSend(const SendWr& wr) {
@@ -498,11 +542,13 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
     const SendWr& wr = sq_[idx].wr;
 
     uint64_t request_bytes = 0;
+    bool gathers = false;  // the request carries a payload
     switch (wr.opcode) {
       case Opcode::kSend:
       case Opcode::kRdmaWrite:
       case Opcode::kRdmaWriteWithImm:
         request_bytes = wr.total_length();
+        gathers = request_bytes > 0;
         break;
       case Opcode::kRdmaRead:
         request_bytes = kReadRequestBytes;
@@ -521,33 +567,6 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
     op->dst_qp = peer_qp_num_;
     op->stamps = WireStamps{};
     op->stamps.posted = net.sim().NowNanos();
-    {
-      // Bounce buffer: snapshot the outgoing data at doorbell time — the
-      // target then never reads the initiator's memory. Matches HCA
-      // semantics: the NIC reads the source buffers when it processes the
-      // descriptor. In the per-node layout this is also what keeps the
-      // target off memory another partition may be mutating; it runs in
-      // the one-queue layout too so both layouts sample racing buffers at
-      // the identical virtual instant (layout-invariant timelines need
-      // identical data, not just identical event times).
-      switch (wr.opcode) {
-        case Opcode::kSend:
-        case Opcode::kRdmaWrite:
-        case Opcode::kRdmaWriteWithImm:
-          op->payload.reserve(wr.total_length());
-          for (uint32_t s = 0; s < wr.num_sge; ++s) {
-            const Sge& g = wr.sge(s);
-            if (g.length > 0) {
-              op->payload.insert(op->payload.end(), g.addr,
-                                 g.addr + g.length);
-            }
-          }
-          break;
-        default:
-          break;  // READ fills the buffer at the target; atomics are scalar
-      }
-    }
-
     net.fabric().Send(
         src, peer_node_, request_bytes,
         /*on_delivered=*/
@@ -578,7 +597,12 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
           op->initiator->CompleteSqFromWire(op->seq, WcStatus::kRetryExceeded,
                                             0, op->stamps);
           pnet->ReleaseWireOp(op);
-        });
+        },
+        /*on_tx_start=*/
+        gathers ? sim::TxStartFn([pnet, op] { pnet->TakeSnapshot(*op); })
+                : sim::TxStartFn{});
+    // Queued behind other messages: the SGEs stay the NIC's until then.
+    if (gathers && op->payload == nullptr) net.DeferSnapshot(device_, *op);
   }
 }
 
@@ -603,7 +627,7 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                       stamps = op->stamps](WcStatus st, uint32_t len) {
                        CompleteSqViaAck(*pnet, tnode, seq, st, len, stamps);
                      },
-                     /*data_already_placed=*/false, op->payload);
+                     /*data_already_placed=*/false, PayloadOf(*op));
       net.ReleaseWireOp(op);
       return;
     }
@@ -621,11 +645,12 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
         return;
       }
       if (ck != nullptr && wr.check_ref != 0) ck->OnExecute(wr.check_ref);
-      auto* dst = reinterpret_cast<std::byte*>(wr.remote_addr);
-      // The data was snapshotted into the bounce buffer at doorbell
-      // time; the initiator's memory is never read here.
-      if (!op->payload.empty()) {
-        std::memcpy(dst, op->payload.data(), op->payload.size());
+      // The data was read into the bounce block at the request's transmit
+      // start; the initiator's memory is never read here.
+      if (op->payload != nullptr) {
+        net.ReadPendingOverlaps(target, wr.remote_addr, total);
+        std::memcpy(reinterpret_cast<std::byte*>(wr.remote_addr),
+                    op->payload->bytes.get(), total);
       }
       if (wr.opcode == Opcode::kRdmaWriteWithImm) {
         Network* pnet = &net;
@@ -654,34 +679,26 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
         return;
       }
       if (ck != nullptr && wr.check_ref != 0) ck->OnExecute(wr.check_ref);
-      if (total > 0) {
-        // Snapshot the target range into the bounce buffer now (the NIC
-        // reads the MR when it serves the request); the response scatters
-        // from the buffer at delivery. Both schedulers therefore sample
-        // the target memory at the same virtual instant even when a
-        // racing write lands between request service and response
-        // delivery.
-        op->payload.resize(total);
-        std::memcpy(op->payload.data(),
-                    reinterpret_cast<const std::byte*>(wr.remote_addr), total);
-      }
-      // Response: payload travels target -> initiator; bytes are copied
-      // into the local SGEs at response delivery (initiator buffer
-      // contents are undefined until the completion, per RDMA semantics).
-      // The op carries the scatter list until then.
+      // Response: payload travels target -> initiator. The NIC reads the
+      // target range when the response starts transmitting (a WRITE or
+      // atomic landing there earlier makes it read first, so the bytes
+      // are the service-time ones); they are copied into the local SGEs
+      // at response delivery (initiator buffer contents are undefined
+      // until the completion, per RDMA semantics). The op carries the
+      // scatter list until then.
       Network* pnet = &net;
       net.fabric().Send(
           target.node_id(), device_.node_id(), total,
           [pnet, op] {
             const SendWr& w = op->wr;
             // Scatter: the contiguous remote range fills the SGEs in order.
-            const auto* src =
-                op->payload.empty()
-                    ? reinterpret_cast<const std::byte*>(w.remote_addr)
-                    : op->payload.data();
+            const std::byte* src = PayloadOf(*op).data();
+            Device& dev = op->initiator->device_;
             for (uint32_t i = 0; i < w.num_sge; ++i) {
               const Sge& s = w.sge(i);
               if (s.length > 0) {
+                pnet->ReadPendingOverlaps(
+                    dev, reinterpret_cast<uint64_t>(s.addr), s.length);
                 std::memcpy(s.addr, src, s.length);
                 src += s.length;
               }
@@ -696,7 +713,10 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                                               WcStatus::kRetryExceeded, 0,
                                               op->stamps);
             pnet->ReleaseWireOp(op);
-          });
+          },
+          total > 0 ? sim::TxStartFn([pnet, op] { pnet->TakeSnapshot(*op); })
+                    : sim::TxStartFn{});
+      if (total > 0 && op->payload == nullptr) net.DeferSnapshot(target, *op);
       return;
     }
 
@@ -715,6 +735,7 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
         return;
       }
       if (ck != nullptr && wr.check_ref != 0) ck->OnExecute(wr.check_ref);
+      net.ReadPendingOverlaps(target, wr.remote_addr, 8);
       auto* cell = reinterpret_cast<uint64_t*>(wr.remote_addr);
       const uint64_t old = *cell;
       if (wr.opcode == Opcode::kCompareSwap) {
@@ -732,6 +753,9 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       net.fabric().Send(
           target.node_id(), device_.node_id(), kAtomicResponseBytes,
           [pnet, op, old] {
+            pnet->ReadPendingOverlaps(
+                op->initiator->device_,
+                reinterpret_cast<uint64_t>(op->wr.local.addr), 8);
             std::memcpy(op->wr.local.addr, &old, 8);
             op->initiator->CompleteSq(op->seq, WcStatus::kSuccess, 8,
                                       op->stamps);
@@ -756,15 +780,16 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
 // the RNR buffer. `on_executed` reports the initiator completion.
 void QueuePair::AcceptSend(const SendWr& wr, uint32_t src_node,
                            CompletionFn on_executed, bool data_already_placed,
-                           const std::vector<std::byte>& payload) {
+                           std::span<const std::byte> payload) {
   if (rq_.empty()) {
     if (rnr_buffer_.size() >= kMaxRnrBuffered) {
       on_executed(WcStatus::kRnrRetryExceeded, 0);
       EnterError();
       return;
     }
-    rnr_buffer_.push_back(RnrEntry{wr, src_node, std::move(on_executed),
-                                   data_already_placed, payload});
+    rnr_buffer_.push_back(
+        RnrEntry{wr, src_node, std::move(on_executed), data_already_placed,
+                 std::vector<std::byte>(payload.begin(), payload.end())});
     rnr_buffer_.back().wr.next = nullptr;
     return;
   }
@@ -773,7 +798,7 @@ void QueuePair::AcceptSend(const SendWr& wr, uint32_t src_node,
 
 void QueuePair::MatchRecv(const SendWr& wr, uint32_t src_node,
                           CompletionFn& done, bool data_already_placed,
-                          const std::vector<std::byte>& payload) {
+                          std::span<const std::byte> payload) {
   RecvWr recv = rq_.front();
   rq_.pop_front();
   const auto total = static_cast<uint32_t>(wr.total_length());
@@ -789,11 +814,13 @@ void QueuePair::MatchRecv(const SendWr& wr, uint32_t src_node,
       EnterError();
       return;
     }
-    std::byte* dst = recv.local.addr;
-    // The data arrived in the doorbell-time bounce buffer; the sender's
-    // SGE memory is never read here (see IssueDoorbell).
+    // The data arrived in the op's bounce block; the sender's SGE memory
+    // is never read here (see WireOp).
     if (!payload.empty()) {
-      std::memcpy(dst, payload.data(), payload.size());
+      device_.network().ReadPendingOverlaps(
+          device_, reinterpret_cast<uint64_t>(recv.local.addr),
+          payload.size());
+      std::memcpy(recv.local.addr, payload.data(), payload.size());
     }
   }
   recv_cq_->Push(WorkCompletion{
@@ -939,6 +966,9 @@ void QueuePair::FlushAll(WcStatus status) {
 void QueuePair::EnterError() {
   if (state_ == State::kError) return;
   state_ = State::kError;
+  // Flushed WRs hand their buffers back to the app, which may free them:
+  // the NIC reads the gathers it still owes the wire first.
+  device_.network().ReadPending(device_, this);
   FlushAll(WcStatus::kWrFlushErr);
 }
 
@@ -949,11 +979,22 @@ Network::Network(sim::Simulation& sim, sim::NicConfig nic,
                  sim::CpuCostModel cpu)
     : sim_(sim), fabric_(sim, nic), cpu_(cpu) {
   op_pools_.emplace_back();
+  bounce_pools_.emplace_back();
   sim_.AtRunStart([this] { PrepareForRun(); });
+  // A dead node's threads unwind and free what they own; its NIC reads
+  // every payload it still owes the wire before that.
+  sim_.AtNodeKilled([this](uint32_t node) {
+    if (node < devices_.size() && devices_[node] != nullptr) {
+      ReadPending(*devices_[node]);
+    }
+  });
 }
 
 void Network::PrepareForRun() {
   while (op_pools_.size() < sim_.node_count() + 1) op_pools_.emplace_back();
+  while (bounce_pools_.size() < sim_.node_count() + 1) {
+    bounce_pools_.emplace_back();
+  }
 }
 
 Device& Network::AddDevice(sim::Node& node) {
@@ -983,8 +1024,161 @@ WireOp* Network::AcquireWireOp() {
 }
 
 void Network::ReleaseWireOp(WireOp* op) {
-  op->payload.clear();  // keep capacity for reuse
-  op_pools_[sim_.CurrentPartitionIndex()].free.push_back(op);
+  // A message dropped before it transmitted leaves its ranges indexed.
+  if (op->snap_dev != nullptr) Unindex(*op);
+  const uint32_t part = sim_.CurrentPartitionIndex();
+  if (op->payload != nullptr) {
+    ReleaseBounce(op->payload, part);
+    op->payload = nullptr;
+  }
+  op_pools_[part].free.push_back(op);
+}
+
+BounceBlock* Network::AcquireBounce(uint64_t len) {
+  const uint32_t home = sim_.CurrentPartitionIndex();
+  BouncePool& pool = bounce_pools_[home];
+  const auto cls = static_cast<uint32_t>(
+      std::bit_width(len > 0 ? (len - 1) / BounceBlock::kMinBytes : 0));
+  std::vector<BounceBlock*>& free = pool.free[cls];
+  if (free.empty()) {
+    std::lock_guard<std::mutex> lock(pool.remote_mu);
+    for (BounceBlock* b : pool.remote_free) {
+      pool.free[b->size_class].push_back(b);
+    }
+    pool.remote_free.clear();
+  }
+  if (!free.empty()) {
+    BounceBlock* b = free.back();
+    free.pop_back();
+    return b;
+  }
+  const uint64_t cap = BounceBlock::kMinBytes << cls;
+  BounceBlock& b = pool.arena.emplace_back();
+  b.bytes.reset(new std::byte[cap]);
+  b.size_class = cls;
+  b.home = home;
+  pool.bytes += cap;
+  return &b;
+}
+
+void Network::ReleaseBounce(BounceBlock* block, uint32_t part) {
+  BouncePool& pool = bounce_pools_[block->home];
+  if (block->home == part) {
+    pool.free[block->size_class].push_back(block);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(pool.remote_mu);
+  pool.remote_free.push_back(block);
+}
+
+uint64_t Network::bounce_pool_bytes() const noexcept {
+  uint64_t n = 0;
+  for (const BouncePool& p : bounce_pools_) n += p.bytes;
+  return n;
+}
+
+size_t Network::bounce_blocks_in_use() const noexcept {
+  size_t n = 0;
+  for (const BouncePool& p : bounce_pools_) {
+    n += p.arena.size() - p.remote_free.size();
+    for (const auto& f : p.free) n -= f.size();
+  }
+  return n;
+}
+
+void Network::TakeSnapshot(WireOp& op) {
+  if (op.payload != nullptr) return;
+  const SendWr& wr = op.wr;
+  op.payload = AcquireBounce(wr.total_length());
+  std::byte* dst = op.payload->bytes.get();
+  ForEachSource(wr, [&](const std::byte* p, uint64_t len) {
+    std::memcpy(dst, p, len);
+    dst += len;
+  });
+  Device* dev = op.snap_dev;
+  if (dev == nullptr) return;  // read at once: nothing was pending
+  const bool hashed = op.snap_hashed;
+  Unindex(op);
+  check::Checker* ck = sim_.checker();
+  if (!hashed || ck == nullptr ||
+      HashPayload(wr, op.payload->bytes.get()) == op.snap_hash) {
+    return;
+  }
+  uint64_t lo = UINT64_MAX;
+  uint64_t hi = 0;
+  ForEachSource(wr, [&](const std::byte* p, uint64_t len) {
+    lo = std::min(lo, reinterpret_cast<uint64_t>(p));
+    hi = std::max(hi, reinterpret_cast<uint64_t>(p) + len);
+  });
+  ck->OnPostedBufferChanged(wr.check_ref, dev->node_id(), lo, hi,
+                            static_cast<uint64_t>(op.snap_armed_at));
+}
+
+void Network::Unindex(WireOp& op) {
+  std::vector<PendingSnapshot>& idx = op.snap_dev->snapshots_;
+  ForEachSource(op.wr, [&](const std::byte* p, uint64_t) {
+    // Address order only locates the entry; nothing observes it.
+    const auto lo = reinterpret_cast<uint64_t>(p);
+    auto it = std::lower_bound(idx.begin(), idx.end(), lo, StartsBefore);
+    while (it->op != &op) ++it;
+    idx.erase(it);
+  });
+  if (idx.empty()) op.snap_dev->snapshot_max_len_ = 0;
+  op.snap_dev = nullptr;
+  op.snap_hashed = false;
+}
+
+void Network::DeferSnapshot(Device& dev, WireOp& op) {
+  op.snap_dev = &dev;
+  std::vector<PendingSnapshot>& idx = dev.snapshots_;
+  ForEachSource(op.wr, [&](const std::byte* p, uint64_t len) {
+    const auto lo = reinterpret_cast<uint64_t>(p);
+    idx.insert(std::upper_bound(idx.begin(), idx.end(), lo, StartsAfter),
+               PendingSnapshot{lo, lo + len, &op});
+    dev.snapshot_max_len_ = std::max(dev.snapshot_max_len_, len);
+  });
+  if (sim_.checker() != nullptr) {
+    op.snap_hashed = true;
+    op.snap_hash = HashPayload(op.wr, nullptr);
+    op.snap_armed_at = sim_.NowNanos();
+  }
+}
+
+void Network::ReadPendingOverlaps(Device& dev, uint64_t lo, uint64_t len) {
+  const std::vector<PendingSnapshot>& idx = dev.snapshots_;
+  if (idx.empty() || len == 0) return;
+  // A range starting at or before lo - max_len ends at or before lo.
+  auto it = lo > dev.snapshot_max_len_
+                ? std::upper_bound(idx.begin(), idx.end(),
+                                   lo - dev.snapshot_max_len_, StartsAfter)
+                : idx.begin();
+  std::vector<WireOp*> hit;
+  for (; it != idx.end() && it->lo < lo + len; ++it) {
+    if (it->hi > lo) hit.push_back(it->op);
+  }
+  TakeSnapshots(hit);
+}
+
+void Network::TakeSnapshots(std::vector<WireOp*>& ops) {
+  // In post order, not address order: an rcheck report may come out of
+  // each read, and report order is part of the run's output.
+  std::sort(ops.begin(), ops.end(), [](const WireOp* a, const WireOp* b) {
+    return a->initiator != b->initiator
+               ? a->initiator->qp_num() < b->initiator->qp_num()
+               : a->seq < b->seq;
+  });
+  // TakeSnapshot unindexes, so read after the walk; repeats are no-ops.
+  for (WireOp* op : ops) TakeSnapshot(*op);
+}
+
+void Network::ReadPending(Device& dev, const QueuePair* initiator) {
+  std::vector<WireOp*> hit;
+  for (const PendingSnapshot& e : dev.snapshots_) {
+    if (initiator == nullptr || e.op->initiator == initiator) {
+      hit.push_back(e.op);
+    }
+  }
+  TakeSnapshots(hit);
 }
 
 Network::Listener::Listener(Network& net, Device& dev, uint32_t service_id,

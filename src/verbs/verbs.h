@@ -20,6 +20,9 @@
 //   * Lost messages (partition, dead peer) surface as kRetryExceeded
 //     after the fabric's drop-detection delay (RC retry budget).
 //   * A SEND with no posted RECV waits in a bounded RNR buffer.
+//   * Local buffers belong to the NIC from post to completion. It reads
+//     a SEND/WRITE's source SGEs, and a served READ's target range, when
+//     the message carrying the payload starts transmitting (see WireOp).
 //
 // Cost model: each posted work request pays CpuCostModel::verbs_post_ns
 // of initiator-side latency before entering the wire model (descriptor +
@@ -34,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -226,10 +230,38 @@ struct RecvWr {
   Sge local;
 };
 
+// Internal: a pooled buffer holding one op's payload between the NIC
+// reading it and the wire delivering it (see Network::AcquireBounce).
+struct BounceBlock {
+  std::unique_ptr<std::byte[]> bytes;
+  uint32_t size_class = 0;  // capacity is kMinBytes << size_class
+  uint32_t home = 0;        // index of the pool it returns to
+  static constexpr uint64_t kMinBytes = 64;
+};
+
+// Internal: a source range [lo, hi) of a payload the NIC has not read
+// yet, in the index of the device that owns the memory
+// (Device::snapshots_).
+struct PendingSnapshot {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  WireOp* op = nullptr;
+};
+
 // Internal: one operation in flight on the wire. Pooled by the Network so
 // fabric callbacks capture only {network, op} — two pointers, well within
 // the fabric's inline callback storage. Acquired at doorbell time,
 // released exactly once when the op's last wire event fires.
+//
+// Buffer ownership, as on an HCA: a posted SEND/WRITE's source SGEs, and
+// a served READ's target range, belong to the NIC until it reads them at
+// the transmit start of the message that carries the payload (the request
+// for SEND/WRITE, the response for READ). The bytes read are the bytes
+// the memory held at post/service time, because every verbs write into a
+// pending range, a deregistration of its MR, a flush of its QP and a kill
+// of its node make the NIC read it first. CPU stores are the one thing
+// that can change them; rcheck reports those (kPostedBufferStore). A READ
+// initiator's scatter buffers are undefined until its completion.
 struct WireOp {
   QueuePair* initiator = nullptr;
   SendWr wr;  // chain pointer cleared; SGE array owned by value
@@ -237,14 +269,19 @@ struct WireOp {
   uint32_t src_node = 0;
   uint32_t dst_node = 0;
   uint32_t dst_qp = 0;
-  // The op's data travels in this bounce buffer instead of being read
-  // through raw SGE/MR pointers at the far end, under every scheduler, so
-  // no partition ever touches another partition's memory. Gathered from
-  // the source SGEs at doorbell time (SEND/WRITE), or filled from the
-  // target MR at execute time (READ response). Capacity persists across
-  // pool reuse: every path reads it in place, and a SEND that parks in
-  // RNR copies it out.
-  std::vector<std::byte> payload;
+  // The payload, once the NIC has read it; null before that and for ops
+  // that carry none. The far end reads only this block, never SGE or MR
+  // pointers, so no partition touches another partition's memory. Freed
+  // back to its pool when the carrying message is delivered or dropped.
+  BounceBlock* payload = nullptr;
+  // While the read is pending: the device whose index holds the source
+  // ranges (one entry per non-empty range).
+  Device* snap_dev = nullptr;
+  // rcheck only: hash of the source bytes when the op was handed to the
+  // NIC, and that instant, compared when the NIC reads them.
+  bool snap_hashed = false;
+  uint64_t snap_hash = 0;
+  sim::Nanos snap_armed_at = 0;
   // Wire trip stamps accumulated as the op crosses each boundary; copied
   // onto the initiator-side WorkCompletion (via the ack / response path).
   WireStamps stamps{};
@@ -403,10 +440,10 @@ class QueuePair {
     uint32_t src_node;
     CompletionFn on_executed;
     bool data_already_placed;
-    // The parked SEND's doorbell-time data, copied out of the pooled
-    // bounce buffer (which is reused as soon as the op is released, as
-    // are the initiator's buffers once its completion fires). Empty when
-    // the data is already placed (WRITE_WITH_IMM).
+    // The parked SEND's data, copied out of the op's bounce block (which
+    // returns to its pool as soon as the op is released, as the
+    // initiator's buffers return to the app once its completion fires).
+    // Empty when the data is already placed (WRITE_WITH_IMM).
     std::vector<std::byte> payload;
   };
 
@@ -416,23 +453,27 @@ class QueuePair {
   void ConnectTo(uint32_t peer_node, uint32_t peer_qp_num);
   // Rings the doorbell for sq entries [first_seq, first_seq+count):
   // issues one fabric message per WR (scheduler context, after the post
-  // cost). Entries flushed in the interim are skipped.
+  // cost). Entries flushed in the interim are skipped. A SEND/WRITE
+  // payload is gathered at the request's transmit start (see WireOp).
   void IssueDoorbell(uint64_t first_seq, uint32_t count);
   // Target-side execution of an arriving op (scheduler context). `this`
   // is the *initiator* QP; `tqp` the target QP (only used for two-sided).
   // Takes ownership of `op` (released when its last wire event fires).
+  // A WRITE or atomic first makes the NIC read every pending payload it
+  // overlaps; a served READ's range is read at the response's transmit
+  // start.
   void ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                        WireOp* op);
   // Target side of SEND / WRITE_WITH_IMM: consume a RECV or park in RNR.
-  // `payload` is the op's doorbell-time bounce buffer (empty when the
-  // data is already placed); it is copied into the RNR entry only if the
-  // SEND parks.
+  // `payload` is the op's bounce block contents (empty when the data is
+  // already placed); it is copied into the RNR entry only if the SEND
+  // parks.
   void AcceptSend(const SendWr& wr, uint32_t src_node,
                   CompletionFn on_executed, bool data_already_placed,
-                  const std::vector<std::byte>& payload = {});
+                  std::span<const std::byte> payload = {});
   void MatchRecv(const SendWr& wr, uint32_t src_node, CompletionFn& done,
                  bool data_already_placed,
-                 const std::vector<std::byte>& payload);
+                 std::span<const std::byte> payload);
   // Initiator-side completion of sq entry `seq` (scheduler context).
   // `stamps` is the op's wire trip record (pushed is stamped here, at the
   // instant the CQE actually enters the CQ — which for entries held by
@@ -512,6 +553,12 @@ class Device {
   // when writing into it — kLocalWrite).
   [[nodiscard]] Status ValidateLocal(const Sge& sge, bool will_write);
 
+  // Source ranges in this device's memory that posted or served ops
+  // still owe the wire (see WireOp). Host-side introspection for tests.
+  [[nodiscard]] size_t pending_snapshots() const noexcept {
+    return snapshots_.size();
+  }
+
  private:
   friend class Network;
   friend class ProtectionDomain;
@@ -533,6 +580,13 @@ class Device {
   std::unordered_map<uint32_t, std::unique_ptr<MemoryRegion>> mrs_by_lkey_;
   std::unordered_map<uint32_t, MemoryRegion*> mrs_by_rkey_;
   std::unordered_map<uint32_t, std::unique_ptr<QueuePair>> qps_;
+  // Pending payload ranges sorted by start address, and the longest range
+  // added since the index was last empty: an overlap query for [lo, hi)
+  // then only visits starts in (lo - max_len, hi). A sorted vector, since
+  // a device rarely has more than a few hundred payloads queued and most
+  // wait only nanoseconds. Touched only on this device's partition.
+  std::vector<PendingSnapshot> snapshots_;
+  uint64_t snapshot_max_len_ = 0;
 };
 
 // Network: the verbs-visible cluster — one Device per node over one
@@ -597,6 +651,11 @@ class Network {
     return sim::Micros(40);
   }
 
+  // Host-side introspection of the bounce pools, for tests. Pools never
+  // shrink, so the bytes they allocated are their high-water footprint.
+  [[nodiscard]] uint64_t bounce_pool_bytes() const noexcept;
+  [[nodiscard]] size_t bounce_blocks_in_use() const noexcept;
+
  private:
   friend class QueuePair;
   friend class ProtectionDomain;
@@ -610,6 +669,33 @@ class Network {
   WireOp* AcquireWireOp();
   void ReleaseWireOp(WireOp* op);
   void PrepareForRun();
+
+  // Bounce blocks: one pool per partition index, serving every size from
+  // power-of-two classes. A block is taken from the current partition's
+  // pool and goes back to that same pool wherever it is released — a
+  // release on another partition queues it on the pool's remote list
+  // (under a mutex) for the owner to reclaim — so no pool grows by
+  // absorbing another partition's blocks.
+  // `part` is the releasing context's partition index.
+  BounceBlock* AcquireBounce(uint64_t len);
+  void ReleaseBounce(BounceBlock* block, uint32_t part);
+
+  // Payload snapshots (see WireOp). TakeSnapshot reads the op's source
+  // ranges into a bounce block now; it runs at the carrying message's
+  // transmit start and is a no-op once the block exists. DeferSnapshot
+  // indexes the ranges of an op whose message is queued behind others;
+  // Unindex drops them (read, or dropped unsent, as ReleaseWireOp does
+  // for an op released while pending). ReadPendingOverlaps makes the
+  // NIC read every pending range of `dev` that meets [lo, lo + len)
+  // before a verbs write lands there (copy-before-write); ReadPending
+  // does the same for every pending range of `dev`, or only for those of
+  // ops `initiator` posted.
+  void TakeSnapshot(WireOp& op);
+  void TakeSnapshots(std::vector<WireOp*>& ops);
+  void DeferSnapshot(Device& dev, WireOp& op);
+  void Unindex(WireOp& op);
+  void ReadPendingOverlaps(Device& dev, uint64_t lo, uint64_t len);
+  void ReadPending(Device& dev, const QueuePair* initiator = nullptr);
 
   sim::Simulation& sim_;
   sim::Fabric fabric_;
@@ -626,6 +712,15 @@ class Network {
     std::vector<WireOp*> free;
   };
   std::deque<OpPool> op_pools_;
+  struct BouncePool {
+    static constexpr size_t kClasses = 32;
+    std::deque<BounceBlock> arena;
+    std::array<std::vector<BounceBlock*>, kClasses> free;
+    uint64_t bytes = 0;  // capacity of every block in `arena`
+    std::mutex remote_mu;
+    std::vector<BounceBlock*> remote_free;
+  };
+  std::deque<BouncePool> bounce_pools_;
 };
 
 }  // namespace rstore::verbs

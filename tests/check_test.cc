@@ -1,17 +1,19 @@
 // Tests for rcheck, the happens-before race and access-lifetime checker.
 //
-// Six injected violations — one per class the checker must catch — each
+// Seven injected violations — one per class the checker must catch — each
 // asserted to be reported exactly once, plus the two meta-properties the
 // design leans on: zero probe effect (attaching the checker never moves
 // virtual time) and zero false positives on representative E4 (PageRank)
-// and E9 (KV) workloads. One more pins that annotation scopes stay with
-// the simulated thread that opened them.
+// and E9 (KV) workloads. The posted-buffer rule also gets its silent
+// and deregister-then-free cases. One more pins that annotation scopes
+// stay with the simulated thread that opened them.
 //
 // All tests attach the checker programmatically, so Shutdown() leaves
 // the verdict to the test instead of aborting the process.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -26,6 +28,7 @@
 #include "kv/kv.h"
 #include "obs/trace_check.h"
 #include "sim/simulation.h"
+#include "verbs/verbs.h"
 
 namespace rstore {
 namespace {
@@ -383,6 +386,108 @@ TEST(CheckTest, EpochCacheModeViolationReportedOnce) {
 
   EXPECT_EQ(CountType(checker, check::ViolationType::kCacheMode), 1u);
   EXPECT_EQ(checker.violations().size(), 1u);
+}
+
+// ---------------------------------------------- posted-buffer rule ----
+
+// One 4 KiB WRITE on a two-node verbs network, queued behind three 1 MiB
+// WRITEs on the same QP so its request starts transmitting ~430 us after
+// its doorbell. `touch` runs on the initiator 1 us after the post, with
+// the source bytes (0xAA), the source MR and its PD. Returns the bytes
+// the target received.
+std::vector<std::byte> RunQueuedWrite(
+    check::Checker& checker,
+    const std::function<void(std::unique_ptr<std::vector<std::byte>>&,
+                             verbs::ProtectionDomain&, verbs::MemoryRegion*)>&
+        touch) {
+  constexpr uint32_t kBacklog = 1 << 20;
+  constexpr uint32_t kLen = 4096;
+  sim::Simulation sim;
+  sim.AttachChecker(&checker);
+  verbs::Network net(sim);
+  sim::Node& client = sim.AddNode("client");
+  sim::Node& server = sim.AddNode("server");
+  verbs::Device& cdev = net.AddDevice(client);
+  verbs::Device& sdev = net.AddDevice(server);
+  std::vector<std::byte> remote(kBacklog + kLen);
+  auto rmr = sdev.CreatePd().RegisterMemory(remote.data(), remote.size(),
+                                            verbs::kRemoteWrite);
+  EXPECT_TRUE(rmr.ok());
+  net.Listen(sdev, 1);
+  server.Spawn("server", [&] { (void)net.Listen(sdev, 1).Accept(); });
+  client.Spawn("client", [&] {
+    auto qp = net.Connect(cdev, server.id(), 1);
+    ASSERT_TRUE(qp.ok());
+    verbs::ProtectionDomain& pd = cdev.CreatePd();
+    std::vector<std::byte> backlog(kBacklog);
+    auto src = std::make_unique<std::vector<std::byte>>(kLen, std::byte{0xAA});
+    auto bmr = pd.RegisterMemory(backlog.data(), backlog.size(), 0);
+    auto smr = pd.RegisterMemory(src->data(), src->size(), 0);
+    ASSERT_TRUE(bmr.ok() && smr.ok());
+    for (uint64_t i = 0; i < 4; ++i) {
+      const bool last = i == 3;
+      ASSERT_TRUE(
+          (*qp)->PostSend(verbs::SendWr{
+                       .wr_id = i,
+                       .opcode = verbs::Opcode::kRdmaWrite,
+                       .local = {last ? src->data() : backlog.data(),
+                                 last ? kLen : kBacklog,
+                                 last ? (*smr)->lkey() : (*bmr)->lkey()},
+                       .remote_addr =
+                           (*rmr)->remote_addr() + (last ? kBacklog : 0),
+                       .rkey = (*rmr)->rkey()})
+              .ok());
+    }
+    sim::Sleep(sim::Micros(1));
+    touch(src, pd, *smr);
+    for (int i = 0; i < 4; ++i) {
+      auto wc = (*qp)->send_cq().WaitOne();
+      ASSERT_TRUE(wc.ok() && wc->ok());
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(sdev.pending_snapshots() + cdev.pending_snapshots(), 0u);
+  return {remote.begin() + kBacklog, remote.end()};
+}
+
+// A posted buffer belongs to the NIC until it reads it. Rewriting the
+// source of a WRITE still waiting to transmit is reported, and (this is
+// a check, not a repair) the new bytes are the ones that move.
+TEST(CheckTest, StoreIntoQueuedWriteSourceReportedOnce) {
+  check::Checker checker;
+  const auto landed = RunQueuedWrite(
+      checker, [](auto& src, verbs::ProtectionDomain&, verbs::MemoryRegion*) {
+        std::memset(src->data(), 0xBB, src->size());
+      });
+  EXPECT_EQ(landed, std::vector<std::byte>(4096, std::byte{0xBB}));
+  EXPECT_EQ(CountType(checker, check::ViolationType::kPostedBufferStore),
+            1u);
+  EXPECT_EQ(checker.violations().size(), 1u);
+}
+
+TEST(CheckTest, UntouchedQueuedWriteReportsNothing) {
+  check::Checker checker;
+  const auto landed = RunQueuedWrite(
+      checker, [](auto&, verbs::ProtectionDomain&, verbs::MemoryRegion*) {});
+  EXPECT_EQ(landed, std::vector<std::byte>(4096, std::byte{0xAA}));
+  EXPECT_TRUE(checker.violations().empty());
+}
+
+// Deregistering the source MR makes the NIC read it first, so freeing the
+// memory right after is safe (under ASan too) and the post-time bytes
+// move. Deregistering under an in-flight WR is still its own violation.
+TEST(CheckTest, DeregisterAndFreeQueuedWriteSourceMovesPostedBytes) {
+  check::Checker checker;
+  const auto landed = RunQueuedWrite(
+      checker,
+      [](auto& src, verbs::ProtectionDomain& pd, verbs::MemoryRegion* mr) {
+        ASSERT_TRUE(pd.DeregisterMemory(mr).ok());
+        src.reset();
+      });
+  EXPECT_EQ(landed, std::vector<std::byte>(4096, std::byte{0xAA}));
+  EXPECT_EQ(CountType(checker, check::ViolationType::kPostedBufferStore),
+            0u);
+  EXPECT_EQ(CountType(checker, check::ViolationType::kUseAfterDereg), 1u);
 }
 
 // ------------------------------------------------- annotation scopes ----

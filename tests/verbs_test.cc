@@ -25,7 +25,8 @@ class VerbsFixture : public ::testing::Test {
  protected:
   static constexpr uint32_t kService = 7;
 
-  VerbsFixture() : net(sim) {
+  explicit VerbsFixture(sim::SimConfig config = {})
+      : sim(config), net(sim) {
     client_node = &sim.AddNode("client");
     server_node = &sim.AddNode("server");
     client_dev = &net.AddDevice(*client_node);
@@ -51,6 +52,28 @@ class VerbsFixture : public ::testing::Test {
       client_fn(**qp);
     });
     server_fn_ = std::move(server_fn);
+    sim.Run();
+  }
+
+  // Like RunPair with `n` client QPs to the same server, which only
+  // accepts them.
+  void RunQps(size_t n, std::function<void(std::vector<QueuePair*>&)> fn) {
+    net.Listen(*server_dev, kService);
+    server_node->Spawn("server", [this, n] {
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(net.Listen(*server_dev, kService).Accept().ok());
+      }
+    });
+    client_node->Spawn("client", [this, n, fn] {
+      std::vector<QueuePair*> qps;
+      qps.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        auto qp = net.Connect(*client_dev, server_node->id(), kService);
+        ASSERT_TRUE(qp.ok()) << qp.status();
+        qps.push_back(*qp);
+      }
+      fn(qps);
+    });
     sim.Run();
   }
 
@@ -855,6 +878,240 @@ TEST_F(VerbsFixture, WaitOneTimesOutOnSilence) {
     auto wc = qp.send_cq().WaitOne(Millis(2));
     EXPECT_EQ(wc.code(), ErrorCode::kTimedOut);
   });
+}
+
+// ------------------------------------------------ NIC buffer ownership --
+// The NIC reads a payload when the message carrying it starts
+// transmitting, so every test here queues the op under test behind a
+// backlog of 1 MiB messages on the same egress port.
+
+uint64_t Cell(const std::vector<std::byte>& mem, size_t off) {
+  uint64_t v = 0;
+  std::memcpy(&v, mem.data() + off, 8);
+  return v;
+}
+
+// A READ returns the bytes its target held when it was served, although
+// its response waits behind four 1 MiB responses: a WRITE and FetchAdds
+// that land in its range from a second QP before it transmits make the
+// NIC read the range first (READ A is read before the WRITE, READ B
+// before its FetchAdd), and each FetchAdd returns the pre-value.
+TEST_F(VerbsFixture, QueuedReadReturnsServiceTimeBytesDespiteWriteAndAtomic) {
+  constexpr uint32_t kMiB = 1 << 20;
+  constexpr uint32_t kRange = 64 << 10;
+  constexpr uint64_t kA = kMiB;           // READ A's range
+  constexpr uint64_t kB = kMiB + kRange;  // READ B's range
+  std::vector<std::byte> remote, dst, src, result;
+  MemoryRegion* rem_mr =
+      Register(server_dev, remote, kMiB + 2 * kRange,
+               kLocalWrite | kRemoteRead | kRemoteWrite | kRemoteAtomic);
+  for (size_t i = 0; i < remote.size(); ++i) remote[i] = std::byte(i % 251);
+  const std::vector<std::byte> served = remote;
+  RunQps(2, [&](std::vector<QueuePair*>& qps) {
+    QueuePair& reader = *qps[0];
+    QueuePair& writer = *qps[1];
+    MemoryRegion* dst_mr = Register(client_dev, dst, 4 * kMiB + 2 * kRange,
+                                    kLocalWrite);
+    MemoryRegion* src_mr = Register(client_dev, src, 4096, kLocalWrite);
+    MemoryRegion* res_mr = Register(client_dev, result, 16, kLocalWrite);
+    std::memset(src.data(), 0xEE, src.size());
+    auto read = [&](uint64_t id, uint64_t off, uint32_t len, size_t at) {
+      ASSERT_TRUE(reader
+                      .PostSend(SendWr{
+                          .wr_id = id,
+                          .opcode = Opcode::kRdmaRead,
+                          .local = {dst.data() + at, len, dst_mr->lkey()},
+                          .remote_addr = rem_mr->remote_addr() + off,
+                          .rkey = rem_mr->rkey()})
+                      .ok());
+    };
+    for (uint64_t i = 0; i < 4; ++i) read(i, 0, kMiB, i * kMiB);
+    read(4, kA, kRange, 4 * kMiB);
+    read(5, kB, kRange, 4 * kMiB + kRange);
+    // Both served; their responses wait behind the backlog for ~570 us.
+    sim::Sleep(Micros(20));
+    ASSERT_TRUE(writer
+                    .PostSend(SendWr{
+                        .wr_id = 10,
+                        .opcode = Opcode::kRdmaWrite,
+                        .local = {src.data(), 4096, src_mr->lkey()},
+                        .remote_addr = rem_mr->remote_addr() + kA,
+                        .rkey = rem_mr->rkey()})
+                    .ok());
+    for (uint64_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(
+          writer
+              .PostSend(SendWr{
+                  .wr_id = 11 + i,
+                  .opcode = Opcode::kFetchAdd,
+                  .local = {result.data() + 8 * i, 8, res_mr->lkey()},
+                  .remote_addr =
+                      rem_mr->remote_addr() + (i == 0 ? kA + 8192 : kB),
+                  .rkey = rem_mr->rkey(),
+                  .swap_or_add = 1})
+              .ok());
+    }
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(writer.send_cq().WaitOne()->ok());
+    for (int i = 0; i < 6; ++i) ASSERT_TRUE(reader.send_cq().WaitOne()->ok());
+  });
+  EXPECT_TRUE(std::memcmp(dst.data() + 4 * kMiB, served.data() + kA,
+                          2 * kRange) == 0)
+      << "a queued READ returned bytes written after it was served";
+  EXPECT_EQ(Cell(result, 0), Cell(served, kA + 8192));
+  EXPECT_EQ(Cell(result, 8), Cell(served, kB));
+  EXPECT_EQ(std::to_integer<int>(remote[kA]), 0xEE);
+  EXPECT_EQ(Cell(remote, kA + 8192), Cell(served, kA + 8192) + 1);
+  EXPECT_EQ(Cell(remote, kB), Cell(served, kB) + 1);
+  EXPECT_EQ(server_dev->pending_snapshots(), 0u);
+  EXPECT_EQ(net.bounce_blocks_in_use(), 0u);
+}
+
+// The NIC holds a payload only from its transmit start to its delivery,
+// so 64 MiB of WRITEs and then 64 MiB of READs posted at once on one QP
+// need bounce blocks for a few messages, not for all that is queued.
+TEST_F(VerbsFixture, BounceMemoryIsBoundedByBytesOnTheWire) {
+  constexpr uint32_t kMiB = 1 << 20;
+  constexpr int kOps = 64;
+  std::vector<std::byte> src, dst, remote;
+  MemoryRegion* rem_mr = Register(server_dev, remote, kMiB,
+                                  kLocalWrite | kRemoteRead | kRemoteWrite);
+  RunPair([&](QueuePair& qp) {
+    MemoryRegion* src_mr = Register(client_dev, src, kMiB, kLocalWrite);
+    MemoryRegion* dst_mr = Register(client_dev, dst, kMiB, kLocalWrite);
+    for (size_t i = 0; i < src.size(); ++i) src[i] = std::byte(i % 253);
+    for (const Opcode op : {Opcode::kRdmaWrite, Opcode::kRdmaRead}) {
+      MemoryRegion* mr = op == Opcode::kRdmaWrite ? src_mr : dst_mr;
+      for (int i = 0; i < kOps; ++i) {
+        ASSERT_TRUE(qp.PostSend(SendWr{.wr_id = static_cast<uint64_t>(i),
+                                       .opcode = op,
+                                       .local = {mr->addr(), kMiB, mr->lkey()},
+                                       .remote_addr = rem_mr->remote_addr(),
+                                       .rkey = rem_mr->rkey()})
+                        .ok());
+      }
+      for (int i = 0; i < kOps; ++i) ASSERT_TRUE(qp.send_cq().WaitOne()->ok());
+    }
+  });
+  EXPECT_EQ(src, dst);
+  EXPECT_LE(net.bounce_pool_bytes(), 4ULL * kMiB);
+  EXPECT_EQ(net.bounce_blocks_in_use(), 0u);
+  EXPECT_EQ(client_dev->pending_snapshots(), 0u);
+  EXPECT_EQ(server_dev->pending_snapshots(), 0u);
+}
+
+// Faults between an op's post (WRITE doorbell, READ service) and its
+// payload's transmit start. The test thread changes fabric state every
+// partition reads, so dispatch is serialized; the per-node layout
+// (RSTORE_HOST_THREADS) still routes blocks across partitions.
+class VerbsFaultTest : public VerbsFixture {
+ protected:
+  static constexpr uint32_t kOps = 8;
+  static constexpr uint32_t kLen = 1 << 20;
+
+  VerbsFaultTest() : VerbsFixture(sim::SimConfig{.serialize_dispatch = true}) {}
+
+  // Posts kOps 1 MiB `op`s on one QP, so all but the first payload wait
+  // in an egress queue (the client's for WRITE, the server's for READ),
+  // and runs `fault` on the client 20 us later. The server's memory is
+  // owned by its thread, so a killed server frees it as it unwinds.
+  // Returns the completion statuses in order; `read_back` receives the
+  // client buffer.
+  std::vector<WcStatus> RunFaultBehindBacklog(
+      Opcode op, const std::function<void()>& fault,
+      std::vector<std::byte>* read_back = nullptr) {
+    uint64_t remote_addr = 0;
+    uint32_t rkey = 0;
+    std::vector<WcStatus> statuses;
+    statuses.reserve(kOps);
+    net.Listen(*server_dev, kService);
+    server_node->Spawn("server", [&] {
+      std::vector<std::byte> mem(kOps * size_t{kLen});
+      for (size_t i = 0; i < mem.size(); ++i) mem[i] = std::byte(i % 249);
+      auto mr = server_dev->CreatePd().RegisterMemory(
+          mem.data(), mem.size(), kLocalWrite | kRemoteRead | kRemoteWrite);
+      ASSERT_TRUE(mr.ok());
+      remote_addr = (*mr)->remote_addr();
+      rkey = (*mr)->rkey();
+      ASSERT_TRUE(net.Listen(*server_dev, kService).Accept().ok());
+      sim::Sleep(Seconds(1));
+    });
+    client_node->Spawn("client", [&] {
+      auto qp = net.Connect(*client_dev, server_node->id(), kService);
+      ASSERT_TRUE(qp.ok()) << qp.status();
+      std::vector<std::byte> local(kOps * size_t{kLen}, std::byte{0x77});
+      auto mr = client_dev->CreatePd().RegisterMemory(
+          local.data(), local.size(), kLocalWrite);
+      ASSERT_TRUE(mr.ok());
+      for (uint32_t i = 0; i < kOps; ++i) {
+        ASSERT_TRUE(
+            (*qp)->PostSend(SendWr{
+                        .wr_id = i,
+                        .opcode = op,
+                        .local = {local.data() + size_t{i} * kLen, kLen,
+                                  (*mr)->lkey()},
+                        .remote_addr = remote_addr + uint64_t{i} * kLen,
+                        .rkey = rkey})
+                .ok());
+      }
+      sim::Sleep(Micros(20));
+      fault();
+      for (uint32_t i = 0; i < kOps; ++i) {
+        auto wc = (*qp)->send_cq().WaitOne();
+        ASSERT_TRUE(wc.ok());
+        statuses.push_back(wc->status);
+      }
+      if (read_back != nullptr) *read_back = local;
+    });
+    sim.Run();
+    EXPECT_EQ(client_dev->pending_snapshots(), 0u);
+    EXPECT_EQ(server_dev->pending_snapshots(), 0u);
+    EXPECT_EQ(net.bounce_blocks_in_use(), 0u);
+    return statuses;
+  }
+
+  void KillServer() { sim.KillNode(server_node->id()); }
+  void PartitionLink() {
+    net.fabric().SetLinkDown(client_node->id(), server_node->id(), true);
+  }
+
+  // The first op's message was already on the wire: it is lost, and the
+  // error flushes everything behind it.
+  static std::vector<WcStatus> RetryThenFlush() {
+    std::vector<WcStatus> want(kOps, WcStatus::kWrFlushErr);
+    want[0] = WcStatus::kRetryExceeded;
+    return want;
+  }
+};
+
+TEST_F(VerbsFaultTest, WriteQueuedWhenTargetDiesRetriesThenFlushes) {
+  EXPECT_EQ(RunFaultBehindBacklog(Opcode::kRdmaWrite, [&] { KillServer(); }),
+            RetryThenFlush());
+}
+
+TEST_F(VerbsFaultTest, WriteQueuedWhenLinkPartitionsRetriesThenFlushes) {
+  EXPECT_EQ(
+      RunFaultBehindBacklog(Opcode::kRdmaWrite, [&] { PartitionLink(); }),
+      RetryThenFlush());
+}
+
+TEST_F(VerbsFaultTest, ReadServedWhenLinkPartitionsRetriesThenFlushes) {
+  EXPECT_EQ(RunFaultBehindBacklog(Opcode::kRdmaRead, [&] { PartitionLink(); }),
+            RetryThenFlush());
+}
+
+// The fabric drains a dead node's egress queue, so READ responses queued
+// at a server killed after serving them still arrive. Their bytes are
+// the service-time ones although the server's memory was freed as its
+// thread unwound: the kill made the NIC read them first.
+TEST_F(VerbsFaultTest, ReadServedWhenTargetDiesStillDeliversServedBytes) {
+  std::vector<std::byte> got;
+  EXPECT_EQ(
+      RunFaultBehindBacklog(Opcode::kRdmaRead, [&] { KillServer(); }, &got),
+      std::vector<WcStatus>(kOps, WcStatus::kSuccess));
+  ASSERT_EQ(got.size(), size_t{kOps} * kLen);
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], std::byte(i % 249)) << "byte " << i;
+  }
 }
 
 }  // namespace
