@@ -4,18 +4,20 @@
 //
 // The comparison isolates the data-path architecture at the
 // key-value abstraction level:
-//   RKV GET   = 2 one-sided reads (slot + seqlock validate),
-//   RKV PUT   = the GET's 2 reads + version peek + CAS + re-check read
-//               + payload write + release write,
+//   RKV GET   = 1 round trip: the slot read and its seqlock re-read,
+//               posted back to back on one RC QP,
+//   RKV PUT   = that probe + CAS + re-check read + the payload and
+//               release writes (again one round trip on one QP),
 //   RPC GET/PUT = one two-sided round trip through the server CPU.
 //
-// Expected shape — the classic one-sided-KV trade-off the literature of
-// the period converged on (HERD vs Pilaf/FaRM): a single two-sided RPC
-// *wins small-object latency* (one round trip vs RKV's two reads per
-// GET and seven dependent IOs per PUT), while the one-sided design
-// keeps the server CPU at zero and therefore scales with client count
-// (E6 shows that axis). Reproducing that crossover, rather than a
-// one-sided sweep, is the point of this experiment.
+// Expected shape — the one-sided-KV trade-off the literature of the
+// period argued over (HERD vs Pilaf/FaRM): a single two-sided RPC wins
+// small-object *writes* (one round trip vs RKV's four dependent ones per
+// PUT), while a one-sided GET that rides RC order in one round trip
+// skips the server's CPU and beats it; the one-sided design keeps the
+// server CPU at zero and therefore scales with client count (E6 shows
+// that axis). Reproducing that crossover, rather than a one-sided sweep,
+// is the point of this experiment.
 #include <benchmark/benchmark.h>
 
 #include "baselines/rpcstore/rpcstore.h"

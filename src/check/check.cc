@@ -79,13 +79,24 @@ Checker::~Checker() = default;
 
 Checker::Clock& Checker::NodeClock(uint32_t node) {
   if (clocks_.size() <= node) clocks_.resize(node + 1);
-  Clock& c = clocks_[node];
-  if (c.size() <= node) c.resize(node + 1, 0);
-  return c;
+  return clocks_[node];
 }
 
 uint64_t Checker::SelfTick(uint32_t node) {
-  return ++NodeClock(node)[node];
+  return Tick(NodeClock(node), NodeSlot(node));
+}
+
+uint64_t Checker::Tick(Clock& clock, size_t slot) {
+  if (clock.size() <= slot) clock.resize(slot + 1, 0);
+  return ++clock[slot];
+}
+
+uint32_t Checker::QpIndex(uint32_t initiator, uint32_t qp_num) {
+  const uint64_t key = (static_cast<uint64_t>(initiator) << 32) | qp_num;
+  const auto [it, fresh] =
+      qp_index_.emplace(key, static_cast<uint32_t>(qps_.size()));
+  if (fresh) qps_.emplace_back();
+  return it->second;
 }
 
 void Checker::Join(Clock& dst, const Clock& src) {
@@ -95,9 +106,13 @@ void Checker::Join(Clock& dst, const Clock& src) {
   }
 }
 
-bool Checker::OrderedBefore(const Record& a, const Clock& post_clock) {
-  return a.stamp != kPendingStamp && a.initiator < post_clock.size() &&
-         post_clock[a.initiator] >= a.stamp;
+bool Checker::OrderedBefore(const Record& a, const Clock& clock) {
+  const auto covers = [&](size_t slot, uint64_t stamp) {
+    return slot < clock.size() && clock[slot] >= stamp;
+  };
+  return (a.stamp != kPendingStamp &&
+          covers(NodeSlot(a.initiator), a.stamp)) ||
+         (a.qp_stamp != 0 && covers(QpSlot(a.qp), a.qp_stamp));
 }
 
 bool Checker::Conflicts(AccessKind a, AccessKind b) {
@@ -173,10 +188,10 @@ bool Checker::IntervalOverlap(const IntervalSet& set, uint64_t lo,
 // ---------------------------------------------------------------------------
 // Verbs hooks
 // ---------------------------------------------------------------------------
-uint32_t Checker::OnPost(uint32_t initiator, uint32_t target, OpClass cls,
-                         uint64_t remote_lo, uint64_t remote_hi,
+uint32_t Checker::OnPost(uint32_t initiator, uint32_t target, uint32_t qp,
+                         OpClass cls, uint64_t remote_lo, uint64_t remote_hi,
                          const LocalRange* sges, uint32_t n_sges,
-                         uint32_t expected) {
+                         uint32_t expected, bool signaled) {
   const detail::ScopeState& scopes = Scopes();
   if (scopes.speculative > 0) return 0;
 
@@ -187,6 +202,8 @@ uint32_t Checker::OnPost(uint32_t initiator, uint32_t target, OpClass cls,
   op.remote_lo = remote_lo;
   op.remote_hi = remote_hi;
   op.post_vtime = NowVirtual();
+  op.post_seq = next_post_seq_++;
+  op.qp = QpIndex(initiator, qp);
   op.post_clock = NodeClock(initiator);
   op.label = scopes.label;
   op.expected = static_cast<uint8_t>(expected);
@@ -229,11 +246,13 @@ uint32_t Checker::OnPost(uint32_t initiator, uint32_t target, OpClass cls,
           : AccessKind::kRead;
   for (const LocalRange& r : op.sges) {
     if (r.lo >= r.hi) continue;
-    op.records.push_back(AddAndCheck(op, r.lo, r.hi, local_kind, false));
+    op.records.push_back(
+        AddAndCheck(op, op.post_clock, r.lo, r.hi, local_kind, false));
   }
 
   const uint32_t ref = next_ref_++;
   if (next_ref_ == 0) next_ref_ = 1;
+  if (!signaled) qps_[op.qp].unsignaled.push_back(ref);
   pending_.emplace(ref, std::move(op));
   return ref;
 }
@@ -353,6 +372,12 @@ void Checker::OnExecute(uint32_t ref) {
     CheckCacheContract(op);
   }
 
+  // RC order: the QP executes this WR after everything it executed
+  // before, so its clock (not just the post clock) orders the access.
+  Clock& qp_clock = qps_[op.qp].clock;
+  Join(qp_clock, op.post_clock);
+  const uint64_t qp_stamp = Tick(qp_clock, QpSlot(op.qp));
+
   AccessKind kind = op.cls == OpClass::kRemoteRead ? AccessKind::kRead
                                                    : AccessKind::kWrite;
   const bool synchronizes =
@@ -360,23 +385,29 @@ void Checker::OnExecute(uint32_t ref) {
   if (synchronizes) {
     kind = AccessKind::kAtomic;
     Clock& cell = cells_[op.remote_lo];
-    // Release: publish the initiator's post-time clock into the cell.
+    // Release: publish what the QP has executed into the cell.
     if (op.cls == OpClass::kRemoteAtomic ||
         op.cls == OpClass::kRemoteWrite) {
-      Join(cell, op.post_clock);
+      Join(cell, qp_clock);
     }
-    // Acquire: snapshot the cell; joined into the initiator at poll.
+    // Acquire: later WRs on the QP happen after it at once; the
+    // initiator joins the snapshot when it polls.
     if (op.cls == OpClass::kRemoteAtomic ||
         op.cls == OpClass::kRemoteRead) {
       op.acquired = cell;
+      Join(qp_clock, cell);
     }
   }
-  op.records.push_back(
-      AddAndCheck(op, op.remote_lo, op.remote_hi, kind, true));
+  const uint32_t idx =
+      AddAndCheck(op, qp_clock, op.remote_lo, op.remote_hi, kind, true);
+  records_[idx].qp = op.qp;
+  records_[idx].qp_stamp = qp_stamp;
+  op.records.push_back(idx);
 }
 
-uint32_t Checker::AddAndCheck(const PendingOp& op, uint64_t lo, uint64_t hi,
-                              AccessKind kind, bool remote) {
+uint32_t Checker::AddAndCheck(const PendingOp& op, const Clock& clock,
+                              uint64_t lo, uint64_t hi, AccessKind kind,
+                              bool remote) {
   const uint32_t idx = static_cast<uint32_t>(records_.size());
   const uint32_t owner = remote ? op.target : op.initiator;
 
@@ -404,7 +435,7 @@ uint32_t Checker::AddAndCheck(const PendingOp& op, uint64_t lo, uint64_t hi,
   }
   for (size_t i = 0; i < n_seen; ++i) {
     const Record& a = records_[seen[i]];
-    if (OrderedBefore(a, op.post_clock)) continue;
+    if (OrderedBefore(a, clock)) continue;
     auto key = std::make_pair(seen[i], idx);
     if (!reported_pairs_.insert(key).second) continue;
     Violation v;
@@ -462,12 +493,27 @@ void Checker::OnObserve(uint32_t ref, uint32_t node, bool recv_side,
     // it posted.
     Join(NodeClock(node), op.post_clock);
     SelfTick(node);
-  } else {
-    if (!op.acquired.empty()) Join(NodeClock(node), op.acquired);
-    const uint64_t stamp = SelfTick(node);
-    for (uint32_t r : op.records) records_[r].stamp = stamp;
+    if (++op.seen >= op.expected) pending_.erase(it);
+    return;
   }
-  if (++op.seen >= op.expected) pending_.erase(it);
+  // The completion also retires the unsignaled WRs posted before it on
+  // its QP: they completed first.
+  const uint64_t stamp = SelfTick(node);
+  const auto retire = [&](PendingOp& done) {
+    if (!done.acquired.empty()) Join(NodeClock(node), done.acquired);
+    for (uint32_t r : done.records) records_[r].stamp = stamp;
+    return ++done.seen >= done.expected;
+  };
+  std::deque<uint32_t>& unsignaled = qps_[op.qp].unsignaled;
+  while (!unsignaled.empty()) {
+    auto uit = pending_.find(unsignaled.front());
+    if (uit != pending_.end()) {
+      if (uit->second.post_seq > op.post_seq) break;
+      if (retire(uit->second)) pending_.erase(uit);
+    }
+    unsignaled.pop_front();
+  }
+  if (retire(op)) pending_.erase(it);
 }
 
 void Checker::OnPostedBufferChanged(uint32_t ref, uint32_t owner,

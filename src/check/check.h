@@ -35,9 +35,18 @@
 //     finishes. An un-fenced write (posted, never awaited) therefore
 //     stays "pending" and races with any overlapping access.
 //   - atomic edges: remote CAS/FAA on an 8-byte cell act as
-//     release(post clock -> cell) at execute and acquire(cell -> node)
+//     release(QP clock -> cell) at execute and acquire(cell -> node)
 //     at completion poll. Annotated seqlock accesses (SyncCellScope)
 //     get the same treatment.
+//   - RC order edges: a reliable-connection QP executes its WRs one at
+//     a time in post order, so it gets a clock component of its own. A
+//     WR that executes on a QP happens after every WR that executed
+//     earlier on it, and after what those acquired; a release there
+//     publishes all of it. A payload WRITE and the seqlock release
+//     posted behind it in one flush are therefore ordered for whoever
+//     acquires the cell, before the initiator polls either. Accesses on
+//     two QPs of one node stay unordered. A signaled completion retires
+//     every unsignaled WR posted before it on its QP, as on hardware.
 //
 // Every hook is synchronous, never schedules events, and never touches
 // the RNG or the clock, so rcheck on cannot move virtual time; rcheck
@@ -46,6 +55,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -138,13 +148,15 @@ class Checker {
   // when the access is not tracked (speculative scope). `expected`
   // is how many completion-poll observations retire the op (2 for
   // SEND / write-with-imm: sender CQ + receiver CQ; 1 otherwise).
-  uint32_t OnPost(uint32_t initiator, uint32_t target, OpClass cls,
-                  uint64_t remote_lo, uint64_t remote_hi,
+  // `qp` is the initiator's QP number; `signaled` says whether the WR
+  // produces a completion of its own.
+  uint32_t OnPost(uint32_t initiator, uint32_t target, uint32_t qp,
+                  OpClass cls, uint64_t remote_lo, uint64_t remote_hi,
                   const LocalRange* sges, uint32_t n_sges,
-                  uint32_t expected);
+                  uint32_t expected, bool signaled);
   // The op touched target memory (runs at the target, in virtual-time
-  // order): records the remote shadow access and runs race, lifetime
-  // and cache-contract checks.
+  // order, which is post order within a QP): records the remote shadow
+  // access and runs race, lifetime and cache-contract checks.
   void OnExecute(uint32_t ref);
   // The NIC finished the op (completion pushed): the buffers are no
   // longer in use by hardware even if the app never polls. ok=false
@@ -152,7 +164,8 @@ class Checker {
   void OnSettle(uint32_t ref, bool ok);
   // The app polled the completion on `node`'s CQ. recv_side marks the
   // receiver's half of a SEND / write-with-imm (joins the sender's
-  // post clock instead of stamping records).
+  // post clock instead of stamping records). A sender-side completion
+  // also retires the unsignaled WRs posted before it on its QP.
   void OnObserve(uint32_t ref, uint32_t node, bool recv_side, bool ok);
   // The NIC read a posted op's source bytes — a SEND/WRITE gather on the
   // initiator, or a served READ's range on the target (`owner` is the
@@ -213,6 +226,8 @@ class Checker {
   void DumpJson(std::ostream& os) const;
 
  private:
+  // Node and QP components interleave (NodeSlot, QpSlot), so neither
+  // id space needs a bound.
   using Clock = std::vector<uint64_t>;
   // Merged, half-open [lo, hi) intervals.
   using IntervalSet = std::map<uint64_t, uint64_t>;
@@ -225,8 +240,10 @@ class Checker {
     uint64_t lo = 0;
     uint64_t hi = 0;
     uint64_t stamp = kPendingStamp;  // initiator clock component at poll
+    uint64_t qp_stamp = 0;  // QP clock component at execute (0: local)
     uint64_t vtime = 0;
     uint32_t initiator = 0;
+    uint32_t qp = 0;        // QP index, when qp_stamp is set
     uint32_t owner = 0;  // node whose memory [lo, hi) is
     AccessKind kind = AccessKind::kRead;
     bool remote = false;
@@ -242,14 +259,22 @@ class Checker {
     uint64_t remote_hi = 0;
     uint64_t region_id = 0;
     uint64_t post_vtime = 0;
+    uint64_t post_seq = 0;          // checker-wide post order
     uint32_t initiator = 0;
     uint32_t target = 0;
+    uint32_t qp = 0;                // index into qps_
     OpClass cls = OpClass::kMessage;
     const char* label = nullptr;
     bool sync_cell = false;
     bool settled = false;
     uint8_t expected = 1;
     uint8_t seen = 0;
+  };
+
+  // One RC QP as a sequential executor.
+  struct QpState {
+    Clock clock;                      // everything executed on it so far
+    std::deque<uint32_t> unsignaled;  // refs a later completion retires
   };
 
   struct PageRing {
@@ -277,17 +302,26 @@ class Checker {
   };
 
   [[nodiscard]] uint64_t NowVirtual() const { return now_ ? now_() : 0; }
+  [[nodiscard]] static size_t NodeSlot(uint32_t node) noexcept {
+    return 2 * static_cast<size_t>(node);
+  }
+  [[nodiscard]] static size_t QpSlot(uint32_t qp) noexcept {
+    return 2 * static_cast<size_t>(qp) + 1;
+  }
   Clock& NodeClock(uint32_t node);
   uint64_t SelfTick(uint32_t node);
+  // The index of `initiator`'s QP `qp_num`, allocated on first use.
+  uint32_t QpIndex(uint32_t initiator, uint32_t qp_num);
+  static uint64_t Tick(Clock& clock, size_t slot);
   static void Join(Clock& dst, const Clock& src);
   [[nodiscard]] static bool OrderedBefore(const Record& a,
-                                          const Clock& post_clock);
+                                          const Clock& clock);
   [[nodiscard]] static bool Conflicts(AccessKind a, AccessKind b);
 
-  // Records the access, races it against overlapping shadow records,
-  // and returns the new record's index.
-  uint32_t AddAndCheck(const PendingOp& op, uint64_t lo, uint64_t hi,
-                       AccessKind kind, bool remote);
+  // Records the access, races it against overlapping shadow records
+  // not ordered before `clock`, and returns the new record's index.
+  uint32_t AddAndCheck(const PendingOp& op, const Clock& clock, uint64_t lo,
+                       uint64_t hi, AccessKind kind, bool remote);
   void CheckLifetime(const PendingOp& op);
   void CheckCacheContract(const PendingOp& op);
   // Resolves (node, addr) to a region range entry, or nullptr.
@@ -310,6 +344,9 @@ class Checker {
   std::vector<Clock> clocks_;                       // per node
   std::unordered_map<uint32_t, PendingOp> pending_; // by ref
   uint32_t next_ref_ = 1;
+  uint64_t next_post_seq_ = 0;
+  std::unordered_map<uint64_t, uint32_t> qp_index_;  // (node, qp_num)
+  std::vector<QpState> qps_;
   std::vector<Record> records_;
   std::unordered_map<uint64_t, PageRing> pages_;    // by addr >> kPageShift
   std::unordered_map<uint64_t, Clock> cells_;       // atomic cells, by addr

@@ -5,16 +5,20 @@
 //
 // Three flavours:
 //   fenced-handoff   writer RDMA-WRITEs a block, *waits for the write
-//                    completion*, then FetchAdds a flag cell; reader polls
-//                    the flag with FetchAdd(+0) and RDMA-READs the block.
+//                    completion*, then FetchAdds a flag cell on a second
+//                    QP; reader polls the flag with FetchAdd(+0) and
+//                    RDMA-READs the block.
 //                    Correct under every legal schedule — the zero-false-
 //                    positive workload the CI exploration job sweeps.
 //   race-unfenced    same shape, but the completion wait has a deadline:
 //                    if the write completion misses it (which only happens
 //                    under explore-injected delay), the writer releases the
 //                    flag while the write is still pending — the classic
-//                    un-fenced one-sided publish bug. The baseline schedule
-//                    is always fenced; only exploration flips it.
+//                    un-fenced one-sided publish bug. It needs the second
+//                    QP: RC executes one QP's WRs in post order, so a
+//                    FetchAdd behind the WRITE on its own QP would be a
+//                    correct publish. The baseline schedule is always
+//                    fenced; only exploration flips it.
 //   atomic-counter   three clients FetchAdd one shared cell concurrently;
 //                    atomics never conflict, so any report is a checker
 //                    false positive.
@@ -101,7 +105,7 @@ inline void RunHandoff(const RunContext& ctx, bool fenced) {
   const uint32_t rkey = (*server_mr)->rkey();
 
   server.Spawn("accept", [&net, &server_dev] {
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < 3; ++i) {
       auto qp = net.Listen(server_dev, kService).Accept();
       Require(qp.ok(), "server accept");
     }
@@ -111,7 +115,10 @@ inline void RunHandoff(const RunContext& ctx, bool fenced) {
                           rkey, fenced] {
     auto qp = net.Connect(writer_dev, server.id(), kService);
     Require(qp.ok(), "writer connect");
+    auto flag_qp = net.Connect(writer_dev, server.id(), kService);
+    Require(flag_qp.ok(), "writer flag connect");
     verbs::QueuePair& q = **qp;
+    verbs::QueuePair& fq = **flag_qp;
     verbs::ProtectionDomain& pd = writer_dev.CreatePd();
     std::vector<std::byte> src(kDataBytes, std::byte{0xAB});
     auto src_mr = pd.RegisterMemory(src.data(), src.size(),
@@ -134,25 +141,20 @@ inline void RunHandoff(const RunContext& ctx, bool fenced) {
     // completion beats easily (~12 us) — so only an explore-injected
     // delay can flip this branch, and when it does the FetchAdd below
     // releases the flag while the write is still in flight.
-    size_t outstanding = 1;
     auto wc = q.send_cq().WaitOne(fenced ? sim::kNever : sim::Micros(40));
-    if (wc.ok()) {
-      Require(wc->ok(), "writer WRITE completion status");
-      outstanding = 0;
-    }
-    Require(q.PostSend({.wr_id = 2,
-                        .opcode = verbs::Opcode::kFetchAdd,
-                        .local = {faa_result.data(), 8, (*faa_mr)->lkey()},
-                        .remote_addr = flag_addr,
-                        .rkey = rkey,
-                        .swap_or_add = 1})
+    const bool write_done = wc.ok();
+    if (write_done) Require(wc->ok(), "writer WRITE completion status");
+    Require(fq.PostSend({.wr_id = 2,
+                         .opcode = verbs::Opcode::kFetchAdd,
+                         .local = {faa_result.data(), 8, (*faa_mr)->lkey()},
+                         .remote_addr = flag_addr,
+                         .rkey = rkey,
+                         .swap_or_add = 1})
                 .ok(),
             "writer post FAA");
-    outstanding += 1;
-    while (outstanding > 0) {
-      auto c = q.send_cq().WaitOne();
-      Require(c.ok(), "writer drain completion");
-      --outstanding;
+    Require(fq.send_cq().WaitOne().ok(), "writer FAA completion");
+    if (!write_done) {
+      Require(q.send_cq().WaitOne().ok(), "writer drain completion");
     }
   });
 

@@ -1,5 +1,6 @@
 #include "kv/kv.h"
 
+#include <array>
 #include <cstring>
 
 #include "check/check.h"
@@ -183,6 +184,38 @@ Status KvStore::Issue(const SlotIo& io) {
   return Status(ErrorCode::kInternal, "unknown slot IO");
 }
 
+bool KvStore::Pipelines(const SlotStep& step) const {
+  // A lock step pairs a CAS with a read: it never qualifies.
+  if (step.io_count != 2 || step.io[0].kind != step.io[1].kind) return false;
+  auto first = region_->Resolve(step.io[0].offset, step.io[0].length);
+  auto second = region_->Resolve(step.io[1].offset, step.io[1].length);
+  return first.ok() && second.ok() &&
+         first->server_node == second->server_node;
+}
+
+Status KvStore::IssuePipelined(const SlotStep& step) {
+  const check::Checker* checker = client_.device().network().sim().checker();
+  std::array<core::IoFuture, 2> futures;
+  for (size_t i = 0; i < 2; ++i) {
+    const SlotIo& io = step.io[i];
+    LaneScope lane(checker, io.lane);
+    Result<core::IoFuture> posted =
+        io.kind == SlotIo::Kind::kRead
+            ? region_->ReadAsync(io.offset,
+                                 std::span<std::byte>(io.local, io.length))
+            : region_->WriteAsync(
+                  io.offset, std::span<const std::byte>(io.local, io.length));
+    if (!posted.ok()) {
+      if (i == 1) (void)futures[0].Wait();
+      return posted.status();
+    }
+    futures[i] = *posted;
+  }
+  Status first = futures[0].Wait();
+  Status second = futures[1].Wait();
+  return first.ok() ? second : first;
+}
+
 Status KvStore::IssueStep(const SlotStep& step) {
   const bool cached = step.kind == SlotStep::Kind::kProbe &&
                       options_.cache_slots > 0;
@@ -190,7 +223,11 @@ Status KvStore::IssueStep(const SlotStep& step) {
     RSTORE_ASSIGN_OR_RETURN(const bool served, ProbeCached(step));
     if (served) return Status::Ok();
   }
-  for (const SlotIo& io : step.ios()) RSTORE_RETURN_IF_ERROR(Issue(io));
+  if (Pipelines(step)) {
+    RSTORE_RETURN_IF_ERROR(IssuePipelined(step));
+  } else {
+    for (const SlotIo& io : step.ios()) RSTORE_RETURN_IF_ERROR(Issue(io));
+  }
   if (cached && op_.ProbeValidated()) {
     CacheStore(op_.slot(), Load64(op_.image()), op_.image());
   }
@@ -219,7 +256,7 @@ Status KvStore::Drive(std::string_view key, obs::ObsSpan* span) {
       continue;
     }
     if (step.kind == SlotStep::Kind::kProbe ||
-        step.kind == SlotStep::Kind::kRecheck) {
+        step.kind == SlotStep::Kind::kLock) {
       ++stats_.probe_reads;
     }
     if (Status st = IssueStep(step); !st.ok()) {

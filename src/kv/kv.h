@@ -16,10 +16,13 @@
 //
 // Every client maps the region once and then operates with no master
 // involvement. The seqlock protocol itself is kv::SlotOp (slot_op.h);
-// KvStore is its blocking driver, issuing each of the op's IOs as one
-// MappedRegion call in order. An uncontended GET is a slot read plus a
-// version re-read; a PUT is that probe, a version peek, a CAS, a
-// re-check read under the lock, the payload write and the release write.
+// KvStore is its blocking driver. An uncontended GET is one round trip
+// (a slot read and a version re-read, posted back to back on the one
+// connection to the slot's server). A PUT is four: that probe, the
+// CAS, the re-check read, and the payload and release writes, again
+// posted back to back. The CAS step stays one call per IO, since
+// MappedRegion::CompareSwap blocks, and so does a step whose slot
+// straddles a slab boundary.
 // Multiple clients on multiple machines can operate concurrently on the
 // same table.
 #pragma once
@@ -132,6 +135,12 @@ class KvStore {
   // the slot cache instead.
   Status IssueStep(const SlotStep& step);
   Status Issue(const SlotIo& io);
+  // Whether `step` is two reads or two writes, each inside one slab of
+  // the same server: IssuePipelined then posts both back to back on the
+  // one connection to it, where RC order keeps them in step order, and
+  // waits once.
+  [[nodiscard]] bool Pipelines(const SlotStep& step) const;
+  Status IssuePipelined(const SlotStep& step);
   // Serves a probe step from the slot cache: one 8-byte validate read
   // instead of slot read + re-read. Returns whether it was served.
   Result<bool> ProbeCached(const SlotStep& step);

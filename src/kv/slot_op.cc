@@ -110,7 +110,6 @@ void SlotOp::Begin(SlotOpKind kind, std::string_view key,
   target_ = 0;
   retries_left_ = policy_->retry_budget;
   retries_ = 0;
-  lost_ = false;
   wrote_ = false;
   status_ = Status::Ok();
   phase_ = kind == SlotOpKind::kScan ? Phase::kScan : Phase::kProbe;
@@ -139,6 +138,9 @@ SlotStep SlotOp::step() const noexcept {
   step.kind = phase_;
   const uint32_t slot_bytes = geometry_->slot_bytes;
   const uint64_t at = Offset(slot());
+  // The release half of the CAS acquire: a sync cell for rcheck.
+  const SlotIo release = Io(K::kWrite, Lane::kSyncCell,
+                            at + SlotLayout::kVersionOff, 8, cell(2));
   switch (phase_) {
     case Phase::kProbe:
       // The re-read must land after the slot read: a version that moved
@@ -148,27 +150,20 @@ SlotStep SlotOp::step() const noexcept {
                       at + SlotLayout::kVersionOff, 8, cell(0));
       step.io_count = 2;
       break;
-    case Phase::kPeek:
-      // Optimistic: a concurrent release is resolved by the CAS itself.
-      step.io[0] = Io(K::kRead, Lane::kSpeculative,
-                      at + SlotLayout::kVersionOff, 8, cell(0));
-      step.io_count = 1;
-      break;
-    case Phase::kCas:
+    case Phase::kLock:
       step.io[0] = Io(K::kCas, Lane::kPlain, at + SlotLayout::kVersionOff, 8,
                       cell(1));
       step.io[0].compare = lock_compare_;
       step.io[0].swap = lock_compare_ + 1;  // even -> odd: locked
-      step.io_count = 1;
-      break;
-    case Phase::kRecheck:
-      // The lock freezes the payload but not the version word, which
-      // contending writers keep CASing; reading from key_len onward stays
-      // clear of it, so this read is race-free.
-      step.io[0] = Io(K::kRead, Lane::kPlain, at + SlotLayout::kKeyLenOff,
+      // The re-check, from key_len onward: the lock freezes these bytes
+      // but not the version word, which contending writers keep CASing.
+      // Behind a lost CAS this read races the winner's write, hence the
+      // speculative lane; OnLock reads it only when the CAS won.
+      step.io[1] = Io(K::kRead, Lane::kSpeculative,
+                      at + SlotLayout::kKeyLenOff,
                       slot_bytes - SlotLayout::kKeyLenOff,
                       scratch_ + SlotLayout::kKeyLenOff);
-      step.io_count = 1;
+      step.io_count = 2;
       break;
     case Phase::kWrite: {
       // Everything from key_len onward; the tombstone clears key_len and
@@ -180,13 +175,12 @@ SlotStep SlotOp::step() const noexcept {
                     key_.size() + value_len_;
       step.io[0] = Io(K::kWrite, Lane::kPlain, at + SlotLayout::kKeyLenOff,
                       length, scratch_ + SlotLayout::kKeyLenOff);
-      step.io_count = 1;
+      step.io[1] = release;
+      step.io_count = 2;
       break;
     }
     case Phase::kRelease:
-      // The release half of the CAS acquire: a sync cell for rcheck.
-      step.io[0] = Io(K::kWrite, Lane::kSyncCell,
-                      at + SlotLayout::kVersionOff, 8, cell(2));
+      step.io[0] = release;
       step.io_count = 1;
       break;
     case Phase::kScan: {
@@ -228,54 +222,19 @@ void SlotOp::Complete() {
     case Phase::kProbe:
       OnProbe();
       break;
-    case Phase::kPeek: {
-      const uint64_t version = Load64(cell(0));
-      if (version % 2 == 1) {
-        Retry(/*backoff=*/true, Phase::kPeek);  // someone holds the lock
-        return;
-      }
-      lock_compare_ = version;
-      phase_ = Phase::kCas;
+    case Phase::kLock:
+      OnLock();
       break;
-    }
-    case Phase::kCas: {
-      const uint64_t old = Load64(cell(1));
-      if (old == lock_compare_) {
-        EnterRecheck();
-        return;
-      }
-      // Lost: back off while the winner still holds the lock, else
-      // re-peek at once.
-      Retry(/*backoff=*/old % 2 == 1, Phase::kPeek);
-      break;
-    }
-    case Phase::kRecheck: {
-      // Between the probe and the CAS another client may have claimed the
-      // slot for a different key (or deleted ours).
-      const bool ours = HoldsKey();
-      const bool reusable = Writes() && KeyLen(scratch_) == 0;
-      if (ours || reusable) {
-        EnterWrite();
-      } else {
-        lost_ = true;
-        EnterRelease();
-      }
-      break;
-    }
     case Phase::kWrite:
-      EnterRelease();
-      break;
-    case Phase::kRelease:
-      if (lost_) {
-        lost_ = false;
-        probe_ = 0;
-        reusable_ = -1;
-        Retry(/*backoff=*/true, Phase::kProbe);
-        return;
-      }
       // The scratch now mirrors the slot: released version, written bytes.
       Store64(scratch_ + SlotLayout::kVersionOff, lock_compare_ + 2);
       Finish(Status::Ok());
+      break;
+    case Phase::kRelease:
+      // Only a lost re-check releases without writing: start over.
+      probe_ = 0;
+      reusable_ = -1;
+      Retry(/*backoff=*/true, Phase::kProbe);
       break;
     case Phase::kScan:
       Finish(Status::Ok());
@@ -303,8 +262,10 @@ void SlotOp::OnProbe() {
     // Never-used slot: the probe chain ends here.
     if (!upsert) {
       Finish(Status(ErrorCode::kNotFound, "key not found"));
+    } else if (reusable_ >= 0) {
+      Lock(static_cast<uint64_t>(reusable_), reusable_version_);
     } else {
-      Lock(reusable_ >= 0 ? static_cast<uint64_t>(reusable_) : slot);
+      Lock(slot, version);
     }
     return;
   }
@@ -312,31 +273,54 @@ void SlotOp::OnProbe() {
     if (kind_ == SlotOpKind::kGet) {
       Finish(Status::Ok());
     } else {
-      Lock(slot);
+      Lock(slot, version);
     }
     return;
   }
   // A tombstone is remembered for upserts; the key may live further on.
-  if (key_len == 0 && reusable_ < 0) reusable_ = static_cast<int64_t>(slot);
+  if (key_len == 0 && reusable_ < 0) {
+    reusable_ = static_cast<int64_t>(slot);
+    reusable_version_ = version;
+  }
   if (++probe_ < geometry_->max_probe) return;  // probe the next slot
   if (!upsert) {
     Finish(Status(ErrorCode::kNotFound, "key not found (probe window)"));
   } else if (reusable_ >= 0) {
-    Lock(static_cast<uint64_t>(reusable_));
+    Lock(static_cast<uint64_t>(reusable_), reusable_version_);
   } else {
     Finish(Status(ErrorCode::kOutOfMemory, "probe window full"));
   }
 }
 
-void SlotOp::Lock(uint64_t slot) {
+void SlotOp::Lock(uint64_t slot, uint64_t version) {
+  // The CAS compares against the version the probe validated: no
+  // separate read of the version word first.
   target_ = slot;
-  phase_ = Phase::kPeek;
+  lock_compare_ = version;
+  phase_ = Phase::kLock;
 }
 
-void SlotOp::EnterRecheck() {
-  // The version word is ours; the re-check does not read it.
-  Store64(scratch_ + SlotLayout::kVersionOff, 0);
-  phase_ = Phase::kRecheck;
+void SlotOp::OnLock() {
+  const uint64_t old = Load64(cell(1));
+  if (old != lock_compare_) {
+    // Lost, and the re-check bytes raced the winner: ignore them. Retry
+    // against what the CAS saw. An even value is a finished writer's
+    // release, so retry at once; an odd one is a holder, whose release
+    // will write old + 1, so wait for it.
+    const bool held = old % 2 == 1;
+    lock_compare_ = held ? old + 1 : old;
+    Retry(/*backoff=*/held, Phase::kLock);
+    return;
+  }
+  // Won: the release will write the next even version. Between the
+  // probe and the CAS another client may have claimed the slot for a
+  // different key (or deleted ours); then only release.
+  Store64(cell(2), lock_compare_ + 2);
+  if (HoldsKey() || (Writes() && KeyLen(scratch_) == 0)) {
+    EnterWrite();
+  } else {
+    phase_ = Phase::kRelease;
+  }
 }
 
 void SlotOp::EnterWrite() {
@@ -352,11 +336,6 @@ void SlotOp::EnterWrite() {
   }
   wrote_ = true;
   phase_ = Phase::kWrite;
-}
-
-void SlotOp::EnterRelease() {
-  Store64(cell(2), lock_compare_ + 2);  // odd -> next even: released
-  phase_ = Phase::kRelease;
 }
 
 void SlotOp::Retry(bool backoff, Phase resume) {

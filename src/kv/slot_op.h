@@ -7,28 +7,41 @@
 // region-offset IOs (read, write or CAS), each tagged with the rcheck
 // Lane it must be posted under. Two drivers run it:
 //
-//   * KvStore (kv.h) is the blocking driver: it issues each IO as one
-//     MappedRegion call, in order, and sleeps through backoffs;
+//   * KvStore (kv.h) is the blocking driver: it posts a step's two reads
+//     or two writes back to back on its one connection to the server and
+//     waits once, issues anything else one MappedRegion call per IO, and
+//     sleeps through backoffs;
 //   * LoadEngine (src/load) is the session driver: it stages the IOs of
 //     thousands of SlotOps through the SessionMux and resumes each op
 //     from its completion cookies.
 //
-// The protocol (Pilaf/FaRM-style seqlock slots, linear probing):
+// The protocol (Pilaf/FaRM-style seqlock slots, linear probing). An
+// uncontended write is three dependent round trips:
 //   probe     read the slot, then re-read its version word; odd or moved
 //             means a writer raced the read (torn or locked)
-//   peek      read the target slot's version word (the CAS's compare)
-//   CAS       take the seqlock: version even -> odd
-//   re-check  read the slot under the lock: did it change hands between
-//             the probe and the CAS?
-//   write     the payload (or the tombstone), from key_len onward
-//   release   8-byte write of the next even version
+//   lock      CAS the version the probe validated (even -> odd), then
+//             re-read the slot from key_len onward: did it change hands
+//             between the probe and the CAS?
+//   write     the payload (or the tombstone) from key_len onward, then
+//             the 8-byte release of the next even version
 // plus a scan: one unvalidated read of a run of slots.
 //
+// Each two-IO step relies on the RC rule that WRs on one QP execute in
+// post order (DESIGN.md, "RC contract"): the re-read lands after the
+// slot read, the re-check after the CAS, the release after the payload.
+// A driver that cannot put both IOs on one QP issues them one after the
+// other instead. A step's kPlain IO, when it has one, comes first: the
+// mux flushes kPlain before the other lanes, so the two IOs still reach
+// the QP in step order.
+//
 // Retry policy: a torn or locked probe backs off and retries the same
-// slot; a locked peek backs off and re-peeks; a lost CAS re-peeks, after
-// a backoff when the winner still holds the lock; a lost re-check
-// releases the lock, backs off and re-probes from the home slot (the
-// chain may have shifted). Every retry spends one unit of the op's
+// slot. A lost CAS retries against the value it returned: at once when
+// that is even (a writer finished), else after a backoff against
+// old + 1, the version the holder's release writes. The re-check bytes
+// count only when the CAS won; behind a lost CAS they race the winner's
+// write, so they are read on the speculative lane and ignored. A lost
+// re-check releases the lock, backs off and re-probes from the home slot
+// (the chain may have shifted). Every retry spends one unit of the op's
 // budget; an empty budget ends the op with kAborted.
 #pragma once
 
@@ -141,11 +154,9 @@ struct SlotIo {
 struct SlotStep {
   enum class Kind : uint8_t {
     kProbe,    // slot read, then its version re-read
-    kPeek,     // version read of the target slot
-    kCas,      // seqlock acquire
-    kRecheck,  // slot read under the lock, from key_len onward
-    kWrite,    // payload or tombstone write, from key_len onward
-    kRelease,  // 8-byte seqlock release
+    kLock,     // seqlock CAS, then the slot re-read from key_len onward
+    kWrite,    // payload or tombstone from key_len onward, then release
+    kRelease,  // 8-byte seqlock release alone (after a lost re-check)
     kScan,     // slot-run read
     kBackoff,  // wait `backoff`, then Complete()
     kDone,     // status() holds the result
@@ -240,10 +251,9 @@ class SlotOp {
   [[nodiscard]] bool HoldsKey() const noexcept;
   void Begin(SlotOpKind kind, std::string_view key, uint32_t value_len);
   void OnProbe();
-  void Lock(uint64_t slot);
-  void EnterRecheck();
+  void Lock(uint64_t slot, uint64_t version);
+  void OnLock();
   void EnterWrite();
-  void EnterRelease();
   void Retry(bool backoff, Phase resume);
   void Finish(Status status);
 
@@ -251,7 +261,6 @@ class SlotOp {
   Phase phase_ = Phase::kDone;
   SlotOpKind kind_ = SlotOpKind::kGet;
   Phase resume_ = Phase::kProbe;  // where a backoff re-enters
-  bool lost_ = false;   // the re-check lost: release, then re-probe
   uint32_t probe_ = 0;  // probe distance from home
   const TableGeometry* geometry_ = nullptr;
   std::byte* scratch_ = nullptr;
@@ -260,6 +269,7 @@ class SlotOp {
   uint64_t target_ = 0;         // slot being locked/written
   uint64_t lock_compare_ = 0;   // even version the CAS expects
   int64_t reusable_ = -1;       // first empty/tombstone slot seen
+  uint64_t reusable_version_ = 0;  // its validated version
   std::string_view key_;
   uint32_t value_len_ = 0;
   uint32_t retries_left_ = 0;

@@ -427,15 +427,16 @@ void LoadEngine::Advance(uint32_t s) {
       return;
     }
   }
-  // Chain the IOs when each is one slab piece and all ride one QP and
-  // lane: RC execution order then carries the step's ordering (the
-  // probe's version re-read observes any change that raced its slot
-  // read) in a single round trip. Otherwise — a slot straddling slabs —
-  // each IO is its own round trip, in order.
+  // Chain the IOs when each is one slab piece and all ride one QP: RC
+  // execution order then carries the step's ordering (the probe's
+  // re-read after its slot read, the re-check after the CAS, the release
+  // after the payload) in a single round trip, even though the IOs sit
+  // in different lanes: the mux flushes a step's leading kPlain IO
+  // before the other lanes. Otherwise — a slot straddling slabs — each
+  // IO is its own round trip, in order.
   bool chain = ios.size() > 1 && pieces_.size() == ios.size();
   for (const Piece& p : pieces_) {
-    chain = chain && p.span.server_node == pieces_[0].span.server_node &&
-            ios[p.io].lane == ios[0].lane;
+    chain = chain && p.span.server_node == pieces_[0].span.server_node;
   }
   ++ses.gen;
   const uint64_t cookie = Cookie(s);

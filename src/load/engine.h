@@ -9,9 +9,11 @@
 // slot protocol, which KvStore drives synchronously. The engine is the
 // SlotOp's session driver: it splits each step's IOs into slab pieces,
 // stages them through the SessionMux (chained into one round trip when a
-// step's IOs resolve to one QP), resumes the op from completion cookies
-// (wr_id = session << 32 | generation), arms its backoff timers, and
-// charges rtrace stages per round trip.
+// step's IOs resolve to one QP, whatever their lanes), resumes the op
+// from completion cookies (wr_id = session << 32 | generation), arms its
+// backoff timers, and charges rtrace stages per round trip. An
+// uncontended update is three round trips: probe, CAS + re-check, and
+// payload + release.
 //
 // Coordinated-omission safety: every operation's latency is measured
 // from its *intended* send time under the arrival schedule. When a
@@ -183,8 +185,8 @@ class LoadEngine {
   void BeginOp(uint32_t s);
   void BeginAdmitted(uint32_t s);
   // Acts on the SlotOp's current step: stages its IOs (chained into one
-  // round trip when they resolve to one QP, else one IO per round trip),
-  // arms its backoff timer, or finishes the op.
+  // round trip when they resolve to one QP, in any lanes, else one IO
+  // per round trip), arms its backoff timer, or finishes the op.
   void Advance(uint32_t s);
   void HandleCompletion(const verbs::WorkCompletion& wc);
   void OnRetryTimer(uint32_t s);

@@ -45,12 +45,15 @@ Result<size_t> SessionMux::Flush() {
   size_t posted_total = 0;
   bool stalled = false;
   check::Checker* checker = device_.network().sim().checker();
-  // Lanes flush in forward-progress order: seqlock releases first (they
-  // unblock every contending writer), then data IO, then speculative
-  // probes. A session never has WRs in two lanes in the same round (one
-  // step in flight per session), so this never reorders a session's ops.
+  // Lanes flush kPlain, then kSyncCell, then kSpeculative. A session
+  // has at most one step in flight, and a two-IO step lists its kPlain
+  // IO first (the CAS before its re-check, the payload before its
+  // release), so each session's WRs reach its QP in step order. A lane
+  // posts only once every lane before it on the QP posted in full
+  // (headroom only shrinks within a flush), so a stall keeps that order
+  // too.
   static constexpr kv::Lane kLaneOrder[kv::kLanes] = {
-      kv::Lane::kSyncCell, kv::Lane::kPlain, kv::Lane::kSpeculative};
+      kv::Lane::kPlain, kv::Lane::kSyncCell, kv::Lane::kSpeculative};
   for (size_t qi = 0; qi < qps_.size(); ++qi) {
     verbs::QueuePair* qp = qps_[qi];
     size_t headroom = qp->send_headroom();

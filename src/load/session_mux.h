@@ -24,8 +24,12 @@
 // for the happens-before checker: a doorbell chain is posted under one
 // rcheck scope, so WRs with different race semantics — speculative
 // seqlock reads, plain data IO, the 8-byte seqlock release — must ride
-// separate chains. Three lanes per QP, flushed in fixed order, keep one
-// PostSend per (QP, lane) per round.
+// separate chains. Three lanes per QP keep one PostSend per (QP, lane)
+// per round, flushed kPlain, then kSyncCell, then kSpeculative. One
+// session's step may put WRs in two lanes (a CAS and its re-check read,
+// a payload write and its release); the slot protocol lists the kPlain
+// one first, so the flush order posts them to the QP in step order and
+// RC execution order does the rest.
 //
 // Completion demux is the caller's: wr_id is caller-owned (the engine
 // encodes session/generation cookies in it); the mux only moves

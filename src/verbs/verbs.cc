@@ -359,7 +359,7 @@ constexpr uint64_t kAckBytes = 12;
 // write-with-imm retire after two completion polls (sender + receiver CQ);
 // everything else after one.
 uint32_t CheckPost(check::Checker& ck, const SendWr& wr, uint32_t initiator,
-                   uint32_t target) {
+                   uint32_t target, uint32_t qp_num) {
   check::OpClass cls = check::OpClass::kRemoteAtomic;
   uint64_t remote_lo = 0;
   uint64_t remote_hi = 0;
@@ -395,8 +395,8 @@ uint32_t CheckPost(check::Checker& ck, const SendWr& wr, uint32_t initiator,
     const auto lo = reinterpret_cast<uint64_t>(s.addr);
     sges[n++] = check::LocalRange{lo, lo + s.length};
   }
-  return ck.OnPost(initiator, target, cls, remote_lo, remote_hi, sges.data(),
-                   n, expected);
+  return ck.OnPost(initiator, target, qp_num, cls, remote_lo, remote_hi,
+                   sges.data(), n, expected, wr.signaled);
 }
 
 // Calls fn(addr, len) for each non-empty source range of the op's
@@ -492,7 +492,8 @@ Status QueuePair::PostSend(const SendWr& wr) {
     sq_.back().wr.next = nullptr;  // chain pointers don't outlive the post
     if (ck != nullptr) {
       sq_.back().wr.check_ref =
-          CheckPost(*ck, sq_.back().wr, device_.node_id(), peer_node_);
+          CheckPost(*ck, sq_.back().wr, device_.node_id(), peer_node_,
+                    qp_num_);
     }
   }
 

@@ -5,8 +5,9 @@
 // design leans on: zero probe effect (attaching the checker never moves
 // virtual time) and zero false positives on representative E4 (PageRank)
 // and E9 (KV) workloads. The posted-buffer rule also gets its silent
-// and deregister-then-free cases. One more pins that annotation scopes
-// stay with the simulated thread that opened them.
+// and deregister-then-free cases, and the RC order rule a silent
+// same-QP handoff and a racing two-QP one. One more pins that
+// annotation scopes stay with the simulated thread that opened them.
 //
 // All tests attach the checker programmatically, so Shutdown() leaves
 // the verdict to the test instead of aborting the process.
@@ -490,6 +491,119 @@ TEST(CheckTest, DeregisterAndFreeQueuedWriteSourceMovesPostedBytes) {
   EXPECT_EQ(CountType(checker, check::ViolationType::kUseAfterDereg), 1u);
 }
 
+// ------------------------------------------------------- RC order ----
+
+// A writer WRITEs a block and releases an 8-byte seqlock cell behind it,
+// both posted in one flush with no poll between. An acquirer CASes the
+// cell until it sees the release, then writes the block. With the
+// release on the WRITE's QP, RC order publishes the WRITE with it: the
+// handoff is race-free. On a second QP of the same writer the release
+// publishes nothing about the WRITE, and the two block writes race.
+size_t RunReleaseBehindWrite(bool same_qp) {
+  constexpr uint32_t kService = 5;
+  constexpr uint32_t kBlock = 256;
+  check::Checker checker;
+  sim::Simulation sim;
+  sim.AttachChecker(&checker);
+  verbs::Network net(sim);
+  sim::Node& server = sim.AddNode("server");
+  sim::Node& writer = sim.AddNode("writer");
+  sim::Node& acquirer = sim.AddNode("acquirer");
+  verbs::Device& sdev = net.AddDevice(server);
+  verbs::Device& wdev = net.AddDevice(writer);
+  verbs::Device& adev = net.AddDevice(acquirer);
+  std::vector<std::byte> remote(8 + kBlock);  // the cell, then the block
+  auto rmr = sdev.CreatePd().RegisterMemory(
+      remote.data(), remote.size(),
+      verbs::kLocalWrite | verbs::kRemoteWrite | verbs::kRemoteAtomic);
+  EXPECT_TRUE(rmr.ok());
+  const uint64_t cell = (*rmr)->remote_addr();
+  const uint64_t block = cell + 8;
+  const uint32_t rkey = (*rmr)->rkey();
+  net.Listen(sdev, kService);
+  server.Spawn("accept", [&] {
+    for (int i = 0; i < 3; ++i) (void)net.Listen(sdev, kService).Accept();
+  });
+  writer.Spawn("writer", [&] {
+    auto data_qp = net.Connect(wdev, server.id(), kService);
+    auto other_qp = net.Connect(wdev, server.id(), kService);
+    ASSERT_TRUE(data_qp.ok() && other_qp.ok());
+    verbs::QueuePair& cell_qp = same_qp ? **data_qp : **other_qp;
+    verbs::ProtectionDomain& pd = wdev.CreatePd();
+    std::vector<std::byte> src(kBlock, std::byte{0xAA});
+    const uint64_t two = 2;
+    std::vector<std::byte> release(8);
+    std::memcpy(release.data(), &two, 8);
+    auto src_mr = pd.RegisterMemory(src.data(), src.size(), 0);
+    auto rel_mr = pd.RegisterMemory(release.data(), 8, 0);
+    ASSERT_TRUE(src_mr.ok() && rel_mr.ok());
+    ASSERT_TRUE((*data_qp)
+                    ->PostSend(verbs::SendWr{
+                        .opcode = verbs::Opcode::kRdmaWrite,
+                        .local = {src.data(), kBlock, (*src_mr)->lkey()},
+                        .remote_addr = block,
+                        .rkey = rkey})
+                    .ok());
+    {
+      check::SyncCellScope sync(&checker);
+      ASSERT_TRUE(cell_qp
+                      .PostSend(verbs::SendWr{
+                          .opcode = verbs::Opcode::kRdmaWrite,
+                          .local = {release.data(), 8, (*rel_mr)->lkey()},
+                          .remote_addr = cell,
+                          .rkey = rkey})
+                      .ok());
+    }
+    ASSERT_TRUE((*data_qp)->send_cq().WaitOne().ok());
+    ASSERT_TRUE(cell_qp.send_cq().WaitOne().ok());
+  });
+  acquirer.Spawn("acquirer", [&] {
+    auto qp = net.Connect(adev, server.id(), kService);
+    ASSERT_TRUE(qp.ok());
+    verbs::ProtectionDomain& pd = adev.CreatePd();
+    std::vector<std::byte> src(kBlock, std::byte{0xBB});
+    std::vector<std::byte> old(8);
+    auto src_mr = pd.RegisterMemory(src.data(), src.size(), 0);
+    auto old_mr = pd.RegisterMemory(old.data(), 8, verbs::kLocalWrite);
+    ASSERT_TRUE(src_mr.ok() && old_mr.ok());
+    while (true) {
+      ASSERT_TRUE((*qp)
+                      ->PostSend(verbs::SendWr{
+                          .opcode = verbs::Opcode::kCompareSwap,
+                          .local = {old.data(), 8, (*old_mr)->lkey()},
+                          .remote_addr = cell,
+                          .rkey = rkey,
+                          .compare = 2,
+                          .swap_or_add = 3})
+                      .ok());
+      ASSERT_TRUE((*qp)->send_cq().WaitOne().ok());
+      uint64_t seen = 0;
+      std::memcpy(&seen, old.data(), 8);
+      if (seen == 2) break;
+      sim::Sleep(sim::Micros(1));
+    }
+    ASSERT_TRUE((*qp)
+                    ->PostSend(verbs::SendWr{
+                        .opcode = verbs::Opcode::kRdmaWrite,
+                        .local = {src.data(), kBlock, (*src_mr)->lkey()},
+                        .remote_addr = block,
+                        .rkey = rkey})
+                    .ok());
+    ASSERT_TRUE((*qp)->send_cq().WaitOne().ok());
+  });
+  sim.Run();
+  EXPECT_EQ(remote[8], std::byte{0xBB});
+  return CountType(checker, check::ViolationType::kRace);
+}
+
+TEST(CheckRcOrderTest, ReleaseBehindWriteOnOneQpPublishesIt) {
+  EXPECT_EQ(RunReleaseBehindWrite(/*same_qp=*/true), 0u);
+}
+
+TEST(CheckRcOrderTest, ReleaseOnAnotherQpPublishesNothing) {
+  EXPECT_EQ(RunReleaseBehindWrite(/*same_qp=*/false), 1u);
+}
+
 // ------------------------------------------------- annotation scopes ----
 
 // Annotation scopes belong to the simulated thread that opened them. Two
@@ -516,14 +630,14 @@ TEST(CheckScopeTest, ParkedThreadsScopesStayWithIt) {
     check::OpLabelScope label(&checker, "parked.read");
     sim::Sleep(sim::Micros(10));
     parked_label = check::detail::CurrentLabel();
-    parked_ref = checker.OnPost(0, 1, check::OpClass::kRemoteRead, kLo,
-                                kLo + 8, nullptr, 0, 1);
+    parked_ref = checker.OnPost(0, 1, 0, check::OpClass::kRemoteRead, kLo,
+                                kLo + 8, nullptr, 0, 1, true);
   });
   client.Spawn("other", [&] {
     sim::Sleep(sim::Micros(5));
     check::OpLabelScope label(&checker, "other.write");
-    other_ref = checker.OnPost(0, 1, check::OpClass::kRemoteWrite, kLo,
-                               kLo + 8, nullptr, 0, 1);
+    other_ref = checker.OnPost(0, 1, 0, check::OpClass::kRemoteWrite, kLo,
+                               kLo + 8, nullptr, 0, 1, true);
   });
   sim.Run();
   EXPECT_NE(other_ref, 0u);   // recorded: not speculative

@@ -1,8 +1,9 @@
 // Tests for kv::SlotOp, RKV's slot protocol as a pure state machine. A
-// fake driver applies each step to an in-memory table image, optionally
-// split at "slab" boundaries, and lets a test play the other clients by
-// editing the table between IO pieces. Each test pins the exact step
-// sequence and the final table bytes.
+// fake driver applies each step's IOs in order to an in-memory table
+// image (the order RC execution gives them), optionally split at "slab"
+// boundaries, and lets a test play the other clients by editing the
+// table between IO pieces. Each test pins the exact step sequence and
+// the final table bytes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -64,9 +65,9 @@ class FakeTable {
 
   // Drives `op` to completion and returns its step trace, e.g.
   // {"probe@5", "backoff", "probe@5", "done:OK"}.
-  std::vector<std::string> Run(SlotOp& op) {
+  std::vector<std::string> Run(SlotOp& op, int max_steps = 1000) {
     std::vector<std::string> trace;
-    for (int guard = 0; guard < 1000 && !op.done(); ++guard) {
+    for (int guard = 0; guard < max_steps && !op.done(); ++guard) {
       const SlotStep step = op.step();
       if (step.kind == Kind::kBackoff) {
         trace.emplace_back("backoff");
@@ -85,9 +86,7 @@ class FakeTable {
   static std::string Name(Kind kind) {
     switch (kind) {
       case Kind::kProbe: return "probe";
-      case Kind::kPeek: return "peek";
-      case Kind::kCas: return "cas";
-      case Kind::kRecheck: return "recheck";
+      case Kind::kLock: return "lock";
       case Kind::kWrite: return "write";
       case Kind::kRelease: return "release";
       case Kind::kScan: return "scan";
@@ -166,8 +165,15 @@ class SlotOpTest : public ::testing::Test {
     return table_.Run(op_);
   }
   std::vector<std::string> Lifecycle(uint64_t slot) {
-    return {At("peek", slot), At("cas", slot), At("recheck", slot),
-            At("write", slot), At("release", slot)};
+    return {At("lock", slot), At("write", slot)};
+  }
+  // The compare value of every lock step's CAS, in order.
+  void RecordCompares(std::vector<uint64_t>* compares) {
+    table_.before = [compares](const SlotStep& step, size_t io, size_t) {
+      if (step.kind == Kind::kLock && io == 0) {
+        compares->push_back(step.io[0].compare);
+      }
+    };
   }
   static std::vector<std::string> Cat(
       std::initializer_list<std::vector<std::string>> parts) {
@@ -248,51 +254,151 @@ TEST_F(SlotOpTest, LockedProbeWaitsForTheHolderInsteadOfSkipping) {
   EXPECT_EQ(table_.Version(H(0)), 6u);
 }
 
-TEST_F(SlotOpTest, CasLostToAHolderBacksOffAndRepeeks) {
-  int cas = 0;
-  int peeks = 0;
-  table_.before = [&](const SlotStep& step, size_t, size_t) {
-    if (step.kind == Kind::kCas && cas++ == 0) table_.SetVersion(H(0), 1);
-    if (step.kind == Kind::kPeek && ++peeks == 3) table_.SetVersion(H(0), 2);
+TEST_F(SlotOpTest, UncontendedUpsertTakesThreeSteps) {
+  table_.Put(H(0), 6, "k", "old");
+  op_.Start(SlotOpKind::kUpsert, "k", Bytes("new"));
+  const uint64_t slot = SlotLayout::SlotOffset(H(0), 64);
+  const uint64_t version = slot + SlotLayout::kVersionOff;
+  const uint64_t rest = slot + SlotLayout::kKeyLenOff;
+  struct Want {
+    Kind step;
+    SlotIo::Kind kind[2];
+    Lane lane[2];
+    uint64_t offset[2];
+    uint32_t length[2];
   };
-  EXPECT_EQ(Upsert("v"),
-            Cat({{At("probe", H(0)), At("peek", H(0)), At("cas", H(0)),
-                  "backoff", At("peek", H(0)), "backoff"},
-                 Lifecycle(H(0)),
-                 {"done:OK"}}));
-  EXPECT_EQ(op_.retries(), 2u);
-  EXPECT_EQ(table_.Contents(H(0)), "k=v");
-  EXPECT_EQ(table_.Version(H(0)), 4u);
+  using IoKind = SlotIo::Kind;
+  const Want want[] = {
+      {Kind::kProbe,
+       {IoKind::kRead, IoKind::kRead},
+       {Lane::kSpeculative, Lane::kSpeculative},
+       {slot, version},
+       {64, 8}},
+      {Kind::kLock,
+       {IoKind::kCas, IoKind::kRead},
+       {Lane::kPlain, Lane::kSpeculative},
+       {version, rest},
+       {8, 64 - 8}},
+      {Kind::kWrite,
+       {IoKind::kWrite, IoKind::kWrite},
+       {Lane::kPlain, Lane::kSyncCell},
+       {rest, version},
+       {16 + 1 + 3, 8}},
+  };
+  for (const Want& w : want) {
+    ASSERT_FALSE(op_.done());
+    const SlotStep step = op_.step();
+    ASSERT_EQ(step.kind, w.step);
+    ASSERT_EQ(step.io_count, 2);
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(step.io[i].kind, w.kind[i]);
+      EXPECT_EQ(step.io[i].lane, w.lane[i]);
+      EXPECT_EQ(step.io[i].offset, w.offset[i]);
+      EXPECT_EQ(step.io[i].length, w.length[i]);
+    }
+    if (step.kind == Kind::kLock) {
+      // The CAS compares against the version the probe validated.
+      EXPECT_EQ(step.io[0].compare, 6u);
+      EXPECT_EQ(step.io[0].swap, 7u);
+    }
+    table_.Run(op_, /*max_steps=*/1);
+  }
+  ASSERT_TRUE(op_.done());
+  EXPECT_TRUE(op_.status().ok());
+  EXPECT_EQ(op_.retries(), 0u);
+  EXPECT_EQ(table_.Contents(H(0)), "k=new");
+  EXPECT_EQ(table_.Version(H(0)), 8u);
 }
 
-TEST_F(SlotOpTest, CasLostToACompletedWriterRepeeksAtOnce) {
+TEST_F(SlotOpTest, CasLostToAHolderBacksOffAndComparesAgainstItsRelease) {
+  table_.Put(H(0), 2, "k", "old");
+  std::vector<uint64_t> compares;
+  RecordCompares(&compares);
+  const auto record = table_.before;
   int cas = 0;
-  table_.before = [&](const SlotStep& step, size_t, size_t) {
-    if (step.kind == Kind::kCas && cas++ == 0) table_.SetVersion(H(0), 2);
+  table_.before = [&](const SlotStep& step, size_t io, size_t piece) {
+    record(step, io, piece);
+    if (step.kind != Kind::kLock || io != 0) return;
+    // A writer takes the lock between our probe and our CAS, and still
+    // holds it at our second CAS; it releases (version 4) before the
+    // third.
+    if (++cas == 1) table_.SetVersion(H(0), 3);
+    if (cas == 3) table_.Put(H(0), 4, "k", "theirs");
   };
   EXPECT_EQ(Upsert("v"),
-            Cat({{At("probe", H(0)), At("peek", H(0)), At("cas", H(0))},
+            Cat({{At("probe", H(0)), At("lock", H(0)), "backoff",
+                  At("lock", H(0)), "backoff"},
+                 Lifecycle(H(0)),
+                 {"done:OK"}}));
+  EXPECT_EQ(compares, (std::vector<uint64_t>{2, 4, 4}));
+  EXPECT_EQ(op_.retries(), 2u);
+  EXPECT_EQ(table_.Contents(H(0)), "k=v");
+  EXPECT_EQ(table_.Version(H(0)), 6u);
+}
+
+TEST_F(SlotOpTest, CasLostToACompletedWriterRetriesAtOnceAgainstItsVersion) {
+  table_.Put(H(0), 2, "k", "old");
+  std::vector<uint64_t> compares;
+  RecordCompares(&compares);
+  const auto record = table_.before;
+  int cas = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t piece) {
+    record(step, io, piece);
+    // A writer of k completes between our probe and our CAS. The
+    // re-check read behind the lost CAS sees our key: it must not count.
+    if (step.kind == Kind::kLock && io == 0 && cas++ == 0) {
+      table_.Put(H(0), 4, "k", "theirs");
+    }
+  };
+  EXPECT_EQ(Upsert("v"),
+            Cat({{At("probe", H(0)), At("lock", H(0))},
+                 Lifecycle(H(0)),
+                 {"done:OK"}}));
+  EXPECT_EQ(compares, (std::vector<uint64_t>{2, 4}));
+  EXPECT_EQ(op_.retries(), 1u);
+  EXPECT_EQ(table_.Contents(H(0)), "k=v");
+  EXPECT_EQ(table_.Version(H(0)), 6u);
+}
+
+TEST_F(SlotOpTest, RecheckBytesBehindALostCasAreIgnored) {
+  table_.Put(H(0), 2, "k", "old");
+  int locks = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t) {
+    if (step.kind != Kind::kLock) return;
+    if (io == 0 && ++locks == 1) table_.SetVersion(H(0), 3);
+    // The holder's write is in flight when our re-check reads: the
+    // bytes show a foreign key. Taking them as a lost re-check would
+    // release a lock this op never held.
+    if (io == 1 && locks == 1) table_.Put(H(0), 3, "z", "torn");
+    if (io == 0 && locks == 2) table_.Put(H(0), 4, "k", "theirs");
+  };
+  EXPECT_EQ(Upsert("v"),
+            Cat({{At("probe", H(0)), At("lock", H(0)), "backoff"},
                  Lifecycle(H(0)),
                  {"done:OK"}}));
   EXPECT_EQ(op_.retries(), 1u);
-  EXPECT_EQ(table_.Version(H(0)), 4u);
+  EXPECT_EQ(table_.Contents(H(0)), "k=v");
+  EXPECT_EQ(table_.Version(H(0)), 6u);
 }
 
 TEST_F(SlotOpTest, LostRecheckReleasesAndReprobesFromHome) {
   table_.Put(H(0), 2, "y", "1");
-  int peeks = 0;
-  table_.before = [&](const SlotStep& step, size_t, size_t) {
+  int locks = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t) {
     // After our probe saw H(1) empty, another client claims it for "z"
-    // and releases before our peek: the CAS wins, the re-check loses.
-    if (step.kind == Kind::kPeek && peeks++ == 0) table_.Put(H(1), 2, "z", "2");
+    // and releases before our CAS: the CAS loses to version 2, retries
+    // at once and wins, and the re-check loses.
+    if (step.kind == Kind::kLock && io == 0 && locks++ == 0) {
+      table_.Put(H(1), 2, "z", "2");
+    }
   };
   EXPECT_EQ(Upsert("v"),
-            Cat({{At("probe", H(0)), At("probe", H(1)), At("peek", H(1)),
-                  At("cas", H(1)), At("recheck", H(1)), At("release", H(1)),
-                  "backoff", At("probe", H(0)), At("probe", H(1)),
-                  At("probe", H(2))},
+            Cat({{At("probe", H(0)), At("probe", H(1)), At("lock", H(1)),
+                  At("lock", H(1)), At("release", H(1)), "backoff",
+                  At("probe", H(0)), At("probe", H(1)), At("probe", H(2))},
                  Lifecycle(H(2)),
                  {"done:OK"}}));
+  EXPECT_EQ(op_.retries(), 2u);
   EXPECT_EQ(table_.Contents(H(0)), "y=1");
   EXPECT_EQ(table_.Contents(H(1)), "z=2");
   EXPECT_EQ(table_.Version(H(1)), 4u);  // released, untouched
@@ -302,17 +408,19 @@ TEST_F(SlotOpTest, LostRecheckReleasesAndReprobesFromHome) {
 
 TEST_F(SlotOpTest, LostRecheckOnDeleteReprobesAndReportsAbsent) {
   table_.Put(H(0), 2, "k", "1");
-  int peeks = 0;
-  table_.before = [&](const SlotStep& step, size_t, size_t) {
-    // k is deleted and its slot reused for "z" between probe and peek.
-    if (step.kind == Kind::kPeek && peeks++ == 0) table_.Put(H(0), 4, "z", "2");
+  int locks = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t) {
+    // k is deleted and its slot reused for "z" between probe and CAS.
+    if (step.kind == Kind::kLock && io == 0 && locks++ == 0) {
+      table_.Put(H(0), 4, "z", "2");
+    }
   };
   op_.Start(SlotOpKind::kDelete, "k");
   EXPECT_EQ(table_.Run(op_),
             (std::vector<std::string>{
-                At("probe", H(0)), At("peek", H(0)), At("cas", H(0)),
-                At("recheck", H(0)), At("release", H(0)), "backoff",
-                At("probe", H(0)), At("probe", H(1)), "done:NOT_FOUND"}));
+                At("probe", H(0)), At("lock", H(0)), At("lock", H(0)),
+                At("release", H(0)), "backoff", At("probe", H(0)),
+                At("probe", H(1)), "done:NOT_FOUND"}));
   EXPECT_FALSE(op_.wrote());
   EXPECT_EQ(table_.Contents(H(0)), "z=2");
   EXPECT_EQ(table_.Version(H(0)), 6u);
@@ -408,24 +516,77 @@ TEST_F(SlotOpTest, ScanReadsTheAreaClampedAtTheTableEnd) {
 }
 
 TEST_F(SlotOpTest, StepsCarryTheirLanes) {
-  table_.before = [&](const SlotStep& step, size_t, size_t) {
-    for (const SlotIo& io : step.ios()) {
-      switch (step.kind) {
-        case Kind::kProbe:
-        case Kind::kPeek:
-          EXPECT_EQ(io.lane, Lane::kSpeculative);
-          break;
-        case Kind::kRelease:
-          EXPECT_EQ(io.lane, Lane::kSyncCell);
-          EXPECT_EQ(io.length, 8u);
-          break;
-        default:
-          EXPECT_EQ(io.lane, Lane::kPlain);
-          break;
-      }
+  std::vector<Kind> seen;
+  table_.before = [&](const SlotStep& step, size_t io, size_t piece) {
+    if (io != 0 || piece != 0) return;
+    seen.push_back(step.kind);
+    const auto lanes = [&] {
+      std::vector<Lane> out;
+      for (const SlotIo& i : step.ios()) out.push_back(i.lane);
+      return out;
+    }();
+    switch (step.kind) {
+      case Kind::kProbe:
+        EXPECT_EQ(lanes, (std::vector<Lane>{Lane::kSpeculative,
+                                            Lane::kSpeculative}));
+        break;
+      case Kind::kLock:
+        EXPECT_EQ(lanes,
+                  (std::vector<Lane>{Lane::kPlain, Lane::kSpeculative}));
+        break;
+      case Kind::kWrite:
+        EXPECT_EQ(lanes, (std::vector<Lane>{Lane::kPlain, Lane::kSyncCell}));
+        EXPECT_EQ(step.io[1].length, 8u);
+        break;
+      case Kind::kRelease:
+        EXPECT_EQ(lanes, (std::vector<Lane>{Lane::kSyncCell}));
+        EXPECT_EQ(step.io[0].length, 8u);
+        break;
+      default:
+        ADD_FAILURE() << "unexpected step";
+        break;
+    }
+  };
+  // A lost re-check on H(0) runs every step kind.
+  int locks = 0;
+  const auto check_lanes = table_.before;
+  table_.before = [&](const SlotStep& step, size_t io, size_t piece) {
+    check_lanes(step, io, piece);
+    if (step.kind == Kind::kLock && io == 0 && locks++ == 0) {
+      table_.Put(H(0), 0, "z", "2");
     }
   };
   EXPECT_EQ(Upsert("v").back(), "done:OK");
+  EXPECT_EQ(seen, (std::vector<Kind>{Kind::kProbe, Kind::kLock,
+                                     Kind::kRelease, Kind::kProbe,
+                                     Kind::kProbe, Kind::kLock,
+                                     Kind::kWrite}));
+}
+
+// The mux flushes kPlain before the other lanes, so a step's two IOs
+// reach the QP in step order only if a kPlain IO, when the step has one,
+// comes first. Checked over every step of contended upserts and deletes.
+TEST_F(SlotOpTest, TwoIoStepsListTheirPlainIoFirst) {
+  size_t two_io_steps = 0;
+  int edits = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t piece) {
+    if (io == 0 && piece == 0 && step.io_count == 2) {
+      ++two_io_steps;
+      if (step.io[0].lane == Lane::kPlain ||
+          step.io[1].lane == Lane::kPlain) {
+        EXPECT_EQ(step.io[0].lane, Lane::kPlain);
+      }
+    }
+    // Contend on every other lock: a holder, then a completed writer.
+    if (step.kind == Kind::kLock && io == 0 && edits++ % 2 == 0) {
+      table_.SetVersion(op_.slot(), table_.Version(op_.slot()) + 1);
+    }
+  };
+  EXPECT_EQ(Upsert("v1").back(), "done:OK");
+  EXPECT_EQ(Upsert("v2").back(), "done:OK");
+  op_.Start(SlotOpKind::kDelete, "k");
+  EXPECT_EQ(table_.Run(op_).back(), "done:OK");
+  EXPECT_GE(two_io_steps, 9u);
 }
 
 TEST(SlotLayoutTest, HeaderRoundTripsAndRejectsForeignBytes) {

@@ -4,8 +4,10 @@
 // retry-exceeded, flush), and connection management.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -755,6 +757,92 @@ TEST_F(VerbsFixture, PipelinedWritesSaturateBandwidth) {
       static_cast<double>(32ULL << 20) * 8.0 / sim::ToSeconds(elapsed);
   EXPECT_GT(gbps, 0.9 * net.fabric().config().bandwidth_bps);
 }
+
+// RC execution order, the contract RKV's slot protocol chains its steps
+// on (DESIGN.md, "RC contract"): WRs posted as separate PostSends in one
+// flush on one QP execute at the target in post order. A 64 KiB WRITE
+// then an 8-byte WRITE over its first word, and a CAS then a READ of the
+// swapped cell. Run on one partition and on per-node partitions.
+class VerbsRcOrderTest : public VerbsFixture,
+                         public ::testing::WithParamInterface<uint32_t> {
+ protected:
+  VerbsRcOrderTest()
+      : VerbsFixture(sim::SimConfig{.host_threads = GetParam()}) {}
+};
+
+TEST_P(VerbsRcOrderTest, SeparatePostsOnOneQpExecuteInPostOrder) {
+  constexpr uint32_t kBlock = 64 << 10;
+  std::vector<std::byte> remote, block, word, cas_old, read_back;
+  MemoryRegion* rem_mr =
+      Register(server_dev, remote, kBlock + 8,
+               kLocalWrite | kRemoteRead | kRemoteWrite | kRemoteAtomic);
+  const uint64_t cell = rem_mr->remote_addr() + kBlock;
+  std::vector<WorkCompletion> wcs;
+  RunPair([&](QueuePair& qp) {
+    MemoryRegion* block_mr = Register(client_dev, block, kBlock, kLocalWrite);
+    MemoryRegion* word_mr = Register(client_dev, word, 8, kLocalWrite);
+    MemoryRegion* old_mr = Register(client_dev, cas_old, 8, kLocalWrite);
+    MemoryRegion* read_mr = Register(client_dev, read_back, 8, kLocalWrite);
+    std::fill(block.begin(), block.end(), std::byte{0xAA});
+    std::fill(word.begin(), word.end(), std::byte{0xBB});
+    const SendWr wrs[] = {
+        {.wr_id = 0,
+         .opcode = Opcode::kRdmaWrite,
+         .local = {block.data(), kBlock, block_mr->lkey()},
+         .remote_addr = rem_mr->remote_addr(),
+         .rkey = rem_mr->rkey()},
+        {.wr_id = 1,
+         .opcode = Opcode::kRdmaWrite,
+         .local = {word.data(), 8, word_mr->lkey()},
+         .remote_addr = rem_mr->remote_addr(),
+         .rkey = rem_mr->rkey()},
+        {.wr_id = 2,
+         .opcode = Opcode::kCompareSwap,
+         .local = {cas_old.data(), 8, old_mr->lkey()},
+         .remote_addr = cell,
+         .rkey = rem_mr->rkey(),
+         .compare = 0,
+         .swap_or_add = 7},
+        {.wr_id = 3,
+         .opcode = Opcode::kRdmaRead,
+         .local = {read_back.data(), 8, read_mr->lkey()},
+         .remote_addr = cell,
+         .rkey = rem_mr->rkey()},
+    };
+    for (const SendWr& wr : wrs) ASSERT_TRUE(qp.PostSend(wr).ok());
+    while (wcs.size() < std::size(wrs)) {
+      auto wc = qp.send_cq().WaitOne();
+      ASSERT_TRUE(wc.ok() && wc->ok());
+      wcs.push_back(*wc);
+    }
+  });
+  ASSERT_EQ(wcs.size(), 4u);
+  for (size_t i = 0; i < wcs.size(); ++i) {
+    EXPECT_EQ(wcs[i].wr_id, i);
+    if (i > 0) {
+      EXPECT_LE(wcs[i - 1].stamps.executed, wcs[i].stamps.executed);
+    }
+  }
+  // The 8-byte WRITE landed over the block, not under it.
+  EXPECT_EQ(std::vector<std::byte>(remote.begin(), remote.begin() + 8),
+            std::vector<std::byte>(8, std::byte{0xBB}));
+  EXPECT_EQ(std::vector<std::byte>(remote.begin() + 8, remote.begin() + kBlock),
+            std::vector<std::byte>(kBlock - 8, std::byte{0xAA}));
+  // The READ saw the CAS's swap.
+  uint64_t old = 1;
+  uint64_t seen = 0;
+  std::memcpy(&old, cas_old.data(), 8);
+  std::memcpy(&seen, read_back.data(), 8);
+  EXPECT_EQ(old, 0u);
+  EXPECT_EQ(seen, 7u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, VerbsRcOrderTest, ::testing::Values(0u, 4u),
+    [](const ::testing::TestParamInfo<uint32_t>& info) {
+      return info.param == 0 ? std::string("OnePartition")
+                             : "HostThreads" + std::to_string(info.param);
+    });
 
 // ------------------------------------------------------ failure handling --
 TEST_F(VerbsFixture, WriteToKilledPeerRetriesThenErrors) {
