@@ -14,6 +14,9 @@
 // its keep.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "kv/kv.h"
@@ -35,8 +38,17 @@ uint32_t Clients() {
   return static_cast<uint32_t>(std::min<int64_t>(flags.sessions, 64));
 }
 
-void RunMix(benchmark::State& state, double read_fraction,
-            uint32_t cache_slots = 0) {
+// What one client fiber reports. Each client writes only its own slot
+// (clients on different partitions may finish in the same epoch under
+// --host-threads), and RunMix reduces the slots after Run().
+struct ClientTally {
+  uint64_t ops = 0;
+  uint64_t conflicts = 0;
+  sim::Nanos t_begin = sim::kNever;
+  sim::Nanos t_end = 0;
+};
+
+void RunMix(benchmark::State& state, double read_fraction) {
   const uint32_t kClients = Clients();
   const LoadFlags& flags = GetLoadFlags();
   const double theta = flags.skew >= 0 ? flags.skew : 0.99;
@@ -44,7 +56,6 @@ void RunMix(benchmark::State& state, double read_fraction,
       flags.duration_ms > 0 ? sim::Millis(flags.duration_ms) : 0;
   double kops = 0;
   uint64_t conflicts = 0;
-  uint64_t cache_hits = 0;
   for (auto _ : state) {
     core::ClusterConfig cfg;
     cfg.telemetry = ActiveTelemetry();
@@ -53,15 +64,12 @@ void RunMix(benchmark::State& state, double read_fraction,
     cfg.server_capacity = 16ULL << 20;
     cfg.master.slab_size = 1ULL << 20;
     core::TestCluster cluster(cfg);
-    sim::Nanos t_begin = sim::kNever, t_end = 0;
-    uint64_t total_conflicts = 0;
-    uint64_t total_ops = 0;
+    std::vector<ClientTally> tallies(kClients);
     for (uint32_t c = 0; c < kClients; ++c) {
       cluster.SpawnClient(c, [&, c](core::RStoreClient& client) {
         Result<std::unique_ptr<kv::KvStore>> kv(ErrorCode::kInternal, "");
         kv::KvOptions opts;
         opts.buckets = 4 * kKeys;
-        opts.cache_slots = cache_slots;
         if (c == 0) {
           kv = kv::KvStore::Create(client, "ycsb", opts);
           if (!kv.ok()) return;
@@ -73,7 +81,7 @@ void RunMix(benchmark::State& state, double read_fraction,
           (void)client.NotifyInc("loaded");
         } else {
           (void)client.WaitNotify("loaded", 1);
-          kv = kv::KvStore::Open(client, "ycsb", cache_slots);
+          kv = kv::KvStore::Open(client, "ycsb");
           if (!kv.ok()) return;
         }
         (void)client.NotifyInc("armed");
@@ -102,14 +110,19 @@ void RunMix(benchmark::State& state, double read_fraction,
             }
           }
         }
-        total_ops += ops;
-        t_begin = std::min(t_begin, t0);
-        t_end = std::max(t_end, sim::Now());
-        total_conflicts += (*kv)->stats().version_retries;
-        cache_hits += (*kv)->stats().cache_hits;
+        tallies[c] = {ops, (*kv)->stats().version_retries, t0, sim::Now()};
       });
     }
     cluster.sim().Run();
+    sim::Nanos t_begin = sim::kNever, t_end = 0;
+    uint64_t total_conflicts = 0;
+    uint64_t total_ops = 0;
+    for (const ClientTally& tally : tallies) {
+      total_ops += tally.ops;
+      total_conflicts += tally.conflicts;
+      t_begin = std::min(t_begin, tally.t_begin);
+      t_end = std::max(t_end, tally.t_end);
+    }
     const double secs = sim::ToSeconds(t_end - t_begin);
     kops = static_cast<double>(total_ops) / secs / 1e3;
     conflicts = total_conflicts;
@@ -117,38 +130,17 @@ void RunMix(benchmark::State& state, double read_fraction,
   }
   state.counters["kops_per_s"] = kops;
   state.counters["seqlock_conflicts"] = static_cast<double>(conflicts);
-  if (cache_slots > 0) {
-    state.counters["cache_hits"] = static_cast<double>(cache_hits);
-  }
 }
 
 void E11_WorkloadA(benchmark::State& state) { RunMix(state, 0.50); }
 void E11_WorkloadB(benchmark::State& state) { RunMix(state, 0.95); }
 void E11_WorkloadC(benchmark::State& state) { RunMix(state, 1.00); }
 
-// The same mixes with a 512-entry client-local slot cache: Zipf-head
-// GETs validate in 8 bytes instead of re-reading the slot.
-void E11_WorkloadACached(benchmark::State& state) {
-  RunMix(state, 0.50, 512);
-}
-void E11_WorkloadBCached(benchmark::State& state) {
-  RunMix(state, 0.95, 512);
-}
-void E11_WorkloadCCached(benchmark::State& state) {
-  RunMix(state, 1.00, 512);
-}
-
 BENCHMARK(E11_WorkloadA)->UseManualTime()->Iterations(1)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(E11_WorkloadB)->UseManualTime()->Iterations(1)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(E11_WorkloadC)->UseManualTime()->Iterations(1)->Unit(
-    benchmark::kMillisecond);
-BENCHMARK(E11_WorkloadACached)->UseManualTime()->Iterations(1)->Unit(
-    benchmark::kMillisecond);
-BENCHMARK(E11_WorkloadBCached)->UseManualTime()->Iterations(1)->Unit(
-    benchmark::kMillisecond);
-BENCHMARK(E11_WorkloadCCached)->UseManualTime()->Iterations(1)->Unit(
     benchmark::kMillisecond);
 
 }  // namespace

@@ -55,38 +55,6 @@ void E9_RkvGet(benchmark::State& state) {
   }
 }
 
-// Hot GETs with the client-local slot cache: each hit moves one 8-byte
-// seqlock validate instead of a slot-sized read plus validate.
-void E9_RkvGetCached(benchmark::State& state) {
-  for (auto _ : state) {
-    core::ClusterConfig cfg;
-    cfg.telemetry = ActiveTelemetry();
-    core::TestCluster cluster(cfg);
-    double seconds = 0;
-    uint64_t hits = 0;
-    cluster.RunClient([&](core::RStoreClient& client) {
-      kv::KvOptions opts;
-      opts.cache_slots = 256;
-      auto kv = kv::KvStore::Create(client, "t", opts);
-      if (!kv.ok()) return;
-      std::vector<std::byte> value(kValueBytes);
-      for (int i = 0; i < kOps; ++i) {
-        (void)(*kv)->Put("key" + std::to_string(i), value);
-      }
-      Stopwatch watch;
-      for (int i = 0; i < kOps; ++i) {
-        watch.Start();
-        (void)(*kv)->Get("key" + std::to_string(i));
-        watch.Stop();
-      }
-      seconds = watch.seconds() / kOps;
-      hits = (*kv)->stats().cache_hits;
-    });
-    ReportVirtualTime(state, seconds);
-    state.counters["cache_hits"] = static_cast<double>(hits);
-  }
-}
-
 void E9_RkvPut(benchmark::State& state) {
   for (auto _ : state) {
     core::ClusterConfig cfg;
@@ -149,8 +117,6 @@ void E9_RpcStoreGet(benchmark::State& state) { RunRpcKv(state, true); }
 void E9_RpcStorePut(benchmark::State& state) { RunRpcKv(state, false); }
 
 BENCHMARK(E9_RkvGet)->UseManualTime()->Iterations(1)->Unit(
-    benchmark::kMicrosecond);
-BENCHMARK(E9_RkvGetCached)->UseManualTime()->Iterations(1)->Unit(
     benchmark::kMicrosecond);
 BENCHMARK(E9_RkvPut)->UseManualTime()->Iterations(1)->Unit(
     benchmark::kMicrosecond);

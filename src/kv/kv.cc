@@ -7,7 +7,6 @@
 #include "check/lin.h"
 #include "common/rng.h"
 #include "obs/trace.h"
-#include "sim/cost_model.h"
 #include "sim/simulation.h"
 
 namespace rstore::kv {
@@ -42,12 +41,6 @@ struct OpObs {
   obs::Timer* latency = nullptr;
   uint64_t t0 = 0;
 };
-
-uint64_t Load64(const std::byte* p) noexcept {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 }  // namespace
 
@@ -90,8 +83,7 @@ Result<std::unique_ptr<KvStore>> KvStore::Create(core::RStoreClient& client,
 }
 
 Result<std::unique_ptr<KvStore>> KvStore::Open(core::RStoreClient& client,
-                                               const std::string& name,
-                                               uint32_t cache_slots) {
+                                               const std::string& name) {
   auto region = client.Rmap(name);
   if (!region.ok()) return region.status();
   auto hdr = client.AllocBuffer(SlotLayout::kHeaderBytes);
@@ -99,70 +91,7 @@ Result<std::unique_ptr<KvStore>> KvStore::Open(core::RStoreClient& client,
   RSTORE_RETURN_IF_ERROR((*region)->Read(0, hdr->data));
   auto geometry = SlotLayout::ReadHeader(hdr->data);
   if (!geometry.ok()) return geometry.status();
-  KvOptions options;
-  static_cast<TableGeometry&>(options) = *geometry;
-  options.cache_slots = cache_slots;  // client-local, not table geometry
-  return Make(client, *region, options);
-}
-
-void KvStore::CacheStore(uint64_t slot, uint64_t version,
-                         const std::byte* bytes) {
-  auto it = slot_cache_.find(slot);
-  if (it == slot_cache_.end()) {
-    if (slot_cache_.size() >= options_.cache_slots) {
-      const uint64_t victim = slot_lru_.back();
-      slot_lru_.pop_back();
-      slot_cache_.erase(victim);
-    }
-    slot_lru_.push_front(slot);
-    it = slot_cache_.emplace(slot, CachedSlot{}).first;
-    it->second.lru = slot_lru_.begin();
-    it->second.bytes.resize(options_.slot_bytes);
-  } else if (it->second.lru != slot_lru_.begin()) {
-    slot_lru_.splice(slot_lru_.begin(), slot_lru_, it->second.lru);
-  }
-  it->second.version = version;
-  std::memcpy(it->second.bytes.data(), bytes, options_.slot_bytes);
-  // Populating the cache copies a slot locally; never free.
-  sim::ChargeCpu(sim::CacheCopyCost(client_.device().network().cpu_model(),
-                                    options_.slot_bytes));
-}
-
-void KvStore::CacheErase(uint64_t slot) {
-  auto it = slot_cache_.find(slot);
-  if (it == slot_cache_.end()) return;
-  slot_lru_.erase(it->second.lru);
-  slot_cache_.erase(it);
-  ++stats_.cache_invalidations;
-}
-
-Result<bool> KvStore::ProbeCached(const SlotStep& step) {
-  const uint64_t slot = op_.slot();
-  auto it = slot_cache_.find(slot);
-  if (it != slot_cache_.end()) {
-    // Validate-on-hit: the probe's own 8-byte version re-read. Unchanged
-    // and even means the remote slot is byte-identical to the cached
-    // image (every writer bumps the version), so serving the cached
-    // bytes is indistinguishable from a full read that validated.
-    const SlotIo& validate = step.io[1];
-    RSTORE_RETURN_IF_ERROR(Issue(validate));
-    const uint64_t current = Load64(validate.local);
-    if (current == it->second.version && current % 2 == 0) {
-      ++stats_.cache_hits;
-      std::memcpy(step.io[0].local, it->second.bytes.data(),
-                  options_.slot_bytes);
-      sim::ChargeCpu(sim::CacheCopyCost(
-          client_.device().network().cpu_model(), options_.slot_bytes));
-      if (it->second.lru != slot_lru_.begin()) {
-        slot_lru_.splice(slot_lru_.begin(), slot_lru_, it->second.lru);
-      }
-      return true;
-    }
-    // Stale (a writer moved the version): drop and fall through.
-    CacheErase(slot);
-  }
-  ++stats_.cache_misses;
-  return false;
+  return Make(client, *region, *geometry);
 }
 
 Status KvStore::Issue(const SlotIo& io) {
@@ -217,20 +146,8 @@ Status KvStore::IssuePipelined(const SlotStep& step) {
 }
 
 Status KvStore::IssueStep(const SlotStep& step) {
-  const bool cached = step.kind == SlotStep::Kind::kProbe &&
-                      options_.cache_slots > 0;
-  if (cached) {
-    RSTORE_ASSIGN_OR_RETURN(const bool served, ProbeCached(step));
-    if (served) return Status::Ok();
-  }
-  if (Pipelines(step)) {
-    RSTORE_RETURN_IF_ERROR(IssuePipelined(step));
-  } else {
-    for (const SlotIo& io : step.ios()) RSTORE_RETURN_IF_ERROR(Issue(io));
-  }
-  if (cached && op_.ProbeValidated()) {
-    CacheStore(op_.slot(), Load64(op_.image()), op_.image());
-  }
+  if (Pipelines(step)) return IssuePipelined(step);
+  for (const SlotIo& io : step.ios()) RSTORE_RETURN_IF_ERROR(Issue(io));
   return Status::Ok();
 }
 
@@ -294,13 +211,7 @@ Status KvStore::Put(std::string_view key, std::span<const std::byte> value) {
   OpObs obs(client_, "kv.puts", "kv.put_ns");
   obs::ObsSpan span(obs.tel, obs.node, "app", "kv.put");
   op_.Start(SlotOpKind::kUpsert, key, value);
-  RSTORE_RETURN_IF_ERROR(Drive(key, &span));
-  if (options_.cache_slots > 0) {
-    // The op's image is now the slot exactly as the table holds it, so
-    // the next GET of this key hits.
-    CacheStore(op_.slot(), Load64(op_.image()), op_.image());
-  }
-  return Status::Ok();
+  return Drive(key, &span);
 }
 
 Status KvStore::Delete(std::string_view key) {
@@ -308,9 +219,7 @@ Status KvStore::Delete(std::string_view key) {
   check::OpLabelScope label(client_.device().network().sim().checker(),
                             "kv.delete");
   op_.Start(SlotOpKind::kDelete, key);
-  const Status st = Drive(key, nullptr);
-  if (op_.wrote()) CacheErase(op_.slot());
-  return st;
+  return Drive(key, nullptr);
 }
 
 }  // namespace rstore::kv

@@ -28,12 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -49,16 +47,7 @@ namespace rstore::kv {
 // The table format and the geometry type live with the protocol in
 // slot_op.h, so other dataplanes (the load engine in src/load, the bulk
 // loader) speak exactly the bytes KvStore reads and writes.
-struct KvOptions : TableGeometry {
-  // Client-local slot cache (0 = off; not part of the table geometry).
-  // A cached slot is validated on every hit with one 8-byte remote read
-  // of its seqlock word: version unchanged and even means the cached
-  // payload is byte-identical to the remote slot, so a hot GET costs one
-  // tiny read instead of a slot-sized read plus a validate read — and
-  // linearizability is untouched because the validate is exactly the
-  // seqlock check an uncached read performs.
-  uint32_t cache_slots = 0;
-};
+using KvOptions = TableGeometry;
 
 struct KvStats {
   uint64_t gets = 0;
@@ -66,9 +55,6 @@ struct KvStats {
   uint64_t deletes = 0;
   uint64_t probe_reads = 0;     // slot reads issued (≥ ops)
   uint64_t version_retries = 0; // SlotOp retries (seqlock conflicts)
-  uint64_t cache_hits = 0;      // slot reads served locally (validated)
-  uint64_t cache_misses = 0;    // lookups that fell back to a full read
-  uint64_t cache_invalidations = 0;  // entries dropped (delete/stale)
 };
 
 class KvStore {
@@ -77,12 +63,9 @@ class KvStore {
   static Result<std::unique_ptr<KvStore>> Create(core::RStoreClient& client,
                                                  const std::string& name,
                                                  KvOptions options = {});
-  // Opens an existing table (reads its header from the region).
-  // `cache_slots` is this client's local slot-cache size; the table
-  // geometry always comes from the header.
+  // Opens an existing table (reads its geometry from the region header).
   static Result<std::unique_ptr<KvStore>> Open(core::RStoreClient& client,
-                                               const std::string& name,
-                                               uint32_t cache_slots = 0);
+                                               const std::string& name);
 
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
@@ -127,12 +110,12 @@ class KvStore {
 
   // Runs op_ (already started) to completion: issues each IO step as
   // MappedRegion calls under its lane's rcheck scope, sleeps through
-  // backoffs, serves probes from the slot cache, and records the op's
-  // rlin outcome when the simulation has a LinChecker. `span` (may be
-  // null) gets the home slot's server attribution.
+  // backoffs, and records the op's rlin outcome when the simulation has
+  // a LinChecker. `span` (may be null) gets the home slot's server
+  // attribution.
   Status Drive(std::string_view key, obs::ObsSpan* span);
-  // Issues an IO step in order; a probe may be served from (and fills)
-  // the slot cache instead.
+  // Issues an IO step in order: pipelined when Pipelines(step), else one
+  // MappedRegion call per IO.
   Status IssueStep(const SlotStep& step);
   Status Issue(const SlotIo& io);
   // Whether `step` is two reads or two writes, each inside one slab of
@@ -141,27 +124,12 @@ class KvStore {
   // waits once.
   [[nodiscard]] bool Pipelines(const SlotStep& step) const;
   Status IssuePipelined(const SlotStep& step);
-  // Serves a probe step from the slot cache: one 8-byte validate read
-  // instead of slot read + re-read. Returns whether it was served.
-  Result<bool> ProbeCached(const SlotStep& step);
-
-  // Slot-cache bookkeeping (only active when options_.cache_slots > 0).
-  struct CachedSlot {
-    uint64_t version = 0;
-    std::vector<std::byte> bytes;  // full slot image at `version`
-    std::list<uint64_t>::iterator lru;
-  };
-  // Upserts the cache entry for `slot` (LRU-evicting at capacity).
-  void CacheStore(uint64_t slot, uint64_t version, const std::byte* bytes);
-  void CacheErase(uint64_t slot);
 
   core::RStoreClient& client_;
   core::MappedRegion* region_;
   KvOptions options_;
   core::PinnedBuffer scratch_{};  // op_'s slot image and seqlock cells
   SlotOp op_;
-  std::unordered_map<uint64_t, CachedSlot> slot_cache_;
-  std::list<uint64_t> slot_lru_;  // front = most recently used
   KvStats stats_;
 };
 

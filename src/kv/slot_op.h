@@ -218,9 +218,6 @@ class SlotOp {
   // The slot the current probe reads, the first slot of a scan, or the
   // slot being locked/written.
   [[nodiscard]] uint64_t slot() const noexcept;
-  // After a probe's IOs: the seqlock check passed (version even and
-  // unchanged between the slot read and the re-read).
-  [[nodiscard]] bool ProbeValidated() const noexcept;
   // The slot image in the scratch: the probed slot, the composed payload,
   // and after a successful write the slot exactly as the table holds it.
   [[nodiscard]] std::byte* image() const noexcept { return scratch_; }
@@ -249,6 +246,9 @@ class SlotOp {
     return kind_ == SlotOpKind::kUpsert || kind_ == SlotOpKind::kUpdate;
   }
   [[nodiscard]] bool HoldsKey() const noexcept;
+  // After a probe's IOs: the seqlock check passed (version even and
+  // unchanged between the slot read and the re-read).
+  [[nodiscard]] bool ProbeValidated() const noexcept;
   void Begin(SlotOpKind kind, std::string_view key, uint32_t value_len);
   void OnProbe();
   void Lock(uint64_t slot, uint64_t version);

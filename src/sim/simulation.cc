@@ -817,10 +817,6 @@ Simulation::Simulation(SimConfig config)
       }
     }
   }
-  if (const char* e = std::getenv("RSTORE_PARTITION_SERIAL");
-      e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0) {
-    config_.serialize_dispatch = true;
-  }
   partitions_.push_back(std::make_unique<Partition>(this, 0, 1024));
   // Opt-in runtime verification for whole test/bench processes: every
   // simulation in the process gets its own checker, and Shutdown() turns
@@ -1208,8 +1204,7 @@ void Simulation::RunUntil(Nanos deadline) {
   // which host thread dispatches a partition — so serialized runs are
   // valid goldens for parallel ones and vice versa.
   const bool serialize =
-      config_.serialize_dispatch || checker_ != nullptr ||
-      lin_ != nullptr || policy_ != nullptr ||
+      checker_ != nullptr || lin_ != nullptr || policy_ != nullptr ||
       (telemetry_ != nullptr && telemetry_->tracing());
   const uint32_t workers =
       serialize ? 1 : std::clamp(config_.host_threads, 1u, count);

@@ -233,16 +233,12 @@ struct SimConfig {
   // node, with up to N host worker threads dispatching epochs in
   // parallel. The *timeline* is identical for every N >= 1 — only wall
   // clock changes — so N=1 is the golden reference for the N=8 run.
-  // Overridden by RSTORE_HOST_THREADS when left 0.
+  // N=1 dispatches each epoch's partitions one at a time, in partition-id
+  // order, on the calling thread; so does any N while a checker, a lin
+  // checker, an exploration policy or span tracing is attached, since
+  // those layers observe a single global order. Overridden by
+  // RSTORE_HOST_THREADS when left 0.
   uint32_t host_threads = 0;
-  // Force epochs to dispatch partitions one at a time (in partition-id
-  // order) on the calling thread, regardless of host_threads. Used by the
-  // CI full-suite determinism gate, and switched on automatically when a
-  // checker, an exploration policy, or span tracing is attached — those
-  // layers observe a single global order, and serialized dispatch
-  // produces the *same timeline* as parallel dispatch by construction.
-  // Also via RSTORE_PARTITION_SERIAL.
-  bool serialize_dispatch = false;
 };
 
 class Simulation {
@@ -266,9 +262,6 @@ class Simulation {
   [[nodiscard]] Nanos NowNanos() const noexcept;
   [[nodiscard]] uint64_t seed() const noexcept { return config_.seed; }
 
-  [[nodiscard]] uint32_t host_threads() const noexcept {
-    return config_.host_threads;
-  }
   // Conservative lookahead bounding each epoch (minimum cross-partition
   // latency proposed by the fabric(s); kNever until one is proposed).
   [[nodiscard]] Nanos lookahead() const noexcept { return lookahead_; }

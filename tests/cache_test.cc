@@ -1,13 +1,11 @@
 // Tests for the client-side region cache: the RegionCache data structure
 // (LRU, epochs, write-through), the cached data path in RStoreClient
 // (hits, bypass, invalidation on grow/unmap/atomics), equivalence of
-// cached and uncached execution (same values, deterministic), and the
-// RKV slot cache's validate-on-hit consistency under concurrent writers.
+// cached and uncached execution (same values, deterministic).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/region_cache.h"
@@ -15,7 +13,6 @@
 #include "carafe/graph.h"
 #include "carafe/storage.h"
 #include "core/cluster.h"
-#include "kv/kv.h"
 
 namespace rstore {
 namespace {
@@ -458,97 +455,6 @@ TEST(CacheEquivalenceTest, PageRankIdenticalWithCacheOnAndOff) {
   for (size_t v = 0; v < off.size(); ++v) {
     EXPECT_EQ(off[v], on[v]) << "vertex " << v;
   }
-}
-
-// ----------------------------------------------------- RKV slot cache --
-std::string Str(const std::vector<std::byte>& b) {
-  return {reinterpret_cast<const char*>(b.data()), b.size()};
-}
-
-TEST(KvSlotCacheTest, HotGetHitsAndPutRefreshesTheEntry) {
-  TestCluster cluster(SmallCluster());
-  cluster.RunClient([&](RStoreClient& client) {
-    kv::KvOptions opts;
-    opts.cache_slots = 64;
-    auto kv = kv::KvStore::Create(client, "t", opts);
-    ASSERT_TRUE(kv.ok()) << kv.status();
-    ASSERT_TRUE((*kv)->Put("k", "v1").ok());
-    EXPECT_EQ(Str(*(*kv)->Get("k")), "v1");
-    const uint64_t remote = client.bytes_read();
-    EXPECT_EQ(Str(*(*kv)->Get("k")), "v1");
-    EXPECT_GT((*kv)->stats().cache_hits, 0u);
-    // The hit moved only the 8-byte validate word remotely.
-    EXPECT_EQ(client.bytes_read(), remote + 8);
-    ASSERT_TRUE((*kv)->Put("k", "v2").ok());
-    EXPECT_EQ(Str(*(*kv)->Get("k")), "v2");
-    ASSERT_TRUE((*kv)->Delete("k").ok());
-    EXPECT_GT((*kv)->stats().cache_invalidations, 0u);
-    EXPECT_EQ((*kv)->Get("k").code(), ErrorCode::kNotFound);
-  });
-}
-
-TEST(KvSlotCacheTest, ValidateOnHitObservesRemoteWriters) {
-  TestCluster cluster(SmallCluster(2));
-  // Client 0 caches the slot, client 1 overwrites the key remotely; the
-  // next cached GET must fail validation and return the new value.
-  cluster.SpawnClient(0, [&](RStoreClient& client) {
-    kv::KvOptions opts;
-    opts.cache_slots = 16;
-    auto kv = kv::KvStore::Create(client, "shared", opts);
-    ASSERT_TRUE(kv.ok());
-    ASSERT_TRUE((*kv)->Put("hot", "mine").ok());
-    EXPECT_EQ(Str(*(*kv)->Get("hot")), "mine");
-    ASSERT_TRUE(client.NotifyInc("cached").ok());
-    ASSERT_TRUE(client.WaitNotify("overwritten", 1).ok());
-    EXPECT_EQ(Str(*(*kv)->Get("hot")), "theirs");
-    EXPECT_GT((*kv)->stats().cache_misses, 0u);
-  });
-  cluster.SpawnClient(1, [&](RStoreClient& client) {
-    ASSERT_TRUE(client.WaitNotify("cached", 1).ok());
-    auto kv = kv::KvStore::Open(client, "shared");
-    ASSERT_TRUE(kv.ok());
-    ASSERT_TRUE((*kv)->Put("hot", "theirs").ok());
-    ASSERT_TRUE(client.NotifyInc("overwritten").ok());
-  });
-  cluster.sim().Run();
-}
-
-TEST(KvSlotCacheTest, ConcurrentWritersNeverYieldTornCachedReads) {
-  constexpr uint32_t kClients = 3;
-  TestCluster cluster(SmallCluster(kClients));
-  int done = 0;
-  for (uint32_t c = 0; c < kClients; ++c) {
-    cluster.SpawnClient(c, [&, c](RStoreClient& client) {
-      Result<std::unique_ptr<kv::KvStore>> kv(ErrorCode::kInternal, "");
-      if (c == 0) {
-        kv::KvOptions opts;
-        opts.cache_slots = 32;
-        kv = kv::KvStore::Create(client, "torn", opts);
-        ASSERT_TRUE(client.NotifyInc("ready").ok());
-      } else {
-        ASSERT_TRUE(client.WaitNotify("ready", 1).ok());
-        kv = kv::KvStore::Open(client, "torn", /*cache_slots=*/32);
-      }
-      ASSERT_TRUE(kv.ok());
-      for (int i = 0; i < 20; ++i) {
-        Status st = (*kv)->Put(
-            "hot", "from-" + std::to_string(c) + "-" + std::to_string(i));
-        if (!st.ok()) {
-          ASSERT_EQ(st.code(), ErrorCode::kAborted) << st;
-          --i;
-          continue;
-        }
-        auto got = (*kv)->Get("hot");
-        ASSERT_TRUE(got.ok()) << got.status();
-        // Linearizability of the cached GET path: any read must return a
-        // complete written value, never a torn or stale-version mix.
-        EXPECT_EQ(Str(*got).rfind("from-", 0), 0u) << Str(*got);
-      }
-      ++done;
-    });
-  }
-  cluster.sim().Run();
-  EXPECT_EQ(done, static_cast<int>(kClients));
 }
 
 }  // namespace

@@ -692,8 +692,8 @@ TEST(CheckProbeEffectTest, PageRankVirtualTimeIdenticalUnderRcheck) {
   EXPECT_TRUE(checker.violations().empty());
 }
 
-// E9-style KV workload — concurrent writers on one table, slot cache
-// on — is data-race-free by construction (seqlock + CAS lock), so the
+// E9-style KV workload — concurrent writers and readers on one table —
+// is data-race-free by construction (seqlock + CAS lock), so the
 // checker must stay silent.
 TEST(CheckFalsePositiveTest, KvWorkloadReportsNothing) {
   check::Checker checker;
@@ -707,7 +707,6 @@ TEST(CheckFalsePositiveTest, KvWorkloadReportsNothing) {
       options.buckets = 64;
       options.slot_bytes = 256;
       options.max_probe = 8;
-      options.cache_slots = 16;
       if (w == 0) {
         auto created = kv::KvStore::Create(client, "table", options);
         ASSERT_TRUE(created.ok());
@@ -715,7 +714,7 @@ TEST(CheckFalsePositiveTest, KvWorkloadReportsNothing) {
         ASSERT_TRUE(client.NotifyInc("table-up").ok());
       } else {
         ASSERT_TRUE(client.WaitNotify("table-up", 1).ok());
-        auto opened = kv::KvStore::Open(client, "table", 16);
+        auto opened = kv::KvStore::Open(client, "table");
         ASSERT_TRUE(opened.ok());
         store = std::move(*opened);
       }

@@ -233,7 +233,13 @@ TEST(KvTest, ConcurrentWritersOnTheSameKeyConverge) {
         if (!st.ok()) {
           ASSERT_EQ(st.code(), ErrorCode::kAborted) << st;
           --i;
+          continue;
         }
+        // A GET racing the other clients' PUTs returns some complete
+        // written value, never a torn mix.
+        auto got = (*kv)->Get("hot");
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(Str(*got).rfind("from-", 0), 0u) << Str(*got);
       }
       ASSERT_TRUE(client.NotifyInc("wrote").ok());
       ASSERT_TRUE(client.WaitNotify("wrote", kClients).ok());

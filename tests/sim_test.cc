@@ -74,9 +74,10 @@ TEST(SimulationTest, ThreadsInterleaveDeterministically) {
   // is ONE host vector shared by threads on three nodes: the global order
   // of same-instant pushes from different partitions is defined only
   // under serialized dispatch (virtual time is deterministic either way),
-  // so pin serialize_dispatch for the per-node-layout gate.
+  // so the per-node-layout gate runs it on one worker.
   auto run = [] {
-    Simulation sim(SimConfig{.seed = 77, .serialize_dispatch = true});
+    Simulation sim(SimConfig{
+        .seed = 77, .host_threads = PartitionedEnvRequested() ? 1u : 0u});
     std::vector<std::string> trace;
     for (int i = 0; i < 3; ++i) {
       Node& n = sim.AddNode("n" + std::to_string(i));
@@ -706,7 +707,7 @@ TEST(FiberTest, ParkedThreadsResumeOnOtherHostThreads) {
   }
   // Two nodes share the driver's worker slot; the rest run on workers
   // that each RunUntil creates anew — unless the environment serializes
-  // dispatch (an env-attached checker or policy, RSTORE_PARTITION_SERIAL),
+  // dispatch (an env-attached checker, lin checker or exploration policy),
   // in which case everything runs on this thread and nothing migrates.
   std::set<long> hosts;
   for (const auto& steps : seen) {

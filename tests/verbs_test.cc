@@ -1089,14 +1089,16 @@ TEST_F(VerbsFixture, BounceMemoryIsBoundedByBytesOnTheWire) {
 
 // Faults between an op's post (WRITE doorbell, READ service) and its
 // payload's transmit start. The test thread changes fabric state every
-// partition reads, so dispatch is serialized; the per-node layout
-// (RSTORE_HOST_THREADS) still routes blocks across partitions.
+// partition reads, so the per-node layout (RSTORE_HOST_THREADS) runs it
+// on one worker, where blocks still cross partitions.
 class VerbsFaultTest : public VerbsFixture {
  protected:
   static constexpr uint32_t kOps = 8;
   static constexpr uint32_t kLen = 1 << 20;
 
-  VerbsFaultTest() : VerbsFixture(sim::SimConfig{.serialize_dispatch = true}) {}
+  VerbsFaultTest()
+      : VerbsFixture(sim::SimConfig{
+            .host_threads = sim::PartitionedEnvRequested() ? 1u : 0u}) {}
 
   // Posts kOps 1 MiB `op`s on one QP, so all but the first payload wait
   // in an egress queue (the client's for WRITE, the server's for READ),
