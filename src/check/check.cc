@@ -538,9 +538,8 @@ void Checker::OnPostedBufferChanged(uint32_t ref, uint32_t owner,
   v.b.kind = AccessKind::kWrite;
   v.b.label = "cpu store";
   v.detail =
-      "bytes changed between the op's post and the NIC reading them at "
-      "transmit start; a posted buffer belongs to the NIC until the op "
-      "completes";
+      "bytes changed between the op's post and the NIC reading them; a "
+      "posted buffer belongs to the NIC until the op completes";
   Report(std::move(v));
 }
 

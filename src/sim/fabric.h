@@ -92,8 +92,8 @@ class Fabric {
   // `on_tx_start` (optional) runs on the source's partition at the instant
   // the message starts transmitting — its egress service start, or the
   // Send call itself for loopback — and so before either of the others.
-  // It never runs for a message dropped at Send. The verbs layer reads a
-  // payload out of memory there, as a NIC DMA-reads it as it transmits.
+  // It never runs for a message dropped at Send. The verbs layer reads the
+  // payload of a message that crosses partitions out of memory there.
   void Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
             FabricFn on_delivered, FabricFn on_dropped = {},
             TxStartFn on_tx_start = {});

@@ -905,6 +905,10 @@ bool Simulation::InContextOfNode(uint32_t node_id) const noexcept {
   return cur == nullptr || cur == nodes_.at(node_id)->partition_;
 }
 
+bool Simulation::SharePartition(uint32_t a, uint32_t b) const noexcept {
+  return nodes_.at(a)->partition_ == nodes_.at(b)->partition_;
+}
+
 uint64_t Simulation::events_processed() const noexcept {
   uint64_t n = 0;
   for (const auto& p : partitions_) n += p->events_processed;

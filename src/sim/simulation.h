@@ -282,6 +282,10 @@ class Simulation {
   // the one-queue layout). Cross-partition work must instead be posted
   // via PostToNode.
   [[nodiscard]] bool InContextOfNode(uint32_t node_id) const noexcept;
+  // True when nodes `a` and `b` live on one partition: always in the
+  // one-queue layout, only for a == b in the per-node one. Code running
+  // for one of them may then touch the other's memory directly.
+  [[nodiscard]] bool SharePartition(uint32_t a, uint32_t b) const noexcept;
 
   // Events dispatched so far (callbacks run + thread slices; stale wakes
   // excluded), summed over partitions.

@@ -429,13 +429,16 @@ uint64_t HashPayload(const SendWr& wr, const std::byte* block) {
   return h;
 }
 
+// Copies the op's payload out of its source ranges into `dst`, contiguous.
+void CopySources(const SendWr& wr, std::byte* dst) {
+  ForEachSource(wr, [&](const std::byte* p, uint64_t len) {
+    std::memcpy(dst, p, len);
+    dst += len;
+  });
+}
+
 bool StartsBefore(const PendingSnapshot& e, uint64_t lo) { return e.lo < lo; }
 bool StartsAfter(uint64_t lo, const PendingSnapshot& e) { return lo < e.lo; }
-
-std::span<const std::byte> PayloadOf(const WireOp& op) {
-  if (op.payload == nullptr) return {};
-  return {op.payload->bytes.get(), op.wr.total_length()};
-}
 }  // namespace
 
 Status QueuePair::PostSend(const SendWr& wr) {
@@ -600,10 +603,9 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
           pnet->ReleaseWireOp(op);
         },
         /*on_tx_start=*/
-        gathers ? sim::TxStartFn([pnet, op] { pnet->TakeSnapshot(*op); })
-                : sim::TxStartFn{});
-    // Queued behind other messages: the SGEs stay the NIC's until then.
-    if (gathers && op->payload == nullptr) net.DeferSnapshot(device_, *op);
+        gathers ? net.ReadAtTxStart(*op, src, peer_node_) : sim::TxStartFn{});
+    // The SGEs stay the NIC's until it reads them.
+    if (gathers) net.IndexPayload(device_, *op);
   }
 }
 
@@ -628,7 +630,7 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                       stamps = op->stamps](WcStatus st, uint32_t len) {
                        CompleteSqViaAck(*pnet, tnode, seq, st, len, stamps);
                      },
-                     /*data_already_placed=*/false, PayloadOf(*op));
+                     /*data_already_placed=*/false, op);
       net.ReleaseWireOp(op);
       return;
     }
@@ -646,12 +648,12 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
         return;
       }
       if (ck != nullptr && wr.check_ref != 0) ck->OnExecute(wr.check_ref);
-      // The data was read into the bounce block at the request's transmit
-      // start; the initiator's memory is never read here.
-      if (op->payload != nullptr) {
+      // Copy-before-write on the target range, then the NIC reads the
+      // payload straight into it: from the initiator's SGEs, or from the
+      // bounce block it was read into earlier.
+      if (total > 0) {
         net.ReadPendingOverlaps(target, wr.remote_addr, total);
-        std::memcpy(reinterpret_cast<std::byte*>(wr.remote_addr),
-                    op->payload->bytes.get(), total);
+        net.GatherPayload(*op, reinterpret_cast<std::byte*>(wr.remote_addr));
       }
       if (wr.opcode == Opcode::kRdmaWriteWithImm) {
         Network* pnet = &net;
@@ -681,27 +683,38 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       }
       if (ck != nullptr && wr.check_ref != 0) ck->OnExecute(wr.check_ref);
       // Response: payload travels target -> initiator. The NIC reads the
-      // target range when the response starts transmitting (a WRITE or
-      // atomic landing there earlier makes it read first, so the bytes
-      // are the service-time ones); they are copied into the local SGEs
-      // at response delivery (initiator buffer contents are undefined
-      // until the completion, per RDMA semantics). The op carries the
-      // scatter list until then.
+      // target range when the response is delivered, straight into the
+      // local SGEs (initiator buffer contents are undefined until the
+      // completion, per RDMA semantics). A WRITE or atomic landing in the
+      // range earlier makes it read first, so the bytes are the
+      // service-time ones. The op carries the scatter list until then.
       Network* pnet = &net;
+      const uint32_t tnode = target.node_id();
+      const uint32_t inode = device_.node_id();
       net.fabric().Send(
-          target.node_id(), device_.node_id(), total,
+          tnode, inode, total,
           [pnet, op] {
             const SendWr& w = op->wr;
-            // Scatter: the contiguous remote range fills the SGEs in order.
-            const std::byte* src = PayloadOf(*op).data();
-            Device& dev = op->initiator->device_;
-            for (uint32_t i = 0; i < w.num_sge; ++i) {
-              const Sge& s = w.sge(i);
-              if (s.length > 0) {
+            // A flushed READ's buffers are the app's again (it may have
+            // freed them): its late response places nothing.
+            if (op->initiator->state_ != State::kError) {
+              Device& dev = op->initiator->device_;
+              for (uint32_t i = 0; i < w.num_sge; ++i) {
+                const Sge& s = w.sge(i);
                 pnet->ReadPendingOverlaps(
                     dev, reinterpret_cast<uint64_t>(s.addr), s.length);
-                std::memcpy(s.addr, src, s.length);
-                src += s.length;
+              }
+              // Scatter: the contiguous range fills the SGEs in order.
+              const std::byte* src = pnet->ReadAtDelivery(*op);
+              if (src == nullptr) {
+                src = reinterpret_cast<const std::byte*>(w.remote_addr);
+              }
+              for (uint32_t i = 0; i < w.num_sge; ++i) {
+                const Sge& s = w.sge(i);
+                if (s.length > 0) {
+                  std::memcpy(s.addr, src, s.length);
+                  src += s.length;
+                }
               }
             }
             op->initiator->CompleteSqFromWire(
@@ -715,9 +728,8 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                                               op->stamps);
             pnet->ReleaseWireOp(op);
           },
-          total > 0 ? sim::TxStartFn([pnet, op] { pnet->TakeSnapshot(*op); })
-                    : sim::TxStartFn{});
-      if (total > 0 && op->payload == nullptr) net.DeferSnapshot(target, *op);
+          total > 0 ? net.ReadAtTxStart(*op, tnode, inode) : sim::TxStartFn{});
+      if (total > 0) net.IndexPayload(target, *op);
       return;
     }
 
@@ -754,10 +766,13 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       net.fabric().Send(
           target.node_id(), device_.node_id(), kAtomicResponseBytes,
           [pnet, op, old] {
-            pnet->ReadPendingOverlaps(
-                op->initiator->device_,
-                reinterpret_cast<uint64_t>(op->wr.local.addr), 8);
-            std::memcpy(op->wr.local.addr, &old, 8);
+            // As for READ: a flushed atomic's result buffer is the app's.
+            if (op->initiator->state_ != State::kError) {
+              pnet->ReadPendingOverlaps(
+                  op->initiator->device_,
+                  reinterpret_cast<uint64_t>(op->wr.local.addr), 8);
+              std::memcpy(op->wr.local.addr, &old, 8);
+            }
             op->initiator->CompleteSq(op->seq, WcStatus::kSuccess, 8,
                                       op->stamps);
             pnet->ReleaseWireOp(op);
@@ -781,25 +796,29 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
 // the RNR buffer. `on_executed` reports the initiator completion.
 void QueuePair::AcceptSend(const SendWr& wr, uint32_t src_node,
                            CompletionFn on_executed, bool data_already_placed,
-                           std::span<const std::byte> payload) {
+                           WireOp* op) {
   if (rq_.empty()) {
     if (rnr_buffer_.size() >= kMaxRnrBuffered) {
       on_executed(WcStatus::kRnrRetryExceeded, 0);
       EnterError();
       return;
     }
-    rnr_buffer_.push_back(
-        RnrEntry{wr, src_node, std::move(on_executed), data_already_placed,
-                 std::vector<std::byte>(payload.begin(), payload.end())});
+    std::vector<std::byte> parked;
+    if (op != nullptr) {
+      parked.resize(wr.total_length());
+      device_.network().GatherPayload(*op, parked.data());
+    }
+    rnr_buffer_.push_back(RnrEntry{wr, src_node, std::move(on_executed),
+                                   data_already_placed, std::move(parked)});
     rnr_buffer_.back().wr.next = nullptr;
     return;
   }
-  MatchRecv(wr, src_node, on_executed, data_already_placed, payload);
+  MatchRecv(wr, src_node, on_executed, data_already_placed, op);
 }
 
 void QueuePair::MatchRecv(const SendWr& wr, uint32_t src_node,
                           CompletionFn& done, bool data_already_placed,
-                          std::span<const std::byte> payload) {
+                          WireOp* op, std::span<const std::byte> parked) {
   RecvWr recv = rq_.front();
   rq_.pop_front();
   const auto total = static_cast<uint32_t>(wr.total_length());
@@ -815,13 +834,17 @@ void QueuePair::MatchRecv(const SendWr& wr, uint32_t src_node,
       EnterError();
       return;
     }
-    // The data arrived in the op's bounce block; the sender's SGE memory
-    // is never read here (see WireOp).
-    if (!payload.empty()) {
-      device_.network().ReadPendingOverlaps(
-          device_, reinterpret_cast<uint64_t>(recv.local.addr),
-          payload.size());
-      std::memcpy(recv.local.addr, payload.data(), payload.size());
+    // Copy-before-write on the receive buffer, then the NIC reads the
+    // SEND's payload into it (see WireOp), or the RNR entry's copy.
+    if (total > 0) {
+      Network& net = device_.network();
+      net.ReadPendingOverlaps(
+          device_, reinterpret_cast<uint64_t>(recv.local.addr), total);
+      if (op != nullptr) {
+        net.GatherPayload(*op, recv.local.addr);
+      } else {
+        std::memcpy(recv.local.addr, parked.data(), total);
+      }
     }
   }
   recv_cq_->Push(WorkCompletion{
@@ -845,7 +868,7 @@ Status QueuePair::PostRecv(const RecvWr& wr) {
     RnrEntry entry = std::move(rnr_buffer_.front());
     rnr_buffer_.pop_front();
     MatchRecv(entry.wr, entry.src_node, entry.on_executed,
-              entry.data_already_placed, entry.payload);
+              entry.data_already_placed, nullptr, entry.payload);
   }
   return Status::Ok();
 }
@@ -1087,22 +1110,58 @@ size_t Network::bounce_blocks_in_use() const noexcept {
   return n;
 }
 
+sim::TxStartFn Network::ReadAtTxStart(WireOp& op, uint32_t src,
+                                      uint32_t dst) {
+  // On one partition the delivery may read the source itself.
+  if (sim_.SharePartition(src, dst)) return {};
+  return [this, op = &op] { TakeSnapshot(*op); };
+}
+
+void Network::IndexPayload(Device& dev, WireOp& op) {
+  if (op.payload != nullptr) return;  // read as its message started
+  op.snap_dev = &dev;
+  std::vector<PendingSnapshot>& idx = dev.snapshots_;
+  ForEachSource(op.wr, [&](const std::byte* p, uint64_t len) {
+    const auto lo = reinterpret_cast<uint64_t>(p);
+    idx.insert(std::upper_bound(idx.begin(), idx.end(), lo, StartsAfter),
+               PendingSnapshot{lo, lo + len, &op});
+    dev.snapshot_max_len_ = std::max(dev.snapshot_max_len_, len);
+  });
+  if (sim_.checker() != nullptr) {
+    op.snap_hashed = true;
+    op.snap_hash = HashPayload(op.wr, nullptr);
+    op.snap_armed_at = sim_.NowNanos();
+  }
+}
+
+const std::byte* Network::ReadAtDelivery(WireOp& op) {
+  if (op.payload != nullptr) return op.payload->bytes.get();
+  if (op.snap_dev != nullptr) FinishRead(op, nullptr);
+  return nullptr;
+}
+
+void Network::GatherPayload(WireOp& op, std::byte* dst) {
+  if (const std::byte* block = ReadAtDelivery(op)) {
+    std::memcpy(dst, block, op.wr.total_length());
+  } else {
+    CopySources(op.wr, dst);
+  }
+}
+
 void Network::TakeSnapshot(WireOp& op) {
   if (op.payload != nullptr) return;
-  const SendWr& wr = op.wr;
-  op.payload = AcquireBounce(wr.total_length());
-  std::byte* dst = op.payload->bytes.get();
-  ForEachSource(wr, [&](const std::byte* p, uint64_t len) {
-    std::memcpy(dst, p, len);
-    dst += len;
-  });
-  Device* dev = op.snap_dev;
-  if (dev == nullptr) return;  // read at once: nothing was pending
+  op.payload = AcquireBounce(op.wr.total_length());
+  CopySources(op.wr, op.payload->bytes.get());
+  if (op.snap_dev != nullptr) FinishRead(op, op.payload->bytes.get());
+}
+
+void Network::FinishRead(WireOp& op, const std::byte* block) {
+  const uint32_t owner = op.snap_dev->node_id();
   const bool hashed = op.snap_hashed;
   Unindex(op);
   check::Checker* ck = sim_.checker();
-  if (!hashed || ck == nullptr ||
-      HashPayload(wr, op.payload->bytes.get()) == op.snap_hash) {
+  const SendWr& wr = op.wr;
+  if (!hashed || ck == nullptr || HashPayload(wr, block) == op.snap_hash) {
     return;
   }
   uint64_t lo = UINT64_MAX;
@@ -1111,7 +1170,7 @@ void Network::TakeSnapshot(WireOp& op) {
     lo = std::min(lo, reinterpret_cast<uint64_t>(p));
     hi = std::max(hi, reinterpret_cast<uint64_t>(p) + len);
   });
-  ck->OnPostedBufferChanged(wr.check_ref, dev->node_id(), lo, hi,
+  ck->OnPostedBufferChanged(wr.check_ref, owner, lo, hi,
                             static_cast<uint64_t>(op.snap_armed_at));
 }
 
@@ -1127,22 +1186,6 @@ void Network::Unindex(WireOp& op) {
   if (idx.empty()) op.snap_dev->snapshot_max_len_ = 0;
   op.snap_dev = nullptr;
   op.snap_hashed = false;
-}
-
-void Network::DeferSnapshot(Device& dev, WireOp& op) {
-  op.snap_dev = &dev;
-  std::vector<PendingSnapshot>& idx = dev.snapshots_;
-  ForEachSource(op.wr, [&](const std::byte* p, uint64_t len) {
-    const auto lo = reinterpret_cast<uint64_t>(p);
-    idx.insert(std::upper_bound(idx.begin(), idx.end(), lo, StartsAfter),
-               PendingSnapshot{lo, lo + len, &op});
-    dev.snapshot_max_len_ = std::max(dev.snapshot_max_len_, len);
-  });
-  if (sim_.checker() != nullptr) {
-    op.snap_hashed = true;
-    op.snap_hash = HashPayload(op.wr, nullptr);
-    op.snap_armed_at = sim_.NowNanos();
-  }
 }
 
 void Network::ReadPendingOverlaps(Device& dev, uint64_t lo, uint64_t len) {

@@ -22,7 +22,7 @@
 //   * A SEND with no posted RECV waits in a bounded RNR buffer.
 //   * Local buffers belong to the NIC from post to completion. It reads
 //     a SEND/WRITE's source SGEs, and a served READ's target range, when
-//     the message carrying the payload starts transmitting (see WireOp).
+//     the message carrying the payload is delivered (see WireOp).
 //
 // Cost model: each posted work request pays CpuCostModel::verbs_post_ns
 // of initiator-side latency before entering the wire model (descriptor +
@@ -230,8 +230,11 @@ struct RecvWr {
   Sge local;
 };
 
-// Internal: a pooled buffer holding one op's payload between the NIC
-// reading it and the wire delivering it (see Network::AcquireBounce).
+// Internal: a pooled buffer holding one op's payload when the NIC must
+// read it before the delivery: the source is about to change (a verbs
+// write into it, its MR's deregistration, its QP's flush, its node's
+// kill), or the far end runs on another partition and reads it at
+// transmit start (see WireOp and Network::AcquireBounce).
 struct BounceBlock {
   std::unique_ptr<std::byte[]> bytes;
   uint32_t size_class = 0;  // capacity is kMinBytes << size_class
@@ -254,14 +257,21 @@ struct PendingSnapshot {
 // released exactly once when the op's last wire event fires.
 //
 // Buffer ownership, as on an HCA: a posted SEND/WRITE's source SGEs, and
-// a served READ's target range, belong to the NIC until it reads them at
-// the transmit start of the message that carries the payload (the request
-// for SEND/WRITE, the response for READ). The bytes read are the bytes
-// the memory held at post/service time, because every verbs write into a
-// pending range, a deregistration of its MR, a flush of its QP and a kill
-// of its node make the NIC read it first. CPU stores are the one thing
-// that can change them; rcheck reports those (kPostedBufferStore). A READ
-// initiator's scatter buffers are undefined until its completion.
+// a served READ's target range, belong to the NIC until it reads them.
+// It reads them once, when the message carrying the payload (the request
+// for SEND/WRITE, the response for READ) is delivered, copying straight
+// from the source ranges into the destination. The bytes read are the
+// bytes the memory held at post/service time, because every verbs write
+// into a pending range, a deregistration of its MR, a flush of its QP and
+// a kill of its node first make the NIC read it into a bounce block
+// (copy-before-write). CPU stores are the one thing that can change them;
+// rcheck reports those (kPostedBufferStore). A READ initiator's scatter
+// buffers are undefined until its completion.
+//
+// The one exception is a message between nodes on different partitions
+// (the per-node layout): the far end must not touch another partition's
+// memory, so the NIC reads the payload into a bounce block when the
+// message starts transmitting, on the source's partition.
 struct WireOp {
   QueuePair* initiator = nullptr;
   SendWr wr;  // chain pointer cleared; SGE array owned by value
@@ -269,10 +279,10 @@ struct WireOp {
   uint32_t src_node = 0;
   uint32_t dst_node = 0;
   uint32_t dst_qp = 0;
-  // The payload, once the NIC has read it; null before that and for ops
-  // that carry none. The far end reads only this block, never SGE or MR
-  // pointers, so no partition touches another partition's memory. Freed
-  // back to its pool when the carrying message is delivered or dropped.
+  // The payload, when the NIC had to read it before the delivery (see
+  // above); null otherwise, and for ops that carry none. The delivery then
+  // copies from this block instead of the source ranges. Freed back to its
+  // pool when the carrying message is delivered or dropped.
   BounceBlock* payload = nullptr;
   // While the read is pending: the device whose index holds the source
   // ranges (one entry per non-empty range).
@@ -440,10 +450,9 @@ class QueuePair {
     uint32_t src_node;
     CompletionFn on_executed;
     bool data_already_placed;
-    // The parked SEND's data, copied out of the op's bounce block (which
-    // returns to its pool as soon as the op is released, as the
-    // initiator's buffers return to the app once its completion fires).
-    // Empty when the data is already placed (WRITE_WITH_IMM).
+    // The parked SEND's data, read by the NIC as the SEND arrived (its
+    // op is released then). Empty when the data is already placed
+    // (WRITE_WITH_IMM).
     std::vector<std::byte> payload;
   };
 
@@ -454,26 +463,26 @@ class QueuePair {
   // Rings the doorbell for sq entries [first_seq, first_seq+count):
   // issues one fabric message per WR (scheduler context, after the post
   // cost). Entries flushed in the interim are skipped. A SEND/WRITE
-  // payload is gathered at the request's transmit start (see WireOp).
+  // payload is gathered when the request is delivered (see WireOp).
   void IssueDoorbell(uint64_t first_seq, uint32_t count);
   // Target-side execution of an arriving op (scheduler context). `this`
   // is the *initiator* QP; `tqp` the target QP (only used for two-sided).
   // Takes ownership of `op` (released when its last wire event fires).
   // A WRITE or atomic first makes the NIC read every pending payload it
-  // overlaps; a served READ's range is read at the response's transmit
-  // start.
+  // overlaps; a served READ's range is read at the response's delivery.
   void ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                        WireOp* op);
   // Target side of SEND / WRITE_WITH_IMM: consume a RECV or park in RNR.
-  // `payload` is the op's bounce block contents (empty when the data is
-  // already placed); it is copied into the RNR entry only if the SEND
-  // parks.
+  // `op` is the arriving SEND, whose payload is read into the receive
+  // buffer, or into the RNR entry if the SEND parks; null when the data
+  // is already placed. MatchRecv places `op`'s payload, or `parked` (an
+  // RNR entry's copy) when `op` is null.
   void AcceptSend(const SendWr& wr, uint32_t src_node,
                   CompletionFn on_executed, bool data_already_placed,
-                  std::span<const std::byte> payload = {});
+                  WireOp* op = nullptr);
   void MatchRecv(const SendWr& wr, uint32_t src_node, CompletionFn& done,
-                 bool data_already_placed,
-                 std::span<const std::byte> payload);
+                 bool data_already_placed, WireOp* op,
+                 std::span<const std::byte> parked = {});
   // Initiator-side completion of sq entry `seq` (scheduler context).
   // `stamps` is the op's wire trip record (pushed is stamped here, at the
   // instant the CQE actually enters the CQ — which for entries held by
@@ -680,19 +689,28 @@ class Network {
   BounceBlock* AcquireBounce(uint64_t len);
   void ReleaseBounce(BounceBlock* block, uint32_t part);
 
-  // Payload snapshots (see WireOp). TakeSnapshot reads the op's source
-  // ranges into a bounce block now; it runs at the carrying message's
-  // transmit start and is a no-op once the block exists. DeferSnapshot
-  // indexes the ranges of an op whose message is queued behind others;
-  // Unindex drops them (read, or dropped unsent, as ReleaseWireOp does
-  // for an op released while pending). ReadPendingOverlaps makes the
-  // NIC read every pending range of `dev` that meets [lo, lo + len)
-  // before a verbs write lands there (copy-before-write); ReadPending
-  // does the same for every pending range of `dev`, or only for those of
-  // ops `initiator` posted.
+  // Payload reads (see WireOp). A message carrying an op's payload from
+  // `src` to `dst` gets ReadAtTxStart's transmit-start hook: empty when
+  // the two nodes share a partition, else TakeSnapshot, which reads the
+  // payload into a bounce block. IndexPayload then enters the source
+  // ranges of a payload not yet read into `dev`'s index. Delivery reads
+  // what is left, after copy-before-write on the destination:
+  // GatherPayload copies the payload into one contiguous destination, and
+  // ReadAtDelivery returns the bounce block to copy from, or null to read
+  // the source ranges. FinishRead unindexes a payload just read (into
+  // `block`, or null when read in place) and compares the rcheck hash;
+  // Unindex drops the ranges without reading (as ReleaseWireOp does for an
+  // op dropped unread). ReadPendingOverlaps makes the NIC read every
+  // pending range of `dev` that meets [lo, lo + len) before a verbs write
+  // lands there; ReadPending does the same for every pending range of
+  // `dev`, or only for those of ops `initiator` posted.
+  sim::TxStartFn ReadAtTxStart(WireOp& op, uint32_t src, uint32_t dst);
+  void IndexPayload(Device& dev, WireOp& op);
+  const std::byte* ReadAtDelivery(WireOp& op);
+  void GatherPayload(WireOp& op, std::byte* dst);
   void TakeSnapshot(WireOp& op);
   void TakeSnapshots(std::vector<WireOp*>& ops);
-  void DeferSnapshot(Device& dev, WireOp& op);
+  void FinishRead(WireOp& op, const std::byte* block);
   void Unindex(WireOp& op);
   void ReadPendingOverlaps(Device& dev, uint64_t lo, uint64_t len);
   void ReadPending(Device& dev, const QueuePair* initiator = nullptr);

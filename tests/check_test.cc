@@ -4,8 +4,9 @@
 // asserted to be reported exactly once, plus the two meta-properties the
 // design leans on: zero probe effect (attaching the checker never moves
 // virtual time) and zero false positives on representative E4 (PageRank)
-// and E9 (KV) workloads. The posted-buffer rule also gets its silent
-// and deregister-then-free cases, and the RC order rule a silent
+// and E9 (KV) workloads. The posted-buffer rule also gets its silent,
+// deregister-then-free and in-flight (between transmit start, delivery
+// and completion) cases, and the RC order rule a silent
 // same-QP handoff and a racing two-QP one. One more pins that
 // annotation scopes stay with the simulated thread that opened them.
 //
@@ -489,6 +490,91 @@ TEST(CheckTest, DeregisterAndFreeQueuedWriteSourceMovesPostedBytes) {
   EXPECT_EQ(CountType(checker, check::ViolationType::kPostedBufferStore),
             0u);
   EXPECT_EQ(CountType(checker, check::ViolationType::kUseAfterDereg), 1u);
+}
+
+// One 1 MiB WRITE on an idle two-node verbs network: its request starts
+// transmitting at the doorbell and is delivered ~145 us later. The
+// initiator stores 0xBB over the source (0xAA) `touch_at` after the post.
+// Returns the bytes the target received; `wc` gets the completion.
+std::vector<std::byte> RunInFlightWrite(check::Checker& checker,
+                                        sim::Nanos touch_at,
+                                        verbs::WorkCompletion* wc) {
+  constexpr uint32_t kLen = 1 << 20;
+  sim::Simulation sim;
+  sim.AttachChecker(&checker);
+  verbs::Network net(sim);
+  sim::Node& client = sim.AddNode("client");
+  sim::Node& server = sim.AddNode("server");
+  verbs::Device& cdev = net.AddDevice(client);
+  verbs::Device& sdev = net.AddDevice(server);
+  std::vector<std::byte> remote(kLen);
+  auto rmr = sdev.CreatePd().RegisterMemory(remote.data(), remote.size(),
+                                            verbs::kRemoteWrite);
+  EXPECT_TRUE(rmr.ok());
+  net.Listen(sdev, 1);
+  server.Spawn("server", [&] { (void)net.Listen(sdev, 1).Accept(); });
+  client.Spawn("client", [&] {
+    auto qp = net.Connect(cdev, server.id(), 1);
+    ASSERT_TRUE(qp.ok());
+    std::vector<std::byte> src(kLen, std::byte{0xAA});
+    auto smr = cdev.CreatePd().RegisterMemory(src.data(), src.size(), 0);
+    ASSERT_TRUE(smr.ok());
+    ASSERT_TRUE((*qp)->PostSend(verbs::SendWr{
+                                    .wr_id = 1,
+                                    .opcode = verbs::Opcode::kRdmaWrite,
+                                    .local = {src.data(), kLen,
+                                              (*smr)->lkey()},
+                                    .remote_addr = (*rmr)->remote_addr(),
+                                    .rkey = (*rmr)->rkey()})
+                    .ok());
+    sim::Sleep(touch_at);
+    std::memset(src.data(), 0xBB, src.size());
+    auto done = (*qp)->send_cq().WaitOne();
+    ASSERT_TRUE(done.ok() && done->ok());
+    *wc = *done;
+  });
+  sim.Run();
+  EXPECT_EQ(sdev.pending_snapshots() + cdev.pending_snapshots(), 0u);
+  return remote;
+}
+
+// The NIC reads a WRITE's source when the request is delivered, so a
+// store after transmit start still changes the payload and is reported.
+// In the per-node layout the request crosses partitions, and the NIC read
+// the source at transmit start, before the store.
+TEST(CheckTest, StoreIntoInFlightWriteSourceReportedInOneQueueLayout) {
+  check::Checker checker;
+  verbs::WorkCompletion wc;
+  const auto landed = RunInFlightWrite(checker, sim::Micros(20), &wc);
+  ASSERT_GT(wc.stamps.executed, wc.stamps.tx_start + sim::Micros(20))
+      << "the store must land between transmit start and delivery";
+  const bool one_queue = !sim::PartitionedEnvRequested();
+  const std::byte moved = one_queue ? std::byte{0xBB} : std::byte{0xAA};
+  EXPECT_EQ(landed, std::vector<std::byte>(landed.size(), moved));
+  EXPECT_EQ(CountType(checker, check::ViolationType::kPostedBufferStore),
+            one_queue ? 1u : 0u);
+  EXPECT_EQ(checker.violations().size(), one_queue ? 1u : 0u);
+}
+
+// Once delivered, the payload is read: a store between the delivery and
+// the completion (the ack's trip back) changes nothing and is silent.
+TEST(CheckTest, StoreAfterWriteDeliveryBeforeCompletionReportsNothing) {
+  verbs::WorkCompletion wc;
+  {
+    check::Checker probe;
+    (void)RunInFlightWrite(probe, sim::Seconds(1), &wc);
+  }
+  // Virtual time is deterministic and the checker does not move it, so
+  // the rerun delivers and completes at the same instants.
+  const sim::Nanos delivered = wc.stamps.executed;
+  const sim::Nanos completed = wc.stamps.pushed;
+  ASSERT_GT(completed, delivered + 2);
+  check::Checker checker;
+  const auto landed = RunInFlightWrite(
+      checker, (delivered + completed) / 2 - wc.stamps.posted, &wc);
+  EXPECT_EQ(wc.stamps.executed, delivered);
+  EXPECT_EQ(landed, std::vector<std::byte>(landed.size(), std::byte{0xAA}));
+  EXPECT_TRUE(checker.violations().empty());
 }
 
 // ------------------------------------------------------- RC order ----

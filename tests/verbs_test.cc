@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "sim/simulation.h"
 #include "verbs/verbs.h"
 
@@ -249,9 +250,10 @@ TEST_F(VerbsFixture, SendRecvMovesBytesAndImmediate) {
       });
 }
 
-// A parked SEND owns its doorbell-time bytes: neither the initiator
-// rewriting its buffer nor a later op reusing the pooled bounce buffer
-// changes what the receiver gets once it posts.
+// A parked SEND keeps the bytes it arrived with: the NIC read them into
+// its RNR entry, so the initiator rewriting its buffer afterwards (or the
+// next SEND from it) does not change what the receiver gets once it
+// posts.
 TEST_F(VerbsFixture, SendBeforeRecvParksInRnrBufferThenDelivers) {
   std::vector<std::byte> src, dst;
   RunPair(
@@ -1054,9 +1056,140 @@ TEST_F(VerbsFixture, QueuedReadReturnsServiceTimeBytesDespiteWriteAndAtomic) {
   EXPECT_EQ(net.bounce_blocks_in_use(), 0u);
 }
 
-// The NIC holds a payload only from its transmit start to its delivery,
-// so 64 MiB of WRITEs and then 64 MiB of READs posted at once on one QP
-// need bounce blocks for a few messages, not for all that is queued.
+// A READ whose response has started transmitting still returns the bytes
+// its target held when it was served: a WRITE and then a FetchAdd from a
+// second QP that execute in its range before the response is delivered
+// make the NIC read the range first, and the FetchAdd returns the
+// pre-value.
+TEST_F(VerbsFixture, InFlightReadReturnsServiceTimeBytesDespiteWriteAndAtomic) {
+  constexpr uint32_t kLen = 4 << 20;  // ~570 us on the wire
+  std::vector<std::byte> remote, dst, src, result;
+  MemoryRegion* rem_mr =
+      Register(server_dev, remote, kLen,
+               kLocalWrite | kRemoteRead | kRemoteWrite | kRemoteAtomic);
+  for (size_t i = 0; i < remote.size(); ++i) remote[i] = std::byte(i % 251);
+  const std::vector<std::byte> served = remote;
+  RunQps(2, [&](std::vector<QueuePair*>& qps) {
+    QueuePair& reader = *qps[0];
+    QueuePair& writer = *qps[1];
+    MemoryRegion* dst_mr = Register(client_dev, dst, kLen, kLocalWrite);
+    MemoryRegion* src_mr = Register(client_dev, src, 4096, kLocalWrite);
+    MemoryRegion* res_mr = Register(client_dev, result, 8, kLocalWrite);
+    std::memset(src.data(), 0xEE, src.size());
+    ASSERT_TRUE(reader
+                    .PostSend(SendWr{.wr_id = 1,
+                                     .opcode = Opcode::kRdmaRead,
+                                     .local = {dst.data(), kLen,
+                                               dst_mr->lkey()},
+                                     .remote_addr = rem_mr->remote_addr(),
+                                     .rkey = rem_mr->rkey()})
+                    .ok());
+    // Served after ~1.3 us; its response transmits until ~575 us.
+    sim::Sleep(Micros(20));
+    SendWr write{.wr_id = 2,
+                 .opcode = Opcode::kRdmaWrite,
+                 .local = {src.data(), 4096, src_mr->lkey()},
+                 .remote_addr = rem_mr->remote_addr(),
+                 .rkey = rem_mr->rkey()};
+    SendWr add{.wr_id = 3,
+               .opcode = Opcode::kFetchAdd,
+               .local = {result.data(), 8, res_mr->lkey()},
+               .remote_addr = rem_mr->remote_addr() + 8192,
+               .rkey = rem_mr->rkey(),
+               .swap_or_add = 1};
+    write.next = &add;
+    ASSERT_TRUE(writer.PostSend(write).ok());
+    // Their acks queue behind the response on the server's egress, so
+    // compare instants: both executed before the READ was delivered.
+    auto read_wc = reader.send_cq().WaitOne();
+    ASSERT_TRUE(read_wc.ok() && read_wc->ok());
+    for (int i = 0; i < 2; ++i) {
+      auto wc = writer.send_cq().WaitOne();
+      ASSERT_TRUE(wc.ok() && wc->ok());
+      EXPECT_LT(wc->stamps.executed, read_wc->stamps.pushed);
+    }
+  });
+  EXPECT_EQ(dst, served) << "an in-flight READ returned bytes written after "
+                            "it was served";
+  EXPECT_EQ(Cell(result, 0), Cell(served, 8192));
+  EXPECT_EQ(std::to_integer<int>(remote[0]), 0xEE);
+  EXPECT_EQ(Cell(remote, 8192), Cell(served, 8192) + 1);
+  EXPECT_GE(net.bounce_pool_bytes(), uint64_t{kLen});
+  EXPECT_EQ(server_dev->pending_snapshots(), 0u);
+  EXPECT_EQ(net.bounce_blocks_in_use(), 0u);
+}
+
+// A WRITE whose source a third node overwrites with an RDMA WRITE while
+// the request is on the wire still delivers its doorbell-time bytes: the
+// third node's WRITE makes the NIC read the source first. The overwrite
+// is a race on purpose, and rcheck reports it.
+TEST_F(VerbsFixture, InFlightWriteSourceOverwrittenByThirdNodeDeliversPosted) {
+  constexpr uint32_t kLen = 4 << 20;
+  constexpr uint32_t kOff = 1 << 20;
+  constexpr uint32_t kThirdService = kService + 1;
+  check::Checker checker;
+  sim.AttachChecker(&checker);
+  sim::Node* third = &sim.AddNode("third");
+  Device* third_dev = &net.AddDevice(*third);
+  std::vector<std::byte> remote, src, third_src;
+  MemoryRegion* rem_mr = Register(server_dev, remote, kLen, kRemoteWrite);
+  MemoryRegion* src_mr =
+      Register(client_dev, src, kLen, kLocalWrite | kRemoteWrite);
+  MemoryRegion* third_mr = Register(third_dev, third_src, 4096, kLocalWrite);
+  for (size_t i = 0; i < src.size(); ++i) src[i] = std::byte(i % 247);
+  std::memset(third_src.data(), 0xC3, third_src.size());
+  const std::vector<std::byte> posted = src;
+  // Both connections are up long before the WRITE is posted at kPostAt.
+  const Nanos kPostAt = Millis(2);
+  net.Listen(*server_dev, kService);
+  net.Listen(*client_dev, kThirdService);
+  server_node->Spawn("server", [&] {
+    ASSERT_TRUE(net.Listen(*server_dev, kService).Accept().ok());
+  });
+  client_node->Spawn("client", [&] {
+    auto qp = net.Connect(*client_dev, server_node->id(), kService);
+    ASSERT_TRUE(qp.ok()) << qp.status();
+    ASSERT_TRUE(net.Listen(*client_dev, kThirdService).Accept().ok());
+    sim::Sleep(kPostAt - sim.NowNanos());
+    ASSERT_TRUE((*qp)->PostSend(SendWr{.wr_id = 1,
+                                       .opcode = Opcode::kRdmaWrite,
+                                       .local = {src.data(), kLen,
+                                                 src_mr->lkey()},
+                                       .remote_addr = rem_mr->remote_addr(),
+                                       .rkey = rem_mr->rkey()})
+                    .ok());
+    ASSERT_TRUE((*qp)->send_cq().WaitOne()->ok());
+  });
+  third->Spawn("third", [&] {
+    auto qp = net.Connect(*third_dev, client_node->id(), kThirdService);
+    ASSERT_TRUE(qp.ok()) << qp.status();
+    sim::Sleep(kPostAt + Micros(20) - sim.NowNanos());
+    ASSERT_TRUE(
+        (*qp)->PostSend(SendWr{.wr_id = 2,
+                               .opcode = Opcode::kRdmaWrite,
+                               .local = {third_src.data(), 4096,
+                                         third_mr->lkey()},
+                               .remote_addr = src_mr->remote_addr() + kOff,
+                               .rkey = src_mr->rkey()})
+            .ok());
+    ASSERT_TRUE((*qp)->send_cq().WaitOne()->ok());
+  });
+  sim.Run();
+  EXPECT_EQ(remote, posted) << "the target got bytes written into the "
+                               "source after the doorbell";
+  EXPECT_EQ(std::to_integer<int>(src[kOff]), 0xC3);
+  EXPECT_EQ(client_dev->pending_snapshots(), 0u);
+  EXPECT_EQ(net.bounce_blocks_in_use(), 0u);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations()[0].type, check::ViolationType::kRace);
+}
+
+// The NIC reads a payload once, at the delivery of the message carrying
+// it, straight from its source: 64 MiB of WRITEs and then 64 MiB of READs
+// posted at once on one QP, with no write into any source on the way,
+// need no bounce block in the one-queue layout. In the per-node layout
+// each payload crosses partitions and is read at transmit start, which
+// needs blocks for a few messages, not for all that is queued.
 TEST_F(VerbsFixture, BounceMemoryIsBoundedByBytesOnTheWire) {
   constexpr uint32_t kMiB = 1 << 20;
   constexpr int kOps = 64;
@@ -1081,16 +1214,22 @@ TEST_F(VerbsFixture, BounceMemoryIsBoundedByBytesOnTheWire) {
     }
   });
   EXPECT_EQ(src, dst);
-  EXPECT_LE(net.bounce_pool_bytes(), 4ULL * kMiB);
+  if (sim::PartitionedEnvRequested()) {
+    EXPECT_LE(net.bounce_pool_bytes(), 4ULL * kMiB);
+  } else {
+    EXPECT_EQ(net.bounce_pool_bytes(), 0u);
+  }
   EXPECT_EQ(net.bounce_blocks_in_use(), 0u);
   EXPECT_EQ(client_dev->pending_snapshots(), 0u);
   EXPECT_EQ(server_dev->pending_snapshots(), 0u);
 }
 
 // Faults between an op's post (WRITE doorbell, READ service) and its
-// payload's transmit start. The test thread changes fabric state every
-// partition reads, so the per-node layout (RSTORE_HOST_THREADS) runs it
-// on one worker, where blocks still cross partitions.
+// payload's delivery: the first payload is on the wire when the fault
+// hits, the rest wait in an egress queue. The test thread changes fabric
+// state every partition reads, so the per-node layout
+// (RSTORE_HOST_THREADS) runs it on one worker, where blocks still cross
+// partitions.
 class VerbsFaultTest : public VerbsFixture {
  protected:
   static constexpr uint32_t kOps = 8;
@@ -1102,13 +1241,16 @@ class VerbsFaultTest : public VerbsFixture {
 
   // Posts kOps 1 MiB `op`s on one QP, so all but the first payload wait
   // in an egress queue (the client's for WRITE, the server's for READ),
-  // and runs `fault` on the client 20 us later. The server's memory is
+  // and runs `fault` on the client 20 us later, with the client's buffer,
+  // PD and MR in local_, local_pd_ and local_mr_. The server's memory is
   // owned by its thread, so a killed server frees it as it unwinds.
-  // Returns the completion statuses in order; `read_back` receives the
-  // client buffer.
+  // Returns the completion statuses in order (none if the client dies);
+  // `read_back` receives the client buffer and `server_back` the server's
+  // (unless the server dies).
   std::vector<WcStatus> RunFaultBehindBacklog(
       Opcode op, const std::function<void()>& fault,
-      std::vector<std::byte>* read_back = nullptr) {
+      std::vector<std::byte>* read_back = nullptr,
+      std::vector<std::byte>* server_back = nullptr) {
     uint64_t remote_addr = 0;
     uint32_t rkey = 0;
     std::vector<WcStatus> statuses;
@@ -1124,14 +1266,19 @@ class VerbsFaultTest : public VerbsFixture {
       rkey = (*mr)->rkey();
       ASSERT_TRUE(net.Listen(*server_dev, kService).Accept().ok());
       sim::Sleep(Seconds(1));
+      if (server_back != nullptr) *server_back = mem;
     });
     client_node->Spawn("client", [&] {
       auto qp = net.Connect(*client_dev, server_node->id(), kService);
       ASSERT_TRUE(qp.ok()) << qp.status();
+      client_qp = *qp;
       std::vector<std::byte> local(kOps * size_t{kLen}, std::byte{0x77});
-      auto mr = client_dev->CreatePd().RegisterMemory(
-          local.data(), local.size(), kLocalWrite);
+      ProtectionDomain& pd = client_dev->CreatePd();
+      auto mr = pd.RegisterMemory(local.data(), local.size(), kLocalWrite);
       ASSERT_TRUE(mr.ok());
+      local_ = &local;
+      local_pd_ = &pd;
+      local_mr_ = *mr;
       for (uint32_t i = 0; i < kOps; ++i) {
         ASSERT_TRUE(
             (*qp)->PostSend(SendWr{
@@ -1160,9 +1307,26 @@ class VerbsFaultTest : public VerbsFixture {
   }
 
   void KillServer() { sim.KillNode(server_node->id()); }
+  void KillClient() { sim.KillNode(client_node->id()); }
   void PartitionLink() {
     net.fabric().SetLinkDown(client_node->id(), server_node->id(), true);
   }
+  // Hands the client buffer back to the app, which frees it at once.
+  void FreeLocal() {
+    local_->clear();
+    local_->shrink_to_fit();
+  }
+
+  // Every server byte holds what the client posted.
+  static bool AllPosted(const std::vector<std::byte>& mem) {
+    return mem.size() == size_t{kOps} * kLen &&
+           std::all_of(mem.begin(), mem.end(),
+                       [](std::byte b) { return b == std::byte{0x77}; });
+  }
+
+  std::vector<std::byte>* local_ = nullptr;
+  ProtectionDomain* local_pd_ = nullptr;
+  MemoryRegion* local_mr_ = nullptr;
 
   // The first op's message was already on the wire: it is lost, and the
   // error flushes everything behind it.
@@ -1189,10 +1353,11 @@ TEST_F(VerbsFaultTest, ReadServedWhenLinkPartitionsRetriesThenFlushes) {
             RetryThenFlush());
 }
 
-// The fabric drains a dead node's egress queue, so READ responses queued
-// at a server killed after serving them still arrive. Their bytes are
-// the service-time ones although the server's memory was freed as its
-// thread unwound: the kill made the NIC read them first.
+// The fabric drains a dead node's egress queue, so READ responses at a
+// server killed after serving them still arrive: the first one mid-
+// transmission, the rest from the queue. Their bytes are the service-
+// time ones although the server's memory was freed as its thread
+// unwound: the kill made the NIC read them first.
 TEST_F(VerbsFaultTest, ReadServedWhenTargetDiesStillDeliversServedBytes) {
   std::vector<std::byte> got;
   EXPECT_EQ(
@@ -1202,6 +1367,68 @@ TEST_F(VerbsFaultTest, ReadServedWhenTargetDiesStillDeliversServedBytes) {
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], std::byte(i % 249)) << "byte " << i;
   }
+}
+
+// A client killed with its WRITEs on the wire and in its egress queue:
+// the fabric still drains them, and the server gets the posted bytes
+// although the client's buffer was freed as its thread unwound. No
+// completion reaches the dead client.
+TEST_F(VerbsFaultTest, WriteSourceNodeKilledStillDeliversPostedBytes) {
+  std::vector<std::byte> server;
+  EXPECT_TRUE(RunFaultBehindBacklog(Opcode::kRdmaWrite, [&] { KillClient(); },
+                                    nullptr, &server)
+                  .empty());
+  EXPECT_TRUE(AllPosted(server));
+}
+
+// Deregistering the source MR and freeing it under in-flight WRITEs: the
+// NIC reads what it still owes first, so every WRITE lands its posted
+// bytes and completes as before. Deregistering under posted WRs is still
+// a use-after-deregister, which rcheck reports once per WR.
+TEST_F(VerbsFaultTest, WriteSourceDeregisteredAndFreedDeliversPostedBytes) {
+  check::Checker checker;
+  sim.AttachChecker(&checker);
+  std::vector<std::byte> server;
+  EXPECT_EQ(RunFaultBehindBacklog(
+                Opcode::kRdmaWrite,
+                [&] {
+                  ASSERT_TRUE(local_pd_->DeregisterMemory(local_mr_).ok());
+                  FreeLocal();
+                },
+                nullptr, &server),
+            std::vector<WcStatus>(kOps, WcStatus::kSuccess));
+  EXPECT_TRUE(AllPosted(server));
+  EXPECT_EQ(checker.violations().size(), size_t{kOps});
+  for (const check::Violation& v : checker.violations()) {
+    EXPECT_EQ(v.type, check::ViolationType::kUseAfterDereg);
+  }
+}
+
+// Closing the initiator QP flushes every WRITE, and the app frees the
+// source. Requests already handed to the fabric still execute at the
+// target, with the posted bytes.
+TEST_F(VerbsFaultTest, WriteInitiatorFlushedAndFreedDeliversPostedBytes) {
+  std::vector<std::byte> server;
+  EXPECT_EQ(RunFaultBehindBacklog(
+                Opcode::kRdmaWrite,
+                [&] {
+                  client_qp->Close();
+                  FreeLocal();
+                },
+                nullptr, &server),
+            std::vector<WcStatus>(kOps, WcStatus::kWrFlushErr));
+  EXPECT_TRUE(AllPosted(server));
+}
+
+// Closing the initiator QP flushes every READ, and the app frees the
+// scatter buffer: the responses still on the wire place nothing.
+TEST_F(VerbsFaultTest, ReadInitiatorFlushedAndFreedPlacesNothing) {
+  EXPECT_EQ(RunFaultBehindBacklog(Opcode::kRdmaRead,
+                                  [&] {
+                                    client_qp->Close();
+                                    FreeLocal();
+                                  }),
+            std::vector<WcStatus>(kOps, WcStatus::kWrFlushErr));
 }
 
 }  // namespace
