@@ -1,5 +1,6 @@
 #include "baselines/bsp/msg_bsp.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/cost_model.h"
@@ -24,13 +25,17 @@ struct MsgBspWorker::Inbox {
 MsgBspWorker::MsgBspWorker(verbs::Device& device, const carafe::Graph& graph,
                            MsgBspConfig config)
     : device_(device), graph_(graph), config_(std::move(config)) {
-  const uint64_t n = graph_.num_vertices();
-  lo_ = n * config_.worker_id / config_.num_workers;
-  hi_ = n * (config_.worker_id + 1) / config_.num_workers;
-  // Worst case batch: every vertex of one owner gets a combined message.
-  const uint64_t widest =
-      (n + config_.num_workers - 1) / config_.num_workers + 1;
-  max_batch_bytes_ = static_cast<uint32_t>(widest * 12 + 64);
+  bounds_ = carafe::PartitionBounds(
+      carafe::CostQuantiles(carafe::InOffsets(graph_)), config_.num_workers);
+  lo_ = bounds_[config_.worker_id];
+  hi_ = bounds_[config_.worker_id + 1];
+  // Worst case batch: every vertex of the widest owner gets a combined
+  // message.
+  uint64_t widest = 0;
+  for (uint32_t w = 0; w < config_.num_workers; ++w) {
+    widest = std::max(widest, bounds_[w + 1] - bounds_[w]);
+  }
+  max_batch_bytes_ = static_cast<uint32_t>((widest + 1) * 12 + 64);
 }
 
 MsgBspWorker::~MsgBspWorker() = default;
@@ -136,20 +141,17 @@ Result<std::vector<double>> MsgBspWorker::PageRank(uint32_t iterations,
   const sim::CpuCostModel& cpu = device_.network().cpu_model();
   peers_.resize(W);
 
-  std::vector<double> rank(std::max<uint64_t>(cnt, 1),
-                           1.0 / static_cast<double>(n));
+  std::vector<double> rank(cnt, 1.0 / static_cast<double>(n));
   // Combiner: contribution accumulated per global target vertex.
   std::vector<double> combined(n, 0.0);
   std::vector<uint32_t> hits(n, 0);
 
-  // Inverse of the contiguous partition map lo(w) = n*w/W: the candidate
-  // is within one of the true owner; nudge.
+  // The owner of v: the last boundary at or below v starts its range
+  // (empty ranges share their boundary with the next one).
   auto owner_of = [&](uint64_t v) -> uint32_t {
-    auto w = static_cast<uint32_t>(v * W / n);
-    if (w >= W) w = W - 1;
-    while (w + 1 < W && n * (w + 1) / W <= v) ++w;
-    while (w > 0 && n * w / W > v) --w;
-    return w;
+    return static_cast<uint32_t>(
+        std::upper_bound(bounds_.begin(), bounds_.end(), v) -
+        bounds_.begin() - 1);
   };
 
   Inbox& in = *inbox_;

@@ -1,12 +1,13 @@
 // Baseline: message-passing BSP graph engine (GraphLab/Pregel-flavoured).
 //
-// The comparator for Carafe in experiment E4. Same partitioning, same
-// vertex program, same per-edge compute cost — but per-iteration dataflow
-// travels as point-to-point *messages*: each worker combines the
-// contributions of its vertices per target, marshals (vertex, value)
-// batches, and RPCs them to the target's owner, whose CPU pays a
-// per-message framework overhead (scheduling, hash lookup, locking) on
-// top of the transport's marshalling and handler costs. Carafe replaces
+// The comparator for Carafe in experiment E4. Same partitioning (the
+// cost-balanced ranges of carafe::PartitionBounds, built from the
+// in-memory graph), same vertex program, same per-edge compute cost — but
+// per-iteration dataflow travels as point-to-point *messages*: each worker
+// combines the contributions of its vertices per target, marshals
+// (vertex, value) batches, and RPCs them to the target's owner, whose CPU
+// pays a per-message framework overhead (scheduling, hash lookup, locking)
+// on top of the transport's marshalling and handler costs. Carafe replaces
 // all of that with one-sided reads of a shared contribution array.
 //
 // `per_message_ns` is the calibration knob: ~25 ns models a lean native
@@ -69,6 +70,7 @@ class MsgBspWorker {
   verbs::Device& device_;
   const carafe::Graph& graph_;
   MsgBspConfig config_;
+  std::vector<uint64_t> bounds_;  // every worker's range (PartitionBounds)
   uint64_t lo_ = 0, hi_ = 0;
 
   std::unique_ptr<rpc::RpcServer> server_;

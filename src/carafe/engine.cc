@@ -68,11 +68,10 @@ Status Worker::Init() {
   if (!opened.ok()) return opened.status();
   graph_ = *opened;
 
-  const uint64_t n = graph_.n;
-  const uint32_t w = config_.worker_id;
-  const uint32_t W = config_.num_workers;
-  lo_ = n * w / W;
-  hi_ = n * (w + 1) / W;
+  const std::vector<uint64_t> bounds =
+      PartitionBounds(graph_.cost_quantiles, config_.num_workers);
+  lo_ = bounds[config_.worker_id];
+  hi_ = bounds[config_.worker_id + 1];
   const uint64_t cnt = hi_ - lo_;
 
   // Pull this partition's CSR slices. Each fetch is a single striped

@@ -54,7 +54,8 @@ class Worker {
          WorkerConfig config);
 
   // Maps the graph regions and pulls this worker's partition (vertex
-  // range, out-degrees, in-edges, out-edges) into local memory.
+  // range, out-degrees, in-edges, out-edges) into local memory. The range
+  // comes from PartitionBounds over the stored cost table (graph.h).
   Status Init();
 
   // Each returns the *full* result array (every worker assembles it from

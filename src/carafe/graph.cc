@@ -68,12 +68,43 @@ Graph RmatGraph(uint32_t scale, double avg_degree, uint64_t seed) {
   return FromEdges(n, std::move(edges));
 }
 
+std::vector<uint64_t> InOffsets(const Graph& g) {
+  const uint64_t n = g.num_vertices();
+  std::vector<uint64_t> offsets(n + 1, 0);
+  for (const uint32_t dst : g.targets) offsets[dst + 1]++;
+  for (uint64_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  return offsets;
+}
+
+CostTable CostQuantiles(std::span<const uint64_t> in_offsets) {
+  assert(!in_offsets.empty() && in_offsets[0] == 0);
+  const uint64_t n = in_offsets.size() - 1;
+  // cost(v) = in_degree(v) + 1, so the prefix before v is in_offsets[v] + v
+  // (strictly increasing), and the total is in_offsets[n] + n.
+  const uint64_t total = in_offsets[n] + n;
+  CostTable table{};
+  uint64_t v = 0;
+  for (uint32_t q = 0; q <= kCostQuantiles; ++q) {
+    while (v < n && (in_offsets[v] + v) * kCostQuantiles < q * total) ++v;
+    table[q] = v;
+  }
+  return table;
+}
+
+std::vector<uint64_t> PartitionBounds(const CostTable& table,
+                                      uint32_t workers) {
+  assert(workers > 0);
+  std::vector<uint64_t> bounds(workers + 1);
+  for (uint32_t w = 0; w <= workers; ++w) {
+    bounds[w] = table[static_cast<uint64_t>(w) * kCostQuantiles / workers];
+  }
+  return bounds;
+}
+
 Graph Transpose(const Graph& g) {
   const uint64_t n = g.num_vertices();
   Graph t;
-  t.offsets.assign(n + 1, 0);
-  for (const uint32_t dst : g.targets) t.offsets[dst + 1]++;
-  for (uint64_t v = 0; v < n; ++v) t.offsets[v + 1] += t.offsets[v];
+  t.offsets = InOffsets(g);
   t.targets.resize(g.num_edges());
   if (g.weighted()) t.weights.resize(g.num_edges());
   std::vector<uint64_t> cursor(t.offsets.begin(), t.offsets.end() - 1);

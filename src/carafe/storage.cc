@@ -1,9 +1,14 @@
 #include "carafe/storage.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace rstore::carafe {
 namespace {
+
+// u64 words of G/meta ahead of the cost table.
+constexpr uint64_t kMetaWords = 4;
 
 // Uploads a raw array as one region through a registered staging view.
 // Registering the caller's array directly would pin application memory
@@ -41,11 +46,13 @@ Status UploadGraph(core::RStoreClient& client, const std::string& name,
   const uint64_t n = graph.num_vertices();
   const uint64_t m = graph.num_edges();
 
-  // Meta region first: n, m, m_in, weighted flag.
-  const uint64_t meta[4] = {n, m, transpose.num_edges(),
-                            graph.weighted() ? 1ULL : 0ULL};
-  RSTORE_RETURN_IF_ERROR(
-      UploadArray(client, GraphRegions::Meta(name), meta, sizeof(meta)));
+  // Meta region first: n, m, m_in, weighted flag, then the cost table.
+  std::array<uint64_t, kMetaWords + kCostQuantiles + 1> meta{
+      n, m, transpose.num_edges(), graph.weighted() ? 1ULL : 0ULL};
+  const CostTable table = CostQuantiles(transpose.offsets);
+  std::copy(table.begin(), table.end(), meta.begin() + kMetaWords);
+  RSTORE_RETURN_IF_ERROR(UploadArray(client, GraphRegions::Meta(name),
+                                     meta.data(), sizeof(meta)));
 
   RSTORE_RETURN_IF_ERROR(UploadArray(client, GraphRegions::OutOffsets(name),
                                      graph.offsets.data(),
@@ -80,12 +87,16 @@ Result<StoredGraph> OpenGraph(core::RStoreClient& client,
                               const std::string& name) {
   auto region = client.Rmap(GraphRegions::Meta(name));
   if (!region.ok()) return region.status();
-  auto buf = client.AllocBuffer(4 * sizeof(uint64_t));
+  constexpr uint64_t kTableBytes = sizeof(CostTable);
+  auto buf = client.AllocBuffer(kMetaWords * sizeof(uint64_t) + kTableBytes);
   if (!buf.ok()) return buf.status();
   RSTORE_RETURN_IF_ERROR((*region)->Read(0, buf->data));
-  uint64_t meta[4];
+  uint64_t meta[kMetaWords];
   std::memcpy(meta, buf->begin(), sizeof(meta));
-  return StoredGraph{name, meta[0], meta[1], meta[3] != 0};
+  StoredGraph stored{name, meta[0], meta[1], meta[3] != 0};
+  std::memcpy(stored.cost_quantiles.data(), buf->begin() + sizeof(meta),
+              kTableBytes);
+  return stored;
 }
 
 Status DropGraph(core::RStoreClient& client, const std::string& name) {

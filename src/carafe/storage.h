@@ -8,7 +8,9 @@
 // (PageRank contributions, BFS frontiers) flows through small shared
 // regions instead of point-to-point messages.
 //
-//   G/meta         u64 n, u64 m (forward), u64 m_in (transpose), u64 weighted
+//   G/meta         u64 n, u64 m (forward), u64 m_in (transpose), u64 weighted,
+//                  then the (kCostQuantiles + 1) x u64 cost table that
+//                  places every worker's vertex range (graph.h)
 //   G/out_offsets  (n+1) x u64     CSR of the forward graph
 //   G/out_targets  m x u32
 //   G/in_offsets   (n+1) x u64     CSR of the transpose
@@ -33,6 +35,7 @@ struct StoredGraph {
   uint64_t n = 0;
   uint64_t m = 0;
   bool weighted = false;
+  CostTable cost_quantiles{};
 };
 
 // Region names for a stored graph.
@@ -63,7 +66,8 @@ struct GraphRegions {
 Status UploadGraph(core::RStoreClient& client, const std::string& name,
                    const Graph& graph);
 
-// Reads the metadata of a previously uploaded graph.
+// Reads the metadata and cost table of a previously uploaded graph (one
+// read of G/meta).
 Result<StoredGraph> OpenGraph(core::RStoreClient& client,
                               const std::string& name);
 

@@ -34,9 +34,10 @@
 // a time).
 //
 // Key ids: the load engine records its dense integer key ids directly;
-// the KvStore client path records StableHash64(key bytes). The two key
-// spaces must not be mixed against the same table in one simulation (no
-// current workload does).
+// the KvStore client path records StableHash64(key bytes) mixed with the
+// table's region id (equal keys in two tables are two registers). The
+// two key spaces must not be mixed against the same table in one
+// simulation (no current workload does).
 #pragma once
 
 #include <cstddef>

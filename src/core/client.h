@@ -198,6 +198,14 @@ class RStoreClient {
   // many distinct servers: writes fan out to all copies; reads hit the
   // primary, and the master promotes a live replica to primary at map
   // time when servers fail (see Rmap(fresh) for recovery).
+  //
+  // A new region reads as zeros. A slab's first region gets it zeroed
+  // from the arena's allocation. A slab freed by Rfree keeps its bytes
+  // until the master hands it out again; then, before Ralloc (or Rgrow)
+  // replies, the master zeroes it with one-sided RDMA WRITEs from a zero
+  // buffer of its own and waits for their acks. The scrub is real fabric
+  // traffic charged to the allocation, not a host write into the
+  // server's memory.
   [[nodiscard]] Status Ralloc(const std::string& name, uint64_t size,
                               uint32_t copies = 1);
   // Cached after the first call; `fresh` forces a master round trip

@@ -9,7 +9,8 @@
 namespace rstore::core {
 
 Master::Master(verbs::Device& device, MasterOptions options)
-    : device_(device), options_(options) {}
+    : device_(device), options_(options),
+      scrub_idle_(device.network().sim()) {}
 
 void Master::Start() {
   rpc_ = std::make_unique<rpc::RpcServer>(device_, kMasterService);
@@ -110,6 +111,14 @@ Status Master::HandleRegister(rpc::Reader& req, rpc::Writer& resp) {
       for (const SlabLocation& slab : replica) mark(slab);
     }
   }
+  // Slabs handed out before stay marked across a re-registration of the
+  // same arena: they still hold their old regions' bytes.
+  auto prev = servers_.find(info.node);
+  if (prev != servers_.end() && prev->second.rkey == info.rkey &&
+      prev->second.base_addr == info.base_addr) {
+    info.handed_out = std::move(prev->second.handed_out);
+  }
+  info.handed_out.resize(n_slabs, false);
   info.free_slabs.reserve(n_slabs);
   // LIFO order: lowest slab on top so allocations are address-ordered.
   for (uint32_t i = n_slabs; i-- > 0;) {
@@ -245,17 +254,12 @@ Status Master::HandleAlloc(rpc::Reader& req, rpc::Writer& resp) {
   region.desc.replicas.assign(copies - 1, {});
   for (auto& r : region.desc.replicas) r.reserve(n_slabs);
 
-  auto take_slab = [&](ServerInfo* s) {
-    const uint32_t slab_idx = s->free_slabs.back();
-    s->free_slabs.pop_back();
-    return SlabLocation{s->node,
-                        s->base_addr + slab_idx * options_.slab_size,
-                        s->rkey};
-  };
-  auto undo = [&](const SlabLocation& slab) {
-    ServerInfo& s = servers_.at(slab.server_node);
-    s.free_slabs.push_back(static_cast<uint32_t>(
-        (slab.remote_addr - s.base_addr) / options_.slab_size));
+  std::vector<SlabLocation> recycled;
+  auto give_back_all = [&] {
+    for (const SlabLocation& slab : region.desc.slabs) GiveBack(slab);
+    for (const auto& r : region.desc.replicas) {
+      for (const SlabLocation& slab : r) GiveBack(slab);
+    }
   };
 
   // Slab placement per the configured policy; the copies of one slab
@@ -295,21 +299,19 @@ Status Master::HandleAlloc(rpc::Reader& req, rpc::Writer& resp) {
     }
     if (chosen.size() < copies) {
       // Roll back: free slabs cannot host `copies` distinct placements.
-      for (const SlabLocation& slab : region.desc.slabs) undo(slab);
-      for (const auto& r : region.desc.replicas) {
-        for (const SlabLocation& slab : r) undo(slab);
-      }
+      give_back_all();
       return Status(ErrorCode::kOutOfMemory,
                     "cannot place " + std::to_string(copies) +
                         " distinct copies of every slab");
     }
-    region.desc.slabs.push_back(take_slab(chosen[0]));
+    region.desc.slabs.push_back(TakeSlab(*chosen[0], recycled));
     for (uint32_t r = 1; r < copies; ++r) {
-      region.desc.replicas[r - 1].push_back(take_slab(chosen[r]));
+      region.desc.replicas[r - 1].push_back(TakeSlab(*chosen[r], recycled));
     }
   }
 
-  if (check::Checker* ck = device_.network().sim().checker(); ck != nullptr) {
+  check::Checker* ck = device_.network().sim().checker();
+  if (ck != nullptr) {
     auto track = [&](const std::vector<SlabLocation>& slabs) {
       for (size_t i = 0; i < slabs.size(); ++i) {
         ck->OnRegionSlab(region.desc.id, name, options_.slab_size,
@@ -320,6 +322,20 @@ Status Master::HandleAlloc(rpc::Reader& req, rpc::Writer& resp) {
     };
     track(region.desc.slabs);
     for (const auto& replica : region.desc.replicas) track(replica);
+  }
+  // Recycled slabs are zeroed before the name is published. The scrub
+  // blocks, so the name is checked again after it: the first allocation
+  // to finish wins and a loser's slabs go back (zeroed).
+  if (!recycled.empty()) {
+    Status st = Scrub(recycled);
+    if (st.ok() && regions_.contains(name)) {
+      st = Status(ErrorCode::kAlreadyExists, "region '" + name + "' exists");
+    }
+    if (!st.ok()) {
+      give_back_all();
+      if (ck != nullptr) ck->OnRegionFree(region.desc.id);
+      return st;
+    }
   }
   region.desc.Encode(resp);
   regions_.emplace(name, std::move(region));
@@ -378,20 +394,11 @@ Status Master::HandleFree(rpc::Reader& req, rpc::Writer& resp) {
   if (it == regions_.end()) {
     return Status(ErrorCode::kNotFound, "region '" + name + "' not found");
   }
-  // Return every copy's slabs to their (still-leased) servers.
-  auto give_back = [&](const SlabLocation& slab) {
-    auto sit = servers_.find(slab.server_node);
-    if (sit == servers_.end() || !sit->second.alive ||
-        sit->second.rkey != slab.rkey) {
-      return;  // server gone or re-registered: its slabs were reclaimed
-    }
-    const auto idx = static_cast<uint32_t>(
-        (slab.remote_addr - sit->second.base_addr) / options_.slab_size);
-    sit->second.free_slabs.push_back(idx);
-  };
-  for (const SlabLocation& slab : it->second.desc.slabs) give_back(slab);
+  // Return every copy's slabs to their (still-leased) servers, bytes
+  // intact: they are zeroed when handed out again.
+  for (const SlabLocation& slab : it->second.desc.slabs) GiveBack(slab);
   for (const auto& replica : it->second.desc.replicas) {
-    for (const SlabLocation& slab : replica) give_back(slab);
+    for (const SlabLocation& slab : replica) GiveBack(slab);
   }
   if (check::Checker* ck = device_.network().sim().checker(); ck != nullptr) {
     ck->OnRegionFree(it->second.desc.id);
@@ -481,30 +488,142 @@ Status Master::HandleGrow(rpc::Reader& req, rpc::Writer& resp) {
     // still in flight against the region overlaps the metadata change.
     ck->OnRegionGrow(desc.id, device_.node_id());
   }
+  std::vector<SlabLocation> added, recycled;
   size_t cursor = 0;
   for (uint64_t i = 0; i < add; ++i) {
     for (size_t probes = 0; probes <= ranked.size(); ++probes) {
       ServerInfo* s = ranked[cursor % ranked.size()];
       ++cursor;
       if (s->free_slabs.empty()) continue;
-      const uint32_t slab_idx = s->free_slabs.back();
-      s->free_slabs.pop_back();
-      desc.slabs.push_back(SlabLocation{
-          s->node, s->base_addr + slab_idx * options_.slab_size, s->rkey});
+      added.push_back(TakeSlab(*s, recycled));
       break;
     }
   }
   if (ck != nullptr) {
-    for (uint64_t i = have_slabs; i < desc.slabs.size(); ++i) {
+    for (uint64_t i = 0; i < added.size(); ++i) {
       ck->OnRegionSlab(desc.id, name, options_.slab_size,
-                       desc.slabs[i].server_node, desc.slabs[i].remote_addr,
-                       desc.slabs[i].remote_addr + options_.slab_size,
-                       i * options_.slab_size);
+                       added[i].server_node, added[i].remote_addr,
+                       added[i].remote_addr + options_.slab_size,
+                       (have_slabs + i) * options_.slab_size);
     }
   }
-  desc.size = new_size;
-  desc.Encode(resp);
+  RegionDesc* grown = &desc;
+  if (!recycled.empty()) {
+    // The scrub blocks: the region may be freed (or replaced) meanwhile.
+    const uint64_t id = desc.id;
+    Status st = Scrub(recycled);
+    it = regions_.find(name);
+    if (st.ok() && (it == regions_.end() || it->second.desc.id != id)) {
+      st = Status(ErrorCode::kNotFound, "region '" + name + "' was freed");
+    }
+    if (!st.ok()) {
+      for (const SlabLocation& slab : added) GiveBack(slab);
+      return st;
+    }
+    grown = &it->second.desc;
+  }
+  grown->slabs.insert(grown->slabs.end(), added.begin(), added.end());
+  grown->size = std::max(grown->size, new_size);
+  grown->Encode(resp);
   return Status::Ok();
+}
+
+// ------------------------------------------------------------------ scrub
+SlabLocation Master::TakeSlab(ServerInfo& s,
+                              std::vector<SlabLocation>& recycled) {
+  const uint32_t idx = s.free_slabs.back();
+  s.free_slabs.pop_back();
+  const SlabLocation slab{s.node, s.base_addr + idx * options_.slab_size,
+                          s.rkey};
+  if (s.handed_out[idx]) recycled.push_back(slab);
+  s.handed_out[idx] = true;
+  return slab;
+}
+
+void Master::GiveBack(const SlabLocation& slab) {
+  auto sit = servers_.find(slab.server_node);
+  if (sit == servers_.end() || !sit->second.alive ||
+      sit->second.rkey != slab.rkey) {
+    return;  // server gone or re-registered: its slabs were reclaimed
+  }
+  sit->second.free_slabs.push_back(static_cast<uint32_t>(
+      (slab.remote_addr - sit->second.base_addr) / options_.slab_size));
+}
+
+Status Master::Scrub(const std::vector<SlabLocation>& slabs) {
+  // One WRITE zeroes up to kChunk bytes; at most kWindow writes are in
+  // flight, well inside a QP's send queue.
+  constexpr uint64_t kChunk = 1ULL << 20;
+  constexpr uint32_t kWindow = 256;
+  scrub_idle_.WaitUntil([this] { return !scrub_busy_; });
+  scrub_busy_ = true;
+  const uint64_t chunk = std::min(kChunk, options_.slab_size);
+  Status result;
+  uint32_t outstanding = 0;
+  std::vector<verbs::WorkCompletion> wcs;
+  auto drain = [&] {
+    while (outstanding > 0) {
+      wcs.clear();
+      scrub_cq_->WaitPollInto(wcs, outstanding);
+      for (const verbs::WorkCompletion& wc : wcs) {
+        --outstanding;
+        if (!wc.ok() && result.ok()) {
+          result = Status(ErrorCode::kUnavailable,
+                          "scrubbing a recycled slab failed");
+        }
+      }
+    }
+  };
+  if (scrub_mr_ == nullptr) {
+    scrub_cq_ = &device_.CreateCq();
+    scrub_zeros_ = std::make_unique<std::byte[]>(chunk);  // zero-filled
+    auto mr = device_.CreatePd().RegisterMemory(scrub_zeros_.get(), chunk, 0);
+    if (mr.ok()) {
+      scrub_mr_ = *mr;
+    } else {
+      result = mr.status();
+    }
+  }
+  for (size_t i = 0; i < slabs.size() && result.ok(); ++i) {
+    const SlabLocation& slab = slabs[i];
+    auto qit = scrub_qps_.find(slab.server_node);
+    if (qit == scrub_qps_.end()) {
+      auto qp = device_.network().Connect(device_, slab.server_node,
+                                          kDataService, {}, scrub_cq_,
+                                          nullptr);
+      if (!qp.ok()) {
+        result = qp.status();
+        break;
+      }
+      qit = scrub_qps_.emplace(slab.server_node, *qp).first;
+    }
+    for (uint64_t off = 0; off < options_.slab_size && result.ok();
+         off += chunk) {
+      verbs::SendWr wr;
+      wr.opcode = verbs::Opcode::kRdmaWrite;
+      wr.local = {scrub_zeros_.get(),
+                  static_cast<uint32_t>(
+                      std::min(chunk, options_.slab_size - off)),
+                  scrub_mr_->lkey()};
+      wr.remote_addr = slab.remote_addr + off;
+      wr.rkey = slab.rkey;
+      Status post = qit->second->PostSend(wr);
+      if (!post.ok()) {
+        result = post;
+        break;
+      }
+      if (++outstanding >= kWindow) drain();
+    }
+  }
+  drain();
+  if (!result.ok()) {
+    // A failed QP is in the error state; reconnect on the next scrub.
+    for (auto& [node, qp] : scrub_qps_) qp->Close();
+    scrub_qps_.clear();
+  }
+  scrub_busy_ = false;
+  scrub_idle_.NotifyAll();
+  return result;
 }
 
 // ------------------------------------------------------------ notifications

@@ -97,6 +97,10 @@ class Master {
     sim::Nanos last_heartbeat = 0;
     bool alive = true;
     std::vector<uint32_t> free_slabs;  // slab indices within the arena
+    // Set once a slab is first handed to a region; such a slab is scrubbed
+    // before it is handed out again. Survives a lease loss and a
+    // re-registration under the same rkey (same arena).
+    std::vector<bool> handed_out;
   };
 
   struct RegionInfo {
@@ -122,6 +126,16 @@ class Master {
   Status HandleListRegions(rpc::Reader& req, rpc::Writer& resp);
   Status HandleGrow(rpc::Reader& req, rpc::Writer& resp);
 
+  // Takes a free slab of `s`, adding it to `recycled` if it was handed
+  // out before.
+  SlabLocation TakeSlab(ServerInfo& s, std::vector<SlabLocation>& recycled);
+  // Returns a slab to its server's free list (dropped if the server lost
+  // its lease or re-registered: its slabs were reclaimed).
+  void GiveBack(const SlabLocation& slab);
+  // Zeroes `slabs` with one-sided RDMA WRITEs from a registered zero
+  // buffer on the master and waits for every write's ack.
+  Status Scrub(const std::vector<SlabLocation>& slabs);
+
   void SweepLeases();
   NotifyChannel& Channel(const std::string& name);
   // True when the slab's server holds a live lease under the slab's rkey.
@@ -137,6 +151,16 @@ class Master {
   std::map<std::string, RegionInfo> regions_;
   std::unordered_map<std::string, std::unique_ptr<NotifyChannel>> channels_;
   uint64_t next_region_id_ = 1;
+  // Scrub path, set up at the first recycled slab: one data QP per memory
+  // server on a shared CQ, and a zero buffer of one write's length.
+  // Scrubs run one at a time (scrub_busy_), so the CQ holds only the
+  // running scrub's completions.
+  verbs::CompletionQueue* scrub_cq_ = nullptr;
+  verbs::MemoryRegion* scrub_mr_ = nullptr;
+  std::unique_ptr<std::byte[]> scrub_zeros_;
+  std::map<uint32_t, verbs::QueuePair*> scrub_qps_;  // by server node
+  bool scrub_busy_ = false;
+  sim::CondVar scrub_idle_;
   // Epoch-barrier snapshots for cross-partition introspection (see the
   // public accessors).
   std::atomic<uint32_t> published_live_servers_{0};

@@ -185,9 +185,13 @@ Status KvStore::Drive(std::string_view key, obs::ObsSpan* span) {
   stats_.version_retries += op_.retries();
   if (check::LinChecker* lin = sim.lin(); lin != nullptr) {
     // rlin history capture (see check/lin.h): pure host-side observation,
-    // so virtual time is bit-identical with the checker on or off.
-    op_.RecordLin(*lin, client_.device().node_id(), StableHash64(key),
-                  invoked, static_cast<uint64_t>(sim.NowNanos()));
+    // so virtual time is bit-identical with the checker on or off. The
+    // table's region id keys the register too: equal keys in two tables
+    // are two registers.
+    const uint64_t lin_key =
+        StableHash64(key) ^ (region_->desc().id * 0x9E3779B97F4A7C15ULL);
+    op_.RecordLin(*lin, client_.device().node_id(), lin_key, invoked,
+                  static_cast<uint64_t>(sim.NowNanos()));
   }
   return op_.status();
 }

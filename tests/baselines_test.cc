@@ -5,6 +5,7 @@
 // two-sided IO burns server CPU; disk sort is slower than DRAM sort.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -155,6 +156,30 @@ TEST_F(MsgBspFixture, MatchesReferenceFourWorkers) {
   carafe::Graph g = carafe::RmatGraph(9, 8.0, 6);
   auto expected = carafe::ReferencePageRank(g, 10);
   auto got = RunPageRank(g, 4, 10);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t v = 0; v < expected.size(); ++v) {
+    ASSERT_NEAR(got[v], expected[v], 1e-10) << v;
+  }
+}
+
+TEST_F(MsgBspFixture, MatchesReferenceWhenAHubEmptiesARange) {
+  // Every vertex points at vertex 100 twice: the hub costs more than two
+  // of eight workers' shares, so some worker owns no vertex.
+  carafe::Graph base = carafe::UniformRandomGraph(512, 1.0, 4);
+  carafe::Graph g;
+  g.offsets.push_back(0);
+  for (uint64_t v = 0; v < base.num_vertices(); ++v) {
+    const auto [lo, hi] = base.edge_range(v);
+    g.targets.insert(g.targets.end(), base.targets.begin() + lo,
+                     base.targets.begin() + hi);
+    g.targets.insert(g.targets.end(), 2, 100u);
+    g.offsets.push_back(g.targets.size());
+  }
+  const auto bounds = carafe::PartitionBounds(
+      carafe::CostQuantiles(carafe::InOffsets(g)), 8);
+  ASSERT_NE(std::adjacent_find(bounds.begin(), bounds.end()), bounds.end());
+  auto expected = carafe::ReferencePageRank(g, 10);
+  auto got = RunPageRank(g, 8, 10);
   ASSERT_EQ(got.size(), expected.size());
   for (size_t v = 0; v < expected.size(); ++v) {
     ASSERT_NEAR(got[v], expected[v], 1e-10) << v;

@@ -1,6 +1,7 @@
 // Tests for Carafe: graph generators, single-machine references, RStore
 // graph storage, and the distributed BSP engine validated against the
-// references (PageRank, BFS, connected components).
+// references (PageRank, BFS, connected components, SSSP), and the
+// cost-balanced partition every engine takes its vertex range from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,10 +10,13 @@
 #include <numeric>
 #include <set>
 
+#include "baselines/bsp/msg_bsp.h"
 #include "carafe/engine.h"
 #include "carafe/graph.h"
 #include "carafe/storage.h"
 #include "core/cluster.h"
+#include "sim/simulation.h"
+#include "verbs/verbs.h"
 
 namespace rstore::carafe {
 namespace {
@@ -193,10 +197,198 @@ TEST(StorageTest, WorkerPartitionsCoverAllVertices) {
   });
 }
 
+// --------------------------------------------------------- partitioning --
+std::vector<uint64_t> BoundsOf(const Graph& g, uint32_t workers) {
+  return PartitionBounds(CostQuantiles(InOffsets(g)), workers);
+}
+
+// Per-worker cost (in-edges plus vertices) of a partition.
+std::vector<uint64_t> CostsOf(const Graph& g,
+                              const std::vector<uint64_t>& bounds) {
+  const std::vector<uint64_t> in = InOffsets(g);
+  std::vector<uint64_t> cost;
+  for (size_t w = 0; w + 1 < bounds.size(); ++w) {
+    cost.push_back(in[bounds[w + 1]] - in[bounds[w]] + bounds[w + 1] -
+                   bounds[w]);
+  }
+  return cost;
+}
+
+double MaxOverMean(const std::vector<uint64_t>& cost) {
+  const double total =
+      static_cast<double>(std::accumulate(cost.begin(), cost.end(), 0ULL));
+  const uint64_t worst = *std::max_element(cost.begin(), cost.end());
+  return static_cast<double>(worst) * static_cast<double>(cost.size()) /
+         total;
+}
+
+// `g` plus a star: `copies` edges from every other vertex into `hub` and
+// one edge from the hub to every other vertex.
+Graph WithHub(const Graph& g, uint32_t hub, uint32_t copies) {
+  const uint64_t n = g.num_vertices();
+  Graph out;
+  out.offsets.push_back(0);
+  for (uint64_t v = 0; v < n; ++v) {
+    const auto [lo, hi] = g.edge_range(v);
+    out.targets.insert(out.targets.end(), g.targets.begin() + lo,
+                       g.targets.begin() + hi);
+    if (v != hub) out.targets.insert(out.targets.end(), copies, hub);
+    for (uint64_t u = 0; v == hub && u < n; ++u) {
+      if (u != hub) out.targets.push_back(static_cast<uint32_t>(u));
+    }
+    out.offsets.push_back(out.targets.size());
+  }
+  return out;
+}
+
+TEST(PartitionTest, RangesAreContiguousAndCoverAllVertices) {
+  const std::vector<Graph> graphs = {
+      UniformRandomGraph(1003, 6.0, 9), RmatGraph(12, 16.0, 5),
+      WithHub(UniformRandomGraph(300, 1.0, 2), 77, 4),
+      UniformRandomGraph(5, 2.0, 1), Graph{{0}, {}, {}}};
+  for (const Graph& g : graphs) {
+    const uint64_t n = g.num_vertices();
+    const CostTable table = CostQuantiles(InOffsets(g));
+    EXPECT_EQ(table.front(), 0u);
+    EXPECT_EQ(table.back(), n);
+    EXPECT_TRUE(std::is_sorted(table.begin(), table.end()));
+    // 3, 7 and 1500 do not divide kCostQuantiles: boundary w is the
+    // table entry at floor(w * kCostQuantiles / W).
+    for (const uint32_t workers : {1u, 2u, 3u, 7u, 8u, 64u, 1024u, 1500u}) {
+      const std::vector<uint64_t> bounds = PartitionBounds(table, workers);
+      ASSERT_EQ(bounds.size(), workers + 1u);
+      for (uint32_t w = 0; w <= workers; ++w) {
+        EXPECT_EQ(bounds[w], table[w * kCostQuantiles / workers])
+            << "W=" << workers << " w=" << w;
+      }
+      EXPECT_EQ(bounds.back(), n) << "W=" << workers;
+    }
+  }
+}
+
+TEST(PartitionTest, RmatCostStaysBalanced) {
+  // RMAT puts its hubs at low vertex ids: at 8 workers the equal-count
+  // split gives worker 0 3.36x the mean cost (43.9% of the in-edges).
+  // The cost split keeps the worst worker within 2% of the mean: measured
+  // 1.0019 (W=3), 1.0047-1.0055 (W=7) and 1.0025-1.0033 (W=8) here, and
+  // at most 1.0143 on RMAT 2^14-2^17 for seeds 1, 7 and 7919.
+  // Uniform graphs, where every split is balanced, stay within 1%.
+  for (const uint64_t seed : {1ULL, 7919ULL}) {
+    Graph g = RmatGraph(16, 16.0, seed);
+    Graph uniform = UniformRandomGraph(1 << 16, 16.0, seed);
+    const uint64_t n = g.num_vertices();
+    std::vector<uint64_t> even(9);
+    for (uint32_t w = 0; w <= 8; ++w) even[w] = n * w / 8;
+    EXPECT_GT(MaxOverMean(CostsOf(g, even)), 3.0) << seed;
+    for (const uint32_t workers : {3u, 7u, 8u}) {
+      EXPECT_LT(MaxOverMean(CostsOf(g, BoundsOf(g, workers))), 1.02)
+          << "seed " << seed << " W=" << workers;
+      EXPECT_LT(MaxOverMean(CostsOf(uniform, BoundsOf(uniform, workers))),
+                1.01)
+          << "seed " << seed << " W=" << workers;
+    }
+  }
+}
+
+TEST(PartitionTest, CarafeAndMessagePassingGetIdenticalRanges) {
+  Graph g = RmatGraph(11, 8.0, 13);
+  for (const uint32_t workers : {3u, 8u}) {
+    const std::vector<uint64_t> bounds = BoundsOf(g, workers);
+    // The baseline builds its table from the in-memory graph.
+    sim::Simulation sim;
+    verbs::Network net(sim);
+    sim::Node& node = sim.AddNode("w");
+    net.AddDevice(node);
+    // Carafe reads the table uploaded with the graph.
+    TestCluster cluster(GraphCluster(1));
+    cluster.RunClient([&](RStoreClient& client) {
+      ASSERT_TRUE(UploadGraph(client, "g", g).ok());
+      for (uint32_t w = 0; w < workers; ++w) {
+        Worker worker(client, "g", WorkerConfig{w, workers, "t"});
+        ASSERT_TRUE(worker.Init().ok());
+        baselines::MsgBspConfig cfg;
+        cfg.worker_id = w;
+        cfg.num_workers = workers;
+        baselines::MsgBspWorker bsp(net.device(node.id()), g, cfg);
+        EXPECT_EQ(worker.vertex_lo(), bounds[w]) << w;
+        EXPECT_EQ(worker.vertex_hi(), bounds[w + 1]) << w;
+        EXPECT_EQ(bsp.lo(), bounds[w]) << w;
+        EXPECT_EQ(bsp.hi(), bounds[w + 1]) << w;
+      }
+    });
+  }
+}
+
+TEST(PartitionTest, HubWithAnEmptyRangeMatchesEveryReference) {
+  // The hub costs more than two of the eight workers' shares (about 47%
+  // of the directed graph, 29% of its symmetric closure), so adjacent
+  // boundaries fall on it and some worker owns no vertex.
+  constexpr uint32_t kWorkers = 8;
+  Graph g = WithHub(UniformRandomGraph(512, 0.25, 17), 200, 2);
+  AddRandomWeights(g, 5, 20);
+  Graph sym = MakeSymmetric(g);
+  for (const Graph* graph : {&g, &sym}) {
+    const std::vector<uint64_t> bounds = BoundsOf(*graph, kWorkers);
+    bool empty = false;
+    for (uint32_t w = 0; w < kWorkers; ++w) {
+      empty = empty || bounds[w] == bounds[w + 1];
+    }
+    ASSERT_TRUE(empty) << "the hub must leave one worker without vertices";
+  }
+  const auto ranks = ReferencePageRank(g, 10);
+  const auto bfs = ReferenceBfs(g, 3);
+  const auto sssp = ReferenceSssp(g, 3);
+  const auto labels = ReferenceComponents(sym);
+
+  TestCluster cluster(GraphCluster(kWorkers));
+  std::vector<std::vector<double>> got_ranks(kWorkers);
+  std::vector<std::vector<uint32_t>> got_bfs(kWorkers);
+  std::vector<std::vector<uint64_t>> got_sssp(kWorkers), got_cc(kWorkers);
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    cluster.SpawnClient(w, [&, w](RStoreClient& client) {
+      if (w == 0) {
+        ASSERT_TRUE(UploadGraph(client, "g", g).ok());
+        ASSERT_TRUE(UploadGraph(client, "sym", sym).ok());
+        ASSERT_TRUE(client.NotifyInc("uploaded").ok());
+      } else {
+        ASSERT_TRUE(client.WaitNotify("uploaded", 1).ok());
+      }
+      Worker worker(client, "g", WorkerConfig{w, kWorkers, "hub"});
+      ASSERT_TRUE(worker.Init().ok());
+      auto r = worker.PageRank({.iterations = 10});
+      ASSERT_TRUE(r.ok()) << r.status();
+      got_ranks[w] = std::move(*r);
+      auto b = worker.Bfs(3);
+      ASSERT_TRUE(b.ok()) << b.status();
+      got_bfs[w] = std::move(*b);
+      auto d = worker.Sssp(3);
+      ASSERT_TRUE(d.ok()) << d.status();
+      got_sssp[w] = std::move(*d);
+      Worker sym_worker(client, "sym", WorkerConfig{w, kWorkers, "hub"});
+      ASSERT_TRUE(sym_worker.Init().ok());
+      auto c = sym_worker.Components();
+      ASSERT_TRUE(c.ok()) << c.status();
+      got_cc[w] = std::move(*c);
+    });
+  }
+  cluster.sim().Run();
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    ASSERT_EQ(got_ranks[w].size(), ranks.size()) << "worker " << w;
+    for (size_t v = 0; v < ranks.size(); ++v) {
+      ASSERT_NEAR(got_ranks[w][v], ranks[v], 1e-10)
+          << "worker " << w << " vertex " << v;
+    }
+    EXPECT_EQ(got_bfs[w], bfs) << "worker " << w;
+    EXPECT_EQ(got_sssp[w], sssp) << "worker " << w;
+    EXPECT_EQ(got_cc[w], labels) << "worker " << w;
+  }
+}
+
 // ------------------------------------------------- distributed vs. ref --
+// No padding: gtest prints the param's bytes into the test name.
 struct EngineParam {
   uint32_t workers;
-  bool rmat;
+  uint32_t rmat;  // 0 = uniform, 1 = RMAT
 };
 
 class EngineFixture : public ::testing::TestWithParam<EngineParam> {};
@@ -300,7 +492,8 @@ TEST_P(EngineFixture, DistributedComponentsMatchReference) {
 INSTANTIATE_TEST_SUITE_P(
     WorkerCounts, EngineFixture,
     ::testing::Values(EngineParam{1, false}, EngineParam{2, false},
-                      EngineParam{4, false}, EngineParam{4, true}),
+                      EngineParam{4, false}, EngineParam{4, true},
+                      EngineParam{3, true}, EngineParam{7, true}),
     [](const ::testing::TestParamInfo<EngineParam>& info) {
       return std::string(info.param.rmat ? "rmat" : "uniform") +
              std::to_string(info.param.workers) + "w";

@@ -115,6 +115,37 @@ TEST(AllocTest, FreeReturnsSlabsForReuse) {
   });
 }
 
+TEST(AllocTest, RecycledSlabsComeBackZeroed) {
+  // A freed slab keeps its bytes until it is handed out again; Ralloc and
+  // Rgrow zero it first, so a new region always reads as zeros.
+  TestCluster cluster(SmallCluster());
+  cluster.RunClient([&](RStoreClient& client) {
+    constexpr uint64_t kStore = 64ULL << 20;  // every slab of the cluster
+    ASSERT_TRUE(client.Ralloc("old", kStore).ok());
+    auto old_region = client.Rmap("old");
+    ASSERT_TRUE(old_region.ok());
+    auto buf = client.AllocBuffer(kStore);
+    ASSERT_TRUE(buf.ok());
+    FillPattern(buf->data, 7);
+    ASSERT_TRUE((*old_region)->Write(0, buf->data).ok());
+    ASSERT_TRUE(client.Rfree("old").ok());
+
+    auto all_zero = [&](const char* name, uint64_t bytes) {
+      auto region = client.Rmap(name, {.fresh = true});
+      if (!region.ok()) return false;
+      std::span<std::byte> view = buf->data.first(bytes);
+      std::fill(view.begin(), view.end(), std::byte{0xAB});
+      if (!(*region)->Read(0, view).ok()) return false;
+      return std::all_of(view.begin(), view.end(),
+                         [](std::byte b) { return b == std::byte{0}; });
+    };
+    ASSERT_TRUE(client.Ralloc("new", 3ULL << 20).ok());
+    EXPECT_TRUE(all_zero("new", 3ULL << 20));
+    ASSERT_TRUE(client.Rgrow("new", 40ULL << 20).ok());
+    EXPECT_TRUE(all_zero("new", 40ULL << 20));
+  });
+}
+
 TEST(AllocTest, MapUnknownRegionIsNotFound) {
   TestCluster cluster(SmallCluster());
   cluster.RunClient([&](RStoreClient& client) {

@@ -159,6 +159,27 @@ TEST(KvTest, OpenSeesExistingTable) {
   EXPECT_TRUE(verified);
 }
 
+TEST(KvTest, RecycledSlabsDoNotResurrectFreedKeys) {
+  // t2 is handed t1's freed slabs; a table relies on a zeroed arena, so
+  // those slabs must come back zeroed or t2 would find t1's keys.
+  TestCluster cluster(KvCluster());
+  cluster.RunClient([&](RStoreClient& client) {
+    auto t1 = KvStore::Create(client, "t1");
+    ASSERT_TRUE(t1.ok()) << t1.status();
+    ASSERT_TRUE((*t1)->Put("ghost", "boo").ok());
+    const auto t1_slabs = (*client.Rmap("t1"))->desc().slabs;
+    t1->reset();
+    ASSERT_TRUE(client.Rfree("t1").ok());
+    auto t2 = KvStore::Create(client, "t2");
+    ASSERT_TRUE(t2.ok()) << t2.status();
+    const auto t2_slabs = (*client.Rmap("t2"))->desc().slabs;
+    ASSERT_TRUE(t2_slabs.front() == t1_slabs.front());
+    EXPECT_EQ((*t2)->Get("ghost").code(), ErrorCode::kNotFound);
+    ASSERT_TRUE((*t2)->Put("ghost", "new").ok());
+    EXPECT_EQ(Str(*(*t2)->Get("ghost")), "new");
+  });
+}
+
 TEST(KvTest, OpenRejectsNonTableRegion) {
   TestCluster cluster(KvCluster());
   cluster.RunClient([&](RStoreClient& client) {
