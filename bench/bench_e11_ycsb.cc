@@ -38,9 +38,8 @@ uint32_t Clients() {
   return static_cast<uint32_t>(std::min<int64_t>(flags.sessions, 64));
 }
 
-// What one client fiber reports. Each client writes only its own slot
-// (clients on different partitions may finish in the same epoch under
-// --host-threads), and RunMix reduces the slots after Run().
+// What one client fiber reports. Each client writes only its own slot,
+// and RunMix reduces the slots after Run().
 struct ClientTally {
   uint64_t ops = 0;
   uint64_t conflicts = 0;

@@ -10,23 +10,22 @@
 //
 // Sweeps offered load x admission control, zipf skew, session count, and
 // the YCSB mixes; emits the curve to BENCH_fanin.json and hard-fails
-// (exit 1) if the virtual end time or event count diverges across
-// host thread counts of the per-node partition layout.
+// (exit 1) if an observer moves the virtual end time or event count (see
+// the determinism gate below).
 //
 // Flags (see bench_util.h): --offered-load/--sessions/--duration/--skew
 // override the sweep's default point grammar; --smoke shrinks everything
-// for CI; --no-determinism skips the host-thread cross-check; --rcheck /
-// --host-threads / --json / --trace as everywhere else.
+// for CI; --no-determinism skips the probe-effect gate; --rcheck /
+// --json / --trace as everywhere else.
 //
 // rtrace: the sweep runs with per-op causal tracing in sampled mode by
 // default (--rtrace off|sampled|full to override). Every point's JSON row
 // carries the p999-band per-stage attribution, and the highest-load
 // admitted point's full report lands in BENCH_fanin_attr.json
 // (--attribution to relocate) for tools/rtail. The determinism gate
-// cross-checks that every rtrace mode is virtual-time bit-identical on
-// every scheduler (off/sampled/full x host-threads {0,1,4}), and that
-// attaching the rlin linearizability checker (--rlin / RSTORE_RLIN) is
-// likewise a zero-probe-effect observer on every scheduler.
+// checks that every rtrace mode (off/sampled/full) is virtual-time
+// bit-identical, and that attaching the rlin linearizability checker
+// (--rlin / RSTORE_RLIN) is likewise a zero-probe-effect observer.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -83,7 +82,7 @@ constexpr uint32_t kClients = 4;
 
 FaninPoint RunFanin(const load::LoadOptions& base, double offered,
                     double theta, uint32_t sessions, bool admission,
-                    char mix, uint32_t host_threads = 0) {
+                    char mix) {
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(rdet-wallclock) harness wall-time
 
   load::LoadOptions opts = base;
@@ -102,7 +101,6 @@ FaninPoint RunFanin(const load::LoadOptions& base, double offered,
   cfg.server_capacity = table_bytes / kServers + (8ULL << 20);
   cfg.master.slab_size = 1ULL << 20;
   cfg.seed = opts.seed;
-  cfg.host_threads = host_threads;
   core::TestCluster cluster(cfg);
 
   std::vector<load::EngineStats> per_engine(kClients);
@@ -284,82 +282,41 @@ int main(int argc, char** argv) {
   (void)RunFanin(base, loads[0], default_theta, base.sessions,
                  /*admission=*/true, 'b');
 
-  // Determinism cross-check: the smallest point must land on the same
-  // virtual end time on the one-queue layout and on the per-node layout
-  // with different worker counts, and the same event count across
-  // per-node worker counts (the per-node layout posts extra
-  // cross-partition bridging events, so its event count is only
-  // comparable to other per-node runs — same contract as bench_scaling).
+  // Probe-effect gate: at the smallest point, every rtrace mode and an
+  // attached rlin checker (recording the full per-op KV history) must land
+  // on the reference virtual end time and event count — observers never
+  // move the timeline. The rlin env var is read per-Simulation, exactly
+  // like --rlin sets it binary-wide (in which case it is already on and
+  // stays on after the gate).
   if (determinism) {
-    // Probe-effect and layout cross-check: every rtrace mode must land on
-    // the reference virtual end time on the one-queue layout and on the
-    // per-node layout with different worker counts — attaching the tracer
-    // never moves virtual time.
     load::LoadOptions dbase = base;
     dbase.rtrace.mode = obs::RtraceMode::kOff;
-    FaninPoint ref = RunFanin(dbase, loads[0], default_theta, base.sessions,
-                              true, sweep_mix);
-    uint64_t part_events = 0;
-    for (const obs::RtraceMode mode :
-         {obs::RtraceMode::kOff, obs::RtraceMode::kSampled,
-          obs::RtraceMode::kFull}) {
-      dbase.rtrace.mode = mode;
-      for (const uint32_t t : {0u, 1u, 4u}) {
-        if (mode == obs::RtraceMode::kOff && t == 0) continue;  // == ref
-        FaninPoint p = RunFanin(dbase, loads[0], default_theta,
-                                base.sessions, true, sweep_mix, t);
-        if (p.virtual_nanos != ref.virtual_nanos) {
-          std::fprintf(stderr,
-                       "FATAL: rtrace=%s host_threads=%u diverged: vnanos "
-                       "%" PRIu64 " vs %" PRIu64 "\n",
-                       std::string(obs::ToString(mode)).c_str(), t,
-                       p.virtual_nanos, ref.virtual_nanos);
-          rc = 1;
-        }
-        if (t == 0) continue;  // one-queue event counts are not comparable
-        if (part_events == 0) {
-          part_events = p.events;
-        } else if (p.events != part_events) {
-          std::fprintf(stderr,
-                       "FATAL: rtrace=%s host_threads=%u event count "
-                       "diverged: %" PRIu64 " vs %" PRIu64 "\n",
-                       std::string(obs::ToString(mode)).c_str(), t, p.events,
-                       part_events);
-          rc = 1;
-        }
+    const FaninPoint ref = RunFanin(dbase, loads[0], default_theta,
+                                    base.sessions, true, sweep_mix);
+    const auto check = [&](const char* what) {
+      const FaninPoint p = RunFanin(dbase, loads[0], default_theta,
+                                    base.sessions, true, sweep_mix);
+      if (p.virtual_nanos != ref.virtual_nanos || p.events != ref.events) {
+        std::fprintf(stderr,
+                     "FATAL: %s diverged: vnanos %" PRIu64 " vs %" PRIu64
+                     ", events %" PRIu64 " vs %" PRIu64 "\n",
+                     what, p.virtual_nanos, ref.virtual_nanos, p.events,
+                     ref.events);
+        rc = 1;
       }
+    };
+    for (const obs::RtraceMode mode :
+         {obs::RtraceMode::kSampled, obs::RtraceMode::kFull}) {
+      dbase.rtrace.mode = mode;
+      check(("rtrace=" + std::string(obs::ToString(mode))).c_str());
     }
-    // rlin probe-effect gate: attaching the linearizability checker
-    // (recording the full per-op KV history) must not move virtual time
-    // either — same reference point, every layout. Event counts follow
-    // the same per-node-only comparability rule as above. The env var
-    // is read per-Simulation, exactly like --rlin sets it binary-wide
-    // (in which case it is already on and stays on after the gate).
     const bool rlin_already_on = std::getenv("RSTORE_RLIN") != nullptr;
     setenv("RSTORE_RLIN", "1", /*overwrite=*/1);
     dbase.rtrace.mode = obs::RtraceMode::kOff;
-    for (const uint32_t t : {0u, 1u, 4u}) {
-      FaninPoint p = RunFanin(dbase, loads[0], default_theta, base.sessions,
-                              true, sweep_mix, t);
-      if (p.virtual_nanos != ref.virtual_nanos) {
-        std::fprintf(stderr,
-                     "FATAL: rlin=on host_threads=%u diverged: vnanos "
-                     "%" PRIu64 " vs %" PRIu64 "\n",
-                     t, p.virtual_nanos, ref.virtual_nanos);
-        rc = 1;
-      }
-      if (t != 0 && p.events != part_events) {
-        std::fprintf(stderr,
-                     "FATAL: rlin=on host_threads=%u event count diverged: "
-                     "%" PRIu64 " vs %" PRIu64 "\n",
-                     t, p.events, part_events);
-        rc = 1;
-      }
-    }
+    check("rlin=on");
     if (!rlin_already_on) unsetenv("RSTORE_RLIN");
-    std::printf("determinism: (rtrace {off,sampled,full} + rlin) x "
-                "host_threads {default,1,4} %s (vtime %.6fs, %" PRIu64
-                " events)\n",
+    std::printf("determinism: rtrace {off,sampled,full} + rlin %s "
+                "(vtime %.6fs, %" PRIu64 " events)\n",
                 rc == 0 ? "bit-identical" : "DIVERGED",
                 sim::ToSeconds(ref.virtual_nanos), ref.events);
   }

@@ -33,12 +33,6 @@
 //                   flag off or on. A violation prints the counterexample,
 //                   writes rlin_report.json (or into RSTORE_RLIN_OUT), and
 //                   aborts.
-//
-//   --host-threads <N>
-//                   run every simulation on the per-node partition layout
-//                   with N host worker threads (RSTORE_HOST_THREADS).
-//                   Virtual times are bit-identical to the one-queue
-//                   layout for every N; only host wall-clock changes.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -168,17 +162,6 @@ inline void ParseObsArgs(int* argc, char** argv) {
       config.json_path = std::string(arg.substr(7));
     } else if (arg.rfind("--trace=", 0) == 0) {
       config.trace_path = std::string(arg.substr(8));
-    } else if ((arg == "--host-threads" && i + 1 < *argc) ||
-               arg.rfind("--host-threads=", 0) == 0) {
-      // Per-node layout: every Simulation the binary constructs reads
-      // RSTORE_HOST_THREADS in its constructor (same env-var mechanism as
-      // --rcheck). N >= 1 gives every node its own event-loop partition,
-      // dispatched by N host worker threads; virtual times are
-      // bit-identical for every N (and to N=0, the one-queue layout).
-      const std::string n = arg == "--host-threads"
-                                ? std::string(argv[++i])
-                                : std::string(arg.substr(15));
-      setenv("RSTORE_HOST_THREADS", n.c_str(), /*overwrite=*/1);
     } else if (arg == "--rcheck") {
       // Runs the whole binary under the happens-before checker. Set as an
       // env var (not a global) because every Simulation the benchmarks

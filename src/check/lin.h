@@ -29,9 +29,8 @@
 // Zero probe effect contract (same as rcheck/rtrace): recording is pure
 // host-side computation — no simulator events, RNG draws, or cost-model
 // charges — so virtual time is bit-identical with the checker on or off.
-// Recording is not thread-safe; the simulator serializes dispatch while
-// a checker is attached (the one-queue layout already runs one event at
-// a time).
+// Recording is not thread-safe; the simulator's one event queue runs one
+// event at a time.
 //
 // Key ids: the load engine records its dense integer key ids directly;
 // the KvStore client path records StableHash64(key bytes) mixed with the

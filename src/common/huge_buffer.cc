@@ -24,7 +24,8 @@ constexpr size_t kMmapThreshold = kHugePageBytes;
 // dominant cost of a fresh arena — one minor fault per 4 KiB page on
 // first touch — into a single streaming memset over warm pages. The pool
 // is process-wide and mutex-guarded: simulated threads are cooperative
-// fibers, but partitioned runs dispatch them from several host threads.
+// fibers, but separate simulations may be driven from separate host
+// threads.
 constexpr size_t kPoolCapBytes = 1ULL << 30;
 
 std::mutex& PoolMu() {

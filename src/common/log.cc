@@ -12,8 +12,9 @@ namespace {
 LogLevel g_level = LogLevel::kInfo;
 std::function<uint64_t()> g_now;  // virtual-time source, optional
 std::function<void(LogLevel)> g_emit_hook;
-// Atomic: partitions of the parallel scheduler emit concurrently, and the
-// per-level counts must stay exact (tests assert "no warnings" on them).
+// Atomic: simulations on different host threads may emit concurrently,
+// and the per-level counts must stay exact (tests assert "no warnings" on
+// them).
 std::atomic<uint64_t> g_emit_counts[4] = {};
 std::mutex g_emit_mu;  // keeps concurrently-emitted lines whole on stderr
 

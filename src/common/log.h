@@ -1,9 +1,9 @@
 // Minimal leveled logger. Simulation-aware: when a simulation is active the
 // log lines are stamped with virtual time (injected via SetTimestampSource)
-// so traces read in cluster order. Emit-safe under the partitioned
-// scheduler: per-level counts are atomic and the stderr write is
-// serialized; level/hook/timestamp configuration is still set-up-only
-// (install before the run starts).
+// so traces read in cluster order. Emit-safe from several host threads:
+// per-level counts are atomic and the stderr write is serialized;
+// level/hook/timestamp configuration is still set-up-only (install before
+// the run starts).
 #pragma once
 
 #include <cstdint>

@@ -28,11 +28,6 @@ struct ClusterConfig {
   sim::NicConfig nic;
   sim::CpuCostModel cpu;
   uint64_t seed = 1;
-  // Simulation partition layout (SimConfig::host_threads): 0 = every node
-  // on one shared event queue (or RSTORE_HOST_THREADS from the
-  // environment), >= 1 = one event queue per node, dispatched by this many
-  // host worker threads. Virtual time is identical for every value >= 1.
-  uint32_t host_threads = 0;
   // Optional observability sink (caller-owned, may outlive the cluster).
   // Attaching it never changes virtual time — see Simulation's
   // AttachTelemetry contract.
@@ -43,8 +38,7 @@ class TestCluster {
  public:
   explicit TestCluster(ClusterConfig config = {})
       : config_(config),
-        sim_(sim::SimConfig{.seed = config.seed,
-                            .host_threads = config.host_threads}),
+        sim_(sim::SimConfig{.seed = config.seed}),
         net_(sim_, config.nic, config.cpu) {
     if (config.telemetry != nullptr) sim_.AttachTelemetry(config.telemetry);
     master_node_ = &sim_.AddNode("master");
@@ -100,10 +94,8 @@ class TestCluster {
         auto client = RStoreClient::Connect(dev, master_node_->id(), options);
         if (client.ok()) fn(**client);
       }
-      // clients_done_ is atomic: client programs finish on their own
-      // partitions. clients_spawned_ is fixed before the run starts.
-      if (clients_done_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-          clients_spawned_) {
+      // clients_spawned_ is fixed before the run starts.
+      if (++clients_done_ == clients_spawned_) {
         sim_.RequestStop();
       }
     });
@@ -133,7 +125,7 @@ class TestCluster {
   std::vector<sim::Node*> server_nodes_;
   std::vector<sim::Node*> client_nodes_;
   size_t clients_spawned_ = 0;
-  std::atomic<size_t> clients_done_{0};
+  size_t clients_done_ = 0;
 };
 
 }  // namespace rstore::core

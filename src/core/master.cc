@@ -37,46 +37,20 @@ void Master::Start() {
       SweepLeases();
     }
   });
-
-  // Publish cross-partition introspection snapshots at every epoch
-  // barrier (no partition is dispatching there, so reading the tables is
-  // race-free). Any state change is at least one fabric latency — i.e. at
-  // least one epoch — older than any remote observer's knowledge of it,
-  // so observers never see a *staler* value than the messages they have
-  // received imply.
-  device_.network().sim().AtEpochBarrier([this] {
-    published_live_servers_.store(CountLiveServers(),
-                                  std::memory_order_relaxed);
-    published_free_slabs_.store(CountFreeSlabs(), std::memory_order_relaxed);
-  });
 }
 
-uint32_t Master::CountLiveServers() const {
+uint32_t Master::live_servers() const {
   uint32_t n = 0;
   for (const auto& [id, s] : servers_) n += s.alive ? 1 : 0;
   return n;
 }
 
-uint64_t Master::CountFreeSlabs() const {
+uint64_t Master::free_slabs() const {
   uint64_t n = 0;
   for (const auto& [id, s] : servers_) {
     if (s.alive) n += s.free_slabs.size();
   }
   return n;
-}
-
-uint32_t Master::live_servers() const {
-  if (!device_.network().sim().InContextOfNode(device_.node_id())) {
-    return published_live_servers_.load(std::memory_order_relaxed);
-  }
-  return CountLiveServers();
-}
-
-uint64_t Master::free_slabs() const {
-  if (!device_.network().sim().InContextOfNode(device_.node_id())) {
-    return published_free_slabs_.load(std::memory_order_relaxed);
-  }
-  return CountFreeSlabs();
 }
 
 // ----------------------------------------------------------- registration

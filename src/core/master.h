@@ -14,7 +14,6 @@
 // N ports of aggregate bandwidth (experiment E3).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -70,12 +69,6 @@ class Master {
   void Start();
 
   // --- introspection for tests & benches -----------------------------
-  // In the per-node layout, callers on other partitions (client
-  // polling loops, test bodies running as client programs) get an
-  // epoch-granularity snapshot published at the barrier — a pure function
-  // of virtual time, so polls stay deterministic across host-thread
-  // counts. The master's own partition and post-run callers read the live
-  // tables directly, as before.
   [[nodiscard]] uint32_t live_servers() const;
   [[nodiscard]] uint64_t free_slabs() const;
   [[nodiscard]] size_t region_count() const noexcept {
@@ -140,8 +133,6 @@ class Master {
   NotifyChannel& Channel(const std::string& name);
   // True when the slab's server holds a live lease under the slab's rkey.
   [[nodiscard]] bool SlabLive(const SlabLocation& slab) const;
-  [[nodiscard]] uint32_t CountLiveServers() const;
-  [[nodiscard]] uint64_t CountFreeSlabs() const;
 
   verbs::Device& device_;
   MasterOptions options_;
@@ -161,10 +152,6 @@ class Master {
   std::map<uint32_t, verbs::QueuePair*> scrub_qps_;  // by server node
   bool scrub_busy_ = false;
   sim::CondVar scrub_idle_;
-  // Epoch-barrier snapshots for cross-partition introspection (see the
-  // public accessors).
-  std::atomic<uint32_t> published_live_servers_{0};
-  std::atomic<uint64_t> published_free_slabs_{0};
 };
 
 }  // namespace rstore::core

@@ -13,10 +13,9 @@
 // alternative is an unbounded queue whose waiting time — measured from
 // intended send time, as it must be — diverges.
 //
-// One controller per engine keeps the state partition-local (engines on
-// different client nodes never share memory), so per-node-layout runs
-// stay deterministic; the cluster-wide in-flight bound is then
-// window_per_server x engines.
+// One controller per engine keeps the state engine-local (engines on
+// different client nodes never share memory); the cluster-wide in-flight
+// bound is then window_per_server x engines.
 #pragma once
 
 #include <cstddef>

@@ -648,13 +648,11 @@ Status LoadEngine::Run() {
 
 namespace {
 
-// Deliveries that share a virtual instant can be queued around this
-// thread's wake in a layout-dependent order: the one-queue layout stamps
-// global post order, the per-node layout's epoch merge stamps
-// (source partition, post order). Sorting the batch by completion cookie
-// makes processing a pure function of the batch contents, so the
-// engine's timeline is bit-identical across --host-threads settings.
-// stable_sort: split-probe pieces share one cookie and their handling is
+// Sorting each drained batch by completion cookie makes a round's
+// processing a pure function of the batch contents, not of the order in
+// which deliveries that share a virtual instant happened to be queued
+// around this thread's wake. The engine's pinned timeline includes this
+// order. stable_sort: split-probe pieces share one cookie and their handling is
 // commutative, but keeping their relative order costs nothing.
 void SortBatch(std::vector<verbs::WorkCompletion>& wcs) {
   std::stable_sort(wcs.begin(), wcs.end(),

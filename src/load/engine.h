@@ -32,7 +32,7 @@
 // Determinism: one engine per client node, no shared mutable state
 // between engines (admission is engine-local; see admission.h), every
 // scheduling decision a pure function of simulated state — so runs are
-// bit-identical across --host-threads and clean under rcheck.
+// bit-identical and clean under rcheck.
 #pragma once
 
 #include <cstdint>

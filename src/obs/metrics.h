@@ -11,12 +11,11 @@
 // the event queue, or any RNG. Recording a metric can never change a
 // simulated outcome; enabling telemetry costs wall-clock time only.
 //
-// Thread-safety (per-node partition layout): Counter increments are atomic
-// (relaxed — counts only, no ordering guarantees needed), and instrument/
-// node creation is mutex-guarded, so instruments shared across partitions
-// (e.g. a sender incrementing the receiver's bytes_in) stay exact.
-// Gauge and Timer remain owner-partition-only: every site that mutates
-// one does so from the partition that owns the instrumented node.
+// Thread-safety: Counter increments are atomic (relaxed — counts only, no
+// ordering guarantees needed), and instrument/node creation is
+// mutex-guarded, so one registry may be shared by simulations driven from
+// different host threads and its counters stay exact. Gauge and Timer are
+// single-writer: only the simulation that owns the node mutates them.
 #pragma once
 
 #include <atomic>
@@ -31,9 +30,9 @@
 
 namespace rstore::obs {
 
-// Monotonic event count. Increments are atomic so partitions running on
+// Monotonic event count. Increments are atomic so simulations running on
 // different host threads may share one counter; relaxed ordering suffices
-// because counters are read only at barriers or after the run.
+// because counters are read only after the run.
 class Counter {
  public:
   void Inc(uint64_t delta = 1) noexcept {
@@ -84,7 +83,7 @@ class Timer {
 // The instruments of one simulated node. Lookups are by name; returned
 // pointers stay valid for the registry's lifetime (node-local maps never
 // erase), which is what lets callers cache them. Creation is serialized
-// by a per-node mutex so concurrent partitions may resolve instruments
+// by a per-node mutex so concurrent host threads may resolve instruments
 // lazily; the steady-state path (mutating a cached pointer) takes no lock.
 class NodeMetrics {
  public:
@@ -129,8 +128,8 @@ class NodeMetrics {
 
 // All nodes of one cluster. ForNode() creates on first use, so layers can
 // record against nodes the registry has not seen yet; creation is
-// mutex-guarded so partitions on different host threads may do so
-// concurrently. Returned references never move (node entries never erase).
+// mutex-guarded so several host threads may do so concurrently. Returned
+// references never move (node entries never erase).
 class MetricsRegistry {
  public:
   [[nodiscard]] NodeMetrics& ForNode(uint32_t id, std::string_view name = {});

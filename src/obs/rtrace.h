@@ -26,8 +26,7 @@
 // the clock to make a decision, schedules nothing, and charges no cost
 // model. Mode kOff reduces every hook to one pointer compare; kSampled
 // and kFull differ only in how many per-op records are *kept* — the
-// timeline is bit-identical across all three modes and any host thread
-// count.
+// timeline is bit-identical across all three modes.
 #pragma once
 
 #include <array>

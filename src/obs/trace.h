@@ -41,9 +41,9 @@ struct TraceArg {
 // are counted, not stored.
 //
 // Mutation (RegisterNode/SetThreadName/RecordSpan/Instant) is mutex-
-// guarded: registration happens from partition threads even when span
-// recording is off (tracing itself serializes dispatch, so recording
-// order — and therefore the exported trace — stays deterministic).
+// guarded, so a tracer may be shared by simulations driven from different
+// host threads. Within one simulation, recording follows the event queue's
+// dispatch order, so the exported trace is deterministic.
 // events() and WriteChromeTrace() are post-run reads.
 class Tracer {
  public:

@@ -3,13 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/fabric.h"
-
 namespace rstore::sim {
-
-Nanos ConservativeLookahead(const NicConfig& nic) noexcept {
-  return nic.base_latency;
-}
 
 Nanos MemcpyCost(const CpuCostModel& m, uint64_t bytes) noexcept {
   return TransferTime(bytes, m.memcpy_bps);

@@ -59,19 +59,6 @@ struct CpuCostModel {
 // Charges `cost` to the calling simulated thread (must run in one).
 void ChargeCpu(Nanos cost);
 
-struct NicConfig;
-
-// Conservative PDES lookahead derived from the fabric model: the minimum
-// virtual-time distance at which one node's work can become visible to
-// another node. Every cross-node effect travels the fabric, and the
-// earliest a message touches its destination is one base propagation
-// delay after the sender pumps it (cut-through first bit; loopback is
-// node-local and never crosses partitions; drop detection is far larger).
-// The per-node layout may therefore dispatch each epoch up to
-// T_min + ConservativeLookahead() without ever missing a cross-partition
-// arrival. See DESIGN.md "Parallel simulation".
-[[nodiscard]] Nanos ConservativeLookahead(const NicConfig& nic) noexcept;
-
 // ---------------------------------------------------------------------------
 // SimDisk: a per-node spinning-disk model used by the Hadoop-TeraSort
 // baseline (the paper's comparator is disk-bound). Sequential streaming

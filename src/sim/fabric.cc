@@ -10,12 +10,12 @@
 namespace rstore::sim {
 
 namespace {
-// Stamps of the message whose on_delivered callback is executing on this
-// host thread (per-node partitions deliver concurrently, so the record is
-// per-thread). Null outside a delivery callback. Delivery callbacks run in
-// scheduler context and never block or resume a SimThread, so no fiber
-// ever runs — or parks — while this is set, and SimThreads need no copy
-// of their own.
+// Stamps of the message whose on_delivered callback is executing. Null
+// outside a delivery callback. Delivery callbacks run in scheduler context
+// and never block or resume a SimThread, so no fiber ever runs — or parks
+// — while this is set, and SimThreads need no copy of their own.
+// Thread-local so simulations driven from different host threads do not
+// share it.
 thread_local const DeliveryStamps* g_current_delivery = nullptr;
 }  // namespace
 
@@ -24,76 +24,52 @@ const DeliveryStamps* Fabric::CurrentDelivery() noexcept {
 }
 
 Fabric::Fabric(Simulation& sim, NicConfig config)
-    : sim_(sim), config_(config) {
-  pools_.emplace_back();
-  // The fabric is the cross-partition channel: its base propagation delay
-  // bounds how soon one node's work can affect another, which is the
-  // epoch lookahead of the per-node layout.
-  sim_.ProposeLookahead(ConservativeLookahead(config_));
-  sim_.AtRunStart([this] { PrepareForRun(); });
-}
-
-void Fabric::PrepareForRun() {
-  // Pre-size every shared container and resolve telemetry instruments
-  // against the attached sink, so a run mutates nothing but per-port
-  // state owned by the dispatching partition (egress on the source port,
-  // ingress on the destination port) and atomic counters.
-  const auto n = static_cast<uint32_t>(sim_.node_count());
-  if (n > 0) (void)port(n - 1);
-  for (uint32_t i = 0; i < n; ++i) {
-    PortState& p = ports_[i];
-    if (p.egress_by_dst.size() < n) p.egress_by_dst.resize(n);
-    if (p.last_first_bit_by_dst.size() < n) p.last_first_bit_by_dst.resize(n);
-    EnsureObs(i, p);
-  }
-  while (pools_.size() < sim_.node_count() + 1) pools_.emplace_back();
-}
+    : sim_(sim), config_(config) {}
 
 Fabric::PortState& Fabric::port(uint32_t node) {
   if (node >= ports_.size()) ports_.resize(node + 1);
   return ports_[node];
 }
 
-void Fabric::EnsureObs(uint32_t node, PortState& p) {
+void Fabric::ResolveObs() {
   obs::Telemetry* tel = sim_.telemetry();
-  if (tel == p.obs_owner) return;
-  p.obs_owner = tel;
-  if (tel == nullptr) {
-    p.obs_bytes_out = p.obs_msgs_out = p.obs_bytes_in = nullptr;
-    p.obs_queue_ns = p.obs_ser_ns = p.obs_wire_ns = p.obs_rr_rounds = nullptr;
-    p.obs_egress_depth = nullptr;
-    return;
+  const size_t n = sim_.node_count();
+  if (tel == obs_owner_ && n == obs_nodes_) return;
+  obs_owner_ = tel;
+  obs_nodes_ = n;
+  for (uint32_t node = 0; node < ports_.size() || node < n; ++node) {
+    PortState& p = port(node);
+    if (tel == nullptr) {
+      p.obs_bytes_out = p.obs_msgs_out = p.obs_bytes_in = nullptr;
+      p.obs_queue_ns = p.obs_ser_ns = p.obs_wire_ns = p.obs_rr_rounds =
+          nullptr;
+      p.obs_egress_depth = nullptr;
+      continue;
+    }
+    obs::NodeMetrics& m = tel->metrics().ForNode(
+        node, node < n ? sim_.node(node).name() : std::string_view{});
+    p.obs_bytes_out = &m.GetCounter("fabric.bytes_out");
+    p.obs_msgs_out = &m.GetCounter("fabric.msgs_out");
+    p.obs_bytes_in = &m.GetCounter("fabric.bytes_in");
+    p.obs_queue_ns = &m.GetCounter("fabric.queue_ns");
+    p.obs_ser_ns = &m.GetCounter("fabric.serialization_ns");
+    p.obs_wire_ns = &m.GetCounter("fabric.wire_ns");
+    p.obs_rr_rounds = &m.GetCounter("fabric.rr_rounds");
+    p.obs_egress_depth = &m.GetGauge("fabric.egress_depth");
   }
-  obs::NodeMetrics& m =
-      tel->metrics().ForNode(node, node < sim_.node_count()
-                                       ? sim_.node(node).name()
-                                       : std::string_view{});
-  p.obs_bytes_out = &m.GetCounter("fabric.bytes_out");
-  p.obs_msgs_out = &m.GetCounter("fabric.msgs_out");
-  p.obs_bytes_in = &m.GetCounter("fabric.bytes_in");
-  p.obs_queue_ns = &m.GetCounter("fabric.queue_ns");
-  p.obs_ser_ns = &m.GetCounter("fabric.serialization_ns");
-  p.obs_wire_ns = &m.GetCounter("fabric.wire_ns");
-  p.obs_rr_rounds = &m.GetCounter("fabric.rr_rounds");
-  p.obs_egress_depth = &m.GetGauge("fabric.egress_depth");
 }
 
 Fabric::Message* Fabric::AcquireMessage() {
-  MsgPool& pool = pools_[sim_.CurrentPartitionIndex()];
-  if (pool.free.empty()) {
-    pool.arena.emplace_back();
-    return &pool.arena.back();
-  }
-  Message* msg = pool.free.back();
-  pool.free.pop_back();
+  if (msg_free_.empty()) return &msg_arena_.emplace_back();
+  Message* msg = msg_free_.back();
+  msg_free_.pop_back();
   return msg;
 }
 
 void Fabric::ReleaseMessage(Message* msg) {
   msg->on_delivered.Reset();
   msg->on_dropped.Reset();
-  msg->on_tx_start.Reset();
-  pools_[sim_.CurrentPartitionIndex()].free.push_back(msg);
+  msg_free_.push_back(msg);
 }
 
 void Fabric::SetLinkDown(uint32_t a, uint32_t b, bool down) {
@@ -112,8 +88,7 @@ bool Fabric::LinkUp(uint32_t a, uint32_t b) const {
 
 uint64_t Fabric::total_bytes() const noexcept {
   // Every accepted Send increments exactly one port's bytes_out, so the
-  // sum is the historical cumulative counter (and needs no shared
-  // accumulator under concurrent partitions).
+  // sum is the cumulative counter.
   uint64_t n = 0;
   for (const auto& p : ports_) n += p.bytes_out;
   return n;
@@ -130,8 +105,7 @@ uint64_t Fabric::messages_out(uint32_t node) const {
 }
 
 void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
-                  FabricFn on_delivered, FabricFn on_dropped,
-                  TxStartFn on_tx_start) {
+                  FabricFn on_delivered, FabricFn on_dropped) {
   const Nanos now = sim_.NowNanos();
 
   const bool path_up = LinkUp(src, dst) && sim_.node(src).alive() &&
@@ -143,10 +117,8 @@ void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
     return;
   }
 
-  // The caller runs in src's partition, so only src-port state may be
-  // touched here; dst ingress is counted in ApplyIngress, on dst's
-  // partition. Instruments were resolved by the run-start hook (counters
-  // are atomic).
+  // dst ingress is counted in ApplyIngress, when the first bit arrives.
+  ResolveObs();
   PortState& sp = port(src);
   sp.bytes_out += payload_bytes;
   sp.messages_out += 1;
@@ -159,7 +131,6 @@ void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
     // Node-local loopback: bypasses the port model entirely.
     sp.bytes_in += payload_bytes;
     if (sp.obs_bytes_in != nullptr) sp.obs_bytes_in->Inc(payload_bytes);
-    if (on_tx_start) on_tx_start();
     sim_.At(now + config_.loopback_latency, std::move(on_delivered));
     return;
   }
@@ -175,7 +146,6 @@ void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
   msg->service_time = std::max(wire_time, config_.per_message_gap);
   msg->on_delivered = std::move(on_delivered);
   msg->on_dropped = std::move(on_dropped);
-  msg->on_tx_start = std::move(on_tx_start);
   msg->sent_at = now;
   msg->tx_start = now;
 
@@ -197,6 +167,7 @@ void Fabric::SchedulePump(uint32_t node, Nanos at) {
 }
 
 void Fabric::PumpEgress(uint32_t node) {
+  ResolveObs();
   PortState& p = port(node);
   if (p.pump_scheduled || p.egress_backlog == 0) return;
   const Nanos now = sim_.NowNanos();
@@ -246,11 +217,7 @@ void Fabric::PumpEgress(uint32_t node) {
   p.rr_cursor = dst;
   p.egress_free_at = now + msg->service_time;
   msg->tx_start = now;
-  if (msg->on_tx_start) {
-    msg->on_tx_start();
-    msg->on_tx_start.Reset();
-  }
-  if (p.obs_rr_rounds != nullptr && p.obs_owner == sim_.telemetry()) {
+  if (p.obs_rr_rounds != nullptr) {
     p.obs_rr_rounds->Inc();
     p.obs_queue_ns->Inc(static_cast<uint64_t>(now - msg->sent_at));
     p.obs_ser_ns->Inc(static_cast<uint64_t>(msg->wire_time));
@@ -273,9 +240,7 @@ void Fabric::PumpEgress(uint32_t node) {
     extra = pol->FabricDelayNs();
   }
   // The ingress reservation belongs to the destination: the message is
-  // handed over at its first-bit instant (across partitions the post is
-  // at least one lookahead — base_latency — ahead of this partition's
-  // clock, so it is never clamped), staged, and reserved by the
+  // handed over at its first-bit instant, staged, and reserved by the
   // end-of-instant drain in (src, tx_seq) order. The per-(src,dst) clamp
   // keeps first bits strictly increasing per path even when a policy
   // injects unequal per-message delays, so the first-bit sort preserves
@@ -287,20 +252,20 @@ void Fabric::PumpEgress(uint32_t node) {
   last[msg->dst] = first_bit;
   msg->first_bit = first_bit;
   msg->tx_seq = p.tx_seq++;
-  sim_.PostToNode(msg->dst, first_bit, [this, msg] { ApplyIngress(msg); });
+  sim_.At(first_bit, [this, msg] { ApplyIngress(msg); });
 
   if (p.egress_backlog > 0) SchedulePump(node, p.egress_free_at);
 }
 
 void Fabric::ApplyIngress(Message* msg) {
-  // Runs on the destination's partition at the first-bit arrival instant.
-  // Arrivals that share the instant are staged and reserved together by
-  // DrainIngress: the drain event is posted *during* the instant, so it
-  // sorts behind every same-instant arrival in either layout (a shared
-  // queue and the epoch merge both order equal-time events by post
-  // order), and the stage then holds the complete tie set. Bytes count as
-  // received when their first bit reaches a live destination port; a
-  // message already dropped in flight is only the sender's.
+  // Runs at the first-bit arrival instant. Arrivals that share the
+  // instant are staged and reserved together by DrainIngress: the drain
+  // event is scheduled *during* the instant, after every same-instant
+  // arrival was (they were scheduled at their senders' pumps, one base
+  // latency earlier), so the stage then holds the complete tie set. Bytes
+  // count as received when their first bit reaches a live destination
+  // port; a message already dropped in flight is only the sender's.
+  ResolveObs();
   PortState& q = port(msg->dst);
   if (sim_.node(msg->dst).alive() && LinkUp(msg->src, msg->dst)) {
     q.bytes_in += msg->payload_bytes;
@@ -316,7 +281,7 @@ void Fabric::ApplyIngress(Message* msg) {
 void Fabric::DrainIngress(uint32_t node) {
   // End-of-instant ingress arbitration: serve this instant's arrivals in
   // (src, tx_seq) order — a pure function of the arrival set, so tied
-  // first bits resolve identically under any scheduler.
+  // first bits resolve the same whichever sender's pump ran first.
   PortState& q = port(node);
   if (q.ingress_stage.size() > 1) {
     std::sort(q.ingress_stage.begin(), q.ingress_stage.end(),
@@ -340,12 +305,11 @@ void Fabric::Deliver(Message* msg) {
   if (sim_.node(msg->dst).alive() && LinkUp(msg->src, msg->dst)) {
     obs::Telemetry* tel = sim_.telemetry();
     if (tel != nullptr) {
+      ResolveObs();
       const Nanos now = sim_.NowNanos();
       // Propagation plus any ingress-port wait: everything between the
       // end of egress queueing/serialization and delivery.
       const Nanos wire = now - msg->tx_start - msg->wire_time;
-      // sp may belong to another partition: reading the instrument
-      // pointer the run-start hook resolved plus an atomic Inc is safe.
       PortState& sp = port(msg->src);
       if (sp.obs_wire_ns != nullptr) {
         sp.obs_wire_ns->Inc(static_cast<uint64_t>(wire));
@@ -380,16 +344,10 @@ void Fabric::Deliver(Message* msg) {
   } else if (msg->on_dropped) {
     // The destination died (or the link partitioned) in flight. The drop
     // callback belongs to the sender (verbs maps it to a retry-exceeded
-    // completion on the initiator), so it is routed back to the source's
-    // partition.
+    // completion on the initiator), which detects the loss one detection
+    // delay after sending.
     const Nanos detect = msg->sent_at + config_.drop_detect_latency;
-    const Nanos at = std::max(detect, sim_.NowNanos());
-    if (!sim_.InContextOfNode(msg->src)) {
-      sim_.PostToNode(msg->src, at,
-                      [cb = std::move(msg->on_dropped)]() mutable { cb(); });
-    } else {
-      sim_.At(at, std::move(msg->on_dropped));
-    }
+    sim_.At(std::max(detect, sim_.NowNanos()), std::move(msg->on_dropped));
     ReleaseMessage(msg);
   } else {
     ReleaseMessage(msg);

@@ -46,9 +46,6 @@ namespace rstore::sim {
 // scalars — including the RC ack's wire-stamp record — without heap
 // allocation.
 using FabricFn = common::SmallFn<void(), 64>;
-// Transmit-start callback (see Fabric::Send): the verbs layer's
-// {network, wire-op} pair, kept small because every message carries one.
-using TxStartFn = common::SmallFn<void(), 16>;
 
 // Stamps of the message whose on_delivered callback is currently running
 // (see Fabric::CurrentDelivery). Pure observation for tracing layers:
@@ -89,14 +86,8 @@ class Fabric {
   // Models one message. `on_delivered` runs in scheduler context at the
   // delivery instant; `on_dropped` (optional) runs if the path is down or
   // the destination is dead. Exactly one of the two callbacks fires.
-  // `on_tx_start` (optional) runs on the source's partition at the instant
-  // the message starts transmitting — its egress service start, or the
-  // Send call itself for loopback — and so before either of the others.
-  // It never runs for a message dropped at Send. The verbs layer reads the
-  // payload of a message that crosses partitions out of memory there.
   void Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
-            FabricFn on_delivered, FabricFn on_dropped = {},
-            TxStartFn on_tx_start = {});
+            FabricFn on_delivered, FabricFn on_dropped = {});
 
   // Partitions (or heals) the bidirectional link between a and b.
   void SetLinkDown(uint32_t a, uint32_t b, bool down);
@@ -107,9 +98,7 @@ class Fabric {
 
   // Stamps of the message being delivered, valid only for the duration of
   // an on_delivered callback (nullptr elsewhere — notably for loopback
-  // sends, which bypass the port model and carry no stamps). Thread-local
-  // so concurrent deliveries on different host threads each see their
-  // own message.
+  // sends, which bypass the port model and carry no stamps).
   [[nodiscard]] static const DeliveryStamps* CurrentDelivery() noexcept;
 
   // Cumulative statistics, for tests and bandwidth accounting. A message
@@ -134,7 +123,6 @@ class Fabric {
     Nanos service_time;  // max(wire_time, per_message_gap)
     FabricFn on_delivered;
     FabricFn on_dropped;
-    TxStartFn on_tx_start;
     Nanos sent_at;
     Nanos tx_start;   // egress transmission start (set by PumpEgress)
     Nanos first_bit;  // arrival of the first bit at dst
@@ -157,13 +145,12 @@ class Fabric {
     Nanos egress_free_at = 0;
     bool pump_scheduled = false;  // a pump event exists at egress_free_at
     // Ingress service is likewise a reservation timestamp. Messages are
-    // served in first-bit arrival order: every message is posted to the
-    // destination's partition for its first-bit instant (ApplyIngress),
-    // staged per instant, and reserved in (first_bit, src, tx_seq) order
-    // by DrainIngress. The explicit per-instant sort makes the service
-    // order at *tied* first-bit instants a pure function of the arrival
-    // set, so the one-queue and per-node layouts pick the same winners
-    // under contended fan-in.
+    // served in first-bit arrival order: every message is scheduled for
+    // its first-bit instant (ApplyIngress), staged per instant, and
+    // reserved in (first_bit, src, tx_seq) order by DrainIngress. The
+    // explicit per-instant sort makes the service order at *tied*
+    // first-bit instants a pure function of the arrival set, not of the
+    // order in which the senders' pumps happened to run.
     Nanos ingress_free_at = 0;
     // Same-instant arrivals staged for the end-of-instant drain.
     std::vector<Message*> ingress_stage;
@@ -178,11 +165,9 @@ class Fabric {
     uint64_t bytes_in = 0;
     uint64_t messages_out = 0;
 
-    // Telemetry instruments, resolved at the start of every run against
-    // the simulation's attached obs::Telemetry (null while detached —
-    // recording is then a single pointer test). `obs_owner` detects
-    // attach/detach.
-    obs::Telemetry* obs_owner = nullptr;
+    // Telemetry instruments, resolved against the simulation's attached
+    // obs::Telemetry by ResolveObs (null while detached — recording is
+    // then a single pointer test).
     obs::Counter* obs_bytes_out = nullptr;
     obs::Counter* obs_msgs_out = nullptr;
     obs::Counter* obs_bytes_in = nullptr;
@@ -194,7 +179,11 @@ class Fabric {
   };
 
   PortState& port(uint32_t node);
-  void EnsureObs(uint32_t node, PortState& p);
+  // Resolves every node's port instruments against the attached
+  // telemetry, unless they already are: called wherever the fabric
+  // records, so an attach, a detach or a new node between runs is seen
+  // before the next recording.
+  void ResolveObs();
   Message* AcquireMessage();
   void ReleaseMessage(Message* msg);
   void PumpEgress(uint32_t node);
@@ -202,7 +191,6 @@ class Fabric {
   void ApplyIngress(Message* msg);
   void DrainIngress(uint32_t node);
   void Deliver(Message* msg);
-  void PrepareForRun();
   [[nodiscard]] static uint64_t LinkKey(uint32_t a, uint32_t b) noexcept {
     if (a > b) std::swap(a, b);
     return (static_cast<uint64_t>(a) << 32) | b;
@@ -211,22 +199,16 @@ class Fabric {
   Simulation& sim_;
   NicConfig config_;
   // deque: grows without invalidating references (delivery callbacks can
-  // trigger nested Sends that add ports). The run-start hook pre-sizes it
-  // to the node count so a parallel run never mutates the container (each
-  // partition then only writes its own port's egress state and its own
-  // port's ingress state).
+  // trigger nested Sends that add ports).
   std::deque<PortState> ports_;
   std::unordered_set<uint64_t> down_links_;
+  // What ResolveObs last resolved against, and for how many nodes.
+  obs::Telemetry* obs_owner_ = nullptr;
+  size_t obs_nodes_ = 0;
 
-  // Message pools (stable storage + freelist), one per partition index so
-  // concurrent partitions never contend: acquired from the sender's pool,
-  // released into the releasing context's pool — pool membership does not
-  // affect the timeline. The one-queue layout uses pool 0 only.
-  struct MsgPool {
-    std::deque<Message> arena;
-    std::vector<Message*> free;
-  };
-  std::deque<MsgPool> pools_;
+  // Message pool: stable storage plus a freelist.
+  std::deque<Message> msg_arena_;
+  std::vector<Message*> msg_free_;
 
   // Pooled scratch for the explorable egress arbitration in PumpEgress.
   std::vector<uint32_t> egress_cand_scratch_;

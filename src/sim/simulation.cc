@@ -9,7 +9,6 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,7 +16,6 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <thread>
 
 #include "check/check.h"
 #include "check/lin.h"
@@ -226,19 +224,13 @@ struct EhGlobals {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SimPartition: one event queue + clock. The one-queue layout has exactly
-// one, which every node shares. The per-node layout gives every node its
-// own, plus partition 0 for driver-scheduled events; partitions dispatch
-// independently inside conservative epochs and exchange cross-partition
-// events through `outbox`, merged deterministically at epoch barriers
-// (FlushOutboxes).
+// EventQueue: the simulation's one event queue and its clock.
 // ---------------------------------------------------------------------------
-struct SimPartition {
+struct EventQueue {
   using Event = Simulation::Event;
   using EventKey = Simulation::EventKey;
 
-  SimPartition(Simulation* owner, uint32_t idx, size_t capacity)
-      : sim(owner), index(idx) {
+  explicit EventQueue(size_t capacity) {
     heap.reserve(capacity);
     slab.reserve(capacity);
     links.reserve(capacity);
@@ -354,8 +346,6 @@ struct SimPartition {
     return {ring_base + ahead, links[slot].seq, slot};
   }
 
-  Simulation* sim = nullptr;
-  uint32_t index = 0;
   Nanos now = 0;
   uint64_t next_seq = 0;
   uint64_t events_processed = 0;
@@ -405,39 +395,29 @@ struct SimPartition {
   uint64_t ring_words = 0;
   Nanos ring_base = 0;
   size_t ring_size = 0;
-  // Cross-partition posts created while this partition dispatches, in
-  // post order. Only the owning dispatcher appends; only the driver
-  // thread drains, at barriers.
-  struct Post {
-    uint32_t dst;  // destination partition index
-    Nanos t;
-    Event ev;
-  };
-  std::vector<Post> outbox;
-  // Livelock-guard streak for ExploreTieBreak (per partition: a pure
-  // function of this partition's schedule).
+  // Livelock-guard streak for ExploreTieBreak.
   Nanos tie_streak_t = kNever;
   uint64_t tie_streak = 0;
 };
 
 // ---------------------------------------------------------------------------
-// SimThread: one cooperative thread, run as a stackful fiber on whichever
-// host thread dispatches its partition:
+// SimThread: one cooperative thread, run as a stackful fiber on the host
+// thread that dispatches the event queue (the one calling Run):
 //
 //   dispatcher -> thread : Resume() switches onto the fiber's stack
 //   thread -> dispatcher : Block() (or the fiber's exit) switches back
 //
-// so at any instant exactly one of {dispatcher, one SimThread} executes per
-// partition, and a slice costs two register switches. Wake events carry
+// so at any instant exactly one of {dispatcher, one SimThread} executes,
+// and a slice costs two register switches. Wake events carry
 // the generation number of the block instance they intend to end; stale
 // wakes are ignored.
 //
 // Context that node code reaches through host-thread state is swapped by
 // the dispatcher around every slice, so each fiber sees only its own: the
 // current-thread pointer, the C++ exception state, and rcheck's
-// annotation scopes. A parked fiber may resume on a different host thread
-// (epoch workers are recreated by every RunUntil), which is why node code
-// reads the context pointers through out-of-line accessors below.
+// annotation scopes. A parked fiber resumes on whichever host thread calls
+// the next Run, which is why node code reads the current-thread pointer
+// through an out-of-line accessor below.
 // ---------------------------------------------------------------------------
 class SimThread {
  public:
@@ -576,7 +556,7 @@ class SimThread {
 #endif
 };
 
-bool SimPartition::StaleWake(uint32_t slot) const noexcept {
+bool EventQueue::StaleWake(uint32_t slot) const noexcept {
   const Event& e = slab[slot];
   const SimThread* t = e.wake_target;
   return t != nullptr &&
@@ -585,22 +565,14 @@ bool SimPartition::StaleWake(uint32_t slot) const noexcept {
 
 namespace {
 thread_local SimThread* g_current_thread = nullptr;
-// Set on a host thread (driver or epoch worker) for the duration of one
-// partition's dispatch, so scheduler-context callbacks resolve their
-// clock and event queue. Node threads resolve through g_current_thread
-// instead.
-thread_local SimPartition* g_current_partition = nullptr;
 
-// Every read of the two context pointers goes through these out-of-line
-// accessors: a fiber that parks on one host thread may resume on another,
+// Every read of the current-thread pointer goes through this out-of-line
+// accessor: a fiber that parks on one host thread may resume on another,
 // and a compiler may otherwise compute a thread_local's address once per
 // function and reuse it across the Block() that moved the fiber. (Writes
 // happen only on the dispatcher side, which never migrates.)
 [[gnu::noinline]] SimThread* CurrentThreadOrNull() noexcept {
   return g_current_thread;
-}
-[[gnu::noinline]] SimPartition* DispatchingPartitionOrNull() noexcept {
-  return g_current_partition;
 }
 
 SimThread* Current() {
@@ -614,11 +586,6 @@ SimThread* Current() {
   return t;
 }
 }  // namespace
-
-bool PartitionedEnvRequested() {
-  const char* e = std::getenv("RSTORE_HOST_THREADS");
-  return e != nullptr && *e != '\0' && std::strtol(e, nullptr, 10) > 0;
-}
 
 bool SimThread::ShuttingDown() const noexcept { return sim_.shutting_down(); }
 
@@ -804,20 +771,9 @@ Nanos CondVar::NowInternal() const { return sim_.NowNanos(); }
 // Simulation
 // ---------------------------------------------------------------------------
 Simulation::Simulation(SimConfig config)
-    : config_(config), seeder_(config.seed) {
-  // Per-node layout: explicit config wins; otherwise the environment
-  // opts whole processes in (the bench --host-threads flag and the CI
-  // parallel-determinism gate both use the env).
-  if (config_.host_threads == 0) {
-    if (const char* e = std::getenv("RSTORE_HOST_THREADS");
-        e != nullptr && *e != '\0') {
-      const long v = std::strtol(e, nullptr, 10);
-      if (v > 0) {
-        config_.host_threads = static_cast<uint32_t>(std::min(v, 1024L));
-      }
-    }
-  }
-  partitions_.push_back(std::make_unique<Partition>(this, 0, 1024));
+    : config_(config),
+      seeder_(config.seed),
+      queue_(std::make_unique<EventQueue>(1024)) {
   // Opt-in runtime verification for whole test/bench processes: every
   // simulation in the process gets its own checker, and Shutdown() turns
   // any violation into a report + abort (the CI rcheck gate).
@@ -863,11 +819,6 @@ Node& Simulation::AddNode(std::string name) {
   nodes_.push_back(
       std::make_unique<Node>(*this, id, std::move(name), seeder_.Next()));
   Node& node = *nodes_.back();
-  if (config_.host_threads >= 1) {
-    partitions_.push_back(std::make_unique<Partition>(
-        this, static_cast<uint32_t>(partitions_.size()), 64));
-  }
-  node.partition_ = partitions_.back().get();
   if (telemetry_ != nullptr) {
     (void)telemetry_->metrics().ForNode(id, node.name());
     telemetry_->tracer().RegisterNode(id, node.name());
@@ -875,62 +826,18 @@ Node& Simulation::AddNode(std::string name) {
   return node;
 }
 
-Simulation::Partition* Simulation::CurrentPartition() const noexcept {
-  if (SimThread* t = CurrentThreadOrNull();
-      t != nullptr && &t->node().sim() == this) {
-    return t->node().partition_;
-  }
-  if (Partition* p = DispatchingPartitionOrNull();
-      p != nullptr && p->sim == this) {
-    return p;
-  }
-  return nullptr;
-}
-
-Nanos Simulation::NowNanos() const noexcept {
-  const Partition* p = CurrentPartition();
-  return p != nullptr ? p->now : driver_now_;
-}
-
-uint32_t Simulation::CurrentPartitionIndex() const noexcept {
-  // One partition (the one-queue layout): skip the thread-local lookups
-  // of the per-op pool paths.
-  if (partitions_.size() == 1) return 0;
-  const Partition* p = CurrentPartition();
-  return p != nullptr ? p->index : 0;
-}
-
-bool Simulation::InContextOfNode(uint32_t node_id) const noexcept {
-  const Partition* cur = CurrentPartition();
-  return cur == nullptr || cur == nodes_.at(node_id)->partition_;
-}
-
-bool Simulation::SharePartition(uint32_t a, uint32_t b) const noexcept {
-  return nodes_.at(a)->partition_ == nodes_.at(b)->partition_;
-}
+Nanos Simulation::NowNanos() const noexcept { return queue_->now; }
 
 uint64_t Simulation::events_processed() const noexcept {
-  uint64_t n = 0;
-  for (const auto& p : partitions_) n += p->events_processed;
-  return n;
+  return queue_->events_processed;
 }
 
 uint64_t Simulation::thread_slices() const noexcept {
-  uint64_t n = 0;
-  for (const auto& p : partitions_) n += p->thread_slices;
-  return n;
-}
-
-void Simulation::AtRunStart(std::function<void()> hook) {
-  prepare_hooks_.push_back(std::move(hook));
+  return queue_->thread_slices;
 }
 
 void Simulation::AtNodeKilled(std::function<void(uint32_t node)> hook) {
   kill_hooks_.push_back(std::move(hook));
-}
-
-void Simulation::AtEpochBarrier(std::function<void()> hook) {
-  barrier_hooks_.push_back(std::move(hook));
 }
 
 void Simulation::AttachTelemetry(obs::Telemetry* telemetry) {
@@ -953,9 +860,7 @@ void Simulation::AttachTelemetry(obs::Telemetry* telemetry) {
     telemetry_->tracer().RegisterNode(node->id(), node->name());
   }
   // Route log emissions into a per-level counter on the emitting node
-  // (scheduler-context lines land on a synthetic "host" row). Safe under
-  // concurrent partition threads: ForNode/GetCounter take the registry
-  // locks and counters are atomic.
+  // (scheduler-context lines land on a synthetic "host" row).
   SetLogEmitHook([this](LogLevel level) {
     if (telemetry_ == nullptr) return;
     static constexpr std::string_view kCounterNames[] = {
@@ -984,48 +889,20 @@ void Simulation::AttachPolicy(explore::SchedulePolicy* policy) {
 }
 
 void Simulation::At(Nanos t, EventFn fn) {
-  Partition* cur = CurrentPartition();
-  Partition& p = cur != nullptr ? *cur : *partitions_.front();
-  p.Push(std::max(t, cur != nullptr ? cur->now : driver_now_),
-         Event{.fn = std::move(fn)});
+  queue_->Push(std::max(t, queue_->now), Event{.fn = std::move(fn)});
 }
 
 void Simulation::After(Nanos delay, EventFn fn) {
   At(NowNanos() + delay, std::move(fn));
 }
 
-void Simulation::PostToNode(uint32_t node_id, Nanos t, EventFn fn) {
-  Partition& target = *nodes_.at(node_id)->partition_;
-  Partition* cur = CurrentPartition();
-  Event e{.fn = std::move(fn)};
-  if (cur != nullptr && cur != &target) {
-    // Cross-partition: buffered in post order, merged at the next epoch
-    // barrier (seq stamped there, under the merge rule).
-    cur->outbox.push_back({target.index, t, std::move(e)});
-    return;
-  }
-  // Same partition, or driver context between runs (no dispatcher is
-  // touching any queue): push directly.
-  target.Push(std::max(t, cur != nullptr ? cur->now : driver_now_),
-              std::move(e));
-}
-
 void Simulation::ScheduleWake(SimThread* t, uint64_t gen, Nanos at,
                               int reason) {
-  Partition& target = *t->node().partition_;
-  Partition* cur = CurrentPartition();
-  Event e{
-      .fn = {}, .wake_target = t, .wake_gen = gen, .wake_reason = reason};
-  if (cur != nullptr && cur != &target) {
-    // Cross-partition notify (e.g. a CondVar poked from another node's
-    // context under serialized dispatch): routed through the epoch
-    // boundary; the generation check makes late arrivals safe.
-    cur->outbox.push_back(
-        {target.index, std::max(at, cur->now), std::move(e)});
-    return;
-  }
-  target.Push(std::max(at, cur != nullptr ? cur->now : driver_now_),
-              std::move(e));
+  queue_->Push(std::max(at, queue_->now),
+               Event{.fn = {},
+                     .wake_target = t,
+                     .wake_gen = gen,
+                     .wake_reason = reason});
 }
 
 void Simulation::RunThreadSlice(SimThread* t) {
@@ -1035,8 +912,8 @@ void Simulation::RunThreadSlice(SimThread* t) {
   t->Resume();
 }
 
-Simulation::EventKey Simulation::ExploreTieBreak(Partition& p,
-                                                 EventKey first) {
+Simulation::EventKey Simulation::ExploreTieBreak(EventKey first) {
+  EventQueue& p = *queue_;
   // Gather every candidate at this instant. Stale wakes are discarded
   // here instead of at dispatch — staleness is permanent (generations
   // only grow), so early discard is behaviour-identical to the baseline's
@@ -1078,30 +955,35 @@ Simulation::EventKey Simulation::ExploreTieBreak(Partition& p,
 
 void Simulation::Run() { RunUntil(kNever); }
 
-void Simulation::DispatchPartition(Partition& p, Nanos deadline, Nanos until,
-                                   bool obey_stop) {
-  while (!p.empty()) {
-    if (obey_stop && stop_requested_.load(std::memory_order_relaxed)) return;
-    // Conservative epoch horizon: nothing at or past `until` may run this
-    // epoch (cross-partition arrivals up to the horizon are already
-    // merged; later ones are not yet visible).
-    if (until != kNever && p.Top().t >= until) return;
-    EventKey k = p.PopKey();
-    if (p.StaleWake(k.slot)) {
-      p.Free(k.slot);
+void Simulation::RunUntil(Nanos deadline) {
+  assert(!InSimThread() && "Run must be driven from outside the simulation");
+  stop_requested_.store(false, std::memory_order_relaxed);
+  EventQueue& q = *queue_;
+  // Nothing due by the deadline, stale wakes included: the clock moves to
+  // it. (Once events run, stale wakes past the deadline are discarded
+  // below, and a queue they leave empty keeps the clock where it is.)
+  if (!q.empty() && q.Top().t > deadline) {
+    q.now = std::max(q.now, deadline);
+    return;
+  }
+  while (!q.empty()) {
+    if (stop_requested_.load(std::memory_order_relaxed)) return;
+    EventKey k = q.PopKey();
+    if (q.StaleWake(k.slot)) {
+      q.Free(k.slot);
       continue;  // stale wake: discard without touching the clock
     }
     // Same-instant tie-break: only consulted when a policy is attached
     // and another event shares this instant, so the un-explored fast
     // path is one branch.
-    if (policy_ != nullptr && !p.empty() && p.Top().t == k.t &&
+    if (policy_ != nullptr && !q.empty() && q.Top().t == k.t &&
         k.t <= deadline) {
-      k = ExploreTieBreak(p, k);
+      k = ExploreTieBreak(k);
     }
     if (k.t > deadline) {
       // Put it back and stop at the deadline.
-      p.PushKey(k);
-      p.now = std::max(p.now, deadline);
+      q.PushKey(k);
+      q.now = std::max(q.now, deadline);
       return;
     }
     if (k.t > config_.horizon) {
@@ -1111,218 +993,33 @@ void Simulation::DispatchPartition(Partition& p, Nanos deadline, Nanos until,
                    ToSeconds(config_.horizon));
       std::abort();
     }
-    p.now = std::max(p.now, k.t);
-    ++p.events_processed;
+    q.now = std::max(q.now, k.t);
+    ++q.events_processed;
     // Release the slot before running the event: whatever it schedules
     // may reuse it (and may grow the slab under any reference into it).
-    Event& e = p.slab[k.slot];
+    Event& e = q.slab[k.slot];
     if (SimThread* t = e.wake_target; t != nullptr) {
       t->wake_reason_ = static_cast<SimThread::WakeReason>(e.wake_reason);
-      p.Free(k.slot);
-      ++p.thread_slices;
+      q.Free(k.slot);
+      ++q.thread_slices;
       RunThreadSlice(t);
     } else {
       EventFn fn = std::move(e.fn);
-      p.Free(k.slot);
+      q.Free(k.slot);
       fn();
     }
   }
 }
 
-void Simulation::DispatchShare(uint32_t worker, uint32_t stride,
-                               Nanos deadline, Nanos until, bool obey_stop) {
-  const size_t count = partitions_.size();
-  for (size_t i = worker; i < count; i += stride) {
-    Partition& p = *partitions_[i];
-    if (p.empty()) continue;
-    g_current_partition = &p;
-    DispatchPartition(p, deadline, until, obey_stop);
-    g_current_partition = nullptr;
-  }
-}
-
-void Simulation::FlushOutboxes() {
-  // Ascending source partition id, each outbox in post order: the gather
-  // order per destination is (source partition, post order), and the
-  // stable sort by t refines it to (t, source partition, post order) —
-  // THE cross-partition merge rule. Destination seqs are stamped in that
-  // order, so merged events obey the normal same-instant FIFO tie-break.
-  // Bodies go straight into the destination's slab; only their keys are
-  // sorted.
-  for (auto& sp : partitions_) {
-    for (auto& post : sp->outbox) {
-      auto& arrivals = merge_scratch_[post.dst];
-      if (arrivals.empty()) merge_dirty_.push_back(post.dst);
-      arrivals.push_back(
-          {post.t, 0, partitions_[post.dst]->Store(std::move(post.ev))});
-    }
-    sp->outbox.clear();
-  }
-  for (const uint32_t dst : merge_dirty_) {
-    auto& arrivals = merge_scratch_[dst];
-    std::stable_sort(
-        arrivals.begin(), arrivals.end(),
-        [](const EventKey& a, const EventKey& b) { return a.t < b.t; });
-    Partition& d = *partitions_[dst];
-    for (EventKey& k : arrivals) {
-      k.seq = d.next_seq++;
-      d.PushKey(k);
-    }
-    arrivals.clear();
-  }
-  merge_dirty_.clear();
-}
-
-// Epoch rendezvous for the worker pool: the driver publishes
-// (gen, deadline, until) and waits for `outstanding` to drain; workers
-// dispatch their static share (partition i goes to worker i % workers, so
-// the assignment — though not the timeline, which doesn't depend on it —
-// is reproducible too).
-struct Simulation::EpochSync {
-  std::mutex mu;
-  std::condition_variable go_cv;
-  std::condition_variable done_cv;
-  uint64_t gen = 0;
-  uint32_t outstanding = 0;
-  Nanos deadline = 0;
-  Nanos until = 0;
-  bool quit = false;
-};
-
-void Simulation::RunUntil(Nanos deadline) {
-  assert(!InSimThread() && "Run must be driven from outside the simulation");
-  stop_requested_.store(false, std::memory_order_relaxed);
-  merge_scratch_.resize(partitions_.size());
-  // Run-start hooks: models pre-size per-partition pools and pre-resolve
-  // telemetry instruments so the parallel phase never mutates shared
-  // tables.
-  for (auto& hook : prepare_hooks_) hook();
-  const auto count = static_cast<uint32_t>(partitions_.size());
-  // One partition has no one to exchange events with: it runs as one
-  // unbounded epoch and checks for a requested stop before every event.
-  const bool single = count == 1;
-  // A checker, a policy, or span tracing observes one global order:
-  // dispatch partitions serially (in id order) on this thread. The
-  // timeline is identical to parallel dispatch by construction — the
-  // epoch structure, merges, and per-partition orders do not depend on
-  // which host thread dispatches a partition — so serialized runs are
-  // valid goldens for parallel ones and vice versa.
-  const bool serialize =
-      checker_ != nullptr || lin_ != nullptr || policy_ != nullptr ||
-      (telemetry_ != nullptr && telemetry_->tracing());
-  const uint32_t workers =
-      serialize ? 1 : std::clamp(config_.host_threads, 1u, count);
-
-  EpochSync sync;
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (uint32_t w = 1; w < workers; ++w) {
-    pool.emplace_back([this, &sync, w, workers] {
-      uint64_t seen = 0;
-      for (;;) {
-        Nanos dl = 0;
-        Nanos hor = 0;
-        {
-          std::unique_lock<std::mutex> lock(sync.mu);
-          sync.go_cv.wait(lock,
-                          [&] { return sync.quit || sync.gen != seen; });
-          if (sync.quit) return;
-          seen = sync.gen;
-          dl = sync.deadline;
-          hor = sync.until;
-        }
-        DispatchShare(w, workers, dl, hor, /*obey_stop=*/false);
-        {
-          std::lock_guard<std::mutex> lock(sync.mu);
-          --sync.outstanding;
-        }
-        sync.done_cv.notify_one();
-      }
-    });
-  }
-
-  for (;;) {
-    FlushOutboxes();
-    for (auto& hook : barrier_hooks_) hook();
-    // With several partitions, stop requests take effect at epoch
-    // boundaries only — sampling the flag mid-epoch would make the
-    // dispatched set depend on worker timing.
-    if (stop_requested_.load(std::memory_order_relaxed)) break;
-    Nanos tmin = kNever;
-    for (const auto& p : partitions_) {
-      if (!p->empty()) tmin = std::min(tmin, p->Top().t);
-    }
-    if (tmin == kNever) break;  // quiescent
-    if (tmin > deadline) {
-      for (auto& p : partitions_) p->now = std::max(p->now, deadline);
-      break;
-    }
-    // Epochs are event-driven (they start at the global minimum, jumping
-    // idle gaps) and extend one lookahead past it: every cross-partition
-    // effect of an event at t lands at t + lookahead or later, so events
-    // strictly below the horizon can never be invalidated by another
-    // partition's work in the same epoch. Without a finite positive
-    // lookahead (no fabric attached, or a zero-latency one), fall back to
-    // one virtual instant per epoch: partitions may interact at the next
-    // instant (driver callbacks poking node state, KillNode), so running
-    // any further ahead could reorder cross-partition effects — and
-    // instant-sized epochs also keep RequestStop sampling prompt.
-    const Nanos la =
-        (lookahead_ == kNever || lookahead_ == 0) ? 1 : lookahead_;
-    const Nanos until =
-        single || la >= kNever - tmin ? kNever : tmin + la;
-    if (workers > 1) {
-      {
-        std::lock_guard<std::mutex> lock(sync.mu);
-        ++sync.gen;
-        sync.outstanding = workers - 1;
-        sync.deadline = deadline;
-        sync.until = until;
-      }
-      sync.go_cv.notify_all();
-      DispatchShare(0, workers, deadline, until, /*obey_stop=*/false);
-      std::unique_lock<std::mutex> lock(sync.mu);
-      sync.done_cv.wait(lock, [&] { return sync.outstanding == 0; });
-    } else {
-      DispatchShare(0, 1, deadline, until, /*obey_stop=*/single);
-    }
-  }
-
-  if (!pool.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(sync.mu);
-      sync.quit = true;
-    }
-    sync.go_cv.notify_all();
-    for (auto& t : pool) t.join();
-  }
-  Nanos max_now = driver_now_;
-  for (const auto& p : partitions_) max_now = std::max(max_now, p->now);
-  driver_now_ = max_now;
-}
-
 void Simulation::KillNode(uint32_t id) {
   Node& node = *nodes_.at(id);
-  Partition& target = *node.partition_;
-  Partition* cur = CurrentPartition();
-  if (cur != nullptr && cur != &target) {
-    // Cross-partition kill: routed through the epoch boundary so the
-    // takedown lands at a deterministic point in the target's timeline.
-    PostToNode(id, cur->now, [this, &node] {
-      if (!node.alive()) return;
-      node.alive_.store(false, std::memory_order_relaxed);
-      for (auto& hook : kill_hooks_) hook(node.id());
-      SweepKilledThreads(node);
-    });
-    return;
-  }
   if (!node.alive()) return;
-  node.alive_.store(false, std::memory_order_relaxed);
+  node.alive_ = false;
   for (auto& hook : kill_hooks_) hook(id);
   // Sweep at the current instant: wake every still-blocked thread so it
   // unwinds. Gens are read at fire time, so threads that ran in between
   // are still caught (their next Block() throws on the alive_ check).
-  PostToNode(id, NowNanos(), [this, &node] { SweepKilledThreads(node); });
+  At(NowNanos(), [this, &node] { SweepKilledThreads(node); });
 }
 
 void Simulation::SweepKilledThreads(Node& node) {
@@ -1350,7 +1047,7 @@ void Simulation::Shutdown() {
   if (checker_ != owned_checker_.get()) checker_ = nullptr;
   if (lin_ != owned_lin_.get()) lin_ = nullptr;
   for (auto& node : nodes_) {
-    node->alive_.store(false, std::memory_order_relaxed);
+    node->alive_ = false;
     for (auto& t : node->threads_) {
       if (!t->exited() && t->blocked()) {
         t->wake_reason_ = SimThread::kKilled;

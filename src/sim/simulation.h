@@ -4,16 +4,15 @@
 // servers, clients, sorters, graph workers) run against a modelled network
 // without real hardware. Each simulated node hosts one or more cooperative
 // threads; a discrete-event scheduler guarantees that exactly one thread
-// (or event callback) executes at a time *per partition*, and that
-// execution order is a pure function of the event timeline — so every run
-// is bit-reproducible.
+// (or event callback) executes at a time, and that execution order is a
+// pure function of the event timeline — so every run is bit-reproducible.
 //
 // Concurrency model
 // -----------------
 //   * Every simulated thread is a stackful fiber: it has its own stack
 //     (sized like a default OS-thread stack, with a guard page) but no OS
-//     thread. The host thread dispatching a partition switches into one
-//     fiber at a time and gets control back when the fiber blocks (Sleep,
+//     thread. The host thread that calls Run switches into one fiber at a
+//     time and gets control back when the fiber blocks (Sleep,
 //     CondVar::Wait, ...) or exits; a slice costs two register switches.
 //     There is therefore no data race between node programs, the fabric,
 //     or the scheduler, even though the code "looks" multithreaded.
@@ -21,32 +20,20 @@
 //     pointer, the C++ exception state (`throw;`,
 //     std::uncaught_exceptions) and rcheck's annotation scopes are
 //     swapped in and out with every slice. Node code must not keep other
-//     thread_local state across a blocking call — a parked fiber may
-//     resume on a different host thread when the layout is per-node.
+//     thread_local state across a blocking call: Run may be called from a
+//     different host thread than the one a fiber last ran on.
 //   * Virtual time advances only in the scheduler, between thread slices.
 //     Pure computation inside a thread is instantaneous in virtual time;
 //     code charges compute costs explicitly via Sleep()/cost models
 //     (see cost_model.h) — which keeps performance accounting explicit,
 //     documented, and machine-independent.
 //
-// Partitions and the epoch loop
-// -----------------------------
-//   Events live on *partitions*, each an event queue with its own clock,
-//   and one loop dispatches them in barrier-synced virtual-time epochs.
-//   The host-thread setting only picks the layout, in AddNode:
-//     * host_threads == 0 (the default): every node shares partition 0,
-//       the one-queue layout. The loop then runs one unbounded epoch and
-//       checks for a requested stop before every event.
-//     * host_threads >= 1 (or RSTORE_HOST_THREADS set): every node gets a
-//       partition of its own. Epochs are bounded by the conservative
-//       lookahead (the minimum cross-partition fabric latency, see
-//       ProposeLookahead), up to host_threads workers dispatch them, and
-//       cross-partition events are exchanged at epoch boundaries through
-//       a deterministic merge rule (sort by timestamp, then by (source
-//       partition, post order)). The timeline is a pure function of the
-//       workload and NOT of the host thread count: --host-threads=8 is
-//       bit-identical to --host-threads=1.
-//   See DESIGN.md "Parallel simulation".
+// One event queue
+// ---------------
+//   Every event of every node lives on one queue with one clock,
+//   dispatched on the thread that calls Run in (t, seq) order: by virtual
+//   time, and at equal times in scheduling order (see EventKey). See
+//   DESIGN.md "One event queue".
 //
 // Failure injection
 // -----------------
@@ -83,7 +70,7 @@ class SchedulePolicy;
 
 namespace rstore::sim {
 
-// Event callbacks live inline in their partition's event slab: 48 bytes
+// Event callbacks live inline in the event queue's slab: 48 bytes
 // of capture space covers every hot-path callback (a couple of pointers
 // and scalars) without a heap allocation; larger captures fall back to
 // the heap transparently.
@@ -92,12 +79,7 @@ using EventFn = common::SmallFn<void(), 48>;
 class Simulation;
 class Node;
 class SimThread;
-
-// True when the RSTORE_HOST_THREADS environment variable requests the
-// per-node layout for every Simulation in the process (the CI
-// parallel-determinism gate). Tests that pin exact one-queue timelines use
-// this to skip themselves under the gate.
-[[nodiscard]] bool PartitionedEnvRequested();
+struct EventQueue;
 
 // Thrown out of blocking calls when the hosting node has been killed (or
 // the simulation is shutting down). Node programs should let it propagate;
@@ -119,9 +101,7 @@ class Node {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] Simulation& sim() noexcept { return sim_; }
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
-  [[nodiscard]] bool alive() const noexcept {
-    return alive_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool alive() const noexcept { return alive_; }
 
   // Starts a new cooperative thread on this node at the current virtual
   // time. `fn` runs as if it were a process on the machine.
@@ -138,13 +118,7 @@ class Node {
   const uint32_t id_;
   const std::string name_;
   Rng rng_;
-  // Relaxed atomic: flipped only from the owning partition's context (or
-  // while all partitions are quiesced), but *read* by other partitions on
-  // the fabric path-up check, so the TSan build needs the atomic.
-  std::atomic<bool> alive_ = true;
-  // The event queue this node's events live on: the shared partition 0 in
-  // the one-queue layout, a dedicated partition in the per-node layout.
-  struct SimPartition* partition_ = nullptr;
+  bool alive_ = true;
   std::vector<std::unique_ptr<SimThread>> threads_;
 };
 
@@ -170,14 +144,9 @@ void Yield();
 // ---------------------------------------------------------------------------
 // CondVar: virtual-time condition variable. The only blocking primitive
 // besides Sleep; everything higher (completion queues, RPC futures, BSP
-// barriers) is built from it.
-//
-// Per-node layout: a CondVar must only be notified from its waiters' own
-// node (or from scheduler callbacks running on that node's partition) —
-// which every simulator primitive (CQs, RPC futures, BSP barriers)
-// already satisfies, since they are per-node objects poked by delivery
-// events on that node. Cross-partition notification is routed through the
-// epoch boundary and is only safe under serialized dispatch.
+// barriers) is built from it. Any node's thread or any scheduler callback
+// may notify any CondVar: the woken waiter runs at the notifier's instant,
+// after the events already queued for that instant.
 // ---------------------------------------------------------------------------
 class CondVar {
  public:
@@ -222,23 +191,12 @@ class CondVar {
 };
 
 // ---------------------------------------------------------------------------
-// Simulation: owns the clock, the event queue(s), and the nodes.
+// Simulation: owns the clock, the event queue, and the nodes.
 // ---------------------------------------------------------------------------
 struct SimConfig {
   uint64_t seed = 1;
   // Safety valve: Run() aborts the process if virtual time passes this.
   Nanos horizon = Seconds(36000);
-  // Picks the partition layout. 0 (default): every node shares one event
-  // queue, dispatched on the calling thread. N >= 1: one event queue per
-  // node, with up to N host worker threads dispatching epochs in
-  // parallel. The *timeline* is identical for every N >= 1 — only wall
-  // clock changes — so N=1 is the golden reference for the N=8 run.
-  // N=1 dispatches each epoch's partitions one at a time, in partition-id
-  // order, on the calling thread; so does any N while a checker, a lin
-  // checker, an exploration policy or span tracing is attached, since
-  // those layers observe a single global order. Overridden by
-  // RSTORE_HOST_THREADS when left 0.
-  uint32_t host_threads = 0;
 };
 
 class Simulation {
@@ -255,40 +213,13 @@ class Simulation {
   [[nodiscard]] Node& node(uint32_t id) { return *nodes_.at(id); }
   [[nodiscard]] size_t node_count() const noexcept { return nodes_.size(); }
 
-  // Current virtual time of the calling context: a node thread or a
-  // partition dispatch callback sees its partition's clock; the driver
-  // (outside Run) sees the maximum over partitions. In the one-queue
-  // layout all of these are the single global clock.
+  // Current virtual time: the instant of the event being dispatched, or,
+  // outside Run, the instant the last run stopped at.
   [[nodiscard]] Nanos NowNanos() const noexcept;
   [[nodiscard]] uint64_t seed() const noexcept { return config_.seed; }
 
-  // Conservative lookahead bounding each epoch (minimum cross-partition
-  // latency proposed by the fabric(s); kNever until one is proposed).
-  [[nodiscard]] Nanos lookahead() const noexcept { return lookahead_; }
-  // Minimum over all proposals wins. Models register the smallest latency
-  // at which they send work across partitions (the fabric proposes its
-  // base propagation delay, see cost_model.h ConservativeLookahead).
-  void ProposeLookahead(Nanos l) noexcept {
-    lookahead_ = l < lookahead_ ? l : lookahead_;
-  }
-
-  // Partition index of the calling context: node threads and partition
-  // callbacks return their partition; the driver returns 0. The one-queue
-  // layout always returns 0. Used by pooled allocators (fabric messages, verbs
-  // wire ops) to pick a per-partition freelist.
-  [[nodiscard]] uint32_t CurrentPartitionIndex() const noexcept;
-  // True when the calling context may touch `node_id`'s state directly:
-  // driver context between runs, or the node's own partition (always, in
-  // the one-queue layout). Cross-partition work must instead be posted
-  // via PostToNode.
-  [[nodiscard]] bool InContextOfNode(uint32_t node_id) const noexcept;
-  // True when nodes `a` and `b` live on one partition: always in the
-  // one-queue layout, only for a == b in the per-node one. Code running
-  // for one of them may then touch the other's memory directly.
-  [[nodiscard]] bool SharePartition(uint32_t a, uint32_t b) const noexcept;
-
   // Events dispatched so far (callbacks run + thread slices; stale wakes
-  // excluded), summed over partitions.
+  // excluded).
   [[nodiscard]] uint64_t events_processed() const noexcept;
   // Subset of events_processed() that resumed a SimThread — each costs a
   // fiber switch round trip, so the slice share of the event mix is what
@@ -297,20 +228,9 @@ class Simulation {
 
   // Schedules `fn` to run in scheduler context at virtual time `t`
   // (clamped to now). Callbacks must not block; they may notify CondVars
-  // and schedule further events. The event lands on the calling context's
-  // partition (driver context: partition 0).
+  // and schedule further events.
   void At(Nanos t, EventFn fn);
   void After(Nanos delay, EventFn fn);
-
-  // Schedules `fn` at virtual time `t` on the partition owning `node_id`,
-  // from any context. Same-partition posts are ordinary At() events; cross-partition posts are buffered in the source partition's
-  // outbox and merged at the next epoch boundary under the deterministic
-  // merge rule — sorted by t, then (source partition, post order) — and
-  // fire at max(t, destination clock). Posts at least `lookahead()` ahead
-  // of the source clock are therefore never clamped and fire at exactly
-  // `t`; nearer posts (completion acks) may be deferred to the boundary,
-  // deterministically.
-  void PostToNode(uint32_t node_id, Nanos t, EventFn fn);
 
   // Runs until the event queue drains (quiescence: every thread exited or
   // blocked indefinitely with no pending event that could wake it) or a
@@ -320,10 +240,7 @@ class Simulation {
   // exceed `deadline`.
   void RunUntil(Nanos deadline);
 
-  // Asks the dispatch loop to return: after the current event in the
-  // one-queue layout, at the current epoch boundary in the per-node one
-  // (sampling the flag only at barriers is what keeps the timeline
-  // thread-count-independent).
+  // Asks the dispatch loop to return after the current event.
   // Callable from node threads and scheduler callbacks; the natural way
   // for a workload driver to end a simulation whose background services
   // (heartbeats, sweepers) would otherwise generate events forever.
@@ -331,27 +248,14 @@ class Simulation {
     stop_requested_.store(true, std::memory_order_relaxed);
   }
 
-  // Failure injection: marks the node dead and unwinds its threads. From
-  // a different partition's context this is routed through the epoch
-  // boundary (the kill lands deterministically at the next barrier).
+  // Failure injection: marks the node dead and unwinds its threads.
   void KillNode(uint32_t id);
 
-  // Registers a hook run on the driver thread at the start of every
-  // Run/RunUntil, before workers exist. Models use it to pre-size
-  // per-partition pools and pre-resolve telemetry instruments so the
-  // parallel phase never mutates shared tables.
-  void AtRunStart(std::function<void()> hook);
-  // Registers a hook run when KillNode takes a node down, on that node's
-  // partition, before its threads unwind (and so before anything they
-  // own is freed). Must not schedule events. The verbs layer reads every
-  // payload the dead node's NIC still owed the wire out of its memory.
+  // Registers a hook run when KillNode takes a node down, before its
+  // threads unwind (and so before anything they own is freed). Must not
+  // schedule events. The verbs layer reads every payload the dead node's
+  // NIC still owed the wire out of its memory.
   void AtNodeKilled(std::function<void(uint32_t node)> hook);
-  // Registers a hook run on the driver thread at every epoch boundary
-  // (all partitions quiescent). Used to publish cross-partition snapshot
-  // state (e.g. the master's live-server count) with epoch granularity —
-  // readers in epoch k see the value as of the end of epoch k-1, which is
-  // a pure function of virtual time, not of worker interleaving.
-  void AtEpochBarrier(std::function<void()> hook);
 
   // Connects an observability sink (owned by the caller, may outlive this
   // simulation and aggregate several runs). Installs the virtual clock and
@@ -373,10 +277,7 @@ class Simulation {
   // "0"), the constructor attaches an owned checker automatically and
   // Shutdown() prints its reports, dumps them as JSON (into
   // $RSTORE_RCHECK_OUT or ./rcheck_report.json), and aborts if any
-  // violation was found — the CI gate. In the per-node layout an attached
-  // checker serializes epoch dispatch, so its vector clocks observe one
-  // global order and its reports are identical for every host thread
-  // count.
+  // violation was found — the CI gate.
   void AttachChecker(check::Checker* checker);
   [[nodiscard]] check::Checker* checker() const noexcept { return checker_; }
 
@@ -388,9 +289,7 @@ class Simulation {
   // environment variable is set (and not "0"), the constructor attaches
   // an owned checker automatically and Shutdown() finalizes it, prints
   // reports, dumps them as JSON (into $RSTORE_RLIN_OUT or
-  // ./rlin_report.json), and aborts on any violation — the CI gate. Like
-  // rcheck, an attached lin checker serializes epoch dispatch in the
-  // per-node layout so capture sites record in one global order.
+  // ./rlin_report.json), and aborts on any violation — the CI gate.
   void AttachLinChecker(check::LinChecker* lin);
   [[nodiscard]] check::LinChecker* lin() const noexcept { return lin_; }
 
@@ -407,9 +306,7 @@ class Simulation {
   // Simulation instances in the process cycle through `runs` derived
   // seeds, and on an rcheck violation Shutdown() writes the replayable
   // decision trace next to the rcheck report (into $RSTORE_EXPLORE_OUT or
-  // ./explore_trace.json) before aborting. In the per-node layout a policy
-  // serializes epoch dispatch (partitions in id order), so choice points
-  // fire in one canonical order under any host thread count.
+  // ./explore_trace.json) before aborting.
   void AttachPolicy(explore::SchedulePolicy* policy);
   [[nodiscard]] explore::SchedulePolicy* policy() const noexcept {
     return policy_;
@@ -429,7 +326,7 @@ class Simulation {
   friend class Node;
   friend class SimThread;
   friend class CondVar;
-  friend struct SimPartition;
+  friend struct EventQueue;
   friend Nanos Now();
   friend void Sleep(Nanos);
   friend void Yield();
@@ -438,8 +335,8 @@ class Simulation {
   // and thread wakes (wake_target set). Wakes carry the generation of the
   // block they intend to end; a stale wake is discarded *without*
   // advancing the clock, so cancelled timeouts and killed threads leave no
-  // time skew. Bodies sit still in their partition's slab while queued;
-  // only EventKeys move through the queue.
+  // time skew. Bodies sit still in the queue's slab while queued; only
+  // EventKeys move through the queue.
   struct Event {
     EventFn fn;
     SimThread* wake_target = nullptr;
@@ -452,10 +349,8 @@ class Simulation {
   // Equal-vtime ordering (THE tie-break rule — pinned by
   // SameInstantEventsDispatchInFifoOrder in sim_test.cc): the queue
   // dispatches in (t, seq) order, and seq is a single monotonically
-  // increasing counter *per partition* assigned at scheduling time
-  // (At/After/ScheduleWake all stamp the partition's next_seq++;
-  // cross-partition arrivals are stamped at the epoch merge, in
-  // merge-rule order). Events at the same
+  // increasing counter assigned at scheduling time (At/After/ScheduleWake
+  // all stamp the queue's next_seq++). Events at the same
   // virtual instant therefore dispatch in FIFO scheduling order — first
   // scheduled, first run — regardless of kind (callback vs thread wake).
   // An attached explore::SchedulePolicy may permute same-instant
@@ -470,34 +365,16 @@ class Simulation {
       return t != o.t ? t > o.t : seq > o.seq;
     }
   };
-  using Partition = struct SimPartition;
-  struct EpochSync;
-
-  // Scheduler internals (see .cc for the fiber switch and the epoch
+  // Scheduler internals (see .cc for the fiber switch and the dispatch
   // loop).
   void RunThreadSlice(SimThread* t);
   void ScheduleWake(SimThread* t, uint64_t gen, Nanos at, int reason);
   // Exploration hook: `first` was popped and more events share its
   // instant. Gathers the same-t candidates' keys, lets policy_ pick one,
   // and re-pushes the rest (seqs preserved, so the baseline order
-  // survives). Only reached under serialized dispatch (attaching a policy
-  // serializes), so the shared scratch vectors are safe.
-  EventKey ExploreTieBreak(Partition& p, EventKey first);
-  // Runs one partition's events with t <= deadline and (when `until` !=
-  // kNever) t < until. `obey_stop` checks stop_requested_ before every
-  // event: set when the partition is the only one, whose unbounded epoch
-  // has no barrier to sample the flag at.
-  void DispatchPartition(Partition& p, Nanos deadline, Nanos until,
-                         bool obey_stop);
-  void DispatchShare(uint32_t worker, uint32_t stride, Nanos deadline,
-                     Nanos until, bool obey_stop);
+  // survives).
+  EventKey ExploreTieBreak(EventKey first);
   void SweepKilledThreads(Node& node);
-  // Deterministic epoch merge: drains every partition's outbox (ascending
-  // partition id, each in post order), stable-sorts each destination's
-  // arrivals by t — yielding (t, source partition, post order) total
-  // order — and stamps destination seqs in that order.
-  void FlushOutboxes();
-  [[nodiscard]] Partition* CurrentPartition() const noexcept;
   void Shutdown();
   [[nodiscard]] uint64_t AllocateTid() noexcept {
     return next_tid_.fetch_add(1, std::memory_order_relaxed);
@@ -505,15 +382,8 @@ class Simulation {
 
   SimConfig config_;
   Rng seeder_;
-  // Virtual clock seen by the driver between runs: the max over partition
-  // clocks at the last dispatch exit.
-  Nanos driver_now_ = 0;
-  Nanos lookahead_ = kNever;
-  // Partitions are stable (unique_ptr) and declared before nodes_ so node
-  // teardown can still reach its partition. Partition 0 carries
-  // driver-scheduled events; in the one-queue layout it is the only one,
-  // in the per-node layout node i owns partition i+1.
-  std::vector<std::unique_ptr<Partition>> partitions_;
+  // Declared before nodes_ so node teardown can still reach the queue.
+  std::unique_ptr<EventQueue> queue_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::atomic<bool> shutting_down_ = false;
   std::atomic<bool> stop_requested_ = false;
@@ -524,19 +394,11 @@ class Simulation {
   std::unique_ptr<check::LinChecker> owned_lin_;  // RSTORE_RLIN=1 mode
   explore::SchedulePolicy* policy_ = nullptr;
   std::unique_ptr<explore::SchedulePolicy> owned_policy_;  // RSTORE_EXPLORE
-  // Pooled scratch for ExploreTieBreak / CondVar waiter picks — only ever
-  // touched from scheduler context / the single active thread (policies
-  // force serialized dispatch).
+  // Pooled scratch for ExploreTieBreak / CondVar waiter picks.
   std::vector<EventKey> tie_keys_;
   std::vector<uint32_t> tie_lanes_;
   std::vector<size_t> waiter_pick_scratch_;
   std::vector<uint32_t> waiter_lane_scratch_;
-  // Epoch-merge scratch (driver thread only, at barriers): per destination
-  // partition, the keys of arrivals already stored in its slab.
-  std::vector<std::vector<EventKey>> merge_scratch_;
-  std::vector<uint32_t> merge_dirty_;
-  std::vector<std::function<void()>> prepare_hooks_;
-  std::vector<std::function<void()>> barrier_hooks_;
   std::vector<std::function<void(uint32_t)>> kill_hooks_;
   // Livelock guard: a policy that keeps favouring a Yield-spinning lane
   // could pin virtual time forever. After this many consecutive

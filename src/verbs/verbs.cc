@@ -268,11 +268,9 @@ CompletionQueue& Device::CreateCq() {
 QueuePair& Device::CreateQueuePair(QpConfig config, CompletionQueue* send_cq,
                                    CompletionQueue* recv_cq) {
   // Per-device numbering, a pure function of this device's creation
-  // count — deterministic in the per-node layout (a global
-  // counter would be raced by concurrent partitions and hand out
-  // interleaving-dependent numbers). The node-id stride keeps numbers
-  // cluster-unique for readable logs; correctness only needs per-device
-  // uniqueness (FindQp is per-device).
+  // count. The node-id stride keeps numbers cluster-unique for readable
+  // logs; correctness only needs per-device uniqueness (FindQp is
+  // per-device).
   const uint32_t num = 100 + node_id() * 100000 + next_qp_index_++;
   auto qp = std::unique_ptr<QueuePair>(
       new QueuePair(*this, num, send_cq, recv_cq, config));
@@ -345,12 +343,9 @@ constexpr uint64_t kAtomicRequestBytes = 32;
 constexpr uint64_t kAtomicResponseBytes = 8;
 // RC acknowledgement riding back for writes and sends: initiator-side
 // completions fire when the responder's ack arrives, one base_latency
-// after target execution — the same round trip reads and atomics pay.
-// (Besides fidelity, this keeps every cross-node effect at fabric
-// latency, which the per-node layout's epoch lookahead requires for
-// layout-independent timelines; the old model completed
-// writes in zero time across nodes, which an epoch-based scheduler
-// cannot reproduce exactly.)
+// after target execution — the same round trip reads and atomics pay, as
+// on an HCA, where a write completes only once the responder has
+// acknowledged it.
 constexpr uint64_t kAckBytes = 12;
 
 // Registers one queued WR with the rcheck shadow state: maps the opcode
@@ -598,23 +593,18 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
         },
         /*on_dropped=*/
         [pnet, op] {
-          op->initiator->CompleteSqFromWire(op->seq, WcStatus::kRetryExceeded,
-                                            0, op->stamps);
+          op->initiator->CompleteSq(op->seq, WcStatus::kRetryExceeded, 0,
+                                    op->stamps);
           pnet->ReleaseWireOp(op);
-        },
-        /*on_tx_start=*/
-        gathers ? net.ReadAtTxStart(*op, src, peer_node_) : sim::TxStartFn{});
+        });
     // The SGEs stay the NIC's until it reads them.
     if (gathers) net.IndexPayload(device_, *op);
   }
 }
 
-// Target-side execution of an arriving request, in scheduler context (the
-// target's partition). Owns `op`: every
-// path releases it exactly once — immediately for ops that finish here,
-// or when the response message's wire event fires. Initiator-side
-// completions are routed through CompleteSqFromWire, which hops back to
-// the initiator's partition when needed.
+// Target-side execution of an arriving request, in scheduler context. Owns
+// `op`: every path releases it exactly once — immediately for ops that
+// finish here, or when the response message's wire event fires.
 void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                                 WireOp* op) {
   const SendWr& wr = op->wr;
@@ -677,7 +667,7 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       MemoryRegion* mr = target.FindMrByRkey(wr.rkey);
       if (mr == nullptr || !mr->Covers(wr.remote_addr, total) ||
           (mr->access() & kRemoteRead) == 0) {
-        CompleteSqFromWire(seq, WcStatus::kRemAccessErr, 0, op->stamps);
+        CompleteSq(seq, WcStatus::kRemAccessErr, 0, op->stamps);
         net.ReleaseWireOp(op);
         return;
       }
@@ -717,18 +707,16 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                 }
               }
             }
-            op->initiator->CompleteSqFromWire(
+            op->initiator->CompleteSq(
                 op->seq, WcStatus::kSuccess,
                 static_cast<uint32_t>(w.total_length()), op->stamps);
             pnet->ReleaseWireOp(op);
           },
           [pnet, op] {
-            op->initiator->CompleteSqFromWire(op->seq,
-                                              WcStatus::kRetryExceeded, 0,
-                                              op->stamps);
+            op->initiator->CompleteSq(op->seq, WcStatus::kRetryExceeded, 0,
+                                      op->stamps);
             pnet->ReleaseWireOp(op);
-          },
-          total > 0 ? net.ReadAtTxStart(*op, tnode, inode) : sim::TxStartFn{});
+          });
       if (total > 0) net.IndexPayload(target, *op);
       return;
     }
@@ -738,12 +726,12 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       MemoryRegion* mr = target.FindMrByRkey(wr.rkey);
       if (mr == nullptr || !mr->Covers(wr.remote_addr, 8) ||
           (mr->access() & kRemoteAtomic) == 0) {
-        CompleteSqFromWire(seq, WcStatus::kRemAccessErr, 0, op->stamps);
+        CompleteSq(seq, WcStatus::kRemAccessErr, 0, op->stamps);
         net.ReleaseWireOp(op);
         return;
       }
       if (wr.remote_addr % 8 != 0) {
-        CompleteSqFromWire(seq, WcStatus::kRemOpErr, 0, op->stamps);
+        CompleteSq(seq, WcStatus::kRemOpErr, 0, op->stamps);
         net.ReleaseWireOp(op);
         return;
       }
@@ -757,11 +745,7 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
         *cell = old + wr.swap_or_add;
       }
       // The op stays in flight until the response delivers so its wire
-      // stamps ride back with the completion (pool membership never
-      // affects the timeline — only the release site moved). The delivery
-      // callback runs on the initiator's partition (it is the message
-      // destination), so writing the result buffer there is
-      // partition-local.
+      // stamps ride back with the completion.
       Network* pnet = &net;
       net.fabric().Send(
           target.node_id(), device_.node_id(), kAtomicResponseBytes,
@@ -778,9 +762,8 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
             pnet->ReleaseWireOp(op);
           },
           [pnet, op] {
-            op->initiator->CompleteSqFromWire(op->seq,
-                                              WcStatus::kRetryExceeded, 0,
-                                              op->stamps);
+            op->initiator->CompleteSq(op->seq, WcStatus::kRetryExceeded, 0,
+                                      op->stamps);
             pnet->ReleaseWireOp(op);
           });
       return;
@@ -873,29 +856,10 @@ Status QueuePair::PostRecv(const RecvWr& wr) {
   return Status::Ok();
 }
 
-void QueuePair::CompleteSqFromWire(uint64_t seq, WcStatus status,
-                                   uint32_t byte_len, WireStamps stamps) {
-  sim::Simulation& sim = device_.network().sim();
-  if (!sim.InContextOfNode(device_.node_id())) {
-    // Target-side code finishing an op: the send queue and send CQ belong
-    // to the initiator's partition, so hop there. The event carries the
-    // current virtual instant — completion time is unchanged; arrivals
-    // merge deterministically at the epoch barrier.
-    sim.PostToNode(device_.node_id(), sim.NowNanos(),
-                   [this, seq, status, byte_len, stamps] {
-                     CompleteSq(seq, status, byte_len, stamps);
-                   });
-    return;
-  }
-  CompleteSq(seq, status, byte_len, stamps);
-}
-
 // Completion via RC ack: ride a small message from the target back to the
 // initiator and complete when it is delivered, exactly as read responses
-// and atomic responses already do. The delivery callback runs on the
-// initiator's partition (it is the message destination), so CompleteSq is
-// partition-local there. A dropped ack surfaces as a retry-exceeded error
-// at the drop instant.
+// and atomic responses already do. A dropped ack surfaces as a
+// retry-exceeded error at the drop instant.
 void QueuePair::CompleteSqViaAck(Network& net, uint32_t target_node,
                                  uint64_t seq, WcStatus status,
                                  uint32_t byte_len, WireStamps stamps) {
@@ -904,7 +868,7 @@ void QueuePair::CompleteSqViaAck(Network& net, uint32_t target_node,
       [this, seq, status, byte_len, stamps] {
         CompleteSq(seq, status, byte_len, stamps);
       },
-      [this, seq] { CompleteSqFromWire(seq, WcStatus::kRetryExceeded, 0); });
+      [this, seq] { CompleteSq(seq, WcStatus::kRetryExceeded, 0); });
 }
 
 void QueuePair::CompleteSq(uint64_t seq, WcStatus status, uint32_t byte_len,
@@ -1002,9 +966,6 @@ void QueuePair::EnterError() {
 Network::Network(sim::Simulation& sim, sim::NicConfig nic,
                  sim::CpuCostModel cpu)
     : sim_(sim), fabric_(sim, nic), cpu_(cpu) {
-  op_pools_.emplace_back();
-  bounce_pools_.emplace_back();
-  sim_.AtRunStart([this] { PrepareForRun(); });
   // A dead node's threads unwind and free what they own; its NIC reads
   // every payload it still owes the wire before that.
   sim_.AtNodeKilled([this](uint32_t node) {
@@ -1012,13 +973,6 @@ Network::Network(sim::Simulation& sim, sim::NicConfig nic,
       ReadPending(*devices_[node]);
     }
   });
-}
-
-void Network::PrepareForRun() {
-  while (op_pools_.size() < sim_.node_count() + 1) op_pools_.emplace_back();
-  while (bounce_pools_.size() < sim_.node_count() + 1) {
-    bounce_pools_.emplace_back();
-  }
 }
 
 Device& Network::AddDevice(sim::Node& node) {
@@ -1037,88 +991,52 @@ Device& Network::device(uint32_t node_id) {
 }
 
 WireOp* Network::AcquireWireOp() {
-  OpPool& pool = op_pools_[sim_.CurrentPartitionIndex()];
-  if (pool.free.empty()) {
-    pool.arena.emplace_back();
-    return &pool.arena.back();
-  }
-  WireOp* op = pool.free.back();
-  pool.free.pop_back();
+  if (op_free_.empty()) return &op_arena_.emplace_back();
+  WireOp* op = op_free_.back();
+  op_free_.pop_back();
   return op;
 }
 
 void Network::ReleaseWireOp(WireOp* op) {
-  // A message dropped before it transmitted leaves its ranges indexed.
+  // A message dropped before it was delivered leaves its ranges indexed.
   if (op->snap_dev != nullptr) Unindex(*op);
-  const uint32_t part = sim_.CurrentPartitionIndex();
   if (op->payload != nullptr) {
-    ReleaseBounce(op->payload, part);
+    ReleaseBounce(op->payload);
     op->payload = nullptr;
   }
-  op_pools_[part].free.push_back(op);
+  op_free_.push_back(op);
 }
 
 BounceBlock* Network::AcquireBounce(uint64_t len) {
-  const uint32_t home = sim_.CurrentPartitionIndex();
-  BouncePool& pool = bounce_pools_[home];
   const auto cls = static_cast<uint32_t>(
       std::bit_width(len > 0 ? (len - 1) / BounceBlock::kMinBytes : 0));
-  std::vector<BounceBlock*>& free = pool.free[cls];
-  if (free.empty()) {
-    std::lock_guard<std::mutex> lock(pool.remote_mu);
-    for (BounceBlock* b : pool.remote_free) {
-      pool.free[b->size_class].push_back(b);
-    }
-    pool.remote_free.clear();
-  }
+  std::vector<BounceBlock*>& free = bounce_free_[cls];
   if (!free.empty()) {
     BounceBlock* b = free.back();
     free.pop_back();
     return b;
   }
   const uint64_t cap = BounceBlock::kMinBytes << cls;
-  BounceBlock& b = pool.arena.emplace_back();
+  BounceBlock& b = bounce_arena_.emplace_back();
   b.bytes.reset(new std::byte[cap]);
   b.size_class = cls;
-  b.home = home;
-  pool.bytes += cap;
+  bounce_bytes_ += cap;
   return &b;
 }
 
-void Network::ReleaseBounce(BounceBlock* block, uint32_t part) {
-  BouncePool& pool = bounce_pools_[block->home];
-  if (block->home == part) {
-    pool.free[block->size_class].push_back(block);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(pool.remote_mu);
-  pool.remote_free.push_back(block);
+void Network::ReleaseBounce(BounceBlock* block) {
+  bounce_free_[block->size_class].push_back(block);
 }
 
-uint64_t Network::bounce_pool_bytes() const noexcept {
-  uint64_t n = 0;
-  for (const BouncePool& p : bounce_pools_) n += p.bytes;
-  return n;
-}
+uint64_t Network::bounce_pool_bytes() const noexcept { return bounce_bytes_; }
 
 size_t Network::bounce_blocks_in_use() const noexcept {
-  size_t n = 0;
-  for (const BouncePool& p : bounce_pools_) {
-    n += p.arena.size() - p.remote_free.size();
-    for (const auto& f : p.free) n -= f.size();
-  }
+  size_t n = bounce_arena_.size();
+  for (const auto& f : bounce_free_) n -= f.size();
   return n;
-}
-
-sim::TxStartFn Network::ReadAtTxStart(WireOp& op, uint32_t src,
-                                      uint32_t dst) {
-  // On one partition the delivery may read the source itself.
-  if (sim_.SharePartition(src, dst)) return {};
-  return [this, op = &op] { TakeSnapshot(*op); };
 }
 
 void Network::IndexPayload(Device& dev, WireOp& op) {
-  if (op.payload != nullptr) return;  // read as its message started
   op.snap_dev = &dev;
   std::vector<PendingSnapshot>& idx = dev.snapshots_;
   ForEachSource(op.wr, [&](const std::byte* p, uint64_t len) {
@@ -1245,7 +1163,6 @@ Network::Listener& Network::Listen(Device& device, uint32_t service_id,
                                    CompletionQueue* recv_cq) {
   const uint64_t key =
       (static_cast<uint64_t>(device.node_id()) << 32) | service_id;
-  std::lock_guard<std::mutex> lock(listeners_mu_);
   auto it = listeners_.find(key);
   if (it == listeners_.end()) {
     it = listeners_
@@ -1284,12 +1201,8 @@ Result<QueuePair*> Network::Connect(Device& device, uint32_t remote_node,
       /*on_delivered=*/
       [this, key, client_node, client_qp_num, remote_node, state] {
         Listener* found = nullptr;
-        {
-          // This CM handler runs on the server's partition; Listen may run
-          // concurrently on other partitions.
-          std::lock_guard<std::mutex> lock(listeners_mu_);
-          auto it = listeners_.find(key);
-          if (it != listeners_.end()) found = it->second.get();
+        if (auto it = listeners_.find(key); it != listeners_.end()) {
+          found = it->second.get();
         }
         if (found == nullptr) {
           // Reject travels back as a CM message.

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -231,14 +230,12 @@ struct RecvWr {
 };
 
 // Internal: a pooled buffer holding one op's payload when the NIC must
-// read it before the delivery: the source is about to change (a verbs
-// write into it, its MR's deregistration, its QP's flush, its node's
-// kill), or the far end runs on another partition and reads it at
-// transmit start (see WireOp and Network::AcquireBounce).
+// read it before the delivery because the source is about to change (a
+// verbs write into it, its MR's deregistration, its QP's flush, its
+// node's kill; see WireOp and Network::AcquireBounce).
 struct BounceBlock {
   std::unique_ptr<std::byte[]> bytes;
   uint32_t size_class = 0;  // capacity is kMinBytes << size_class
-  uint32_t home = 0;        // index of the pool it returns to
   static constexpr uint64_t kMinBytes = 64;
 };
 
@@ -267,11 +264,6 @@ struct PendingSnapshot {
 // (copy-before-write). CPU stores are the one thing that can change them;
 // rcheck reports those (kPostedBufferStore). A READ initiator's scatter
 // buffers are undefined until its completion.
-//
-// The one exception is a message between nodes on different partitions
-// (the per-node layout): the far end must not touch another partition's
-// memory, so the NIC reads the payload into a bounce block when the
-// message starts transmitting, on the source's partition.
 struct WireOp {
   QueuePair* initiator = nullptr;
   SendWr wr;  // chain pointer cleared; SGE array owned by value
@@ -489,14 +481,6 @@ class QueuePair {
   // in-order draining is later than the ack arrival).
   void CompleteSq(uint64_t seq, WcStatus status, uint32_t byte_len,
                   WireStamps stamps = {});
-  // Same, callable from any partition: routes to the initiator's
-  // partition when the caller runs elsewhere (target-side execution,
-  // response drops), at the current virtual instant — the modelled
-  // completion time is unchanged, only the mutation site moves. In the
-  // one-queue layout every caller is in context and calls CompleteSq
-  // directly.
-  void CompleteSqFromWire(uint64_t seq, WcStatus status, uint32_t byte_len,
-                          WireStamps stamps = {});
   // Initiator-side completion delivered by an RC ack message from the
   // target: write/send completions ride the fabric back like read and
   // atomic responses, so no cross-node completion is zero-latency.
@@ -578,10 +562,7 @@ class Device {
   Network& network_;
   sim::Node& node_;
   uint32_t next_key_ = 1;
-  // QP numbers are allocated per device (FindQp is per-device, and both
-  // CreateQueuePair call sites — client connect, server accept — run on
-  // the owning node's partition), so numbering is deterministic in the
-  // per-node layout regardless of host-thread interleaving.
+  // QP numbers are allocated per device (FindQp is per-device).
   uint32_t next_qp_index_ = 0;
 
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
@@ -593,7 +574,7 @@ class Device {
   // added since the index was last empty: an overlap query for [lo, hi)
   // then only visits starts in (lo - max_len, hi). A sorted vector, since
   // a device rarely has more than a few hundred payloads queued and most
-  // wait only nanoseconds. Touched only on this device's partition.
+  // wait only nanoseconds.
   std::vector<PendingSnapshot> snapshots_;
   uint64_t snapshot_max_len_ = 0;
 };
@@ -670,41 +651,27 @@ class Network {
   friend class ProtectionDomain;
   friend class Device;
 
-  // Wire-op pool (stable storage + freelist); see WireOp. One pool per
-  // partition index so concurrent partitions never contend — acquired
-  // from the doorbell-ringing partition, released into whichever
-  // partition fires the op's last wire event (pool membership does not
-  // affect the timeline). The one-queue layout uses pool 0 only.
+  // Wire-op pool (stable storage + freelist); see WireOp.
   WireOp* AcquireWireOp();
   void ReleaseWireOp(WireOp* op);
-  void PrepareForRun();
 
-  // Bounce blocks: one pool per partition index, serving every size from
-  // power-of-two classes. A block is taken from the current partition's
-  // pool and goes back to that same pool wherever it is released — a
-  // release on another partition queues it on the pool's remote list
-  // (under a mutex) for the owner to reclaim — so no pool grows by
-  // absorbing another partition's blocks.
-  // `part` is the releasing context's partition index.
+  // Bounce blocks: one pool serving every size from power-of-two classes.
   BounceBlock* AcquireBounce(uint64_t len);
-  void ReleaseBounce(BounceBlock* block, uint32_t part);
+  void ReleaseBounce(BounceBlock* block);
 
-  // Payload reads (see WireOp). A message carrying an op's payload from
-  // `src` to `dst` gets ReadAtTxStart's transmit-start hook: empty when
-  // the two nodes share a partition, else TakeSnapshot, which reads the
-  // payload into a bounce block. IndexPayload then enters the source
-  // ranges of a payload not yet read into `dev`'s index. Delivery reads
-  // what is left, after copy-before-write on the destination:
-  // GatherPayload copies the payload into one contiguous destination, and
-  // ReadAtDelivery returns the bounce block to copy from, or null to read
-  // the source ranges. FinishRead unindexes a payload just read (into
-  // `block`, or null when read in place) and compares the rcheck hash;
-  // Unindex drops the ranges without reading (as ReleaseWireOp does for an
-  // op dropped unread). ReadPendingOverlaps makes the NIC read every
-  // pending range of `dev` that meets [lo, lo + len) before a verbs write
-  // lands there; ReadPending does the same for every pending range of
-  // `dev`, or only for those of ops `initiator` posted.
-  sim::TxStartFn ReadAtTxStart(WireOp& op, uint32_t src, uint32_t dst);
+  // Payload reads (see WireOp). IndexPayload enters the source ranges of a
+  // payload the NIC has not read into `dev`'s index. Delivery reads it,
+  // after copy-before-write on the destination: GatherPayload copies the
+  // payload into one contiguous destination, and ReadAtDelivery returns
+  // the bounce block to copy from, or null to read the source ranges.
+  // TakeSnapshot reads a payload into a bounce block early. FinishRead
+  // unindexes a payload just read (into `block`, or null when read in
+  // place) and compares the rcheck hash; Unindex drops the ranges without
+  // reading (as ReleaseWireOp does for an op dropped unread).
+  // ReadPendingOverlaps makes the NIC read every pending range of `dev`
+  // that meets [lo, lo + len) before a verbs write lands there;
+  // ReadPending does the same for every pending range of `dev`, or only
+  // for those of ops `initiator` posted.
   void IndexPayload(Device& dev, WireOp& op);
   const std::byte* ReadAtDelivery(WireOp& op);
   void GatherPayload(WireOp& op, std::byte* dst);
@@ -719,26 +686,13 @@ class Network {
   sim::Fabric fabric_;
   sim::CpuCostModel cpu_;
   std::vector<std::unique_ptr<Device>> devices_;             // by node id
-  // Guards the listener map: Listen runs on the server's partition while
-  // Connect resolves the key on the *connecting* side's CM message
-  // arrival. Listener objects themselves are only touched on their
-  // owning node's partition.
-  std::mutex listeners_mu_;
   std::unordered_map<uint64_t, std::unique_ptr<Listener>> listeners_;
-  struct OpPool {
-    std::deque<WireOp> arena;
-    std::vector<WireOp*> free;
-  };
-  std::deque<OpPool> op_pools_;
-  struct BouncePool {
-    static constexpr size_t kClasses = 32;
-    std::deque<BounceBlock> arena;
-    std::array<std::vector<BounceBlock*>, kClasses> free;
-    uint64_t bytes = 0;  // capacity of every block in `arena`
-    std::mutex remote_mu;
-    std::vector<BounceBlock*> remote_free;
-  };
-  std::deque<BouncePool> bounce_pools_;
+  std::deque<WireOp> op_arena_;
+  std::vector<WireOp*> op_free_;
+  static constexpr size_t kBounceClasses = 32;
+  std::deque<BounceBlock> bounce_arena_;
+  std::array<std::vector<BounceBlock*>, kBounceClasses> bounce_free_;
+  uint64_t bounce_bytes_ = 0;  // capacity of every block in the arena
 };
 
 }  // namespace rstore::verbs

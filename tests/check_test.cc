@@ -540,20 +540,15 @@ std::vector<std::byte> RunInFlightWrite(check::Checker& checker,
 
 // The NIC reads a WRITE's source when the request is delivered, so a
 // store after transmit start still changes the payload and is reported.
-// In the per-node layout the request crosses partitions, and the NIC read
-// the source at transmit start, before the store.
 TEST(CheckTest, StoreIntoInFlightWriteSourceReportedInOneQueueLayout) {
   check::Checker checker;
   verbs::WorkCompletion wc;
   const auto landed = RunInFlightWrite(checker, sim::Micros(20), &wc);
   ASSERT_GT(wc.stamps.executed, wc.stamps.tx_start + sim::Micros(20))
       << "the store must land between transmit start and delivery";
-  const bool one_queue = !sim::PartitionedEnvRequested();
-  const std::byte moved = one_queue ? std::byte{0xBB} : std::byte{0xAA};
-  EXPECT_EQ(landed, std::vector<std::byte>(landed.size(), moved));
-  EXPECT_EQ(CountType(checker, check::ViolationType::kPostedBufferStore),
-            one_queue ? 1u : 0u);
-  EXPECT_EQ(checker.violations().size(), one_queue ? 1u : 0u);
+  EXPECT_EQ(landed, std::vector<std::byte>(landed.size(), std::byte{0xBB}));
+  EXPECT_EQ(CountType(checker, check::ViolationType::kPostedBufferStore), 1u);
+  EXPECT_EQ(checker.violations().size(), 1u);
 }
 
 // Once delivered, the payload is read: a store between the delivery and

@@ -355,8 +355,8 @@ TEST(ZipfTest, ChiSquareMatchesAnalyticPmf) {
 }
 
 // Pins the exact first draws for a fixed seed. The E13 fan-in benchmark's
-// bit-identical-across-host-threads guarantee rests on every stochastic
-// input being a pure function of the seed; a change to the sampler's
+// bit-identical reruns rest on every stochastic input being a pure
+// function of the seed; a change to the sampler's
 // consumption of Rng bits would silently invalidate recorded baselines.
 TEST(ZipfTest, FirstDrawsArePinnedForSeed42) {
   ZipfGenerator zipf(1024, 0.99, 42);

@@ -449,9 +449,7 @@ TEST(MapCacheTest, RunmapDropsCache) {
 // --------------------------------------------------------------- atomics --
 TEST(AtomicTest, FetchAddAcrossClients) {
   TestCluster cluster(SmallCluster());
-  // Atomic: the two clients finish on different partitions, possibly on
-  // concurrent host threads in the per-node layout.
-  std::atomic<int> finished{0};
+  int finished = 0;
   for (size_t c = 0; c < 2; ++c) {
     cluster.SpawnClient(c, [&finished, c](RStoreClient& client) {
       if (c == 0) {

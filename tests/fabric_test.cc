@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,9 +103,7 @@ TEST_F(FabricFixture, FanOutSaturatesSourcePort) {
 
 TEST_F(FabricFixture, DisjointPairsDoNotContend) {
   // 0->1 and 2->3 share no port: both must complete in single-transfer
-  // time. One slot per transfer: the deliveries land at the same virtual
-  // instant on different nodes, so in the per-node layout the
-  // callbacks may run on concurrent host threads.
+  // time.
   const uint64_t kSize = 64ULL << 20;
   Nanos done[2] = {0, 0};
   fabric.Send(0, 1, kSize, [&] { done[0] = sim.NowNanos(); });
@@ -128,9 +125,6 @@ TEST_F(FabricFixture, AggregateBandwidthScalesWithNodeCount) {
     for (uint32_t i = 0; i < nodes; ++i) s.AddNode("m");
     Fabric f(s, NicConfig{});
     const uint64_t kSize = 256ULL << 20;
-    // Per-destination slots: the symmetric ring delivers on every node at
-    // the same virtual instant, concurrently under the partitioned
-    // scheduler.
     std::vector<Nanos> done(nodes, 0);
     for (uint32_t i = 0; i < nodes; ++i) {
       const uint32_t dst = (i + 1) % nodes;
@@ -305,34 +299,29 @@ TEST_F(FabricFixture, StatisticsAccumulate) {
 
 TEST(FabricAccountingTest, DroppedInFlightCountsOutButNotIn) {
   // Ingress bytes count when the first bit reaches a live destination
-  // port, in both partition layouts: a message whose link is cut, or
-  // whose destination dies, while it is still on the wire is only the
-  // sender's.
-  for (const uint32_t host_threads : {0u, 4u}) {
-    SCOPED_TRACE(testing::Message() << "host_threads " << host_threads);
-    Simulation sim(SimConfig{.host_threads = host_threads});
-    Fabric fabric(sim, NicConfig{});
-    for (int i = 0; i < 4; ++i) sim.AddNode("n" + std::to_string(i));
-    const uint64_t kCut = 4096, kKilled = 8192, kDelivered = 100;
-    // Callbacks of different nodes may run on concurrent host threads.
-    std::atomic<int> delivered{0};
-    std::atomic<int> dropped{0};
-    for (const auto& [dst, bytes] :
-         {std::pair{1u, kCut}, {2u, kKilled}, {3u, kDelivered}}) {
-      fabric.Send(0, dst, bytes, [&] { ++delivered; }, [&] { ++dropped; });
-    }
-    // No first bit has landed yet: it takes base_latency.
-    sim.RunUntil(fabric.config().base_latency / 2);
-    fabric.SetLinkDown(0, 1, true);
-    sim.KillNode(2);
-    sim.Run();
-    EXPECT_EQ(delivered, 1);
-    EXPECT_EQ(dropped, 2);
-    EXPECT_EQ(fabric.bytes_out(0), kCut + kKilled + kDelivered);
-    EXPECT_EQ(fabric.bytes_in(1), 0u);
-    EXPECT_EQ(fabric.bytes_in(2), 0u);
-    EXPECT_EQ(fabric.bytes_in(3), kDelivered);
+  // port: a message whose link is cut, or whose destination dies, while
+  // it is still on the wire is only the sender's.
+  Simulation sim;
+  Fabric fabric(sim, NicConfig{});
+  for (int i = 0; i < 4; ++i) sim.AddNode("n" + std::to_string(i));
+  const uint64_t kCut = 4096, kKilled = 8192, kDelivered = 100;
+  int delivered = 0;
+  int dropped = 0;
+  for (const auto& [dst, bytes] :
+       {std::pair{1u, kCut}, {2u, kKilled}, {3u, kDelivered}}) {
+    fabric.Send(0, dst, bytes, [&] { ++delivered; }, [&] { ++dropped; });
   }
+  // No first bit has landed yet: it takes base_latency.
+  sim.RunUntil(fabric.config().base_latency / 2);
+  fabric.SetLinkDown(0, 1, true);
+  sim.KillNode(2);
+  sim.Run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(dropped, 2);
+  EXPECT_EQ(fabric.bytes_out(0), kCut + kKilled + kDelivered);
+  EXPECT_EQ(fabric.bytes_in(1), 0u);
+  EXPECT_EQ(fabric.bytes_in(2), 0u);
+  EXPECT_EQ(fabric.bytes_in(3), kDelivered);
 }
 
 }  // namespace

@@ -216,13 +216,12 @@ TEST(LinCheckerTest, DumpJsonRoundTripsThroughSharedParser) {
 
 // ---------------------------------------------------- KvStore capture --
 
-ClusterConfig SmallCluster(uint32_t host_threads = 0) {
+ClusterConfig SmallCluster() {
   ClusterConfig cfg;
   cfg.memory_servers = 4;
   cfg.client_nodes = 1;
   cfg.server_capacity = 16ULL << 20;
   cfg.master.slab_size = 1ULL << 20;
-  cfg.host_threads = host_threads;
   return cfg;
 }
 

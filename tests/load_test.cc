@@ -1,8 +1,8 @@
 // Tests for src/load, the open-loop massive-fan-in serving stack:
 // admission control (window / FIFO deferral / shed), workload vocabulary
 // (YCSB mixes, arrival curves), session-to-QP multiplexing ratios, the
-// LoadEngine state machines end to end on a small cluster, determinism
-// across partition layouts and host thread counts, rcheck cleanliness,
+// LoadEngine state machines end to end on a small cluster, rcheck
+// cleanliness,
 // coordinated-omission-safe latency anchoring under overload, rtrace
 // per-op causal tracing (stage sums, slowest-K reservoir, probe-effect
 // bit-identity), and the space-saving hot-key sketch.
@@ -157,13 +157,12 @@ TEST(SessionMuxTest, ConnectsBoundedPoolAndPinsSessionsToOneQp) {
 }
 
 // ----------------------------------------------------------- LoadEngine --
-ClusterConfig SmallCluster(uint32_t host_threads = 0) {
+ClusterConfig SmallCluster() {
   ClusterConfig cfg;
   cfg.memory_servers = 4;
   cfg.client_nodes = 1;
   cfg.server_capacity = 16ULL << 20;
   cfg.master.slab_size = 1ULL << 20;
-  cfg.host_threads = host_threads;
   return cfg;
 }
 
@@ -183,9 +182,9 @@ struct RunResult {
   uint64_t virtual_nanos = 0;
 };
 
-RunResult RunEngine(const LoadOptions& opts, uint32_t host_threads = 0,
+RunResult RunEngine(const LoadOptions& opts,
                     check::Checker* checker = nullptr) {
-  TestCluster cluster(SmallCluster(host_threads));
+  TestCluster cluster(SmallCluster());
   if (checker != nullptr) cluster.sim().AttachChecker(checker);
   RunResult r;
   cluster.RunClient([&](RStoreClient& client) {
@@ -218,26 +217,11 @@ TEST(LoadEngineTest, SmokeCompletesEveryArrivalAtLowLoad) {
   EXPECT_GE(r.stats.mux.wrs_posted, r.stats.mux.chains_posted);
 }
 
-TEST(LoadEngineTest, VirtualTimeIsBitIdenticalAcrossHostThreads) {
-  LoadOptions opts = SmallOptions();
-  opts.offered_load = 400e3;  // some queueing, so ordering is stressed
-  const RunResult shared = RunEngine(opts, 0);
-  for (uint32_t threads : {1u, 2u}) {
-    const RunResult part = RunEngine(opts, threads);
-    EXPECT_EQ(part.virtual_nanos, shared.virtual_nanos)
-        << "host_threads=" << threads;
-    EXPECT_EQ(part.stats.completed, shared.stats.completed);
-    EXPECT_EQ(part.stats.retries, shared.stats.retries);
-    EXPECT_EQ(part.stats.latency.Quantile(0.999),
-              shared.stats.latency.Quantile(0.999));
-  }
-}
-
 TEST(LoadEngineTest, RcheckCleanUnderContention) {
   LoadOptions opts = SmallOptions();
   opts.offered_load = 400e3;
   check::Checker checker;
-  const RunResult r = RunEngine(opts, 0, &checker);
+  const RunResult r = RunEngine(opts, &checker);
   EXPECT_GT(r.stats.completed, 0u);
   EXPECT_TRUE(checker.violations().empty())
       << checker.violations().size() << " violations";
@@ -344,25 +328,23 @@ TEST(LoadEngineTest, RtraceReservoirRetainsTheTrueSlowestOp) {
 
 TEST(LoadEngineTest, RtraceModesAreProbeFree) {
   // The probe-effect contract: rtrace off / sampled / full land on the
-  // same virtual end time, on the one-queue and the per-node layout.
+  // same virtual end time, and a second run on the same one.
   LoadOptions opts = SmallOptions();
   opts.offered_load = 400e3;
   opts.rtrace.mode = obs::RtraceMode::kOff;
-  const RunResult ref = RunEngine(opts, 0);
+  const RunResult ref = RunEngine(opts);
   for (const obs::RtraceMode mode :
        {obs::RtraceMode::kOff, obs::RtraceMode::kSampled,
         obs::RtraceMode::kFull}) {
-    for (const uint32_t threads : {0u, 1u, 2u}) {
-      if (mode == obs::RtraceMode::kOff && threads == 0) continue;
-      LoadOptions o = opts;
-      o.rtrace.mode = mode;
-      const RunResult r = RunEngine(o, threads);
-      EXPECT_EQ(r.virtual_nanos, ref.virtual_nanos)
-          << "mode=" << obs::ToString(mode) << " threads=" << threads;
-      EXPECT_EQ(r.stats.completed, ref.stats.completed);
-      EXPECT_EQ(r.stats.latency.Quantile(0.999),
-                ref.stats.latency.Quantile(0.999));
-    }
+    LoadOptions o = opts;
+    o.rtrace.mode = mode;
+    const RunResult r = RunEngine(o);
+    EXPECT_EQ(r.virtual_nanos, ref.virtual_nanos)
+        << "mode=" << obs::ToString(mode);
+    EXPECT_EQ(r.stats.completed, ref.stats.completed);
+    EXPECT_EQ(r.stats.retries, ref.stats.retries);
+    EXPECT_EQ(r.stats.latency.Quantile(0.999),
+              ref.stats.latency.Quantile(0.999));
   }
 }
 
@@ -371,7 +353,7 @@ TEST(LoadEngineTest, RcheckCleanWithFullTracing) {
   opts.offered_load = 400e3;
   opts.rtrace.mode = obs::RtraceMode::kFull;
   check::Checker checker;
-  const RunResult r = RunEngine(opts, 0, &checker);
+  const RunResult r = RunEngine(opts, &checker);
   EXPECT_GT(r.stats.rtrace.ops, 0u);
   EXPECT_TRUE(checker.violations().empty())
       << checker.violations().size() << " violations";

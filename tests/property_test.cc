@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -179,10 +178,8 @@ TEST_P(FabricPropertyTest, EveryMessageDeliversOnceAndRespectsLatencyFloor) {
   sim::Fabric fabric(sim, sim::NicConfig{});
 
   Rng rng(seed);
-  // Atomic: deliveries on different destination nodes can run on
-  // concurrent host threads in the per-node layout.
-  std::atomic<int> delivered{0};
-  std::atomic<int> dropped{0};
+  int delivered = 0;
+  int dropped = 0;
   int sent = 0;
   uint64_t bytes_sent = 0;
   for (int i = 0; i < 400; ++i) {
@@ -347,11 +344,9 @@ TEST(DeterminismProperty, MixedWorkloadTimelineIsReproducible) {
     cfg.server_capacity = 8ULL << 20;
     cfg.seed = 12345;
     TestCluster cluster(cfg);
-    // One slot per client: the clients live on different nodes, so under
-    // the per-node layout they may finish on concurrent host
-    // threads — indexing by client id keeps the collection race-free and
-    // the comparison order-independent (the timestamps themselves are the
-    // determinism claim).
+    // One slot per client: indexing by client id keeps the comparison
+    // order-independent (the timestamps themselves are the determinism
+    // claim).
     std::vector<sim::Nanos> marks(2, 0);
     for (uint32_t c = 0; c < 2; ++c) {
       cluster.SpawnClient(c, [&, c](RStoreClient& client) {

@@ -4,18 +4,15 @@
 // cost models.
 #include <gtest/gtest.h>
 #include <pthread.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -70,14 +67,9 @@ TEST(SimulationTest, ComputeIsInstantInVirtualTime) {
 }
 
 TEST(SimulationTest, ThreadsInterleaveDeterministically) {
-  // Two runs with the same seed produce the same interleaving. The trace
-  // is ONE host vector shared by threads on three nodes: the global order
-  // of same-instant pushes from different partitions is defined only
-  // under serialized dispatch (virtual time is deterministic either way),
-  // so the per-node-layout gate runs it on one worker.
+  // Two runs with the same seed produce the same interleaving.
   auto run = [] {
-    Simulation sim(SimConfig{
-        .seed = 77, .host_threads = PartitionedEnvRequested() ? 1u : 0u});
+    Simulation sim(SimConfig{.seed = 77});
     std::vector<std::string> trace;
     for (int i = 0; i < 3; ++i) {
       Node& n = sim.AddNode("n" + std::to_string(i));
@@ -110,15 +102,9 @@ TEST(SimulationTest, SameInstantEventsRunInScheduleOrder) {
 // one seq counter, so kind never matters. The baseline exploration policy
 // must preserve exactly this order (its pick 0 *is* this order).
 TEST(SimulationTest, SameInstantEventsDispatchInFifoOrder) {
-  // This pins the one-queue layout's interleaving: a driver callback
-  // notifying a node-owned CondVar interleaved with same-instant driver
-  // callbacks shares one seq counter. In the per-node layout the
-  // driver and node "a" live on different partitions, so that interleaving
-  // cannot exist (cross-partition wakes merge at epoch boundaries) — the
-  // per-partition FIFO rule is pinned by partition_test.cc instead.
-  if (PartitionedEnvRequested()) {
-    GTEST_SKIP() << "pins the one-queue layout's interleaving";
-  }
+  // A driver callback notifying a node-owned CondVar, interleaved with
+  // same-instant driver callbacks: wakes and callbacks share one seq
+  // counter.
   auto run = [](explore::SchedulePolicy* policy) {
     Simulation sim;
     if (policy != nullptr) sim.AttachPolicy(policy);
@@ -159,11 +145,11 @@ TEST(SimulationTest, SameInstantEventsDispatchInFifoOrder) {
 // node's queue gets an id in scheduling order; each live one must run
 // exactly once, in (t, id) order. Returns the dispatched (t, id) sequence.
 std::vector<std::pair<Nanos, uint64_t>> RunQueueOrderMix(
-    uint64_t seed, uint32_t host_threads, explore::SchedulePolicy* policy) {
+    uint64_t seed, explore::SchedulePolicy* policy) {
   constexpr size_t kMaxEvents = 4000;
   constexpr int kThreads = 6;
   constexpr int kStepsPerThread = 60;
-  Simulation sim(SimConfig{.seed = seed, .host_threads = host_threads});
+  Simulation sim(SimConfig{.seed = seed});
   if (policy != nullptr) sim.AttachPolicy(policy);
   Node& node = sim.AddNode("a");
   CondVar cv(sim);
@@ -205,7 +191,7 @@ std::vector<std::pair<Nanos, uint64_t>> RunQueueOrderMix(
     if (when.size() >= kMaxEvents) return;
     const Nanos t = sim.NowNanos() + delay;
     const uint64_t id = track(t);
-    sim.PostToNode(node.id(), t, [&, id] {
+    sim.At(t, [&, id] {
       fire(id);
       for (uint64_t n = rng.NextBelow(4); n > 0; --n) post(tie_delay());
       if (!waiters.empty() && rng.NextBool(0.3)) {
@@ -290,15 +276,12 @@ std::vector<std::pair<Nanos, uint64_t>> RunQueueOrderMix(
 
 TEST(EventQueueProperty, EveryEventRunsOnceInTimeThenScheduleOrder) {
   for (const uint64_t seed : {1, 2, 3}) {
-    const auto reference = RunQueueOrderMix(seed, 0, nullptr);
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const auto reference = RunQueueOrderMix(seed, nullptr);
     EXPECT_GT(reference.size(), 1000u);
-    for (const uint32_t host_threads : {0u, 1u, 4u}) {
-      SCOPED_TRACE(testing::Message() << "seed " << seed << ", host_threads "
-                                      << host_threads);
-      EXPECT_EQ(RunQueueOrderMix(seed, host_threads, nullptr), reference);
-      explore::BaselinePolicy baseline;
-      EXPECT_EQ(RunQueueOrderMix(seed, host_threads, &baseline), reference);
-    }
+    EXPECT_EQ(RunQueueOrderMix(seed, nullptr), reference);
+    explore::BaselinePolicy baseline;
+    EXPECT_EQ(RunQueueOrderMix(seed, &baseline), reference);
   }
 }
 
@@ -319,57 +302,9 @@ TEST(SimulationTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(steps, 10);
 }
 
-// The partition a node's thread runs on, and for how many of the
-// cluster's nodes it may touch state directly.
-struct LayoutProbe {
-  uint32_t partition = ~0u;
-  uint32_t nodes_in_context = 0;
-};
-
-std::vector<LayoutProbe> ProbeLayout(uint32_t host_threads) {
-  constexpr uint32_t kNodes = 3;
-  Simulation sim(SimConfig{.host_threads = host_threads});
-  // One element per node: threads on different partitions may run on
-  // concurrent host threads, but each writes only its own.
-  std::vector<LayoutProbe> probes(kNodes);
-  for (uint32_t i = 0; i < kNodes; ++i) {
-    sim.AddNode("n" + std::to_string(i)).Spawn("probe", [&sim, &probes, i] {
-      probes[i].partition = sim.CurrentPartitionIndex();
-      for (uint32_t j = 0; j < kNodes; ++j) {
-        if (sim.InContextOfNode(j)) ++probes[i].nodes_in_context;
-      }
-    });
-  }
-  sim.Run();
-  return probes;
-}
-
-TEST(SimulationTest, HostThreadsPickThePartitionLayout) {
-  // host_threads >= 1: every node owns a partition and only its own
-  // state.
-  std::set<uint32_t> partitions;
-  for (const LayoutProbe& p : ProbeLayout(2)) {
-    partitions.insert(p.partition);
-    EXPECT_EQ(p.nodes_in_context, 1u);
-  }
-  EXPECT_EQ(partitions.size(), 3u);
-  if (PartitionedEnvRequested()) {
-    GTEST_SKIP() << "RSTORE_HOST_THREADS overrides host_threads 0";
-  }
-  // host_threads 0: every node shares partition 0 and every node's state.
-  for (const LayoutProbe& p : ProbeLayout(0)) {
-    EXPECT_EQ(p.partition, 0u);
-    EXPECT_EQ(p.nodes_in_context, 3u);
-  }
-}
-
 TEST(SimulationTest, OneQueueStopSkipsTheRestOfTheInstant) {
-  // With one partition the stop flag is read before every event, not at
-  // epoch barriers: the stop lands between two events of one instant,
-  // and the next Run() starts with the second.
-  if (PartitionedEnvRequested()) {
-    GTEST_SKIP() << "pins the one-queue layout";
-  }
+  // The stop flag is read before every event: the stop lands between two
+  // events of one instant, and the next Run() starts with the second.
   Simulation sim;
   sim.AddNode("a");
   std::vector<int> order;
@@ -668,55 +603,6 @@ TEST(FiberTest, ExceptionStateIsPerThread) {
   EXPECT_EQ(b_uncaught, 0);
 }
 
-// Partitioned mode starts fresh epoch workers on every RunUntil, so a
-// thread parked across RunUntil calls resumes on a different host thread
-// than it parked on. It must still see its own clock and node.
-TEST(FiberTest, ParkedThreadsResumeOnOtherHostThreads) {
-  Simulation sim(SimConfig{.host_threads = 4});
-  constexpr uint32_t kNodes = 8;
-  constexpr int kSteps = 3;
-  struct Seen {
-    Nanos now;
-    uint32_t node;
-    long host_tid;
-  };
-  std::vector<std::vector<Seen>> seen(kNodes);
-  for (uint32_t i = 0; i < kNodes; ++i) {
-    Node& n = sim.AddNode(std::to_string(i));
-    n.Spawn("w", [&seen, i] {
-      for (int k = 0; k < kSteps; ++k) {
-        seen[i].push_back({Now(), CurrentNode().id(), syscall(SYS_gettid)});
-        Sleep(Micros(10) + i);
-      }
-    });
-  }
-  sim.RunUntil(Micros(5));
-  sim.RunUntil(Micros(15));
-  sim.RunUntil(Micros(25));
-  sim.Run();
-  int migrations = 0;
-  for (uint32_t i = 0; i < kNodes; ++i) {
-    ASSERT_EQ(seen[i].size(), static_cast<size_t>(kSteps));
-    for (int k = 0; k < kSteps; ++k) {
-      EXPECT_EQ(seen[i][k].now, k * (Micros(10) + i)) << "node " << i;
-      EXPECT_EQ(seen[i][k].node, i);
-      if (k > 0 && seen[i][k].host_tid != seen[i][k - 1].host_tid) {
-        ++migrations;
-      }
-    }
-  }
-  // Two nodes share the driver's worker slot; the rest run on workers
-  // that each RunUntil creates anew — unless the environment serializes
-  // dispatch (an env-attached checker, lin checker or exploration policy),
-  // in which case everything runs on this thread and nothing migrates.
-  std::set<long> hosts;
-  for (const auto& steps : seen) {
-    for (const Seen& s : steps) hosts.insert(s.host_tid);
-  }
-  if (hosts.size() == 1) GTEST_SKIP() << "dispatch serialized";
-  EXPECT_GT(migrations, 0);
-}
-
 // Runaway recursion in a SimThread must fault on its stack's guard page,
 // not run on into whatever is mapped below the stack.
 const char* volatile g_fiber_stack_top = nullptr;
@@ -770,9 +656,9 @@ TEST(FiberDeathTest, RunawayRecursionFaultsOnGuardPage) {
         sigaction(SIGSEGV, &sa, nullptr);
         sigaction(SIGBUS, &sa, nullptr);
         g_fiber_stack_size = DefaultThreadStackSize();
-        // One host thread: the fiber runs on this one, whose alternate
-        // signal stack the handler needs.
-        Simulation sim(SimConfig{.host_threads = 1});
+        // The fiber runs on this host thread, whose alternate signal
+        // stack the handler needs.
+        Simulation sim;
         Node& n = sim.AddNode("a");
         n.Spawn("deep", [] {
           // The frame address, not a local's: under ASan's use-after-return

@@ -28,8 +28,7 @@ class VerbsFixture : public ::testing::Test {
  protected:
   static constexpr uint32_t kService = 7;
 
-  explicit VerbsFixture(sim::SimConfig config = {})
-      : sim(config), net(sim) {
+  VerbsFixture() : net(sim) {
     client_node = &sim.AddNode("client");
     server_node = &sim.AddNode("server");
     client_dev = &net.AddDevice(*client_node);
@@ -764,15 +763,10 @@ TEST_F(VerbsFixture, PipelinedWritesSaturateBandwidth) {
 // on (DESIGN.md, "RC contract"): WRs posted as separate PostSends in one
 // flush on one QP execute at the target in post order. A 64 KiB WRITE
 // then an 8-byte WRITE over its first word, and a CAS then a READ of the
-// swapped cell. Run on one partition and on per-node partitions.
-class VerbsRcOrderTest : public VerbsFixture,
-                         public ::testing::WithParamInterface<uint32_t> {
- protected:
-  VerbsRcOrderTest()
-      : VerbsFixture(sim::SimConfig{.host_threads = GetParam()}) {}
-};
+// swapped cell.
+using VerbsRcOrderTest = VerbsFixture;
 
-TEST_P(VerbsRcOrderTest, SeparatePostsOnOneQpExecuteInPostOrder) {
+TEST_F(VerbsRcOrderTest, SeparatePostsOnOneQpExecuteInPostOrder) {
   constexpr uint32_t kBlock = 64 << 10;
   std::vector<std::byte> remote, block, word, cas_old, read_back;
   MemoryRegion* rem_mr =
@@ -838,13 +832,6 @@ TEST_P(VerbsRcOrderTest, SeparatePostsOnOneQpExecuteInPostOrder) {
   EXPECT_EQ(old, 0u);
   EXPECT_EQ(seen, 7u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Layouts, VerbsRcOrderTest, ::testing::Values(0u, 4u),
-    [](const ::testing::TestParamInfo<uint32_t>& info) {
-      return info.param == 0 ? std::string("OnePartition")
-                             : "HostThreads" + std::to_string(info.param);
-    });
 
 // ------------------------------------------------------ failure handling --
 TEST_F(VerbsFixture, WriteToKilledPeerRetriesThenErrors) {
@@ -1187,9 +1174,7 @@ TEST_F(VerbsFixture, InFlightWriteSourceOverwrittenByThirdNodeDeliversPosted) {
 // The NIC reads a payload once, at the delivery of the message carrying
 // it, straight from its source: 64 MiB of WRITEs and then 64 MiB of READs
 // posted at once on one QP, with no write into any source on the way,
-// need no bounce block in the one-queue layout. In the per-node layout
-// each payload crosses partitions and is read at transmit start, which
-// needs blocks for a few messages, not for all that is queued.
+// need no bounce block.
 TEST_F(VerbsFixture, BounceMemoryIsBoundedByBytesOnTheWire) {
   constexpr uint32_t kMiB = 1 << 20;
   constexpr int kOps = 64;
@@ -1214,11 +1199,7 @@ TEST_F(VerbsFixture, BounceMemoryIsBoundedByBytesOnTheWire) {
     }
   });
   EXPECT_EQ(src, dst);
-  if (sim::PartitionedEnvRequested()) {
-    EXPECT_LE(net.bounce_pool_bytes(), 4ULL * kMiB);
-  } else {
-    EXPECT_EQ(net.bounce_pool_bytes(), 0u);
-  }
+  EXPECT_EQ(net.bounce_pool_bytes(), 0u);
   EXPECT_EQ(net.bounce_blocks_in_use(), 0u);
   EXPECT_EQ(client_dev->pending_snapshots(), 0u);
   EXPECT_EQ(server_dev->pending_snapshots(), 0u);
@@ -1226,18 +1207,11 @@ TEST_F(VerbsFixture, BounceMemoryIsBoundedByBytesOnTheWire) {
 
 // Faults between an op's post (WRITE doorbell, READ service) and its
 // payload's delivery: the first payload is on the wire when the fault
-// hits, the rest wait in an egress queue. The test thread changes fabric
-// state every partition reads, so the per-node layout
-// (RSTORE_HOST_THREADS) runs it on one worker, where blocks still cross
-// partitions.
+// hits, the rest wait in an egress queue.
 class VerbsFaultTest : public VerbsFixture {
  protected:
   static constexpr uint32_t kOps = 8;
   static constexpr uint32_t kLen = 1 << 20;
-
-  VerbsFaultTest()
-      : VerbsFixture(sim::SimConfig{
-            .host_threads = sim::PartitionedEnvRequested() ? 1u : 0u}) {}
 
   // Posts kOps 1 MiB `op`s on one QP, so all but the first payload wait
   // in an egress queue (the client's for WRITE, the server's for READ),
