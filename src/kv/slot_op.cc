@@ -249,6 +249,11 @@ void SlotOp::Complete() {
 
 void SlotOp::Fail(Status status) { Finish(std::move(status)); }
 
+void SlotOp::Ride(const SlotOp& holder) {
+  if (holder.status().ok()) EnterWrite();
+  Finish(holder.status());
+}
+
 void SlotOp::OnProbe() {
   if (!ProbeValidated()) {
     Retry(/*backoff=*/true, Phase::kProbe);  // torn or locked: same slot

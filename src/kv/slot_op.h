@@ -13,7 +13,10 @@
 //     sleeps through backoffs;
 //   * LoadEngine (src/load) is the session driver: it stages the IOs of
 //     thousands of SlotOps through the SessionMux and resumes each op
-//     from its completion cookies.
+//     from its completion cookies. It runs one write per key at a time
+//     (load/key_claims.h): later same-key writes of the engine wait, and
+//     those that share the finished op's kind complete through Ride()
+//     instead of running their own steps.
 //
 // The protocol (Pilaf/FaRM-style seqlock slots, linear probing). An
 // uncontended write is three dependent round trips:
@@ -208,6 +211,14 @@ class SlotOp {
   void Complete();
   // An IO of the current step failed: the op ends with `status`.
   void Fail(Status status);
+  // Completes a just-started write, without a step, as a rider of
+  // `holder`: a finished op of the same kind on the same key whose
+  // outcome was a write or kNotFound, and whose CAS was posted after this
+  // op was invoked. The rider's write is ordered just before the
+  // holder's, so it takes the holder's status; on a write it composes
+  // its own value (a drawn value consumes the RNG as a posted write
+  // would) so that image() and RecordLin carry it.
+  void Ride(const SlotOp& holder);
 
   [[nodiscard]] SlotStep::Kind step_kind() const noexcept { return phase_; }
   [[nodiscard]] bool done() const noexcept {

@@ -317,10 +317,7 @@ void LoadEngine::BeginOp(uint32_t s) {
   // completed-op tail bounded.
   if (options_.admission && options_.shed_deadline > 0 &&
       sim::Now() > ses.intended + options_.shed_deadline) {
-    ++stats_.shed;
-    --open_ops_;
-    ResolveObs();
-    if (obs_shed_ != nullptr) obs_shed_->Inc();
+    CountShed();
     return;  // the session stays idle; caller loop starts the next op
   }
   if (rtrace_ != nullptr) {
@@ -341,27 +338,46 @@ void LoadEngine::BeginOp(uint32_t s) {
   ses.next_io = 0;
   ses.step_error = false;
   ses.server_idx = ServerIndexOf(ses.slot_op.home());
+  if (KeyClaims::Claims(ses.op) && !claims_.Acquire(ses.key_id, s, ses.op)) {
+    // Parked behind the key's holder: posts nothing and holds no
+    // admission slot until HandOff runs or completes it.
+    ++stats_.key_waits;
+    ses.busy = true;
+    return;
+  }
+  // A shed leaves the session idle; the caller loop starts the next op.
+  if (!AdmitOrShed(s) && KeyClaims::Claims(ses.op)) HandOff(s, false);
+}
+
+bool LoadEngine::AdmitOrShed(uint32_t s) {
+  Session& ses = sessions_[s];
   switch (admission_->TryAdmit(ses.server_idx, s)) {
     case Admit::kAdmit:
       ses.busy = true;
       BeginAdmitted(s);
-      break;
+      return true;
     case Admit::kDefer:
       ses.busy = true;  // parked: BeginAdmitted runs on readmit
-      break;
+      return true;
     case Admit::kShed:
-      ++stats_.shed;
-      --open_ops_;
-      ResolveObs();
-      if (obs_shed_ != nullptr) obs_shed_->Inc();
-      break;  // the session stays idle; caller loop starts the next op
+      break;
   }
+  ses.busy = false;
+  CountShed();
+  return false;
+}
+
+void LoadEngine::CountShed() {
+  ++stats_.shed;
+  --open_ops_;
+  ResolveObs();
+  if (obs_shed_ != nullptr) obs_shed_->Inc();
 }
 
 void LoadEngine::BeginAdmitted(uint32_t s) {
   if (rtrace_ != nullptr) {
-    // Zero when admission admitted synchronously; the FIFO defer wait
-    // when this is the readmit callback of a released window slot.
+    // Zero when admission admitted synchronously; else the FIFO defer
+    // wait, the wait parked behind the key's previous holder, or both.
     ChargeStage(sessions_[s], obs::RtraceStage::kAdmit, sim::Now());
   }
   Advance(s);
@@ -507,8 +523,42 @@ void LoadEngine::OnRetryTimer(uint32_t s) {
 
 void LoadEngine::FinishOp(uint32_t s) {
   Session& ses = sessions_[s];
-  const sim::Nanos now = sim::Now();
   const int64_t readmit = admission_->Release(ses.server_idx);
+  Respond(s);
+  if (KeyClaims::Claims(ses.op)) {
+    // Only an answer passes on: an error leaves the riders to run.
+    const Status& st = ses.slot_op.status();
+    HandOff(s, st.ok() || st.code() == ErrorCode::kNotFound);
+  }
+  StartNextFromBacklog(s);
+  if (readmit >= 0) BeginAdmitted(static_cast<uint32_t>(readmit));
+}
+
+void LoadEngine::HandOff(uint32_t s, bool pass) {
+  const uint64_t key = sessions_[s].key_id;
+  std::vector<uint32_t> ended;  // sessions whose op ended here
+  int64_t next = claims_.Release(key, pass, ended);
+  for (const uint32_t r : ended) {
+    Session& rider = sessions_[r];
+    rider.slot_op.Ride(sessions_[s].slot_op);
+    ++stats_.combined;
+    if (rtrace_ != nullptr) {
+      ChargeStage(rider, obs::RtraceStage::kAdmit, sim::Now());
+    }
+    Respond(r);
+  }
+  // A shed holder passes nothing on either: its riders form the next
+  // batch.
+  while (next >= 0 && !AdmitOrShed(static_cast<uint32_t>(next))) {
+    ended.push_back(static_cast<uint32_t>(next));
+    next = claims_.Release(key, false, ended);
+  }
+  for (const uint32_t r : ended) StartNextFromBacklog(r);
+}
+
+void LoadEngine::Respond(uint32_t s) {
+  Session& ses = sessions_[s];
+  const sim::Nanos now = sim::Now();
   const Status& st = ses.slot_op.status();
   const bool found = st.ok();
   const bool ok = found || st.code() == ErrorCode::kNotFound;
@@ -518,8 +568,8 @@ void LoadEngine::FinishOp(uint32_t s) {
   // anchor (ses.intended): widening the interval only adds legal
   // linearization orders, so this stays sound (zero false positives)
   // while it may mask violations an exact-send anchor would expose.
-  // Shed and never-admitted deferred ops never reach FinishOp, so they
-  // never appear as completed responses.
+  // Shed and never-admitted deferred ops never respond, so they never
+  // appear as completed responses.
   if (lin_ != nullptr) {
     ses.slot_op.RecordLin(*lin_, first_global_session_ + s, ses.key_id,
                           static_cast<uint64_t>(ses.intended),
@@ -564,8 +614,6 @@ void LoadEngine::FinishOp(uint32_t s) {
   }
   --open_ops_;
   ses.busy = false;
-  StartNextFromBacklog(s);
-  if (readmit >= 0) BeginAdmitted(static_cast<uint32_t>(readmit));
 }
 
 void LoadEngine::ChargeStage(Session& ses, obs::RtraceStage stage,

@@ -13,7 +13,10 @@
 // from completion cookies (wr_id = session << 32 | generation), arms its
 // backoff timers, and charges rtrace stages per round trip. An
 // uncontended update is three round trips: probe, CAS + re-check, and
-// payload + release.
+// payload + release. Writes of one key run one at a time per engine
+// (key_claims.h): a write that finds its key held parks, and the parked
+// writes of the holder's kind then complete with the next holder's one
+// remote write.
 //
 // Coordinated-omission safety: every operation's latency is measured
 // from its *intended* send time under the arrival schedule. When a
@@ -50,6 +53,7 @@
 #include "kv/slot_op.h"
 #include "load/admission.h"
 #include "load/hotkeys.h"
+#include "load/key_claims.h"
 #include "load/session_mux.h"
 #include "load/workload.h"
 #include "obs/rtrace.h"
@@ -74,6 +78,8 @@ struct EngineStats {
   uint64_t errors = 0;          // ops abandoned (budget/probe window/verbs)
   uint64_t shed = 0;            // ops rejected by admission
   uint64_t retries = 0;         // seqlock conflicts + CAS losses
+  uint64_t key_waits = 0;       // writes that parked behind a key's holder
+  uint64_t combined = 0;        // writes completed as riders (no IO)
   uint64_t stale_completions = 0;
   uint64_t steps = 0;           // session state-machine steps executed
   uint32_t sessions = 0;
@@ -130,7 +136,8 @@ class LoadEngine {
     uint8_t step_ios = 0;    // IOs in the step being staged
     uint8_t next_io = 0;     // the step's first IO not yet staged
     bool step_error = false; // a WR of the current round trip errored
-    bool busy = false;       // an op is open (deferred, in flight, backoff)
+    bool busy = false;       // an op is open (parked, deferred, in flight,
+                             // backoff)
     OpType op = OpType::kRead;
     uint32_t server_idx = 0;     // admission charge (home slot's server)
     kv::SlotOp slot_op;      // the protocol; this engine only drives it
@@ -183,6 +190,8 @@ class LoadEngine {
   void OnArrival(uint32_t s, sim::Nanos intended);
   void StartNextFromBacklog(uint32_t s);
   void BeginOp(uint32_t s);
+  // Asks admission to start the op: false when it was shed.
+  bool AdmitOrShed(uint32_t s);
   void BeginAdmitted(uint32_t s);
   // Acts on the SlotOp's current step: stages its IOs (chained into one
   // round trip when they resolve to one QP, in any lanes, else one IO
@@ -190,7 +199,15 @@ class LoadEngine {
   void Advance(uint32_t s);
   void HandleCompletion(const verbs::WorkCompletion& wc);
   void OnRetryTimer(uint32_t s);
+  // The op's SlotOp is done: releases its admission slot and responds.
   void FinishOp(uint32_t s);
+  // Records a done op's response (stats, rlin, rtrace) and frees the
+  // session for its backlog.
+  void Respond(uint32_t s);
+  // Holder `s` of its key ended, passing its outcome on when `pass`:
+  // completes its riders and starts the key's next holder.
+  void HandOff(uint32_t s, bool pass);
+  void CountShed();
 
   // rtrace stage accounting: charges [tr_cursor, now] to `stage` and
   // advances the cursor; ChargeWireStages subdivides the interval by the
@@ -223,6 +240,7 @@ class LoadEngine {
   kv::SlotOp::Policy retry_policy_;
   SessionMux mux_;
   std::unique_ptr<AdmissionController> admission_;
+  KeyClaims claims_;
   std::unique_ptr<ZipfGenerator> zipf_;
 
   std::vector<Session> sessions_;

@@ -44,7 +44,9 @@ class Tracer;
 // The stages an op's latency decomposes into, in causal order.
 enum class RtraceStage : uint8_t {
   kBacklog = 0,  // intended send -> session picked the op up
-  kAdmit,        // admission FIFO deferral (window full at the server)
+  kAdmit,        // admission FIFO deferral (window full at the server),
+                 // and a write's wait parked behind its key's holder
+                 // (load/key_claims.h); a rider's whole wait lands here
   kMux,          // staged in the session mux -> doorbell rang (batching,
                  // headroom stalls, verbs post cost)
   kEgress,       // doorbell -> transmission start (NIC egress queueing)

@@ -5,18 +5,24 @@
 // cleanliness,
 // coordinated-omission-safe latency anchoring under overload, rtrace
 // per-op causal tracing (stage sums, slowest-K reservoir, probe-effect
-// bit-identity), and the space-saving hot-key sketch.
+// bit-identity), the space-saving hot-key sketch, and engine-local key
+// claims (write combining, the failure rule and the kind rule).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "check/check.h"
+#include "check/lin.h"
 #include "core/cluster.h"
+#include "kv/kv.h"
 #include "load/admission.h"
 #include "load/engine.h"
 #include "load/hotkeys.h"
+#include "load/key_claims.h"
 #include "load/session_mux.h"
 #include "load/workload.h"
 #include "obs/rtrace.h"
@@ -68,6 +74,43 @@ TEST(AdmissionTest, DisabledPassesThroughButStillTracks) {
   EXPECT_EQ(ac.stats().shed, 0u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(ac.Release(0), -1);
   EXPECT_TRUE(ac.idle());
+}
+
+// ----------------------------------------------------------- Key claims --
+TEST(KeyClaimsTest, BatchesByKindAndRequeuesRidersOfAFailedHolder) {
+  constexpr OpType kU = OpType::kUpdate;
+  constexpr OpType kR = OpType::kReadModifyWrite;
+  EXPECT_TRUE(KeyClaims::Claims(kU));
+  EXPECT_TRUE(KeyClaims::Claims(kR));
+  EXPECT_FALSE(KeyClaims::Claims(OpType::kRead));
+  EXPECT_FALSE(KeyClaims::Claims(OpType::kInsert));
+  EXPECT_FALSE(KeyClaims::Claims(OpType::kScan));
+
+  KeyClaims claims;
+  EXPECT_TRUE(claims.Acquire(7, 0, kU));   // holder
+  EXPECT_TRUE(claims.Acquire(8, 9, kU));   // another key: its own holder
+  EXPECT_FALSE(claims.Acquire(7, 1, kR));  // parked, in FIFO order
+  EXPECT_FALSE(claims.Acquire(7, 2, kU));
+  EXPECT_FALSE(claims.Acquire(7, 3, kR));
+  EXPECT_FALSE(claims.Acquire(7, 4, kU));
+
+  // The first holder had no riders. The next batch is session 1 (an
+  // RMW) with the later RMW riding; the upserts keep their places.
+  std::vector<uint32_t> riders;
+  EXPECT_EQ(claims.Release(7, /*pass=*/true, riders), 1);
+  EXPECT_TRUE(riders.empty());
+  // Session 1 fails: its rider goes back to the front of the FIFO and
+  // runs its own op, and the upserts still wait for a batch of their own.
+  EXPECT_EQ(claims.Release(7, /*pass=*/false, riders), 3);
+  EXPECT_TRUE(riders.empty());
+  // Session 3 answers: the upserts form one batch.
+  EXPECT_EQ(claims.Release(7, /*pass=*/true, riders), 2);
+  EXPECT_TRUE(riders.empty());
+  EXPECT_EQ(claims.Release(7, /*pass=*/true, riders), -1);
+  EXPECT_EQ(riders, std::vector<uint32_t>({4}));
+  // The key is free again: the next write holds it at once.
+  EXPECT_TRUE(claims.Acquire(7, 5, kR));
+  EXPECT_FALSE(claims.Acquire(8, 6, kU));
 }
 
 // ------------------------------------------------------------- Workload --
@@ -357,6 +400,137 @@ TEST(LoadEngineTest, RcheckCleanWithFullTracing) {
   EXPECT_GT(r.stats.rtrace.ops, 0u);
   EXPECT_TRUE(checker.violations().empty())
       << checker.violations().size() << " violations";
+}
+
+// ------------------------------------------------ Key claims, end to end --
+// Every op on one key: preload_keys = 1 draws only key id 0, at a load
+// where each session's ops overlap the other sessions'.
+LoadOptions OneKeyOptions(double update, double rmw) {
+  LoadOptions o = SmallOptions();
+  o.preload_keys = 1;
+  o.offered_load = 2e6;
+  o.mix.read = 0.0;
+  o.mix.update = update;
+  o.mix.rmw = rmw;
+  return o;
+}
+
+struct OneKeyRun {
+  EngineStats stats;
+  uint64_t locks = 0;  // lock CASes won on key 0's slot
+  size_t lin_ops = 0;
+  size_t lin_violations = 0;
+};
+
+// Runs `opts` with rlin attached. With `unplaceable`, the table has a
+// one-slot probe window whose slot holds another key, so key 0 can never
+// be written: upserts fail (kOutOfMemory) and RMWs miss (kNotFound).
+OneKeyRun RunOneKey(const LoadOptions& opts, bool unplaceable) {
+  check::LinChecker lin;
+  TestCluster cluster(SmallCluster());
+  cluster.sim().AttachLinChecker(&lin);
+  OneKeyRun r;
+  cluster.RunClient([&](RStoreClient& client) {
+    const auto view = [](const std::byte* kb) {
+      return std::string_view(reinterpret_cast<const char*>(kb), 8);
+    };
+    std::byte key0[8];
+    LoadEngine::EncodeKey(0, key0);
+    kv::KvOptions geo;
+    geo.buckets = opts.buckets();
+    geo.slot_bytes = opts.slot_bytes;
+    geo.max_probe = unplaceable ? 1 : opts.max_probe;
+    const uint64_t home = kv::SlotLayout::HomeSlot(view(key0), geo.buckets);
+    if (unplaceable) {
+      auto store = kv::KvStore::Create(client, "t", geo);
+      ASSERT_TRUE(store.ok());
+      std::byte other[8];
+      for (uint64_t id = 1;; ++id) {
+        LoadEngine::EncodeKey(id, other);
+        if (kv::SlotLayout::HomeSlot(view(other), geo.buckets) == home) break;
+      }
+      ASSERT_TRUE((*store)->Put(view(other), "taken").ok());
+    } else {
+      ASSERT_TRUE(LoadEngine::PreloadTable(client, "t", opts).ok());
+    }
+    // Every won lock CAS moves the slot's version by two (odd while
+    // locked, the next even on release); a lost CAS leaves it alone.
+    auto region = client.Rmap("t");
+    ASSERT_TRUE(region.ok());
+    auto cell = client.AllocBuffer(8);
+    ASSERT_TRUE(cell.ok());
+    const auto version = [&] {
+      EXPECT_TRUE((*region)
+                      ->Read(kv::SlotLayout::SlotOffset(home, geo.slot_bytes),
+                             cell->data)
+                      .ok());
+      uint64_t v;
+      std::memcpy(&v, cell->begin(), sizeof(v));
+      return v;
+    };
+    const uint64_t before = version();
+    LoadEngine engine(client, "t", opts, 0, 1);
+    ASSERT_TRUE(engine.Run().ok());
+    r.stats = engine.stats();
+    r.locks = (version() - before) / 2;
+  });
+  lin.Finalize();
+  r.lin_ops = lin.op_count();
+  r.lin_violations = lin.violation_count();
+  return r;
+}
+
+TEST(KeyClaimsEngineTest, SameKeyWritesCombineAndStayLinearizable) {
+  const OneKeyRun r = RunOneKey(OneKeyOptions(1.0, 0.0), false);
+  const EngineStats& st = r.stats;
+  EXPECT_GT(st.completed, 100u);
+  EXPECT_EQ(st.errors, 0u);
+  EXPECT_GT(st.key_waits, 0u);
+  EXPECT_GT(st.combined, 0u);
+  // One holder per key per engine: with one engine no writer ever loses
+  // the lock, and each completed write either took the lock or rode.
+  EXPECT_EQ(st.retries, 0u);
+  EXPECT_LT(r.locks, st.completed);
+  EXPECT_EQ(r.locks + st.combined, st.completed);
+  // Riders record their own writes, and the history stays linearizable.
+  EXPECT_EQ(r.lin_ops, st.completed);
+  EXPECT_EQ(r.lin_violations, 0u);
+}
+
+TEST(KeyClaimsEngineTest, FailingHolderNeverFailsItsRiders) {
+  // Every upsert of key 0 fails. An error passes nothing on, so each
+  // parked upsert runs its own probe and fails on its own.
+  const OneKeyRun r = RunOneKey(OneKeyOptions(1.0, 0.0), true);
+  const EngineStats& st = r.stats;
+  EXPECT_GT(st.key_waits, 0u);
+  EXPECT_EQ(st.combined, 0u);
+  EXPECT_EQ(st.completed, 0u);
+  EXPECT_GT(st.errors, 100u);
+  EXPECT_EQ(st.errors, st.arrivals - st.shed);
+  // One probe (slot read + version re-read) per failed op.
+  EXPECT_EQ(st.mux.wrs_posted, 2 * st.errors);
+  EXPECT_EQ(r.locks, 0u);
+  EXPECT_EQ(r.lin_violations, 0u);
+}
+
+TEST(KeyClaimsEngineTest, UpsertsAndRmwsNeverShareABatch) {
+  // RMWs of key 0 miss and upserts fail. Were an upsert to ride an RMW,
+  // it would complete with the RMW's kNotFound, which no upsert can get.
+  const OneKeyRun r = RunOneKey(OneKeyOptions(0.5, 0.5), true);
+  const EngineStats& st = r.stats;
+  const auto by = [&](OpType op) {
+    return st.completed_by_type[static_cast<uint32_t>(op)];
+  };
+  EXPECT_GT(st.key_waits, 0u);
+  EXPECT_GT(st.combined, 0u);  // RMWs rode RMW holders' kNotFound
+  EXPECT_EQ(by(OpType::kUpdate), 0u);
+  EXPECT_GT(by(OpType::kReadModifyWrite), 0u);
+  EXPECT_EQ(by(OpType::kReadModifyWrite), st.completed);
+  EXPECT_EQ(st.not_found, st.completed);
+  EXPECT_GT(st.errors, 0u);
+  EXPECT_EQ(st.completed + st.errors, st.arrivals - st.shed);
+  EXPECT_EQ(r.locks, 0u);
+  EXPECT_EQ(r.lin_violations, 0u);
 }
 
 // -------------------------------------------------------------- hotkeys --
