@@ -262,11 +262,9 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool determinism = true;
   char sweep_mix = 'a';
-  std::string ledger;
+  // --ledger is parsed by ParseObsArgs; this sweep writes its own lines.
+  const std::string& ledger = GetObsConfig().ledger_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ledger") == 0 && i + 1 < argc) {
-      ledger = argv[i + 1];
-    }
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--no-determinism") == 0) determinism = false;
     if (std::strcmp(argv[i], "--mix") == 0 && i + 1 < argc) {

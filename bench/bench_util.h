@@ -14,6 +14,11 @@
 //                   with the run results and the merged metrics registry.
 //   --trace <path>  additionally enable span tracing and export a Chrome
 //                   trace_event file (chrome://tracing, Perfetto).
+//   --ledger <path> write one text line per run: its name, iterations,
+//                   virtual time per iteration and every counter, all
+//                   numbers as %.17g. Virtual time is deterministic, so
+//                   the file pins the binary's modelled outputs exactly
+//                   (bench/golden/check_ledger.cmake compares it).
 //
 // Without either flag ActiveTelemetry() is null and the benchmarks run
 // exactly as before — virtual times are bit-identical either way (see
@@ -99,6 +104,7 @@ struct ObsConfig {
   std::string binary_name;
   std::string json_path;
   std::string trace_path;
+  std::string ledger_path;
 };
 
 inline ObsConfig& GetObsConfig() {
@@ -145,8 +151,9 @@ inline obs::Telemetry* ActiveTelemetry() {
   return &telemetry;
 }
 
-// Strips --json/--trace/--rcheck/--rlin/--explore (space- or =-separated)
-// from argv before benchmark::Initialize, which rejects unknown flags.
+// Strips --json/--trace/--ledger/--rcheck/--rlin/--explore and the load
+// flags (space- or =-separated) from argv before benchmark::Initialize,
+// which rejects unknown flags.
 inline void ParseObsArgs(int* argc, char** argv) {
   ObsConfig& config = GetObsConfig();
   if (*argc > 0) {
@@ -162,6 +169,10 @@ inline void ParseObsArgs(int* argc, char** argv) {
       config.json_path = std::string(arg.substr(7));
     } else if (arg.rfind("--trace=", 0) == 0) {
       config.trace_path = std::string(arg.substr(8));
+    } else if ((arg == "--ledger" && i + 1 < *argc) ||
+               arg.rfind("--ledger=", 0) == 0) {
+      config.ledger_path =
+          arg == "--ledger" ? argv[++i] : std::string(arg.substr(9));
     } else if (arg == "--rcheck") {
       // Runs the whole binary under the happens-before checker. Set as an
       // env var (not a global) because every Simulation the benchmarks
@@ -251,6 +262,30 @@ class RunCollector : public benchmark::ConsoleReporter {
   }
 };
 
+// Writes the --ledger lines of every collected run, when the flag was
+// given. Called by RSTORE_BENCH_MAIN after the run.
+inline int WriteRunLedger() {
+  const std::string& path = GetObsConfig().ledger_path;
+  if (path.empty()) return 0;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f != nullptr) {
+    std::fprintf(f, "# name iterations virtual_s counter=value...\n");
+    for (const CollectedRun& run : CollectedRuns()) {
+      std::fprintf(f, "%s %lld %.17g", run.name.c_str(),
+                   static_cast<long long>(run.iterations), run.real_time_s);
+      for (const auto& [key, value] : run.counters) {
+        std::fprintf(f, " %s=%.17g", key.c_str(), value);
+      }
+      std::fputc('\n', f);
+    }
+  }
+  if (f == nullptr || std::fclose(f) != 0) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return 1;
+  }
+  return 0;
+}
+
 // Writes the --json report ({binary, runs, metrics}) and the --trace
 // Chrome trace file. Called by RSTORE_BENCH_MAIN after the run.
 inline int WriteObsOutputs() {
@@ -312,7 +347,7 @@ inline int WriteObsOutputs() {
 }  // namespace rstore::bench
 
 // BENCHMARK_MAIN with the cluster's INFO chatter silenced, plus the
-// --json/--trace telemetry flags (see the header comment).
+// --json/--trace/--ledger flags (see the header comment).
 #define RSTORE_BENCH_MAIN()                                   \
   int main(int argc, char** argv) {                           \
     ::rstore::SetLogLevel(::rstore::LogLevel::kWarn);         \
@@ -323,6 +358,7 @@ inline int WriteObsOutputs() {
     ::rstore::bench::RunCollector reporter;                   \
     ::benchmark::RunSpecifiedBenchmarks(&reporter);           \
     const int obs_rc = ::rstore::bench::WriteObsOutputs();    \
+    const int ledger_rc = ::rstore::bench::WriteRunLedger();  \
     ::benchmark::Shutdown();                                  \
-    return obs_rc;                                            \
+    return obs_rc != 0 ? obs_rc : ledger_rc;                  \
   }
