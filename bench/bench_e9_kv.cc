@@ -5,15 +5,17 @@
 // The comparison isolates the data-path architecture at the
 // key-value abstraction level:
 //   RKV GET   = 1 round trip: the slot read and its seqlock re-read,
-//               posted back to back on one RC QP,
-//   RKV PUT   = that probe + CAS + re-check read + the payload and
-//               release writes (again one round trip on one QP),
+//               chained on one RC QP,
+//   RKV PUT   = 3 dependent round trips, each one chain on one QP:
+//               that probe, the CAS and its re-check read, the payload
+//               and release writes (kv::StepIssuer posts them, as it
+//               does for the load engine),
 //   RPC GET/PUT = one two-sided round trip through the server CPU.
 //
 // Expected shape — the one-sided-KV trade-off the literature of the
 // period argued over (HERD vs Pilaf/FaRM): a single two-sided RPC wins
-// small-object *writes* (one round trip vs RKV's four dependent ones per
-// PUT), while a one-sided GET that rides RC order in one round trip
+// small-object *writes* (one round trip vs RKV's three dependent ones
+// per PUT), while a one-sided GET that rides RC order in one round trip
 // skips the server's CPU and beats it; the one-sided design keeps the
 // server CPU at zero and therefore scales with client count (E6 shows
 // that axis). Reproducing that crossover, rather than a one-sided sweep,

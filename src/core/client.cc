@@ -352,7 +352,7 @@ Result<PinnedBuffer> RStoreClient::AllocBuffer(size_t bytes) {
   std::span<std::byte> span(storage.data(), storage.size());
   RSTORE_RETURN_IF_ERROR(RegisterBuffer(span));
   owned_buffers_.push_back(std::move(storage));
-  return PinnedBuffer{span};
+  return PinnedBuffer{span, FindPinned(span.data(), span.size())->lkey()};
 }
 
 verbs::MemoryRegion* RStoreClient::FindPinned(const std::byte* addr,

@@ -178,6 +178,7 @@ class MappedRegion {
 // A registered local buffer owned by the client (AllocBuffer).
 struct PinnedBuffer {
   std::span<std::byte> data;
+  uint32_t lkey = 0;  // for raw verbs posts (see kv::StepIssuer)
 
   [[nodiscard]] std::byte* begin() const noexcept { return data.data(); }
   [[nodiscard]] size_t size() const noexcept { return data.size(); }
@@ -245,6 +246,10 @@ class RStoreClient {
   // Blocks until the channel value reaches `target`; returns the value.
   [[nodiscard]] Result<uint64_t> WaitNotify(const std::string& channel,
                                             uint64_t target);
+
+  [[nodiscard]] const ClientOptions& options() const noexcept {
+    return options_;
+  }
 
   // ---------------- statistics ----------------------------------------
   [[nodiscard]] uint64_t bytes_read() const noexcept { return bytes_read_; }

@@ -1,8 +1,5 @@
 #include "kv/kv.h"
 
-#include <array>
-#include <cstring>
-
 #include "check/check.h"
 #include "check/lin.h"
 #include "common/rng.h"
@@ -44,20 +41,29 @@ struct OpObs {
 
 }  // namespace
 
-KvStore::KvStore(core::RStoreClient& client, core::MappedRegion* region,
-                 KvOptions options)
-    : client_(client), region_(region), options_(options) {}
+KvStore::KvStore(core::RStoreClient& client, core::MappedRegion* region)
+    : client_(client), region_(region), issuer_(client.device()) {}
 
-Result<std::unique_ptr<KvStore>> KvStore::Make(core::RStoreClient& client,
-                                               core::MappedRegion* region,
-                                               KvOptions options) {
-  auto store =
-      std::unique_ptr<KvStore>(new KvStore(client, region, options));
+Status KvStore::Init(const KvOptions* geometry) {
+  RSTORE_RETURN_IF_ERROR(issuer_.Bind(*region_, /*qp_per_server=*/1));
+  KvOptions header;
+  if (geometry == nullptr) {
+    // The header read is the store's first IO: it connects the store's
+    // QP to the header's server, and the ops reuse that connection.
+    RSTORE_ASSIGN_OR_RETURN(core::PinnedBuffer hdr,
+                            client_.AllocBuffer(SlotLayout::kHeaderBytes));
+    SlotStep read{.kind = SlotStep::Kind::kScan, .io_count = 1};
+    read.io[0] = {.length = SlotLayout::kHeaderBytes, .local = hdr.begin()};
+    RSTORE_RETURN_IF_ERROR(RoundTrips(read, hdr.lkey));
+    RSTORE_ASSIGN_OR_RETURN(header, SlotLayout::ReadHeader(hdr.data));
+    geometry = &header;
+  }
+  options_ = *geometry;
   RSTORE_ASSIGN_OR_RETURN(
-      store->scratch_,
-      client.AllocBuffer(SlotOp::ScratchBytes(options.slot_bytes, 1)));
-  store->op_.Bind(store->options_, kRetryPolicy, store->scratch_.begin(), 1);
-  return store;
+      scratch_,
+      client_.AllocBuffer(SlotOp::ScratchBytes(options_.slot_bytes, 1)));
+  op_.Bind(options_, kRetryPolicy, scratch_.begin(), 1);
+  return Status::Ok();
 }
 
 Result<std::unique_ptr<KvStore>> KvStore::Create(core::RStoreClient& client,
@@ -74,81 +80,54 @@ Result<std::unique_ptr<KvStore>> KvStore::Create(core::RStoreClient& client,
   auto region = client.Rmap(name);
   if (!region.ok()) return region.status();
   // Slots rely on the arena being zero-initialized (version 0 = never
-  // used); only the header is written.
+  // used); only the header is written, over the region's own connection
+  // (LoadEngine::PreloadTable streams the table image over it next).
   auto hdr = client.AllocBuffer(SlotLayout::kHeaderBytes);
   if (!hdr.ok()) return hdr.status();
   SlotLayout::WriteHeader(hdr->begin(), options);
   RSTORE_RETURN_IF_ERROR((*region)->Write(0, hdr->data));
-  return Make(client, *region, options);
+  auto store = std::unique_ptr<KvStore>(new KvStore(client, *region));
+  RSTORE_RETURN_IF_ERROR(store->Init(&options));
+  return store;
 }
 
 Result<std::unique_ptr<KvStore>> KvStore::Open(core::RStoreClient& client,
                                                const std::string& name) {
   auto region = client.Rmap(name);
   if (!region.ok()) return region.status();
-  auto hdr = client.AllocBuffer(SlotLayout::kHeaderBytes);
-  if (!hdr.ok()) return hdr.status();
-  RSTORE_RETURN_IF_ERROR((*region)->Read(0, hdr->data));
-  auto geometry = SlotLayout::ReadHeader(hdr->data);
-  if (!geometry.ok()) return geometry.status();
-  return Make(client, *region, *geometry);
+  auto store = std::unique_ptr<KvStore>(new KvStore(client, *region));
+  RSTORE_RETURN_IF_ERROR(store->Init(nullptr));
+  return store;
 }
 
-Status KvStore::Issue(const SlotIo& io) {
-  LaneScope lane(client_.device().network().sim().checker(), io.lane);
-  switch (io.kind) {
-    case SlotIo::Kind::kRead:
-      return region_->Read(io.offset,
-                           std::span<std::byte>(io.local, io.length));
-    case SlotIo::Kind::kWrite:
-      return region_->Write(io.offset,
-                            std::span<const std::byte>(io.local, io.length));
-    case SlotIo::Kind::kCas: {
-      auto old = region_->CompareSwap(io.offset, io.compare, io.swap);
-      if (!old.ok()) return old.status();
-      std::memcpy(io.local, &*old, sizeof(uint64_t));
-      return Status::Ok();
+Status KvStore::RoundTrips(const SlotStep& step, uint32_t lkey) {
+  using Completion = StepIssuer::Completion;
+  SessionMux& mux = issuer_.mux();
+  const sim::Nanos deadline = sim::Now() + client_.options().io_timeout;
+  Completion done = Completion::kMoreIos;
+  while (done == Completion::kMoreIos) {
+    RSTORE_RETURN_IF_ERROR(issuer_.Stage(0, rt_, step, lkey));
+    Status st = mux.Flush();
+    done = Completion::kPending;
+    while (st.ok() && done == Completion::kPending) {
+      wcs_.clear();
+      const sim::Nanos left = deadline - sim::Now();
+      if (left <= 0 || mux.WaitPollInto(wcs_, rt_.pending, left) == 0) {
+        st = Status(ErrorCode::kTimedOut, "KV step did not complete");
+      }
+      for (const verbs::WorkCompletion& wc : wcs_) {
+        const Completion c = StepIssuer::OnCompletion(rt_, wc);
+        if (c != Completion::kStale) done = c;
+      }
+    }
+    if (!st.ok()) {
+      rt_.Abandon();
+      return st;
     }
   }
-  return Status(ErrorCode::kInternal, "unknown slot IO");
-}
-
-bool KvStore::Pipelines(const SlotStep& step) const {
-  // A lock step pairs a CAS with a read: it never qualifies.
-  if (step.io_count != 2 || step.io[0].kind != step.io[1].kind) return false;
-  auto first = region_->Resolve(step.io[0].offset, step.io[0].length);
-  auto second = region_->Resolve(step.io[1].offset, step.io[1].length);
-  return first.ok() && second.ok() &&
-         first->server_node == second->server_node;
-}
-
-Status KvStore::IssuePipelined(const SlotStep& step) {
-  const check::Checker* checker = client_.device().network().sim().checker();
-  std::array<core::IoFuture, 2> futures;
-  for (size_t i = 0; i < 2; ++i) {
-    const SlotIo& io = step.io[i];
-    LaneScope lane(checker, io.lane);
-    Result<core::IoFuture> posted =
-        io.kind == SlotIo::Kind::kRead
-            ? region_->ReadAsync(io.offset,
-                                 std::span<std::byte>(io.local, io.length))
-            : region_->WriteAsync(
-                  io.offset, std::span<const std::byte>(io.local, io.length));
-    if (!posted.ok()) {
-      if (i == 1) (void)futures[0].Wait();
-      return posted.status();
-    }
-    futures[i] = *posted;
-  }
-  Status first = futures[0].Wait();
-  Status second = futures[1].Wait();
-  return first.ok() ? second : first;
-}
-
-Status KvStore::IssueStep(const SlotStep& step) {
-  if (Pipelines(step)) return IssuePipelined(step);
-  for (const SlotIo& io : step.ios()) RSTORE_RETURN_IF_ERROR(Issue(io));
-  return Status::Ok();
+  return done == Completion::kFailed
+             ? Status(ErrorCode::kUnavailable, "work request failed")
+             : Status::Ok();
 }
 
 Status KvStore::Drive(std::string_view key, obs::ObsSpan* span) {
@@ -158,11 +137,9 @@ Status KvStore::Drive(std::string_view key, obs::ObsSpan* span) {
     // probe of this op, so rtrace flows and kv spans agree on the target.
     const uint64_t home = op_.home();
     span->Arg("home_slot", static_cast<double>(home));
-    if (auto sp = region_->Resolve(
-            SlotLayout::SlotOffset(home, options_.slot_bytes), 8);
-        sp.ok()) {
-      span->Arg("server_node", static_cast<double>(sp->server_node));
-    }
+    span->Arg("server_node",
+              static_cast<double>(issuer_.server_nodes()[issuer_.ServerIndexOf(
+                  SlotLayout::SlotOffset(home, options_.slot_bytes))]));
   }
   const auto invoked = static_cast<uint64_t>(sim.NowNanos());
   while (!op_.done()) {
@@ -176,7 +153,7 @@ Status KvStore::Drive(std::string_view key, obs::ObsSpan* span) {
         step.kind == SlotStep::Kind::kLock) {
       ++stats_.probe_reads;
     }
-    if (Status st = IssueStep(step); !st.ok()) {
+    if (Status st = RoundTrips(step, scratch_.lkey); !st.ok()) {
       op_.Fail(std::move(st));
       continue;
     }

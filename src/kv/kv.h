@@ -2,29 +2,20 @@
 // the kind of client-side data structure the paper's abstract positions
 // RStore for ("a DRAM-based data store ... unique memory-like API").
 //
-// Design (Pilaf/FaRM-flavoured, all client-side):
-//   * one RStore region holds a fixed-size open-addressing hash table;
-//     slot i lives at a fixed byte offset, so every operation translates
-//     to one-sided IO against computable addresses;
-//   * each slot is guarded by an RDMA seqlock: an 8-byte version word
-//     that writers take odd via remote compare-and-swap and release even
-//     (+2) after the payload write. Readers validate that the version
-//     was even and unchanged around the payload read, so torn reads
-//     retry instead of returning garbage;
-//   * collisions use linear probing with tombstones; an all-zero slot
-//     terminates a probe chain.
-//
-// Every client maps the region once and then operates with no master
-// involvement. The seqlock protocol itself is kv::SlotOp (slot_op.h);
-// KvStore is its blocking driver. An uncontended GET is one round trip
-// (a slot read and a version re-read, posted back to back on the one
-// connection to the slot's server). A PUT is four: that probe, the
-// CAS, the re-check read, and the payload and release writes, again
-// posted back to back. The CAS step stays one call per IO, since
-// MappedRegion::CompareSwap blocks, and so does a step whose slot
-// straddles a slab boundary.
-// Multiple clients on multiple machines can operate concurrently on the
-// same table.
+// Design (Pilaf/FaRM-flavoured, all client-side): one region holds a
+// fixed-size open-addressing hash table with linear probing, so every
+// operation is one-sided IO at computable addresses, and each slot is
+// guarded by an RDMA seqlock. The protocol is kv::SlotOp (slot_op.h);
+// its steps reach the wire through kv::StepIssuer (step_issuer.h), the
+// path the load engine's sessions take too. KvStore is one session that
+// waits: it stages a step, flushes its own mux (one QP per server,
+// connected by the first IO to that server) and blocks until the issuer
+// reports the step done. An uncontended GET is one round trip (the slot
+// read and its version re-read, chained on one QP); a PUT is three (that
+// probe, the CAS with its re-check read, the payload with its release).
+// A slot straddling a slab boundary takes one round trip per IO. Clients
+// need no master after Rmap, and any number of them on any machines can
+// share a table.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +28,7 @@
 #include "common/status.h"
 #include "core/client.h"
 #include "kv/slot_op.h"
+#include "kv/step_issuer.h"
 
 namespace rstore::obs {
 class ObsSpan;
@@ -101,34 +93,29 @@ class KvStore {
   // (plus the probes between them) before the op fails with kAborted.
   static constexpr SlotOp::Policy kRetryPolicy{1024, sim::Micros(5)};
 
-  KvStore(core::RStoreClient& client, core::MappedRegion* region,
-          KvOptions options);
-  // Wraps a mapped table: allocates the op scratch and binds op_.
-  static Result<std::unique_ptr<KvStore>> Make(core::RStoreClient& client,
-                                               core::MappedRegion* region,
-                                               KvOptions options);
+  KvStore(core::RStoreClient& client, core::MappedRegion* region);
+  // Binds the issuer (which rejects replicated regions) and op_ to the
+  // table, reading `geometry` from the header when it is null.
+  Status Init(const KvOptions* geometry);
 
-  // Runs op_ (already started) to completion: issues each IO step as
-  // MappedRegion calls under its lane's rcheck scope, sleeps through
-  // backoffs, and records the op's rlin outcome when the simulation has
-  // a LinChecker. `span` (may be null) gets the home slot's server
-  // attribution.
+  // Runs op_ (already started) to completion: runs each IO step through
+  // RoundTrips, sleeps through backoffs, and records the op's rlin
+  // outcome when the simulation has a LinChecker. `span` (may be null)
+  // gets the home slot's server attribution.
   Status Drive(std::string_view key, obs::ObsSpan* span);
-  // Issues an IO step in order: pipelined when Pipelines(step), else one
-  // MappedRegion call per IO.
-  Status IssueStep(const SlotStep& step);
-  Status Issue(const SlotIo& io);
-  // Whether `step` is two reads or two writes, each inside one slab of
-  // the same server: IssuePipelined then posts both back to back on the
-  // one connection to it, where RC order keeps them in step order, and
-  // waits once.
-  [[nodiscard]] bool Pipelines(const SlotStep& step) const;
-  Status IssuePipelined(const SlotStep& step);
+  // Stages `step`'s round trips (local bytes registered under `lkey`)
+  // one at a time, flushing each and waiting for its completions, until
+  // the issuer reports the step done. Fails when a WR fails or the
+  // client's IO timeout passes.
+  Status RoundTrips(const SlotStep& step, uint32_t lkey);
 
   core::RStoreClient& client_;
   core::MappedRegion* region_;
   KvOptions options_;
   core::PinnedBuffer scratch_{};  // op_'s slot image and seqlock cells
+  StepIssuer issuer_;
+  RoundTrip rt_;
+  std::vector<verbs::WorkCompletion> wcs_;
   SlotOp op_;
   KvStats stats_;
 };

@@ -31,7 +31,7 @@ LoadEngine::LoadEngine(core::RStoreClient& client, std::string table,
       options_(options),
       engine_index_(engine_index),
       engine_count_(engine_count),
-      mux_(client.device()),
+      issuer_(client.device()),
       hotkeys_(options_.hotkey_capacity) {}
 
 LoadEngine::~LoadEngine() {
@@ -44,22 +44,6 @@ void LoadEngine::EncodeKey(uint64_t id, std::byte out[8]) noexcept {
   std::memcpy(out, &id, sizeof(id));
 }
 
-uint64_t LoadEngine::Cookie(uint32_t s) const noexcept {
-  return (static_cast<uint64_t>(s) << 32) | sessions_[s].gen;
-}
-
-uint32_t LoadEngine::ServerIndexOf(uint64_t slot) {
-  // The slot's version cell (8 bytes at the slot start) never straddles a
-  // slab boundary (slab sizes are 8-aligned; validated in Setup), so the
-  // home server of an op is always well defined.
-  auto span = region_->Resolve(
-      SlotLayout::SlotOffset(slot, geometry_.slot_bytes) +
-          SlotLayout::kVersionOff,
-      8);
-  if (!span.ok()) return 0;
-  return server_index_.at(span->server_node);
-}
-
 size_t LoadEngine::Moderation() const noexcept {
   // CQ interrupt moderation: wait for a batch proportional to the
   // in-flight count, so heavy load amortizes wakeups and light load
@@ -67,48 +51,6 @@ size_t LoadEngine::Moderation() const noexcept {
   size_t m = static_cast<size_t>(inflight_wrs_ / 4);
   m = std::clamp<size_t>(m, 1, options_.moderation_max);
   return std::min<size_t>(m, static_cast<size_t>(inflight_wrs_));
-}
-
-Status LoadEngine::CollectPieces(const kv::SlotIo& io, uint32_t index) {
-  const uint64_t slab = region_->desc().slab_size;
-  uint64_t offset = io.offset;
-  uint64_t length = io.length;
-  std::byte* local = io.local;
-  while (length > 0) {
-    const uint64_t in_slab = offset % slab;
-    const uint64_t n = std::min(length, slab - in_slab);
-    auto span = region_->Resolve(offset, n);
-    if (!span.ok()) return span.status();
-    pieces_.push_back({*span, local, static_cast<uint32_t>(n), index});
-    offset += n;
-    local += n;
-    length -= n;
-  }
-  return Status::Ok();
-}
-
-void LoadEngine::StagePiece(uint32_t s, const kv::SlotIo& io, const Piece& p,
-                            uint64_t cookie, bool signaled) {
-  verbs::SendWr wr;
-  wr.wr_id = cookie;
-  switch (io.kind) {
-    case kv::SlotIo::Kind::kRead:
-      wr.opcode = verbs::Opcode::kRdmaRead;
-      break;
-    case kv::SlotIo::Kind::kWrite:
-      wr.opcode = verbs::Opcode::kRdmaWrite;
-      break;
-    case kv::SlotIo::Kind::kCas:
-      wr.opcode = verbs::Opcode::kCompareSwap;
-      wr.compare = io.compare;
-      wr.swap_or_add = io.swap;
-      break;
-  }
-  wr.local = {p.local, p.length, arena_mr_->lkey()};
-  wr.remote_addr = p.span.remote_addr;
-  wr.rkey = p.span.rkey;
-  wr.signaled = signaled;
-  mux_.Stage(server_index_.at(p.span.server_node), s, io.lane, wr);
 }
 
 void LoadEngine::ResolveObs() {
@@ -133,28 +75,19 @@ void LoadEngine::ResolveObs() {
 
 Status LoadEngine::Setup() {
   lin_ = client_.device().network().sim().lin();
-  RSTORE_ASSIGN_OR_RETURN(region_, client_.Rmap(table_));
-  if (region_->desc().slab_size % 8 != 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "slab size must be 8-byte aligned");
-  }
+  RSTORE_ASSIGN_OR_RETURN(core::MappedRegion * region, client_.Rmap(table_));
+  RSTORE_RETURN_IF_ERROR(issuer_.Bind(*region, options_.qp_per_server));
 
   // Table geometry comes from the header, like KvStore::Open.
   RSTORE_ASSIGN_OR_RETURN(core::PinnedBuffer hdr,
                           client_.AllocBuffer(SlotLayout::kHeaderBytes));
-  RSTORE_RETURN_IF_ERROR(region_->Read(0, hdr.data));
+  RSTORE_RETURN_IF_ERROR(region->Read(0, hdr.data));
   RSTORE_ASSIGN_OR_RETURN(geometry_, SlotLayout::ReadHeader(hdr.data));
   retry_policy_ = {options_.op_retry_budget, options_.retry_backoff};
 
-  // Dense server index in slab order (mux + admission addressing).
-  for (const auto& slab : region_->desc().slabs) {
-    if (server_index_.emplace(slab.server_node, server_nodes_.size()).second) {
-      server_nodes_.push_back(slab.server_node);
-    }
-  }
-  RSTORE_RETURN_IF_ERROR(mux_.Connect(server_nodes_, options_.qp_per_server));
+  RSTORE_RETURN_IF_ERROR(issuer_.mux().Connect());
   admission_ = std::make_unique<AdmissionController>(
-      static_cast<uint32_t>(server_nodes_.size()), options_.admission,
+      static_cast<uint32_t>(issuer_.server_nodes().size()), options_.admission,
       options_.window_per_server, options_.max_deferred);
 
   // One zipf generator per engine: its O(n) CDF is too heavy to clone per
@@ -194,7 +127,7 @@ Status LoadEngine::Setup() {
                               arena_.data() + s * stride, area_slots);
   }
   stats_.sessions = count;
-  stats_.qps = mux_.qp_count();
+  stats_.qps = issuer_.mux().qp_count();
   if (options_.rtrace.mode != obs::RtraceMode::kOff) {
     rtrace_ = std::make_unique<obs::RtraceCollector>(options_.rtrace);
   }
@@ -335,9 +268,8 @@ void LoadEngine::BeginOp(uint32_t s) {
   ++ses.op_count;
   DrawKey(s);
   hotkeys_.Offer(ses.key_id);
-  ses.next_io = 0;
-  ses.step_error = false;
-  ses.server_idx = ServerIndexOf(ses.slot_op.home());
+  ses.server_idx = issuer_.ServerIndexOf(
+      SlotLayout::SlotOffset(ses.slot_op.home(), geometry_.slot_bytes));
   if (KeyClaims::Claims(ses.op) && !claims_.Acquire(ses.key_id, s, ses.op)) {
     // Parked behind the key's holder: posts nothing and holds no
     // admission slot until HandOff runs or completes it.
@@ -433,78 +365,40 @@ void LoadEngine::Advance(uint32_t s) {
     retries_.push({sim::Now() + step.backoff, s});
     return;
   }
-  ses.step_ios = step.io_count;
-  const std::span<const kv::SlotIo> ios = step.ios().subspan(ses.next_io);
-  pieces_.clear();
-  for (uint32_t i = 0; i < ios.size(); ++i) {
-    if (Status st = CollectPieces(ios[i], i); !st.ok()) {
-      ses.slot_op.Fail(std::move(st));
-      FinishOp(s);
-      return;
-    }
+  if (Status st = issuer_.Stage(s, ses.rt, step, arena_mr_->lkey());
+      !st.ok()) {
+    ses.slot_op.Fail(std::move(st));
+    FinishOp(s);
+    return;
   }
-  // Chain the IOs when each is one slab piece and all ride one QP: RC
-  // execution order then carries the step's ordering (the probe's
-  // re-read after its slot read, the re-check after the CAS, the release
-  // after the payload) in a single round trip, even though the IOs sit
-  // in different lanes: the mux flushes a step's leading kPlain IO
-  // before the other lanes. Otherwise — a slot straddling slabs — each
-  // IO is its own round trip, in order.
-  bool chain = ios.size() > 1 && pieces_.size() == ios.size();
-  for (const Piece& p : pieces_) {
-    chain = chain && p.span.server_node == pieces_[0].span.server_node;
-  }
-  ++ses.gen;
-  const uint64_t cookie = Cookie(s);
-  if (chain) {
-    for (size_t i = 0; i < pieces_.size(); ++i) {
-      const bool last = i + 1 == pieces_.size();
-      StagePiece(s, ios[i], pieces_[i], last ? cookie : 0, last);
-    }
-    ses.pending = 1;
-    ses.next_io = ses.step_ios;
-  } else {
-    ses.pending = 0;
-    for (const Piece& p : pieces_) {
-      if (p.io != 0) break;
-      StagePiece(s, ios[0], p, cookie, /*signaled=*/true);
-      ++ses.pending;
-    }
-    ++ses.next_io;
-  }
-  inflight_wrs_ += ses.pending;
+  inflight_wrs_ += ses.rt.pending;
 }
 
 void LoadEngine::HandleCompletion(const verbs::WorkCompletion& wc) {
-  const auto s = static_cast<uint32_t>(wc.wr_id >> 32);
-  const auto gen = static_cast<uint32_t>(wc.wr_id & 0xffffffffu);
+  using Completion = kv::StepIssuer::Completion;
+  const uint32_t s = kv::StepIssuer::SessionOf(wc.wr_id);
   if (inflight_wrs_ > 0) --inflight_wrs_;
   if (s >= sessions_.size()) {
     ++stats_.stale_completions;
     return;
   }
   Session& ses = sessions_[s];
-  if (gen != ses.gen || ses.pending == 0) {
+  const Completion done = kv::StepIssuer::OnCompletion(ses.rt, wc);
+  if (done == Completion::kStale) {
     ++stats_.stale_completions;
     return;
   }
-  --ses.pending;
-  if (!wc.ok()) ses.step_error = true;
-  if (ses.pending > 0) return;  // multi-piece IO still draining
+  if (done == Completion::kPending) return;  // multi-piece IO draining
   if (rtrace_ != nullptr) {
     ChargeWireStages(ses, wc.stamps, sim::Now());
   }
-  if (ses.step_error) {
+  if (done == Completion::kFailed) {
     ses.slot_op.Fail(Status(ErrorCode::kUnavailable, "work request failed"));
     FinishOp(s);
     return;
   }
-  if (ses.next_io < ses.step_ios) {
-    Advance(s);  // the step's next IO, as its own round trip
-    return;
-  }
-  ses.next_io = 0;
-  ses.slot_op.Complete();
+  // kMoreIos stages the step's next IO as its own round trip.
+  if (done == Completion::kStepDone) ses.slot_op.Complete();
   Advance(s);
 }
 
@@ -600,7 +494,7 @@ void LoadEngine::Respond(uint32_t s) {
       obs::RtraceOp rec;
       rec.op_id = ses.op_id;
       rec.kind = static_cast<uint8_t>(ses.op);
-      rec.server_node = server_nodes_[ses.server_idx];
+      rec.server_node = issuer_.server_nodes()[ses.server_idx];
       rec.intended_ns = static_cast<uint64_t>(ses.intended);
       rec.done_ns = static_cast<uint64_t>(now);
       rec.stage_ns = ses.tr_stage;
@@ -666,7 +560,7 @@ Status LoadEngine::Run() {
   ScheduleFirstArrivals();
   Status st = RunLoop();
   stats_.admission = admission_->stats();
-  stats_.mux = mux_.stats();
+  stats_.mux = issuer_.mux().stats();
   stats_.hotkeys = hotkeys_.TopK();
   ResolveObs();
   if (obs_owner_ != nullptr) {
@@ -696,13 +590,21 @@ Status LoadEngine::Run() {
 
 namespace {
 
-// Sorting each drained batch by completion cookie makes a round's
-// processing a pure function of the batch contents, not of the order in
-// which deliveries that share a virtual instant happened to be queued
-// around this thread's wake. The engine's pinned timeline includes this
-// order. stable_sort: split-probe pieces share one cookie and their handling is
+// Appends the completions due by now to `wcs`, sorted. First an
+// end-of-instant barrier: a completion due *at* this instant may still be
+// behind this thread's wake in the event queue (whether it is depends on
+// scheduler tie order); yielding reposts the wake behind every queued
+// same-instant event, so the batch holds exactly the completions due by
+// now under any scheduler. Sorting by completion cookie then makes a
+// round's processing a pure function of the batch contents, not of the
+// order in which same-instant deliveries were queued around this
+// thread's wake. The engine's pinned timeline includes this order.
+// stable_sort: split-probe pieces share one cookie and their handling is
 // commutative, but keeping their relative order costs nothing.
-void SortBatch(std::vector<verbs::WorkCompletion>& wcs) {
+void PollInstant(kv::SessionMux& mux,
+                 std::vector<verbs::WorkCompletion>& wcs) {
+  sim::Yield();
+  mux.PollInto(wcs);
   std::stable_sort(wcs.begin(), wcs.end(),
                    [](const verbs::WorkCompletion& a,
                       const verbs::WorkCompletion& b) {
@@ -711,6 +613,18 @@ void SortBatch(std::vector<verbs::WorkCompletion>& wcs) {
 }
 
 }  // namespace
+
+Status LoadEngine::EndRound(uint64_t steps) {
+  // One flush per scheduling round: every WR the round staged rides one
+  // doorbell chain per (QP, lane) — chains widen exactly as load rises.
+  // The modeled CPU charge keeps virtual time honest about the session
+  // work this round did.
+  stats_.steps += steps;
+  if (options_.session_step_ns > 0) {
+    sim::ChargeCpu(steps * options_.session_step_ns);
+  }
+  return issuer_.mux().Flush();
+}
 
 Status LoadEngine::RunLoop() {
   std::vector<verbs::WorkCompletion> wcs;
@@ -731,32 +645,13 @@ Status LoadEngine::RunLoop() {
       ++steps;
     }
     wcs.clear();
-    if (inflight_wrs_ > 0) {
-      // End-of-instant barrier before polling: a completion due *at* this
-      // instant may still be behind this thread's wake in the event queue
-      // (whether it is depends on scheduler tie order). Yielding reposts
-      // the wake behind every already-queued same-instant event, so the
-      // batch below holds exactly the completions due by `now` under any
-      // scheduler.
-      sim::Yield();
-      mux_.PollInto(wcs);
-      SortBatch(wcs);
-    }
+    if (inflight_wrs_ > 0) PollInstant(issuer_.mux(), wcs);
     for (const verbs::WorkCompletion& wc : wcs) {
       HandleCompletion(wc);
       ++steps;
     }
     if (steps > 0) {
-      // One flush per scheduling round: every WR the round staged rides
-      // one doorbell chain per (QP, lane) — chains widen exactly as load
-      // rises. The modeled CPU charge keeps virtual time honest about
-      // the session work this round did.
-      stats_.steps += steps;
-      if (options_.session_step_ns > 0) {
-        sim::ChargeCpu(steps * options_.session_step_ns);
-      }
-      RSTORE_ASSIGN_OR_RETURN(size_t posted, mux_.Flush());
-      (void)posted;
+      RSTORE_RETURN_IF_ERROR(EndRound(steps));
       continue;
     }
     if (open_ops_ == 0 && arrivals_.empty() && retries_.empty()) break;
@@ -767,23 +662,12 @@ Status LoadEngine::RunLoop() {
       wcs.clear();
       const sim::Nanos timeout =
           next == sim::kNever ? sim::kNever : next - now;
-      mux_.WaitPollInto(wcs, Moderation(), timeout);
-      if (!wcs.empty()) {
-        // Same end-of-instant barrier as above: the CQ wake that ended
-        // the wait may precede sibling deliveries at this instant.
-        sim::Yield();
-        mux_.PollInto(wcs);  // appends the stragglers
-        SortBatch(wcs);
-      }
+      issuer_.mux().WaitPollInto(wcs, Moderation(), timeout);
+      // The CQ wake that ended the wait may precede sibling deliveries
+      // at this instant: PollInstant appends the stragglers.
+      if (!wcs.empty()) PollInstant(issuer_.mux(), wcs);
       for (const verbs::WorkCompletion& wc : wcs) HandleCompletion(wc);
-      if (!wcs.empty()) {
-        stats_.steps += wcs.size();
-        if (options_.session_step_ns > 0) {
-          sim::ChargeCpu(wcs.size() * options_.session_step_ns);
-        }
-        RSTORE_ASSIGN_OR_RETURN(size_t posted, mux_.Flush());
-        (void)posted;
-      }
+      if (!wcs.empty()) RSTORE_RETURN_IF_ERROR(EndRound(wcs.size()));
       continue;
     }
     if (next != sim::kNever) {

@@ -5,18 +5,15 @@
 // small structs, not 10k stacks. Each session follows a deterministic
 // open-loop arrival schedule (exponential gaps at the curve's
 // instantaneous rate, drawn from a per-session RNG) and runs one RKV
-// operation at a time as a kv::SlotOp — the one implementation of RKV's
-// slot protocol, which KvStore drives synchronously. The engine is the
-// SlotOp's session driver: it splits each step's IOs into slab pieces,
-// stages them through the SessionMux (chained into one round trip when a
-// step's IOs resolve to one QP, whatever their lanes), resumes the op
-// from completion cookies (wr_id = session << 32 | generation), arms its
-// backoff timers, and charges rtrace stages per round trip. An
-// uncontended update is three round trips: probe, CAS + re-check, and
-// payload + release. Writes of one key run one at a time per engine
-// (key_claims.h): a write that finds its key held parks, and the parked
-// writes of the holder's kind then complete with the next holder's one
-// remote write.
+// operation at a time as a kv::SlotOp. Its steps reach the wire through
+// kv::StepIssuer, the one step-to-verbs path, which KvStore's blocking
+// session uses too. The engine drives the sessions around it: admission,
+// backoff timers, resuming an op when the issuer reports its step done,
+// and rtrace stages per round trip. A read is one round trip; an
+// uncontended update three (probe, CAS + re-check, payload + release).
+// Writes of one key run one at a time per engine (key_claims.h): a write
+// that finds its key held parks, and the parked writes of the holder's
+// kind then complete with the next holder's one remote write.
 //
 // Coordinated-omission safety: every operation's latency is measured
 // from its *intended* send time under the arrival schedule. When a
@@ -43,7 +40,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,10 +47,10 @@
 #include "common/status.h"
 #include "core/client.h"
 #include "kv/slot_op.h"
+#include "kv/step_issuer.h"
 #include "load/admission.h"
 #include "load/hotkeys.h"
 #include "load/key_claims.h"
-#include "load/session_mux.h"
 #include "load/workload.h"
 #include "obs/rtrace.h"
 
@@ -90,7 +86,7 @@ struct EngineStats {
   LatencyHistogram read_latency{1.04};
   LatencyHistogram write_latency{1.04};  // update/insert/rmw
   AdmissionStats admission;
-  MuxStats mux;
+  kv::MuxStats mux;
   // Per-op causal tracing report (empty when options.rtrace.mode == kOff).
   obs::RtraceReport rtrace;
   // Space-saving heavy hitters over the issued key ids, hottest first.
@@ -131,11 +127,7 @@ class LoadEngine {
   // so a completion's session work stays on few cache lines.
   struct Session {
     // --- current op ---
-    uint32_t gen = 0;        // completion cookie generation
-    uint32_t pending = 0;    // signaled WRs outstanding for this round trip
-    uint8_t step_ios = 0;    // IOs in the step being staged
-    uint8_t next_io = 0;     // the step's first IO not yet staged
-    bool step_error = false; // a WR of the current round trip errored
+    kv::RoundTrip rt;        // the step's round trip in flight
     bool busy = false;       // an op is open (parked, deferred, in flight,
                              // backoff)
     OpType op = OpType::kRead;
@@ -157,15 +149,6 @@ class LoadEngine {
     sim::Nanos tr_cursor = 0;          // last instant charged to a stage
     obs::RtraceStageNs tr_stage{};     // per-stage ns of the current op
     verbs::WireStamps tr_last{};       // stamps of the last completed step
-  };
-
-  // One slab-contiguous piece of a step's IO (slots may straddle slab
-  // boundaries: the 64-byte table header shifts slot addresses).
-  struct Piece {
-    core::RemoteSpan span;
-    std::byte* local;
-    uint32_t length;
-    uint32_t io;  // index of the IO within the staged run
   };
 
   // Timed wakeups (retry backoff) and arrivals share one comparator:
@@ -193,9 +176,8 @@ class LoadEngine {
   // Asks admission to start the op: false when it was shed.
   bool AdmitOrShed(uint32_t s);
   void BeginAdmitted(uint32_t s);
-  // Acts on the SlotOp's current step: stages its IOs (chained into one
-  // round trip when they resolve to one QP, in any lanes, else one IO
-  // per round trip), arms its backoff timer, or finishes the op.
+  // Acts on the SlotOp's current step: stages its next round trip
+  // through the issuer, arms its backoff timer, or finishes the op.
   void Advance(uint32_t s);
   void HandleCompletion(const verbs::WorkCompletion& wc);
   void OnRetryTimer(uint32_t s);
@@ -208,6 +190,8 @@ class LoadEngine {
   // completes its riders and starts the key's next holder.
   void HandOff(uint32_t s, bool pass);
   void CountShed();
+  // Ends a scheduling round that ran `steps` session steps.
+  Status EndRound(uint64_t steps);
 
   // rtrace stage accounting: charges [tr_cursor, now] to `stage` and
   // advances the cursor; ChargeWireStages subdivides the interval by the
@@ -217,13 +201,6 @@ class LoadEngine {
   void ChargeWireStages(Session& ses, const verbs::WireStamps& stamps,
                         sim::Nanos now);
 
-  // Helpers.
-  [[nodiscard]] uint32_t ServerIndexOf(uint64_t slot);
-  [[nodiscard]] uint64_t Cookie(uint32_t s) const noexcept;
-  // Splits `io` at slab boundaries and appends its pieces to pieces_.
-  Status CollectPieces(const kv::SlotIo& io, uint32_t index);
-  void StagePiece(uint32_t s, const kv::SlotIo& io, const Piece& p,
-                  uint64_t cookie, bool signaled);
   // Draws the op type and key, and starts the session's SlotOp.
   void DrawKey(uint32_t s);
   [[nodiscard]] size_t Moderation() const noexcept;
@@ -235,10 +212,9 @@ class LoadEngine {
   const uint32_t engine_index_;
   const uint32_t engine_count_;
 
-  core::MappedRegion* region_ = nullptr;
   kv::TableGeometry geometry_;  // from the table header
   kv::SlotOp::Policy retry_policy_;
-  SessionMux mux_;
+  kv::StepIssuer issuer_;
   std::unique_ptr<AdmissionController> admission_;
   KeyClaims claims_;
   std::unique_ptr<ZipfGenerator> zipf_;
@@ -247,17 +223,12 @@ class LoadEngine {
   uint32_t first_global_session_ = 0;
   TimerHeap arrivals_;
   TimerHeap retries_;
-  std::vector<Piece> pieces_;  // CollectPieces scratch
 
   // One registered scratch arena, carved into per-session SlotOp
   // scratch strides.
   std::vector<std::byte> arena_;
   verbs::ProtectionDomain* pd_ = nullptr;
   verbs::MemoryRegion* arena_mr_ = nullptr;
-
-  // server_node -> dense server index (admission + mux addressing).
-  std::vector<uint32_t> server_nodes_;
-  std::unordered_map<uint32_t, uint32_t> server_index_;
 
   sim::Nanos t0_ = 0;
   sim::Nanos t_end_ = 0;

@@ -191,6 +191,64 @@ TEST(KvTest, OpenRejectsNonTableRegion) {
   });
 }
 
+// Writes a table header into a fresh region with `copies` copies of
+// every slab.
+void AllocTable(RStoreClient& client, const std::string& name,
+                const KvOptions& geometry, uint32_t copies) {
+  ASSERT_TRUE(client
+                  .Ralloc(name,
+                          SlotLayout::kHeaderBytes +
+                              geometry.buckets * geometry.slot_bytes,
+                          copies)
+                  .ok());
+  auto region = client.Rmap(name);
+  ASSERT_TRUE(region.ok());
+  auto hdr = client.AllocBuffer(SlotLayout::kHeaderBytes);
+  ASSERT_TRUE(hdr.ok());
+  SlotLayout::WriteHeader(hdr->begin(), geometry);
+  ASSERT_TRUE((*region)->Write(0, hdr->data).ok());
+}
+
+TEST(KvTest, OpenRejectsReplicatedRegion) {
+  // Remote atomics act on one copy: a table in a replicated region would
+  // lock and write its primary alone, and the copies would diverge.
+  TestCluster cluster(KvCluster());
+  cluster.RunClient([&](RStoreClient& client) {
+    AllocTable(client, "replicated", KvOptions{}, 2);
+    EXPECT_EQ(KvStore::Open(client, "replicated").code(),
+              ErrorCode::kInvalidArgument);
+    AllocTable(client, "single", KvOptions{}, 1);
+    EXPECT_TRUE(KvStore::Open(client, "single").ok());
+  });
+}
+
+TEST(KvTest, LinkFaultFailsOpsCleanlyAndTheStoreRecoversWhenItHeals) {
+  // A partition errors the store's QPs. Ops fail in bounded virtual time
+  // instead of hanging, and once the link heals the next op reconnects.
+  TestCluster cluster(KvCluster());
+  cluster.RunClient([&](RStoreClient& client) {
+    auto kv = KvStore::Create(client, "table");
+    ASSERT_TRUE(kv.ok()) << kv.status();
+    ASSERT_TRUE((*kv)->Put("k", "a").ok());
+    const auto set_links = [&](bool down) {
+      for (const auto& slab : (*kv)->region().desc().slabs) {
+        cluster.net().fabric().SetLinkDown(sim::CurrentNode().id(),
+                                           slab.server_node, down);
+      }
+    };
+    set_links(true);
+    const sim::Nanos t0 = sim::Now();
+    EXPECT_FALSE((*kv)->Put("k", "b").ok());
+    EXPECT_FALSE((*kv)->Get("k").ok());
+    EXPECT_LT(sim::Now() - t0, sim::Seconds(10));  // bounded, not hung
+    set_links(false);
+    ASSERT_TRUE((*kv)->Put("k", "c").ok());
+    auto got = (*kv)->Get("k");
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(Str(*got), "c");
+  });
+}
+
 TEST(KvTest, ConcurrentWritersOnDisjointKeys) {
   constexpr uint32_t kClients = 3;
   constexpr int kPerClient = 40;

@@ -23,7 +23,7 @@
 #include "load/engine.h"
 #include "load/hotkeys.h"
 #include "load/key_claims.h"
-#include "load/session_mux.h"
+#include "kv/session_mux.h"
 #include "load/workload.h"
 #include "obs/rtrace.h"
 #include "sim/time.h"
@@ -180,8 +180,9 @@ TEST(SessionMuxTest, ConnectsBoundedPoolAndPinsSessionsToOneQp) {
     servers.push_back(cluster.server_node(i).id());
   }
   cluster.RunClient([&](RStoreClient& client) {
-    SessionMux mux(client.device());
-    ASSERT_TRUE(mux.Connect(servers, kQpPerServer).ok());
+    kv::SessionMux mux(client.device());
+    ASSERT_TRUE(mux.Layout(servers, kQpPerServer).ok());
+    ASSERT_TRUE(mux.Connect().ok());
     // Bounded pool: exactly qp_per_server QPs per memory server.
     ASSERT_EQ(mux.qp_count(), cfg.memory_servers * kQpPerServer);
     for (uint32_t server = 0; server < cfg.memory_servers; ++server) {
@@ -258,6 +259,34 @@ TEST(LoadEngineTest, SmokeCompletesEveryArrivalAtLowLoad) {
   // batch within a scheduling round.
   EXPECT_GT(r.stats.mux.wrs_posted, 0u);
   EXPECT_GE(r.stats.mux.wrs_posted, r.stats.mux.chains_posted);
+}
+
+TEST(LoadEngineTest, SetupRejectsReplicatedTable) {
+  // Remote atomics act on one copy: on a replicated table the engine
+  // would lock and write the primary alone, and the copies would
+  // silently diverge.
+  const LoadOptions opts = SmallOptions();
+  TestCluster cluster(SmallCluster());
+  cluster.RunClient([&](RStoreClient& client) {
+    kv::TableGeometry geometry;
+    geometry.buckets = opts.buckets();
+    geometry.slot_bytes = opts.slot_bytes;
+    geometry.max_probe = opts.max_probe;
+    ASSERT_TRUE(client
+                    .Ralloc("t",
+                            kv::SlotLayout::kHeaderBytes +
+                                geometry.buckets * geometry.slot_bytes,
+                            /*copies=*/2)
+                    .ok());
+    auto region = client.Rmap("t");
+    ASSERT_TRUE(region.ok());
+    auto hdr = client.AllocBuffer(kv::SlotLayout::kHeaderBytes);
+    ASSERT_TRUE(hdr.ok());
+    kv::SlotLayout::WriteHeader(hdr->begin(), geometry);
+    ASSERT_TRUE((*region)->Write(0, hdr->data).ok());
+    LoadEngine engine(client, "t", opts, 0, 1);
+    EXPECT_EQ(engine.Run().code(), ErrorCode::kInvalidArgument);
+  });
 }
 
 TEST(LoadEngineTest, RcheckCleanUnderContention) {
