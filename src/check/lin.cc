@@ -397,6 +397,12 @@ void LinChecker::PrintReports(std::ostream& os) const {
     os << "[rlin] " << violations_.size() << " violation(s) over "
        << ops_.size() << " ops, " << stats_.keys_checked << " keys\n";
   }
+  if (stats_.keys_inconclusive > 0) {
+    // Not a violation, but those keys' histories were not judged.
+    os << "[rlin] " << stats_.keys_checked << " keys checked, "
+       << stats_.keys_inconclusive << " inconclusive (state budget), "
+       << stats_.states_explored << " states\n";
+  }
 }
 
 void LinChecker::DumpJson(std::ostream& os) const {

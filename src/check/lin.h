@@ -130,7 +130,9 @@ class LinChecker {
     return ops_;
   }
 
-  // Human-readable report (one block per violation); no output if clean.
+  // Human-readable report: one block per violation, then one summary
+  // line when any key was inconclusive; no output if every key was judged
+  // linearizable.
   void PrintReports(std::ostream& os) const;
   // Machine-readable dump: 64-bit fields (key, digest) emit as hex
   // strings so obs/json.h (double numbers) round-trips them exactly.

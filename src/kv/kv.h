@@ -89,8 +89,11 @@ class KvStore {
 
  private:
   static constexpr uint32_t kSlotHeader = SlotLayout::kSlotHeader;
-  // A blocking client outwaits a lock holder for ~1024 backoffs of 5 µs
-  // (plus the probes between them) before the op fails with kAborted.
+  // Retries go at once while the holder makes progress (slot_op.h); a
+  // holder seen at one version on two conflicts in a row costs a 5 µs
+  // backoff per retry after that. So a blocking client outwaits a
+  // stalled lock holder for ~1023 backoffs of 5 µs (≈ 5 ms, plus the
+  // probes between them) before the op fails with kAborted.
   static constexpr SlotOp::Policy kRetryPolicy{1024, sim::Micros(5)};
 
   KvStore(core::RStoreClient& client, core::MappedRegion* region);

@@ -21,18 +21,25 @@ Status SessionMux::Layout(std::span<const uint32_t> server_nodes,
 }
 
 Status SessionMux::Connect() {
+  std::vector<size_t> unconnected;
   for (size_t qi = 0; qi < qps_.size(); ++qi) {
-    if (qps_[qi] == nullptr) RSTORE_RETURN_IF_ERROR(ConnectQp(qi));
+    if (qps_[qi] == nullptr) unconnected.push_back(qi);
   }
-  return Status::Ok();
+  return ConnectQps(unconnected);
 }
 
-Status SessionMux::ConnectQp(size_t qi) {
-  RSTORE_ASSIGN_OR_RETURN(
-      qps_[qi], device_.network().Connect(
-                    device_, servers_[qi / qp_per_server_],
-                    core::kDataService, {}, cq_, cq_));
-  return Status::Ok();
+Status SessionMux::ConnectQps(std::span<const size_t> qis) {
+  if (qis.empty()) return Status::Ok();
+  std::vector<uint32_t> nodes;
+  nodes.reserve(qis.size());
+  for (const size_t qi : qis) nodes.push_back(servers_[qi / qp_per_server_]);
+  std::vector<verbs::QueuePair*> connected(qis.size(), nullptr);
+  const Status st = device_.network().ConnectAll(
+      device_, nodes, core::kDataService, connected, {}, cq_, cq_);
+  for (size_t i = 0; i < qis.size(); ++i) {
+    if (connected[i] != nullptr) qps_[qis[i]] = connected[i];
+  }
+  return st;
 }
 
 void SessionMux::Stage(uint32_t server_idx, uint32_t session, Lane lane,
@@ -55,18 +62,27 @@ Status SessionMux::Flush() {
   // too.
   static constexpr Lane kLaneOrder[kLanes] = {Lane::kPlain, Lane::kSyncCell,
                                               Lane::kSpeculative};
+  // (Re)connect, all at once, the QPs with work that were never connected
+  // or that a fault put in the error state.
+  std::vector<size_t> reconnect;
   for (size_t qi = 0; qi < qps_.size(); ++qi) {
-    if (qps_[qi] == nullptr ||
-        qps_[qi]->state() != verbs::QueuePair::State::kRts) {
-      size_t staged = 0;
-      for (const LaneQueue& q : staging_[qi]) staged += q.wrs.size() - q.head;
-      if (staged == 0) continue;  // (re)connect only a QP with work
-      if (Status st = ConnectQp(qi); !st.ok()) {
-        staging_.assign(staging_.size(), {});
-        return st;
-      }
+    if (qps_[qi] != nullptr &&
+        qps_[qi]->state() == verbs::QueuePair::State::kRts) {
+      continue;
     }
+    size_t staged = 0;
+    for (const LaneQueue& q : staging_[qi]) staged += q.wrs.size() - q.head;
+    if (staged > 0) reconnect.push_back(qi);
+  }
+  if (Status st = ConnectQps(reconnect); !st.ok()) {
+    staging_.assign(staging_.size(), {});
+    return st;
+  }
+  for (size_t qi = 0; qi < qps_.size(); ++qi) {
     verbs::QueuePair* qp = qps_[qi];
+    if (qp == nullptr || qp->state() != verbs::QueuePair::State::kRts) {
+      continue;  // no work staged
+    }
     size_t headroom = qp->send_headroom();
     for (const Lane lane : kLaneOrder) {
       LaneQueue& q = staging_[qi][static_cast<uint32_t>(lane)];

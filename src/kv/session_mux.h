@@ -14,9 +14,10 @@
 //   * Flush() posts each (QP, lane) run as one doorbell chain, capped by
 //     the QP's send-queue headroom (the rest stays staged), so chains
 //     widen — and doorbells amortize — exactly as load rises. It first
-//     (re)connects a QP with staged WRs that was never connected or has
-//     entered the error state after a fault; Connect() connects the whole
-//     pool up front instead.
+//     (re)connects the QPs with staged WRs that were never connected or
+//     have entered the error state after a fault; Connect() connects the
+//     whole pool up front instead. Both connect their QPs in one
+//     verbs::Network::ConnectAll, so the CM exchanges overlap.
 //
 // Lanes exist for rcheck: a chain is posted under one scope, so
 // speculative reads, plain IO and the seqlock release ride separate
@@ -55,7 +56,9 @@ class SessionMux {
   Status Layout(std::span<const uint32_t> server_nodes,
                 uint32_t qp_per_server);
   // Connects every QP of the layout that is not connected, in index
-  // order. Blocks the calling simulated thread.
+  // order, in one ConnectAll. Blocks the calling simulated thread. On
+  // kUnavailable the QPs that did connect are kept; the next Flush
+  // connects the rest as they get work.
   Status Connect();
 
   // The QP a session's ops to server_idx ride on — stable, so the per
@@ -96,8 +99,8 @@ class SessionMux {
     size_t head = 0;
   };
 
-  // Connects QP `qi`, in place of any QP in the error state there.
-  Status ConnectQp(size_t qi);
+  // Connects QPs `qis`, each in place of any QP in the error state there.
+  Status ConnectQps(std::span<const size_t> qis);
 
   verbs::Device& device_;
   verbs::CompletionQueue* cq_ = nullptr;

@@ -108,6 +108,7 @@ void SlotOp::Begin(SlotOpKind kind, std::string_view key,
   probe_ = 0;
   reusable_ = -1;
   target_ = 0;
+  conflict_slot_ = -1;
   retries_left_ = policy_->retry_budget;
   retries_ = 0;
   wrote_ = false;
@@ -231,10 +232,11 @@ void SlotOp::Complete() {
       Finish(Status::Ok());
       break;
     case Phase::kRelease:
-      // Only a lost re-check releases without writing: start over.
+      // Only a lost re-check releases without writing: start over. The
+      // slot holds another key or none, so there is no holder to wait for.
       probe_ = 0;
       reusable_ = -1;
-      Retry(/*backoff=*/true, Phase::kProbe);
+      Retry(/*backoff=*/false, Phase::kProbe);
       break;
     case Phase::kScan:
       Finish(Status::Ok());
@@ -256,7 +258,8 @@ void SlotOp::Ride(const SlotOp& holder) {
 
 void SlotOp::OnProbe() {
   if (!ProbeValidated()) {
-    Retry(/*backoff=*/true, Phase::kProbe);  // torn or locked: same slot
+    // Torn or locked: retry the same slot, judged by the version re-read.
+    Contend(slot(), Load64(cell(0)), Phase::kProbe);
     return;
   }
   const uint64_t slot = this->slot();
@@ -268,9 +271,10 @@ void SlotOp::OnProbe() {
     if (!upsert) {
       Finish(Status(ErrorCode::kNotFound, "key not found"));
     } else if (reusable_ >= 0) {
-      Lock(static_cast<uint64_t>(reusable_), reusable_version_);
+      Lock(static_cast<uint64_t>(reusable_), reusable_version_,
+           /*free=*/true);
     } else {
-      Lock(slot, version);
+      Lock(slot, version, /*free=*/true);
     }
     return;
   }
@@ -278,7 +282,7 @@ void SlotOp::OnProbe() {
     if (kind_ == SlotOpKind::kGet) {
       Finish(Status::Ok());
     } else {
-      Lock(slot, version);
+      Lock(slot, version, /*free=*/false);
     }
     return;
   }
@@ -291,16 +295,18 @@ void SlotOp::OnProbe() {
   if (!upsert) {
     Finish(Status(ErrorCode::kNotFound, "key not found (probe window)"));
   } else if (reusable_ >= 0) {
-    Lock(static_cast<uint64_t>(reusable_), reusable_version_);
+    Lock(static_cast<uint64_t>(reusable_), reusable_version_,
+         /*free=*/true);
   } else {
     Finish(Status(ErrorCode::kOutOfMemory, "probe window full"));
   }
 }
 
-void SlotOp::Lock(uint64_t slot, uint64_t version) {
+void SlotOp::Lock(uint64_t slot, uint64_t version, bool free) {
   // The CAS compares against the version the probe validated: no
   // separate read of the version word first.
   target_ = slot;
+  target_free_ = free;
   lock_compare_ = version;
   phase_ = Phase::kLock;
 }
@@ -310,18 +316,25 @@ void SlotOp::OnLock() {
   if (old != lock_compare_) {
     // Lost, and the re-check bytes raced the winner: ignore them. Retry
     // against what the CAS saw. An even value is a finished writer's
-    // release, so retry at once; an odd one is a holder, whose release
-    // will write old + 1, so wait for it.
-    const bool held = old % 2 == 1;
-    lock_compare_ = held ? old + 1 : old;
-    Retry(/*backoff=*/held, Phase::kLock);
+    // release: retry at once. An odd one is a holder, whose release
+    // will write old + 1: a conflict like a locked probe.
+    if (old % 2 == 0) {
+      lock_compare_ = old;
+      Retry(/*backoff=*/false, Phase::kLock);
+    } else {
+      lock_compare_ = old + 1;
+      Contend(target_, old, Phase::kLock);
+    }
     return;
   }
   // Won: the release will write the next even version. Between the
   // probe and the CAS another client may have claimed the slot for a
-  // different key (or deleted ours); then only release.
+  // different key, or deleted ours; then only release. An empty slot
+  // takes the write only when the probe chose it as free: a key
+  // deleted under the lock may live on elsewhere, re-inserted by another
+  // client, and an update of a deleted key must report it absent.
   Store64(cell(2), lock_compare_ + 2);
-  if (HoldsKey() || (Writes() && KeyLen(scratch_) == 0)) {
+  if (HoldsKey() || (target_free_ && KeyLen(scratch_) == 0)) {
     EnterWrite();
   } else {
     phase_ = Phase::kRelease;
@@ -341,6 +354,14 @@ void SlotOp::EnterWrite() {
   }
   wrote_ = true;
   phase_ = Phase::kWrite;
+}
+
+void SlotOp::Contend(uint64_t slot, uint64_t version, Phase resume) {
+  const bool stalled = conflict_slot_ == static_cast<int64_t>(slot) &&
+                       conflict_version_ == version;
+  conflict_slot_ = static_cast<int64_t>(slot);
+  conflict_version_ = version;
+  Retry(stalled, resume);
 }
 
 void SlotOp::Retry(bool backoff, Phase resume) {

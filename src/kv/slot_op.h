@@ -33,14 +33,25 @@
 // has one, comes first: the mux flushes kPlain before the other lanes,
 // so the two IOs still reach the QP in step order.
 //
-// Retry policy: a torn or locked probe backs off and retries the same
-// slot. A lost CAS retries against the value it returned: at once when
-// that is even (a writer finished), else after a backoff against
-// old + 1, the version the holder's release writes. The re-check bytes
+// Retry policy: the wait comes from the protocol, not from a constant.
+// A retry's own request reaches the slot one round trip after the op
+// read the conflicting state there, and an uncontended holder releases
+// within one round trip of its CAS (its re-check returns, then payload
+// and release ride one QP). So the retry's round trip already covers
+// the holder's remaining critical path, and a conflict is retried at
+// once:
+//   - a torn or locked probe retries the same slot;
+//   - a lost CAS retries against the value it returned: old itself when
+//     that is even (a writer finished), else old + 1, the version the
+//     holder's release writes.
+// Only when a conflict sees the same (slot, version) as the op's
+// previous conflict did the holder make no progress in a whole round
+// trip; then the op waits Policy::backoff first. The re-check bytes
 // count only when the CAS won; behind a lost CAS they race the winner's
 // write, so they are read on the speculative lane and ignored. A lost
-// re-check releases the lock, backs off and re-probes from the home slot
-// (the chain may have shifted). Every retry spends one unit of the op's
+// re-check (the slot went to another key, or the key was deleted)
+// releases the lock and re-probes from the home slot at once: there is
+// no holder to wait for. Every retry spends one unit of the op's
 // budget; an empty budget ends the op with kAborted.
 #pragma once
 
@@ -174,7 +185,8 @@ class SlotOp {
  public:
   struct Policy {
     uint32_t retry_budget = 0;  // retries before the op gives up
-    sim::Nanos backoff = 0;     // wait before a contended retry
+    sim::Nanos backoff = 0;     // wait behind a holder that made no
+                                // progress in a round trip
   };
 
   // Scratch bytes an op needs: `area_slots` slot images (a scan reads
@@ -258,9 +270,12 @@ class SlotOp {
   [[nodiscard]] bool ProbeValidated() const noexcept;
   void Begin(SlotOpKind kind, std::string_view key, uint32_t value_len);
   void OnProbe();
-  void Lock(uint64_t slot, uint64_t version);
+  void Lock(uint64_t slot, uint64_t version, bool free);
   void OnLock();
   void EnterWrite();
+  // Retries after a conflict at (slot, version): at once, or after a
+  // backoff when the op's previous conflict saw the same pair.
+  void Contend(uint64_t slot, uint64_t version, Phase resume);
   void Retry(bool backoff, Phase resume);
   void Finish(Status status);
 
@@ -277,6 +292,9 @@ class SlotOp {
   uint64_t lock_compare_ = 0;   // even version the CAS expects
   int64_t reusable_ = -1;       // first empty/tombstone slot seen
   uint64_t reusable_version_ = 0;  // its validated version
+  bool target_free_ = false;    // target_ was free when the probe chose it
+  int64_t conflict_slot_ = -1;  // the previous conflict's slot, if any
+  uint64_t conflict_version_ = 0;  // ... and the version it saw there
   std::string_view key_;
   uint32_t value_len_ = 0;
   uint32_t retries_left_ = 0;

@@ -1,18 +1,18 @@
 // Engine-local key claims: one remote write per batch of same-key writes.
 //
 // Past the saturation knee the Zipf head's seqlocks bind: writers of one
-// hot key from one engine race each other's lock CAS, and every loser
-// pays a backoff and another round trip. Writers inside one engine need
-// not race at all. The first update or read-modify-write of a key
-// becomes its *holder* and runs the slot protocol; later writes of the
-// key from the same engine *park* in the key's FIFO and post nothing
+// hot key from one engine race each other's lock CAS, and every loser pays
+// another round trip (and a backoff when the holder stalls). Writers inside
+// one engine need not race at all. The first update or read-modify-write of
+// a key becomes its *holder* and runs the slot protocol; later writes of
+// the key from the same engine *park* in the key's FIFO and post nothing
 // (Sherman's local lock table, applied to RKV's slots). When the holder
 // ends, the parked writes form the next batch: the first becomes the
-// holder, and every later one of the same kind becomes its *rider*.
-// A rider completes at its holder's completion instant with the
-// holder's outcome. Riders are invoked before their holder's CAS is
-// posted and respond after its release executes, so each rider's write
-// linearizes just before the holder's and is overwritten at once.
+// holder, and every later one of the same kind becomes its *rider*. A rider
+// completes at its holder's completion instant with the holder's outcome.
+// Riders are invoked before their holder's CAS is posted and respond after
+// its release executes, so each rider's write linearizes just before the
+// holder's and is overwritten at once.
 //
 // Two rules keep that argument true:
 //   * failure: a holder that ends in an error (retry budget, verbs

@@ -110,7 +110,7 @@ struct LoadOptions {
   // --- engine ----------------------------------------------------------
   sim::Nanos session_step_ns = 120; // modeled CPU per session step
   uint32_t op_retry_budget = 64;    // seqlock conflicts before giving up
-  sim::Nanos retry_backoff = sim::Micros(5);
+  sim::Nanos retry_backoff = sim::Micros(5);  // behind a stalled holder
   uint64_t seed = 1;
   // --- observability ----------------------------------------------------
   // Per-op causal tracing (see obs/rtrace.h). Off by default; enabling it

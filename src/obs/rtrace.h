@@ -55,7 +55,8 @@ enum class RtraceStage : uint8_t {
                  // DRAM access)
   kAck,          // execution -> CQE pushed (ack return trip + CQE order)
   kCqPoll,       // CQE pushed -> engine collected it (poll batching)
-  kBackoff,      // retry backoff waits between steps
+  kBackoff,      // retry waits behind a lock holder that made no
+                 // progress in a round trip (kv/slot_op.h)
 };
 inline constexpr uint32_t kRtraceStageCount = 9;
 

@@ -1126,9 +1126,11 @@ void Simulation::Shutdown() {
     }
     std::abort();
   }
-  // Environment-attached lin checker: same contract as rcheck above.
+  // Environment-attached lin checker: same contract as rcheck above. Its
+  // report also counts the keys it left inconclusive, which do not fail
+  // the run but must not read as silence.
+  if (owned_lin_ != nullptr) owned_lin_->PrintReports(std::cerr);
   if (owned_lin_ != nullptr && owned_lin_->violation_count() > 0) {
-    owned_lin_->PrintReports(std::cerr);
     static int lin_dump_seq = 0;
     std::string path = "rlin_report.json";
     if (const char* out = std::getenv("RSTORE_RLIN_OUT");

@@ -1178,72 +1178,94 @@ Result<QueuePair*> Network::Connect(Device& device, uint32_t remote_node,
                                     uint32_t service_id, QpConfig config,
                                     CompletionQueue* send_cq,
                                     CompletionQueue* recv_cq) {
-  // Client-side QP programming cost.
-  sim::Sleep(qp_setup_cost());
-  QueuePair& client_qp = device.CreateQueuePair(config, send_cq, recv_cq);
+  QueuePair* qp = nullptr;
+  RSTORE_RETURN_IF_ERROR(ConnectAll(device, {&remote_node, 1}, service_id,
+                                    {&qp, 1}, config, send_cq, recv_cq));
+  return qp;
+}
 
+Status Network::ConnectAll(Device& device,
+                           std::span<const uint32_t> remote_nodes,
+                           uint32_t service_id, std::span<QueuePair*> out,
+                           QpConfig config, CompletionQueue* send_cq,
+                           CompletionQueue* recv_cq) {
   struct ConnectState {
-    explicit ConnectState(sim::Simulation& s) : cv(s) {}
+    ConnectState(sim::Simulation& s, size_t n)
+        : cv(s), server_qp_num(n), accepted(n) {}
     sim::CondVar cv;
-    bool done = false;
-    bool accepted = false;
-    uint32_t server_qp_num = 0;
-  };
-  auto state = std::make_shared<ConnectState>(sim_);
+    size_t pending = 0;  // CM replies still due
+    std::vector<uint32_t> server_qp_num;
+    std::vector<bool> accepted;
 
-  const uint64_t key = (static_cast<uint64_t>(remote_node) << 32) | service_id;
+    void Reply(size_t i, bool ok, uint32_t qp_num) {
+      accepted[i] = ok;
+      server_qp_num[i] = qp_num;
+      if (--pending == 0) cv.NotifyAll();
+    }
+  };
+  const size_t n = remote_nodes.size();
+  auto state = std::make_shared<ConnectState>(sim_, n);
   const uint32_t client_node = device.node_id();
-  const uint32_t client_qp_num = client_qp.qp_num();
   constexpr uint64_t kCmMessageBytes = 64;
 
-  fabric_.Send(
-      client_node, remote_node, kCmMessageBytes,
-      /*on_delivered=*/
-      [this, key, client_node, client_qp_num, remote_node, state] {
-        Listener* found = nullptr;
-        if (auto it = listeners_.find(key); it != listeners_.end()) {
-          found = it->second.get();
-        }
-        if (found == nullptr) {
-          // Reject travels back as a CM message.
-          fabric_.Send(remote_node, client_node, kCmMessageBytes, [state] {
-            state->done = true;
-            state->cv.NotifyAll();
+  for (size_t i = 0; i < n; ++i) {
+    // Client-side QP programming cost, then this QP's CM request.
+    sim::Sleep(qp_setup_cost());
+    out[i] = &device.CreateQueuePair(config, send_cq, recv_cq);
+    const uint32_t remote_node = remote_nodes[i];
+    const uint64_t key =
+        (static_cast<uint64_t>(remote_node) << 32) | service_id;
+    const uint32_t client_qp_num = out[i]->qp_num();
+    const auto failed = [state, i] { state->Reply(i, false, 0); };
+    ++state->pending;
+    fabric_.Send(
+        client_node, remote_node, kCmMessageBytes,
+        /*on_delivered=*/
+        [this, key, client_node, client_qp_num, remote_node, state, i,
+         failed] {
+          Listener* found = nullptr;
+          if (auto it = listeners_.find(key); it != listeners_.end()) {
+            found = it->second.get();
+          }
+          if (found == nullptr) {
+            // Reject travels back as a CM message.
+            fabric_.Send(remote_node, client_node, kCmMessageBytes, failed,
+                         failed);
+            return;
+          }
+          Listener& listener = *found;
+          // Server-side QP programming, then the accept reply.
+          sim_.After(qp_setup_cost(), [this, &listener, client_node,
+                                       client_qp_num, state, i, failed] {
+            QueuePair& server_qp = listener.dev_.CreateQueuePair(
+                listener.config_, listener.send_cq_, listener.recv_cq_);
+            server_qp.ConnectTo(client_node, client_qp_num);
+            listener.pending_.push_back(&server_qp);
+            listener.ready_.NotifyAll();
+            const uint32_t server_qp_num = server_qp.qp_num();
+            fabric_.Send(listener.dev_.node_id(), client_node,
+                         kCmMessageBytes,
+                         [state, i, server_qp_num] {
+                           state->Reply(i, true, server_qp_num);
+                         },
+                         failed);
           });
-          return;
-        }
-        Listener& listener = *found;
-        // Server-side QP programming, then the accept reply.
-        sim_.After(qp_setup_cost(), [this, &listener, client_node,
-                                     client_qp_num, state] {
-          QueuePair& server_qp = listener.dev_.CreateQueuePair(
-              listener.config_, listener.send_cq_, listener.recv_cq_);
-          server_qp.ConnectTo(client_node, client_qp_num);
-          listener.pending_.push_back(&server_qp);
-          listener.ready_.NotifyAll();
-          const uint32_t server_qp_num = server_qp.qp_num();
-          fabric_.Send(listener.dev_.node_id(), client_node, kCmMessageBytes,
-                       [state, server_qp_num] {
-                         state->done = true;
-                         state->accepted = true;
-                         state->server_qp_num = server_qp_num;
-                         state->cv.NotifyAll();
-                       });
-        });
-      },
-      /*on_dropped=*/
-      [state] {
-        state->done = true;
-        state->cv.NotifyAll();
-      });
-
-  state->cv.WaitUntil([&] { return state->done; });
-  if (!state->accepted) {
-    return Result<QueuePair*>(ErrorCode::kUnavailable,
-                              "connection rejected or peer unreachable");
+        },
+        /*on_dropped=*/failed);
   }
-  client_qp.ConnectTo(remote_node, state->server_qp_num);
-  return &client_qp;
+
+  state->cv.WaitUntil([&] { return state->pending == 0; });
+  Status status = Status::Ok();
+  for (size_t i = 0; i < n; ++i) {
+    if (!state->accepted[i]) {
+      out[i] = nullptr;
+      status = Status(ErrorCode::kUnavailable,
+                      "connection rejected or peer unreachable");
+      continue;
+    }
+    out[i]->ConnectTo(remote_nodes[i], state->server_qp_num[i]);
+  }
+  return status;
 }
 
 }  // namespace rstore::verbs

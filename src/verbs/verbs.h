@@ -630,11 +630,23 @@ class Network {
                    CompletionQueue* recv_cq = nullptr);
 
   // Client side: blocks until the QP pair is established (or fails when
-  // the peer is unreachable / not listening).
+  // the peer is unreachable / not listening). ConnectAll's one-node case.
   Result<QueuePair*> Connect(Device& device, uint32_t remote_node,
                              uint32_t service_id, QpConfig config = {},
                              CompletionQueue* send_cq = nullptr,
                              CompletionQueue* recv_cq = nullptr);
+  // Connects one QP to `service_id` on each of `remote_nodes`, into the
+  // same index of `out`. The QPs are programmed one after another on the
+  // calling thread, each one's CM request sent as soon as it is
+  // programmed; then the call blocks until every reply is in. So the CM
+  // round trips and the servers' programming overlap the client's
+  // programming: n QPs cost n programmings plus one exchange, not n
+  // exchanges. out[i] stays null where the peer was unreachable or not
+  // listening, and the call then returns kUnavailable.
+  Status ConnectAll(Device& device, std::span<const uint32_t> remote_nodes,
+                    uint32_t service_id, std::span<QueuePair*> out,
+                    QpConfig config = {}, CompletionQueue* send_cq = nullptr,
+                    CompletionQueue* recv_cq = nullptr);
 
   // Time to program a QP into RTS on one end (control-path cost).
   [[nodiscard]] sim::Nanos qp_setup_cost() const noexcept {

@@ -336,12 +336,13 @@ TEST(KvTest, ConcurrentWritersOnTheSameKeyConverge) {
 
 // A second client's op on a key whose seqlock another client holds must
 // wait for the release, not skip past the slot. Client 0 puts "k" = "a",
-// takes k's seqlock with a raw CAS (2 -> 3), holds it for 2 ms of
+// takes k's seqlock with a raw CAS (2 -> 3), holds it for `hold` of
 // virtual time and releases it by writing 4. `contender` runs on client
 // 1 as soon as the lock is held; client 1 then waits for the release and
 // runs `after`.
 void WhileSlotLocked(const std::function<void(KvStore&)>& contender,
-                     const std::function<void(KvStore&)>& after) {
+                     const std::function<void(KvStore&)>& after,
+                     sim::Nanos hold = sim::Millis(2)) {
   TestCluster cluster(KvCluster(2));
   int done = 0;
   cluster.SpawnClient(0, [&](RStoreClient& client) {
@@ -362,7 +363,7 @@ void WhileSlotLocked(const std::function<void(KvStore&)>& contender,
     ASSERT_TRUE(old.ok()) << old.status();
     ASSERT_EQ(*old, 2u);
     ASSERT_TRUE(client.NotifyInc("locked").ok());
-    sim::Sleep(sim::Millis(2));
+    sim::Sleep(hold);
     auto word = client.AllocBuffer(8);
     ASSERT_TRUE(word.ok());
     const uint64_t released = 4;
@@ -399,6 +400,19 @@ TEST(KvTest, PutOnALockedSlotOverwritesTheKeyInPlace) {
         // "k" behind it, which the Delete leaves visible.
         EXPECT_EQ(kv.Get("k").code(), ErrorCode::kNotFound);
       });
+}
+
+// Retries go at once only while the holder makes progress: a stalled
+// holder is outwaited by backoffs, so the retry budget lasts ~5 ms.
+TEST(KvTest, PutOutwaitsAHolderThatHoldsForFiveMilliseconds) {
+  WhileSlotLocked(
+      [](KvStore& kv) {
+        const Status st = kv.Put("k", "b");
+        EXPECT_TRUE(st.ok()) << st;
+        EXPECT_GE(kv.stats().version_retries, 100u);
+      },
+      [](KvStore& kv) { EXPECT_EQ(Str(*kv.Get("k")), "b"); },
+      sim::Millis(5));
 }
 
 TEST(KvTest, DeleteOnALockedSlotWaitsAndDeletes) {

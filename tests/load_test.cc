@@ -24,6 +24,7 @@
 #include "load/hotkeys.h"
 #include "load/key_claims.h"
 #include "kv/session_mux.h"
+#include "kv/step_issuer.h"
 #include "load/workload.h"
 #include "obs/rtrace.h"
 #include "sim/time.h"
@@ -198,6 +199,76 @@ TEST(SessionMuxTest, ConnectsBoundedPoolAndPinsSessionsToOneQp) {
   });
   // 1000 sessions over 2 QPs per server = 500:1 per (server, engine).
   EXPECT_GE(kSessions / kQpPerServer, 100u);
+}
+
+// Network::ConnectAll programs the pool's QPs one after another and
+// overlaps their CM exchanges: 16 QPs cost 16 client programmings plus
+// one exchange (the last request's round trip and its server-side
+// programming), not 16 exchanges.
+TEST(SessionMuxTest, PoolConnectsInItsProgrammingPlusOneExchange) {
+  constexpr uint32_t kServers = 8, kQpPerServer = 2;
+  core::ClusterConfig cfg;
+  cfg.memory_servers = kServers;
+  cfg.client_nodes = 1;
+  cfg.server_capacity = 16ULL << 20;
+  core::TestCluster cluster(cfg);
+  std::vector<uint32_t> servers;
+  for (uint32_t i = 0; i < kServers; ++i) {
+    servers.push_back(cluster.server_node(i).id());
+  }
+  cluster.RunClient([&](RStoreClient& client) {
+    kv::SessionMux mux(client.device());
+    ASSERT_TRUE(mux.Layout(servers, kQpPerServer).ok());
+    const sim::Nanos program = client.device().network().qp_setup_cost();
+    const sim::Nanos t0 = sim::Now();
+    ASSERT_TRUE(mux.Connect().ok());
+    const sim::Nanos took = sim::Now() - t0;
+    EXPECT_GE(took, kServers * kQpPerServer * program);
+    EXPECT_LT(took, (kServers * kQpPerServer + 1) * program +
+                        sim::Micros(20));
+  });
+}
+
+TEST(SessionMuxTest, UnreachableServerFailsConnectAndFlushReconnects) {
+  core::ClusterConfig cfg;
+  cfg.memory_servers = 4;
+  cfg.client_nodes = 1;
+  cfg.server_capacity = 16ULL << 20;
+  cfg.master.slab_size = 1ULL << 20;
+  core::TestCluster cluster(cfg);
+  cluster.RunClient([&](RStoreClient& client) {
+    ASSERT_TRUE(client.Ralloc("r", 4ULL << 20).ok());
+    auto region = client.Rmap("r");
+    ASSERT_TRUE(region.ok()) << region.status();
+    auto data = client.AllocBuffer(64);
+    ASSERT_TRUE(data.ok());
+    for (size_t i = 0; i < 64; ++i) data->data[i] = std::byte(i + 1);
+    ASSERT_TRUE((*region)->Write(0, data->data).ok());
+
+    kv::StepIssuer issuer(client.device());
+    ASSERT_TRUE(issuer.Bind(**region, /*qp_per_server=*/2).ok());
+    const uint32_t self = client.device().node_id();
+    const uint32_t victim = issuer.server_nodes()[issuer.ServerIndexOf(0)];
+    sim::Fabric& fabric = cluster.net().fabric();
+    fabric.SetLinkDown(self, victim, true);
+    EXPECT_EQ(issuer.mux().Connect().code(), ErrorCode::kUnavailable);
+    fabric.SetLinkDown(self, victim, false);
+
+    // A read of offset 0 stages WRs for the victim's QP: the flush
+    // connects it, and the read returns the bytes written above.
+    auto back = client.AllocBuffer(64);
+    ASSERT_TRUE(back.ok());
+    kv::SlotStep read{.kind = kv::SlotStep::Kind::kScan, .io_count = 1};
+    read.io[0] = {.length = 64, .local = back->begin()};
+    kv::RoundTrip rt;
+    ASSERT_TRUE(issuer.Stage(0, rt, read, back->lkey).ok());
+    ASSERT_TRUE(issuer.mux().Flush().ok());
+    std::vector<verbs::WorkCompletion> wcs;
+    ASSERT_EQ(issuer.mux().WaitPollInto(wcs, 1, sim::Millis(1)), 1u);
+    EXPECT_EQ(kv::StepIssuer::OnCompletion(rt, wcs[0]),
+              kv::StepIssuer::Completion::kStepDone);
+    EXPECT_EQ(std::memcmp(back->begin(), data->begin(), 64), 0);
+  });
 }
 
 // ----------------------------------------------------------- LoadEngine --

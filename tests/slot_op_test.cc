@@ -228,10 +228,11 @@ TEST_F(SlotOpTest, TornProbeRetriesTheSameSlot) {
       table_.Put(H(0), 4, "k", "new");
     }
   };
+  // The retry's own round trip is the wait: no backoff.
   op_.Start(SlotOpKind::kGet, "k");
   EXPECT_EQ(table_.Run(op_),
-            (std::vector<std::string>{At("probe", H(0)), "backoff",
-                                      At("probe", H(0)), "done:OK"}));
+            (std::vector<std::string>{At("probe", H(0)), At("probe", H(0)),
+                                      "done:OK"}));
   EXPECT_EQ(Str(op_.value()), "new");
   EXPECT_EQ(op_.retries(), 1u);
 }
@@ -244,8 +245,10 @@ TEST_F(SlotOpTest, LockedProbeWaitsForTheHolderInsteadOfSkipping) {
       table_.SetVersion(H(0), 4);  // ... and releases it
     }
   };
+  // The first retry goes at once; the second conflict sees the same
+  // version, so the holder made no progress in a round trip: back off.
   EXPECT_EQ(Upsert("mine"),
-            Cat({{At("probe", H(0)), "backoff", At("probe", H(0)), "backoff",
+            Cat({{At("probe", H(0)), At("probe", H(0)), "backoff",
                   At("probe", H(0))},
                  Lifecycle(H(0)),
                  {"done:OK"}}));
@@ -321,13 +324,14 @@ TEST_F(SlotOpTest, CasLostToAHolderBacksOffAndComparesAgainstItsRelease) {
     if (step.kind != Kind::kLock || io != 0) return;
     // A writer takes the lock between our probe and our CAS, and still
     // holds it at our second CAS; it releases (version 4) before the
-    // third.
+    // third. The first retry goes at once; the second saw the same
+    // holder version again, so it backs off.
     if (++cas == 1) table_.SetVersion(H(0), 3);
     if (cas == 3) table_.Put(H(0), 4, "k", "theirs");
   };
   EXPECT_EQ(Upsert("v"),
-            Cat({{At("probe", H(0)), At("lock", H(0)), "backoff",
-                  At("lock", H(0)), "backoff"},
+            Cat({{At("probe", H(0)), At("lock", H(0)), At("lock", H(0)),
+                  "backoff"},
                  Lifecycle(H(0)),
                  {"done:OK"}}));
   EXPECT_EQ(compares, (std::vector<uint64_t>{2, 4, 4}));
@@ -373,7 +377,7 @@ TEST_F(SlotOpTest, RecheckBytesBehindALostCasAreIgnored) {
     if (io == 0 && locks == 2) table_.Put(H(0), 4, "k", "theirs");
   };
   EXPECT_EQ(Upsert("v"),
-            Cat({{At("probe", H(0)), At("lock", H(0)), "backoff"},
+            Cat({{At("probe", H(0)), At("lock", H(0))},
                  Lifecycle(H(0)),
                  {"done:OK"}}));
   EXPECT_EQ(op_.retries(), 1u);
@@ -394,8 +398,8 @@ TEST_F(SlotOpTest, LostRecheckReleasesAndReprobesFromHome) {
   };
   EXPECT_EQ(Upsert("v"),
             Cat({{At("probe", H(0)), At("probe", H(1)), At("lock", H(1)),
-                  At("lock", H(1)), At("release", H(1)), "backoff",
-                  At("probe", H(0)), At("probe", H(1)), At("probe", H(2))},
+                  At("lock", H(1)), At("release", H(1)), At("probe", H(0)),
+                  At("probe", H(1)), At("probe", H(2))},
                  Lifecycle(H(2)),
                  {"done:OK"}}));
   EXPECT_EQ(op_.retries(), 2u);
@@ -419,10 +423,95 @@ TEST_F(SlotOpTest, LostRecheckOnDeleteReprobesAndReportsAbsent) {
   EXPECT_EQ(table_.Run(op_),
             (std::vector<std::string>{
                 At("probe", H(0)), At("lock", H(0)), At("lock", H(0)),
-                At("release", H(0)), "backoff", At("probe", H(0)),
-                At("probe", H(1)), "done:NOT_FOUND"}));
+                At("release", H(0)), At("probe", H(0)), At("probe", H(1)),
+                "done:NOT_FOUND"}));
   EXPECT_FALSE(op_.wrote());
   EXPECT_EQ(table_.Contents(H(0)), "z=2");
+  EXPECT_EQ(table_.Version(H(0)), 6u);
+}
+
+TEST_F(SlotOpTest, BacksOffOnlyWhenTheHolderMadeNoProgress) {
+  // The probes see holder versions 3, 5, 5, then the release: the move
+  // from 3 to 5 is progress (retry at once), the repeated 5 is not.
+  const uint64_t seen[] = {3, 5, 5, 6};
+  int probes = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t) {
+    if (step.kind == Kind::kProbe && io == 0) {
+      table_.Put(H(0), seen[probes++], "k", "v");
+    }
+  };
+  op_.Start(SlotOpKind::kGet, "k");
+  EXPECT_EQ(table_.Run(op_),
+            (std::vector<std::string>{At("probe", H(0)), At("probe", H(0)),
+                                      At("probe", H(0)), "backoff",
+                                      At("probe", H(0)), "done:OK"}));
+  EXPECT_EQ(op_.retries(), 3u);
+
+  // The same rule on a lost CAS: holders 3 then 5 are each retried at
+  // once, against the release each would write.
+  table_.Put(H(0), 2, "k", "old");
+  std::vector<uint64_t> compares;
+  RecordCompares(&compares);
+  const auto record = table_.before;
+  int cas = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t piece) {
+    record(step, io, piece);
+    if (step.kind != Kind::kLock || io != 0) return;
+    if (++cas == 1) table_.SetVersion(H(0), 3);
+    if (cas == 2) table_.SetVersion(H(0), 5);
+    if (cas == 3) table_.SetVersion(H(0), 6);
+  };
+  EXPECT_EQ(Upsert("v"),
+            Cat({{At("probe", H(0)), At("lock", H(0)), At("lock", H(0))},
+                 Lifecycle(H(0)),
+                 {"done:OK"}}));
+  EXPECT_EQ(compares, (std::vector<uint64_t>{2, 4, 6}));
+  EXPECT_EQ(op_.retries(), 2u);
+  EXPECT_EQ(table_.Version(H(0)), 8u);
+}
+
+TEST_F(SlotOpTest, UpsertOfAKeyDeletedUnderTheLockReprobesForItsNewSlot) {
+  table_.Put(H(0), 2, "", "");  // tombstone
+  table_.Put(H(1), 2, "k", "old");
+  int locks = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t) {
+    // Between our probe (which found k at H(1)) and our CAS, another
+    // client deletes k and re-inserts it into the tombstone at H(0).
+    if (step.kind == Kind::kLock && io == 0 && locks++ == 0) {
+      table_.Put(H(1), 4, "", "");
+      table_.Put(H(0), 4, "k", "other");
+    }
+  };
+  // The CAS loses to the delete's release and wins on the retry, but the
+  // re-check finds H(1) empty: writing there would leave k twice.
+  EXPECT_EQ(Upsert("new"),
+            Cat({{At("probe", H(0)), At("probe", H(1)), At("lock", H(1)),
+                  At("lock", H(1)), At("release", H(1)), At("probe", H(0))},
+                 Lifecycle(H(0)),
+                 {"done:OK"}}));
+  EXPECT_EQ(table_.Contents(H(0)), "k=new");
+  EXPECT_EQ(table_.Version(H(0)), 6u);
+  EXPECT_EQ(table_.Contents(H(1)), "");
+  EXPECT_EQ(table_.Version(H(1)), 6u);
+}
+
+TEST_F(SlotOpTest, UpdateOfAKeyDeletedUnderTheLockReportsNotFound) {
+  table_.Put(H(0), 2, "k", "old");
+  int locks = 0;
+  table_.before = [&](const SlotStep& step, size_t io, size_t) {
+    // A delete of k completes between our probe and our CAS.
+    if (step.kind == Kind::kLock && io == 0 && locks++ == 0) {
+      table_.Put(H(0), 4, "", "");
+    }
+  };
+  op_.Start(SlotOpKind::kUpdate, "k", Bytes("new"));
+  EXPECT_EQ(table_.Run(op_),
+            (std::vector<std::string>{
+                At("probe", H(0)), At("lock", H(0)), At("lock", H(0)),
+                At("release", H(0)), At("probe", H(0)), At("probe", H(1)),
+                "done:NOT_FOUND"}));
+  EXPECT_FALSE(op_.wrote());
+  EXPECT_EQ(table_.Contents(H(0)), "");
   EXPECT_EQ(table_.Version(H(0)), 6u);
 }
 
@@ -461,9 +550,9 @@ TEST_F(SlotOpTest, RetryBudgetExhaustionAborts) {
   table_.Put(H(0), 5, "k", "held");  // locked for good
   op_.Start(SlotOpKind::kGet, "k");
   EXPECT_EQ(table_.Run(op_),
-            (std::vector<std::string>{At("probe", H(0)), "backoff",
-                                      At("probe", H(0)), "backoff",
-                                      At("probe", H(0)), "done:ABORTED"}));
+            (std::vector<std::string>{At("probe", H(0)), At("probe", H(0)),
+                                      "backoff", At("probe", H(0)),
+                                      "done:ABORTED"}));
   EXPECT_EQ(op_.retries(), 3u);
   EXPECT_EQ(table_.Version(H(0)), 5u);
 }
@@ -482,8 +571,8 @@ TEST_F(SlotOpTest, SlabStraddlingSlotValidatesAcrossPieces) {
   };
   op_.Start(SlotOpKind::kGet, "k");
   EXPECT_EQ(table_.Run(op_),
-            (std::vector<std::string>{At("probe", H(0)), "backoff",
-                                      At("probe", H(0)), "done:OK"}));
+            (std::vector<std::string>{At("probe", H(0)), At("probe", H(0)),
+                                      "done:OK"}));
   EXPECT_EQ(Str(op_.value()), "second-value-spanning-the-slab-cut");
 
   table_.before = nullptr;

@@ -1,8 +1,9 @@
 // rlin: pretty-prints linearizability counterexamples (the JSON files the
 // LinChecker writes on shutdown, see RSTORE_RLIN_OUT, and the .rlin.json
 // files rexplore saves next to minimized traces). Accepts any number of
-// report files, prints each violating per-key history with the minimized
-// op core, and exits 1 when any file contains a violation — CI feeds it
+// report files, prints each file's search stats (keys inconclusive,
+// states) and each violating per-key history with the minimized op core,
+// and exits 1 when any file contains a violation — CI feeds it
 // the artifact directory so a red gate also shows the human-readable
 // counterexample inline.
 //
@@ -55,11 +56,18 @@ int PrintFile(const std::string& path) {
     return -1;
   }
 
-  std::printf("%s: %llu op(s) over %llu key(s), %zu violation(s)\n",
+  const JsonValue* stats = root->Find("stats");
+  const auto stat = [stats](const char* name) {
+    return static_cast<unsigned long long>(
+        stats != nullptr ? Num(stats->Find(name)) : 0);
+  };
+  std::printf("%s: %llu op(s) over %llu key(s), %zu violation(s); "
+              "%llu key(s) inconclusive, %llu states\n",
               path.c_str(),
               static_cast<unsigned long long>(Num(root->Find("ops"))),
               static_cast<unsigned long long>(Num(root->Find("keys"))),
-              violations->array.size());
+              violations->array.size(), stat("keys_inconclusive"),
+              stat("states"));
   int index = 0;
   for (const JsonValue& v : violations->array) {
     const JsonValue* ops = v.Find("ops");
