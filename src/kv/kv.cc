@@ -50,12 +50,7 @@ Status KvStore::Init(const KvOptions* geometry) {
   if (geometry == nullptr) {
     // The header read is the store's first IO: it connects the store's
     // QP to the header's server, and the ops reuse that connection.
-    RSTORE_ASSIGN_OR_RETURN(core::PinnedBuffer hdr,
-                            client_.AllocBuffer(SlotLayout::kHeaderBytes));
-    SlotStep read{.kind = SlotStep::Kind::kScan, .io_count = 1};
-    read.io[0] = {.length = SlotLayout::kHeaderBytes, .local = hdr.begin()};
-    RSTORE_RETURN_IF_ERROR(RoundTrips(read, hdr.lkey));
-    RSTORE_ASSIGN_OR_RETURN(header, SlotLayout::ReadHeader(hdr.data));
+    RSTORE_ASSIGN_OR_RETURN(header, issuer_.ReadGeometry(client_));
     geometry = &header;
   }
   options_ = *geometry;
@@ -100,36 +95,6 @@ Result<std::unique_ptr<KvStore>> KvStore::Open(core::RStoreClient& client,
   return store;
 }
 
-Status KvStore::RoundTrips(const SlotStep& step, uint32_t lkey) {
-  using Completion = StepIssuer::Completion;
-  SessionMux& mux = issuer_.mux();
-  const sim::Nanos deadline = sim::Now() + client_.options().io_timeout;
-  Completion done = Completion::kMoreIos;
-  while (done == Completion::kMoreIos) {
-    RSTORE_RETURN_IF_ERROR(issuer_.Stage(0, rt_, step, lkey));
-    Status st = mux.Flush();
-    done = Completion::kPending;
-    while (st.ok() && done == Completion::kPending) {
-      wcs_.clear();
-      const sim::Nanos left = deadline - sim::Now();
-      if (left <= 0 || mux.WaitPollInto(wcs_, rt_.pending, left) == 0) {
-        st = Status(ErrorCode::kTimedOut, "KV step did not complete");
-      }
-      for (const verbs::WorkCompletion& wc : wcs_) {
-        const Completion c = StepIssuer::OnCompletion(rt_, wc);
-        if (c != Completion::kStale) done = c;
-      }
-    }
-    if (!st.ok()) {
-      rt_.Abandon();
-      return st;
-    }
-  }
-  return done == Completion::kFailed
-             ? Status(ErrorCode::kUnavailable, "work request failed")
-             : Status::Ok();
-}
-
 Status KvStore::Drive(std::string_view key, obs::ObsSpan* span) {
   sim::Simulation& sim = client_.device().network().sim();
   if (span != nullptr && span->active()) {
@@ -153,7 +118,9 @@ Status KvStore::Drive(std::string_view key, obs::ObsSpan* span) {
         step.kind == SlotStep::Kind::kLock) {
       ++stats_.probe_reads;
     }
-    if (Status st = RoundTrips(step, scratch_.lkey); !st.ok()) {
+    if (Status st = issuer_.RoundTrips(step, scratch_.lkey,
+                                       client_.options().io_timeout);
+        !st.ok()) {
       op_.Fail(std::move(st));
       continue;
     }

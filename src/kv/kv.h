@@ -94,7 +94,7 @@ class KvStore {
   // backoff per retry after that. So a blocking client outwaits a
   // stalled lock holder for ~1023 backoffs of 5 µs (≈ 5 ms, plus the
   // probes between them) before the op fails with kAborted.
-  static constexpr SlotOp::Policy kRetryPolicy{1024, sim::Micros(5)};
+  static constexpr SlotOp::Policy kRetryPolicy{1024, SlotOp::kHolderBackoff};
 
   KvStore(core::RStoreClient& client, core::MappedRegion* region);
   // Binds the issuer (which rejects replicated regions) and op_ to the
@@ -102,23 +102,17 @@ class KvStore {
   Status Init(const KvOptions* geometry);
 
   // Runs op_ (already started) to completion: runs each IO step through
-  // RoundTrips, sleeps through backoffs, and records the op's rlin
-  // outcome when the simulation has a LinChecker. `span` (may be null)
-  // gets the home slot's server attribution.
+  // StepIssuer::RoundTrips (failing it after the client's IO timeout),
+  // sleeps through backoffs, and records the op's rlin outcome when the
+  // simulation has a LinChecker. `span` (may be null) gets the home
+  // slot's server attribution.
   Status Drive(std::string_view key, obs::ObsSpan* span);
-  // Stages `step`'s round trips (local bytes registered under `lkey`)
-  // one at a time, flushing each and waiting for its completions, until
-  // the issuer reports the step done. Fails when a WR fails or the
-  // client's IO timeout passes.
-  Status RoundTrips(const SlotStep& step, uint32_t lkey);
 
   core::RStoreClient& client_;
   core::MappedRegion* region_;
   KvOptions options_;
   core::PinnedBuffer scratch_{};  // op_'s slot image and seqlock cells
   StepIssuer issuer_;
-  RoundTrip rt_;
-  std::vector<verbs::WorkCompletion> wcs_;
   SlotOp op_;
   KvStats stats_;
 };

@@ -188,6 +188,9 @@ class SlotOp {
     sim::Nanos backoff = 0;     // wait behind a holder that made no
                                 // progress in a round trip
   };
+  // The backoff every client of the protocol waits: KvStore and the load
+  // engine.
+  static constexpr sim::Nanos kHolderBackoff = sim::Micros(5);
 
   // Scratch bytes an op needs: `area_slots` slot images (a scan reads
   // that many slots), then three 8-byte cells (version re-read, CAS old

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/simulation.h"
+
 namespace rstore::kv {
 
 Status StepIssuer::Bind(const core::MappedRegion& region,
@@ -72,6 +74,45 @@ Status StepIssuer::Stage(uint32_t session, RoundTrip& rt,
   }
   rt.next_io = chain || rt.next_io + 1 == step.io_count ? 0 : rt.next_io + 1;
   return Status::Ok();
+}
+
+Status StepIssuer::RoundTrips(const SlotStep& step, uint32_t lkey,
+                              sim::Nanos timeout) {
+  const sim::Nanos deadline = sim::Now() + timeout;
+  Completion done = Completion::kMoreIos;
+  while (done == Completion::kMoreIos) {
+    RSTORE_RETURN_IF_ERROR(Stage(0, wait_rt_, step, lkey));
+    Status st = mux_.Flush();
+    done = Completion::kPending;
+    while (st.ok() && done == Completion::kPending) {
+      wcs_.clear();
+      const sim::Nanos left = deadline - sim::Now();
+      if (left <= 0 || mux_.WaitPollInto(wcs_, wait_rt_.pending, left) == 0) {
+        st = Status(ErrorCode::kTimedOut, "KV step did not complete");
+      }
+      for (const verbs::WorkCompletion& wc : wcs_) {
+        const Completion c = OnCompletion(wait_rt_, wc);
+        if (c != Completion::kStale) done = c;
+      }
+    }
+    if (!st.ok()) {
+      wait_rt_.Abandon();
+      return st;
+    }
+  }
+  return done == Completion::kFailed
+             ? Status(ErrorCode::kUnavailable, "work request failed")
+             : Status::Ok();
+}
+
+Result<TableGeometry> StepIssuer::ReadGeometry(core::RStoreClient& client) {
+  RSTORE_ASSIGN_OR_RETURN(core::PinnedBuffer hdr,
+                          client.AllocBuffer(SlotLayout::kHeaderBytes));
+  SlotStep read{.kind = SlotStep::Kind::kScan, .io_count = 1};
+  read.io[0] = {.length = SlotLayout::kHeaderBytes, .local = hdr.begin()};
+  RSTORE_RETURN_IF_ERROR(
+      RoundTrips(read, hdr.lkey, client.options().io_timeout));
+  return SlotLayout::ReadHeader(hdr.data);
 }
 
 }  // namespace rstore::kv

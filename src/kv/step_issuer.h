@@ -5,8 +5,10 @@
 // stages them through the SessionMux — one chain and one round trip when
 // every IO is one piece and all ride one QP, else one round trip per IO,
 // in order — and keeps each op's round-trip state. Flushing, polling,
-// timers and what an op's end means stay with the caller. Nothing here is
-// virtual: the engine calls it on every completion.
+// timers and what an op's end means stay with the caller, except for a
+// caller that waits: RoundTrips runs one step to completion, and
+// ReadGeometry reads the table header that way. Nothing here is virtual:
+// the engine calls it on every completion.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +79,15 @@ class StepIssuer {
     return rt.next_io != 0 ? Completion::kMoreIos : Completion::kStepDone;
   }
 
+  // Blocking: stages `step`'s round trips (local bytes registered under
+  // `lkey`) as session 0, one at a time, flushing each and waiting for its
+  // completions, until the step is done. Fails when a WR fails or
+  // `timeout` passes. A caller that stages session 0 itself must not do so
+  // during a call.
+  Status RoundTrips(const SlotStep& step, uint32_t lkey, sim::Nanos timeout);
+  // Blocking: reads the table header with one RoundTrips and parses it.
+  Result<TableGeometry> ReadGeometry(core::RStoreClient& client);
+
   // Slab-order index of the server holding the 8 bytes at `offset` (0
   // when outside the region).
   [[nodiscard]] uint32_t ServerIndexOf(uint64_t offset) const;
@@ -98,6 +109,8 @@ class StepIssuer {
   std::vector<uint32_t> server_nodes_;                   // by index
   std::unordered_map<uint32_t, uint32_t> server_index_;  // node -> index
   std::vector<Piece> pieces_;
+  RoundTrip wait_rt_;  // RoundTrips' session 0
+  std::vector<verbs::WorkCompletion> wcs_;
 };
 
 }  // namespace rstore::kv

@@ -32,7 +32,7 @@ LoadEngine::LoadEngine(core::RStoreClient& client, std::string table,
       engine_index_(engine_index),
       engine_count_(engine_count),
       issuer_(client.device()),
-      hotkeys_(options_.hotkey_capacity) {}
+      hotkeys_(kHotkeyCapacity) {}
 
 LoadEngine::~LoadEngine() {
   if (arena_mr_ != nullptr && pd_ != nullptr) {
@@ -49,7 +49,7 @@ size_t LoadEngine::Moderation() const noexcept {
   // in-flight count, so heavy load amortizes wakeups and light load
   // stays prompt.
   size_t m = static_cast<size_t>(inflight_wrs_ / 4);
-  m = std::clamp<size_t>(m, 1, options_.moderation_max);
+  m = std::clamp<size_t>(m, 1, kModerationMax);
   return std::min<size_t>(m, static_cast<size_t>(inflight_wrs_));
 }
 
@@ -76,19 +76,15 @@ void LoadEngine::ResolveObs() {
 Status LoadEngine::Setup() {
   lin_ = client_.device().network().sim().lin();
   RSTORE_ASSIGN_OR_RETURN(core::MappedRegion * region, client_.Rmap(table_));
-  RSTORE_RETURN_IF_ERROR(issuer_.Bind(*region, options_.qp_per_server));
-
-  // Table geometry comes from the header, like KvStore::Open.
-  RSTORE_ASSIGN_OR_RETURN(core::PinnedBuffer hdr,
-                          client_.AllocBuffer(SlotLayout::kHeaderBytes));
-  RSTORE_RETURN_IF_ERROR(region->Read(0, hdr.data));
-  RSTORE_ASSIGN_OR_RETURN(geometry_, SlotLayout::ReadHeader(hdr.data));
-  retry_policy_ = {options_.op_retry_budget, options_.retry_backoff};
-
+  RSTORE_RETURN_IF_ERROR(issuer_.Bind(*region, kQpPerServer));
   RSTORE_RETURN_IF_ERROR(issuer_.mux().Connect());
+  // Table geometry comes from the header, read over the mux as
+  // KvStore::Open reads it, before any session stages a step.
+  RSTORE_ASSIGN_OR_RETURN(geometry_, issuer_.ReadGeometry(client_));
+  retry_policy_ = {options_.op_retry_budget, kv::SlotOp::kHolderBackoff};
   admission_ = std::make_unique<AdmissionController>(
       static_cast<uint32_t>(issuer_.server_nodes().size()), options_.admission,
-      options_.window_per_server, options_.max_deferred);
+      kWindowPerServer, kMaxDeferred);
 
   // One zipf generator per engine: its O(n) CDF is too heavy to clone per
   // session, and sessions are stepped in deterministic order anyway.
@@ -110,7 +106,7 @@ Status LoadEngine::Setup() {
   // Scratch arena: one SlotOp scratch per session, 8-byte aligned. Its
   // slot area holds a whole scan run when the mix scans.
   const uint32_t area_slots =
-      options_.mix.scan > 0.0 ? std::max(options_.scan_len, 1u) : 1u;
+      options_.mix.scan > 0.0 ? kScanLen : 1u;
   const size_t stride =
       (kv::SlotOp::ScratchBytes(geometry_.slot_bytes, area_slots) + 7) &
       ~size_t{7};
@@ -195,13 +191,11 @@ void LoadEngine::ScheduleFirstArrivals() {
 
 void LoadEngine::PushNextArrival(uint32_t s) {
   Session& ses = sessions_[s];
-  // Exponential gap at the curve's instantaneous per-session rate. The
-  // draw happens at schedule time, so the arrival process is open loop:
+  // Exponential gap at the session's share of the offered rate. The draw
+  // happens at schedule time, so the arrival process is open loop:
   // completions never influence when the next op is due.
   const double rate =
-      options_.curve.RateAt(options_.offered_load,
-                            ses.next_intended - t0_, options_.duration) /
-      static_cast<double>(options_.sessions);
+      options_.offered_load / static_cast<double>(options_.sessions);
   if (!(rate > 0.0)) {
     ses.next_intended = t_end_;
     return;
@@ -590,26 +584,15 @@ Status LoadEngine::Run() {
 
 namespace {
 
-// Appends the completions due by now to `wcs`, sorted. First an
-// end-of-instant barrier: a completion due *at* this instant may still be
-// behind this thread's wake in the event queue (whether it is depends on
-// scheduler tie order); yielding reposts the wake behind every queued
-// same-instant event, so the batch holds exactly the completions due by
-// now under any scheduler. Sorting by completion cookie then makes a
-// round's processing a pure function of the batch contents, not of the
-// order in which same-instant deliveries were queued around this
-// thread's wake. The engine's pinned timeline includes this order.
-// stable_sort: split-probe pieces share one cookie and their handling is
-// commutative, but keeping their relative order costs nothing.
+// Appends the completions due by now to `wcs`. First an end-of-instant
+// barrier: a completion due *at* this instant may still be behind this
+// thread's wake in the event queue; yielding reposts the wake behind
+// every queued same-instant event, so the batch holds exactly the
+// completions due by now, in the order the CQ received them.
 void PollInstant(kv::SessionMux& mux,
                  std::vector<verbs::WorkCompletion>& wcs) {
   sim::Yield();
   mux.PollInto(wcs);
-  std::stable_sort(wcs.begin(), wcs.end(),
-                   [](const verbs::WorkCompletion& a,
-                      const verbs::WorkCompletion& b) {
-                     return a.wr_id < b.wr_id;
-                   });
 }
 
 }  // namespace
@@ -620,9 +603,7 @@ Status LoadEngine::EndRound(uint64_t steps) {
   // The modeled CPU charge keeps virtual time honest about the session
   // work this round did.
   stats_.steps += steps;
-  if (options_.session_step_ns > 0) {
-    sim::ChargeCpu(steps * options_.session_step_ns);
-  }
+  sim::ChargeCpu(steps * kSessionStepNs);
   return issuer_.mux().Flush();
 }
 

@@ -3,8 +3,8 @@
 //
 // Sessions are lightweight, not SimThreads: a 10k-session run costs 10k
 // small structs, not 10k stacks. Each session follows a deterministic
-// open-loop arrival schedule (exponential gaps at the curve's
-// instantaneous rate, drawn from a per-session RNG) and runs one RKV
+// open-loop arrival schedule (exponential gaps at its share of the
+// offered rate, drawn from a per-session RNG) and runs one RKV
 // operation at a time as a kv::SlotOp. Its steps reach the wire through
 // kv::StepIssuer, the one step-to-verbs path, which KvStore's blocking
 // session uses too. The engine drives the sessions around it: admission,
@@ -110,6 +110,17 @@ class LoadEngine {
   Status Run();
 
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
+
+  // Fixed engine parameters.
+  static constexpr uint32_t kScanLen = 16;  // slots per YCSB-E scan
+  // Admission per (engine, server): ops in flight, then ops deferred
+  // before the next is shed.
+  static constexpr uint32_t kWindowPerServer = 48;
+  static constexpr uint32_t kMaxDeferred = 128;
+  static constexpr uint32_t kQpPerServer = 2;        // mux QPs per server
+  static constexpr uint32_t kModerationMax = 32;     // CQ wake-threshold cap
+  static constexpr sim::Nanos kSessionStepNs = 120;  // CPU per session step
+  static constexpr uint32_t kHotkeyCapacity = 16;    // heavy-hitter counters
 
   // Bulk-loads `options.preload_keys` keys into a fresh RKV table by
   // composing the entire table image locally and writing it with large

@@ -38,27 +38,4 @@ OpType WorkloadMix::Pick(Rng& rng) const noexcept {
   return OpType::kReadModifyWrite;
 }
 
-double ArrivalCurve::RateAt(double peak_ops_per_s, sim::Nanos t,
-                            sim::Nanos duration) const noexcept {
-  switch (shape) {
-    case ArrivalShape::kConstant:
-      return peak_ops_per_s;
-    case ArrivalShape::kRamp: {
-      if (duration == 0) return peak_ops_per_s;
-      const double frac =
-          static_cast<double>(t) / static_cast<double>(duration);
-      return peak_ops_per_s *
-             (ramp_start_fraction + (1.0 - ramp_start_fraction) * frac);
-    }
-    case ArrivalShape::kBurst: {
-      if (burst_period == 0) return peak_ops_per_s;
-      const double phase = static_cast<double>(t % burst_period) /
-                           static_cast<double>(burst_period);
-      return peak_ops_per_s *
-             (phase < burst_duty ? burst_multiplier : base_fraction);
-    }
-  }
-  return peak_ops_per_s;
-}
-
 }  // namespace rstore::load

@@ -1,9 +1,9 @@
 // Workload vocabulary for the open-loop load engine (see engine.h).
 //
 // A workload is (mix, skew, arrival process): the YCSB core mixes over
-// RKV operations, zipf-distributed key popularity, and an open-loop
-// arrival-rate curve. Open loop means arrivals are scheduled by the
-// curve, never by completions — a saturated store keeps receiving
+// RKV operations, zipf-distributed key popularity, and open-loop Poisson
+// arrivals at a constant rate. Open loop means arrivals are scheduled by
+// the rate, never by completions — a saturated store keeps receiving
 // traffic, which is exactly the regime where tail latency is earned.
 // Latency is therefore measured from each operation's *intended* send
 // time (coordinated-omission-safe, wrk2-style), not from whenever the
@@ -53,39 +53,14 @@ struct WorkloadMix {
   [[nodiscard]] OpType Pick(Rng& rng) const noexcept;
 };
 
-enum class ArrivalShape : uint8_t { kConstant, kRamp, kBurst };
-
-// Instantaneous aggregate arrival rate over the open-loop window. The
-// peak rate (ops/s) comes from LoadOptions::offered_load; the curve
-// modulates it:
-//   kConstant  rate(t) = peak
-//   kRamp      rate(t) climbs linearly from ramp_start_fraction*peak to
-//              peak across the window
-//   kBurst     square wave: burst_multiplier*peak for the first
-//              burst_duty of every burst_period, base_fraction*peak for
-//              the rest
-struct ArrivalCurve {
-  ArrivalShape shape = ArrivalShape::kConstant;
-  double ramp_start_fraction = 0.1;
-  sim::Nanos burst_period = sim::Millis(10);
-  double burst_duty = 0.2;
-  double burst_multiplier = 3.0;
-  double base_fraction = 0.5;
-
-  // Rate in ops/s at `t` nanoseconds into a window of `duration` ns.
-  [[nodiscard]] double RateAt(double peak_ops_per_s, sim::Nanos t,
-                              sim::Nanos duration) const noexcept;
-};
-
 // Everything that shapes one open-loop run. One LoadOptions describes
 // the *aggregate* workload; each engine (one per client node) drives
 // sessions/engine_count of it.
 struct LoadOptions {
   // --- traffic ---------------------------------------------------------
   uint32_t sessions = 10000;        // total logical client sessions
-  double offered_load = 200e3;      // aggregate peak arrival rate, ops/s
+  double offered_load = 200e3;      // aggregate arrival rate, ops/s
   sim::Nanos duration = sim::Millis(100);  // open-loop arrival window
-  ArrivalCurve curve;
   WorkloadMix mix = WorkloadMix::Ycsb('b');
   double theta = 0.99;              // zipf skew over the preloaded keys
   // --- table -----------------------------------------------------------
@@ -93,30 +68,21 @@ struct LoadOptions {
   uint32_t value_bytes = 64;
   uint32_t slot_bytes = 256;
   uint32_t max_probe = 16;
-  uint32_t scan_len = 16;           // slots per YCSB-E scan
   // --- admission control (per engine, per target server) ---------------
   bool admission = true;
-  uint32_t window_per_server = 48;  // in-flight ops per (engine, server)
-  uint32_t max_deferred = 128;      // defer-queue cap before shedding
   // Deadline shed: an op whose intended send time has already aged past
   // this bound is dropped instead of started (0 = never). This is what
   // keeps the *completed*-op tail bounded under sustained overload: the
   // in-flight window and defer queue bound the dataplane, the deadline
   // bounds the per-session backlog wait.
   sim::Nanos shed_deadline = sim::Millis(10);
-  // --- session-to-QP multiplexing --------------------------------------
-  uint32_t qp_per_server = 2;       // verbs QPs per (engine, server)
-  uint32_t moderation_max = 32;     // CQ wake-threshold ceiling
   // --- engine ----------------------------------------------------------
-  sim::Nanos session_step_ns = 120; // modeled CPU per session step
   uint32_t op_retry_budget = 64;    // seqlock conflicts before giving up
-  sim::Nanos retry_backoff = sim::Micros(5);  // behind a stalled holder
   uint64_t seed = 1;
   // --- observability ----------------------------------------------------
   // Per-op causal tracing (see obs/rtrace.h). Off by default; enabling it
   // never moves virtual time — timelines are bit-identical across modes.
   obs::RtraceConfig rtrace;
-  uint32_t hotkey_capacity = 16;    // space-saving heavy-hitter counters
 
   // Table geometry derived from the preload size: 4x bucket headroom
   // keeps linear probing short at a 25% load factor.

@@ -117,7 +117,7 @@ void Fabric::Send(uint32_t src, uint32_t dst, uint64_t payload_bytes,
     return;
   }
 
-  // dst ingress is counted in ApplyIngress, when the first bit arrives.
+  // dst ingress is counted in Deliver, when the message is handed over.
   ResolveObs();
   PortState& sp = port(src);
   sp.bytes_out += payload_bytes;
@@ -225,77 +225,32 @@ void Fabric::PumpEgress(uint32_t node) {
   }
 
   // First bit reaches the destination base_latency after transmission
-  // starts (cut-through: ingress service overlaps egress transmission);
-  // the ingress port then serves messages back to back in first-bit
-  // order, which the reservation timestamp reproduces directly.
-  //
+  // starts (cut-through: ingress service overlaps egress transmission).
+  // Pumps run in nondecreasing virtual time, so this pump is the latest
+  // first bit yet at the destination: it reserves the ingress port now,
+  // which then serves messages back to back in first-bit order.
+  msg->first_bit = now + config_.base_latency;
+  PortState& q = port(dst);  // may grow ports_: `p` is looked up again
+  q.ingress_free_at =
+      std::max(msg->first_bit, q.ingress_free_at) + msg->wire_time;
+  Nanos deliver_at = q.ingress_free_at;
   // Fault injection (kFabricDelay): an exploration policy may add bounded
-  // extra propagation latency per message. Because the destination's
-  // ingress reservation (`ingress_free_at`) is monotone and reservations
-  // happen in pump order, a delayed message can push *later* arrivals at
-  // that port back but never overtake an earlier reservation — so RC-QP
-  // same-path FIFO delivery is preserved under any injected delay.
-  Nanos extra = 0;
+  // extra latency per message. It is added after the reservation, so a
+  // delayed message holds back no other source's messages at the port and
+  // can be overtaken by them. The per-(src,dst) clamp keeps deliveries on
+  // one path strictly increasing, which preserves RC same-path FIFO
+  // delivery under any injected delay.
   if (explore::SchedulePolicy* pol = sim_.policy(); pol != nullptr) {
-    extra = pol->FabricDelayNs();
+    deliver_at += pol->FabricDelayNs();
   }
-  // The ingress reservation belongs to the destination: the message is
-  // handed over at its first-bit instant, staged, and reserved by the
-  // end-of-instant drain in (src, tx_seq) order. The per-(src,dst) clamp
-  // keeps first bits strictly increasing per path even when a policy
-  // injects unequal per-message delays, so the first-bit sort preserves
-  // RC same-path FIFO delivery.
-  auto& last = p.last_first_bit_by_dst;
-  if (msg->dst >= last.size()) last.resize(msg->dst + 1);
-  Nanos first_bit = now + config_.base_latency + extra;
-  if (first_bit <= last[msg->dst]) first_bit = last[msg->dst] + 1;
-  last[msg->dst] = first_bit;
-  msg->first_bit = first_bit;
-  msg->tx_seq = p.tx_seq++;
-  sim_.At(first_bit, [this, msg] { ApplyIngress(msg); });
+  PortState& sp = port(node);
+  auto& last = sp.last_delivery_by_dst;
+  if (dst >= last.size()) last.resize(dst + 1);
+  if (deliver_at <= last[dst]) deliver_at = last[dst] + 1;
+  last[dst] = deliver_at;
+  sim_.At(deliver_at, [this, msg] { Deliver(msg); });
 
-  if (p.egress_backlog > 0) SchedulePump(node, p.egress_free_at);
-}
-
-void Fabric::ApplyIngress(Message* msg) {
-  // Runs at the first-bit arrival instant. Arrivals that share the
-  // instant are staged and reserved together by DrainIngress: the drain
-  // event is scheduled *during* the instant, after every same-instant
-  // arrival was (they were scheduled at their senders' pumps, one base
-  // latency earlier), so the stage then holds the complete tie set. Bytes
-  // count as received when their first bit reaches a live destination
-  // port; a message already dropped in flight is only the sender's.
-  ResolveObs();
-  PortState& q = port(msg->dst);
-  if (sim_.node(msg->dst).alive() && LinkUp(msg->src, msg->dst)) {
-    q.bytes_in += msg->payload_bytes;
-    if (q.obs_bytes_in != nullptr) q.obs_bytes_in->Inc(msg->payload_bytes);
-  }
-  if (q.ingress_stage.empty()) {
-    const uint32_t node = msg->dst;
-    sim_.At(sim_.NowNanos(), [this, node] { DrainIngress(node); });
-  }
-  q.ingress_stage.push_back(msg);
-}
-
-void Fabric::DrainIngress(uint32_t node) {
-  // End-of-instant ingress arbitration: serve this instant's arrivals in
-  // (src, tx_seq) order — a pure function of the arrival set, so tied
-  // first bits resolve the same whichever sender's pump ran first.
-  PortState& q = port(node);
-  if (q.ingress_stage.size() > 1) {
-    std::sort(q.ingress_stage.begin(), q.ingress_stage.end(),
-              [](const Message* a, const Message* b) {
-                return a->src != b->src ? a->src < b->src
-                                        : a->tx_seq < b->tx_seq;
-              });
-  }
-  for (Message* msg : q.ingress_stage) {
-    const Nanos service_start = std::max(msg->first_bit, q.ingress_free_at);
-    q.ingress_free_at = service_start + msg->wire_time;
-    sim_.At(q.ingress_free_at, [this, msg] { Deliver(msg); });
-  }
-  q.ingress_stage.clear();
+  if (sp.egress_backlog > 0) SchedulePump(node, sp.egress_free_at);
 }
 
 void Fabric::Deliver(Message* msg) {
@@ -303,9 +258,12 @@ void Fabric::Deliver(Message* msg) {
   // delivery handlers routinely send nested messages (read responses),
   // which can then reuse the slot.
   if (sim_.node(msg->dst).alive() && LinkUp(msg->src, msg->dst)) {
+    ResolveObs();
+    PortState& q = port(msg->dst);
+    q.bytes_in += msg->payload_bytes;
+    if (q.obs_bytes_in != nullptr) q.obs_bytes_in->Inc(msg->payload_bytes);
     obs::Telemetry* tel = sim_.telemetry();
     if (tel != nullptr) {
-      ResolveObs();
       const Nanos now = sim_.NowNanos();
       // Propagation plus any ingress-port wait: everything between the
       // end of egress queueing/serialization and delivery.

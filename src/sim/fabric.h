@@ -11,8 +11,12 @@
 //
 // A message of B payload bytes occupies each port for
 // wire_time(B) = (B + header_overhead) * 8 / bandwidth, and its first bit
-// reaches the destination base_latency after transmission starts. This
-// reproduces the first-order behaviours the paper's evaluation rests on:
+// reaches the destination base_latency after transmission starts. Every
+// first bit is therefore known when the source port starts sending, and
+// sources start sending in nondecreasing virtual time: the source port
+// reserves the destination's ingress right then, so a message costs one
+// scheduler event (its delivery). This reproduces the first-order
+// behaviours the paper's evaluation rests on:
 //   * uncontended latency = base_latency + size/bandwidth   (E1),
 //   * per-port saturation and fair sharing under fan-in/out (E3, E6),
 //   * cut-through pipelining of back-to-back transfers.
@@ -102,9 +106,9 @@ class Fabric {
   [[nodiscard]] static const DeliveryStamps* CurrentDelivery() noexcept;
 
   // Cumulative statistics, for tests and bandwidth accounting. A message
-  // counts in bytes_out when it is sent and in bytes_in when its first bit
-  // reaches a live destination, so one dropped in flight is only in
-  // bytes_out.
+  // counts in bytes_out when it is sent and in bytes_in when it is
+  // delivered to a live destination over an up link, so one dropped in
+  // flight is only in bytes_out.
   [[nodiscard]] uint64_t bytes_out(uint32_t node) const;
   [[nodiscard]] uint64_t bytes_in(uint32_t node) const;
   [[nodiscard]] uint64_t messages_out(uint32_t node) const;
@@ -126,7 +130,6 @@ class Fabric {
     Nanos sent_at;
     Nanos tx_start;   // egress transmission start (set by PumpEgress)
     Nanos first_bit;  // arrival of the first bit at dst
-    uint64_t tx_seq;  // per-source transmit sequence (ingress tie-break)
   };
 
   struct PortState {
@@ -144,22 +147,16 @@ class Fabric {
     // uncontended message costs a single scheduler event end to end.
     Nanos egress_free_at = 0;
     bool pump_scheduled = false;  // a pump event exists at egress_free_at
-    // Ingress service is likewise a reservation timestamp. Messages are
-    // served in first-bit arrival order: every message is scheduled for
-    // its first-bit instant (ApplyIngress), staged per instant, and
-    // reserved in (first_bit, src, tx_seq) order by DrainIngress. The
-    // explicit per-instant sort makes the service order at *tied*
-    // first-bit instants a pure function of the arrival set, not of the
-    // order in which the senders' pumps happened to run.
+    // Ingress service is likewise a reservation timestamp, taken by the
+    // source's pump: pumps run in nondecreasing virtual time and a first
+    // bit trails its pump by base_latency, so pump order is first-bit
+    // order. Pumps at one instant run in the scheduler's FIFO order.
     Nanos ingress_free_at = 0;
-    // Same-instant arrivals staged for the end-of-instant drain.
-    std::vector<Message*> ingress_stage;
-    // Last first-bit instant sent towards each destination. Injected
-    // per-message delays (kFabricDelay) are clamped so first bits per
+    // Last delivery instant scheduled towards each destination. Injected
+    // per-message delays (kFabricDelay) are clamped so deliveries per
     // (src,dst) pair stay strictly increasing, which preserves RC
-    // same-path FIFO delivery under the first-bit sort.
-    std::vector<Nanos> last_first_bit_by_dst;
-    uint64_t tx_seq = 0;  // stamped onto outgoing messages at pump time
+    // same-path FIFO delivery; without a delay the clamp never fires.
+    std::vector<Nanos> last_delivery_by_dst;
 
     uint64_t bytes_out = 0;
     uint64_t bytes_in = 0;
@@ -188,8 +185,6 @@ class Fabric {
   void ReleaseMessage(Message* msg);
   void PumpEgress(uint32_t node);
   void SchedulePump(uint32_t node, Nanos at);
-  void ApplyIngress(Message* msg);
-  void DrainIngress(uint32_t node);
   void Deliver(Message* msg);
   [[nodiscard]] static uint64_t LinkKey(uint32_t a, uint32_t b) noexcept {
     if (a > b) std::swap(a, b);

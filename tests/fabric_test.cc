@@ -1,13 +1,15 @@
 // Tests for the fabric model: latency/bandwidth arithmetic, port
 // contention (fan-in and fan-out saturation), pipelining, loopback,
-// partitions and node death.
+// partitions and node death, and where an injected fabric delay lands.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "explore/policy.h"
 #include "sim/fabric.h"
 #include "sim/simulation.h"
 
@@ -298,30 +300,88 @@ TEST_F(FabricFixture, StatisticsAccumulate) {
 }
 
 TEST(FabricAccountingTest, DroppedInFlightCountsOutButNotIn) {
-  // Ingress bytes count when the first bit reaches a live destination
-  // port: a message whose link is cut, or whose destination dies, while
-  // it is still on the wire is only the sender's.
+  // Ingress bytes count when a message is delivered to a live destination
+  // over an up link: a message whose link is cut, or whose destination
+  // dies, before its delivery is only the sender's — even when its first
+  // bit had already reached the destination port.
   Simulation sim;
   Fabric fabric(sim, NicConfig{});
-  for (int i = 0; i < 4; ++i) sim.AddNode("n" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) sim.AddNode("n" + std::to_string(i));
   const uint64_t kCut = 4096, kKilled = 8192, kDelivered = 100;
+  const uint64_t kCutLate = 1 << 20;  // ~143 us on the wire
   int delivered = 0;
   int dropped = 0;
-  for (const auto& [dst, bytes] :
-       {std::pair{1u, kCut}, {2u, kKilled}, {3u, kDelivered}}) {
+  for (const auto& [dst, bytes] : {std::pair{1u, kCut}, {2u, kKilled},
+                                   {3u, kDelivered}, {4u, kCutLate}}) {
     fabric.Send(0, dst, bytes, [&] { ++delivered; }, [&] { ++dropped; });
   }
   // No first bit has landed yet: it takes base_latency.
   sim.RunUntil(fabric.config().base_latency / 2);
   fabric.SetLinkDown(0, 1, true);
   sim.KillNode(2);
+  // Every first bit has landed (the last left after three small
+  // messages); the large message is still arriving.
+  sim.RunUntil(fabric.config().base_latency + Micros(20));
+  fabric.SetLinkDown(0, 4, true);
   sim.Run();
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(dropped, 2);
-  EXPECT_EQ(fabric.bytes_out(0), kCut + kKilled + kDelivered);
+  EXPECT_EQ(dropped, 3);
+  EXPECT_EQ(fabric.bytes_out(0), kCut + kKilled + kDelivered + kCutLate);
   EXPECT_EQ(fabric.bytes_in(1), 0u);
   EXPECT_EQ(fabric.bytes_in(2), 0u);
   EXPECT_EQ(fabric.bytes_in(3), kDelivered);
+  EXPECT_EQ(fabric.bytes_in(4), 0u);
+}
+
+// Delays the first message it is asked about by `delay_ns`; every other
+// decision takes the baseline.
+class DelayFirstMessage final : public explore::SchedulePolicy {
+ public:
+  explicit DelayFirstMessage(uint64_t delay_ns) : delay_ns_(delay_ns) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "delay-first";
+  }
+
+ protected:
+  uint64_t Choose(uint64_t /*ordinal*/, explore::DecisionKind kind,
+                  const uint32_t* /*lanes*/, uint64_t /*n*/) override {
+    if (kind != explore::DecisionKind::kFabricDelay || delayed_) return 0;
+    delayed_ = true;
+    return delay_ns_;
+  }
+
+ private:
+  uint64_t delay_ns_;
+  bool delayed_ = false;
+};
+
+TEST(FabricDelayTest, DelayedMessageIsOvertakenByALaterSource) {
+  // An injected delay lands after the ingress reservation: the delayed
+  // message holds the destination port for its wire time only, so a
+  // later message from another source overtakes it and is served as if
+  // nothing were delayed.
+  DelayFirstMessage policy(Micros(20));
+  Simulation sim;
+  sim.AttachPolicy(&policy);
+  Fabric fabric(sim, NicConfig{});
+  for (int i = 0; i < 3; ++i) sim.AddNode("n" + std::to_string(i));
+  const NicConfig& cfg = fabric.config();
+  const uint64_t kBytes = 4096;
+  const Nanos wire =
+      TransferTime(kBytes + cfg.header_overhead_bytes, cfg.bandwidth_bps);
+  std::vector<std::pair<uint32_t, Nanos>> order;  // (src, delivered at)
+  fabric.Send(0, 2, kBytes, [&] { order.emplace_back(0, sim.NowNanos()); });
+  sim.At(100, [&] {
+    fabric.Send(1, 2, kBytes, [&] { order.emplace_back(1, sim.NowNanos()); });
+  });
+  sim.Run();
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0].first, 1u);
+  EXPECT_EQ(order[0].second,
+            std::max<Nanos>(100 + cfg.base_latency, cfg.base_latency + wire) +
+                wire);
+  EXPECT_EQ(order[1].first, 0u);
+  EXPECT_EQ(order[1].second, cfg.base_latency + wire + Micros(20));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for src/load, the open-loop massive-fan-in serving stack:
 // admission control (window / FIFO deferral / shed), workload vocabulary
-// (YCSB mixes, arrival curves), session-to-QP multiplexing ratios, the
+// (YCSB mixes), session-to-QP multiplexing ratios, the
 // LoadEngine state machines end to end on a small cluster, rcheck
 // cleanliness,
 // coordinated-omission-safe latency anchoring under overload, rtrace
@@ -137,32 +137,6 @@ TEST(WorkloadMixTest, PickTracksNamedMixFractions) {
   }
   EXPECT_EQ(scans + inserts, kDraws);
   EXPECT_NEAR(scans, kDraws * 95 / 100, kDraws / 20);
-}
-
-TEST(ArrivalCurveTest, ShapesModulateThePeakRate) {
-  const double peak = 1e6;
-  const sim::Nanos window = sim::Millis(10);
-  ArrivalCurve constant;
-  EXPECT_DOUBLE_EQ(constant.RateAt(peak, 0, window), peak);
-  EXPECT_DOUBLE_EQ(constant.RateAt(peak, window / 2, window), peak);
-
-  ArrivalCurve ramp;
-  ramp.shape = ArrivalShape::kRamp;
-  ramp.ramp_start_fraction = 0.1;
-  EXPECT_NEAR(ramp.RateAt(peak, 0, window), 0.1 * peak, 1e-6 * peak);
-  EXPECT_NEAR(ramp.RateAt(peak, window, window), peak, 1e-6 * peak);
-  EXPECT_LT(ramp.RateAt(peak, window / 4, window),
-            ramp.RateAt(peak, window / 2, window));
-
-  ArrivalCurve burst;
-  burst.shape = ArrivalShape::kBurst;
-  burst.burst_period = sim::Millis(1);
-  burst.burst_duty = 0.2;
-  burst.burst_multiplier = 3.0;
-  burst.base_fraction = 0.5;
-  // Inside the first 20% of a period: multiplied; after: base fraction.
-  EXPECT_DOUBLE_EQ(burst.RateAt(peak, sim::Micros(100), window), 3.0 * peak);
-  EXPECT_DOUBLE_EQ(burst.RateAt(peak, sim::Micros(600), window), 0.5 * peak);
 }
 
 // ----------------------------------------------------------- SessionMux --
@@ -332,6 +306,33 @@ TEST(LoadEngineTest, SmokeCompletesEveryArrivalAtLowLoad) {
   EXPECT_GE(r.stats.mux.wrs_posted, r.stats.mux.chains_posted);
 }
 
+TEST(LoadEngineTest, SetupReadsTheHeaderOverItsMux) {
+  // An engine on a client that did not preload reads the table header
+  // through its own mux, like KvStore::Open: it never opens the region's
+  // own connection, so the client counts no region data op.
+  const LoadOptions opts = SmallOptions();
+  ClusterConfig cfg = SmallCluster();
+  cfg.client_nodes = 2;
+  TestCluster cluster(cfg);
+  cluster.SpawnClient(0, [&](RStoreClient& client) {
+    ASSERT_TRUE(LoadEngine::PreloadTable(client, "t", opts).ok());
+    ASSERT_TRUE(client.NotifyInc("t.loaded").ok());
+  });
+  EngineStats stats;
+  uint64_t data_ops = 1;
+  cluster.SpawnClient(1, [&](RStoreClient& client) {
+    ASSERT_TRUE(client.WaitNotify("t.loaded", 1).ok());
+    LoadEngine engine(client, "t", opts, 0, 1);
+    ASSERT_TRUE(engine.Run().ok());
+    stats = engine.stats();
+    data_ops = client.data_ops();
+  });
+  cluster.sim().Run();
+  EXPECT_GT(stats.completed, 0u);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(data_ops, 0u);
+}
+
 TEST(LoadEngineTest, SetupRejectsReplicatedTable) {
   // Remote atomics act on one copy: on a replicated table the engine
   // would lock and write the primary alone, and the copies would
@@ -379,7 +380,7 @@ TEST(LoadEngineTest, OverloadShedsAndAdmissionBoundsCompletedTail) {
   EXPECT_LT(admit.stats.completed, admit.stats.arrivals);
   // The in-flight window held.
   EXPECT_LE(admit.stats.admission.inflight_high_water,
-            opts.window_per_server);
+            LoadEngine::kWindowPerServer);
 
   LoadOptions open = opts;
   open.admission = false;
@@ -607,8 +608,9 @@ TEST(KeyClaimsEngineTest, FailingHolderNeverFailsItsRiders) {
   EXPECT_EQ(st.completed, 0u);
   EXPECT_GT(st.errors, 100u);
   EXPECT_EQ(st.errors, st.arrivals - st.shed);
-  // One probe (slot read + version re-read) per failed op.
-  EXPECT_EQ(st.mux.wrs_posted, 2 * st.errors);
+  // One probe (slot read + version re-read) per failed op, after the
+  // engine's table-header read.
+  EXPECT_EQ(st.mux.wrs_posted, 1 + 2 * st.errors);
   EXPECT_EQ(r.locks, 0u);
   EXPECT_EQ(r.lin_violations, 0u);
 }

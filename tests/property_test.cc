@@ -7,7 +7,8 @@
 //   * Allocator accounting: slabs never leak or double-allocate across
 //     arbitrary ralloc/rfree sequences.
 //   * Fabric conservation: every sent byte is delivered or dropped;
-//     latency never undercuts the configured floor.
+//     latency never undercuts the configured floor; each (src,dst) path
+//     delivers in send order, also under injected fabric delays.
 //   * Verbs ordering: completions on one QP pop in post order under
 //     random mixes of reads/writes of random sizes.
 //   * Crash safety: killing a random memory server mid-workload leaves
@@ -17,10 +18,12 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/cluster.h"
+#include "explore/policy.h"
 #include "verbs/verbs.h"
 
 namespace rstore {
@@ -170,9 +173,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AllocAccountingTest,
 // ---------------------------------------------------------------------------
 class FabricPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(FabricPropertyTest, EveryMessageDeliversOnceAndRespectsLatencyFloor) {
-  const uint64_t seed = GetParam();
+// 400 random sends among six nodes. With max_delay_ns > 0 a seeded
+// random-walk policy also injects per-message fabric delays
+// (kFabricDelay) and reorders every explorable choice.
+void RunFabricSweep(uint64_t seed, uint64_t max_delay_ns) {
+  // The policy outlives the simulation, which consults it to the end.
+  explore::RandomWalkPolicy policy(
+      seed, {.max_fabric_delay_ns = max_delay_ns, .delay_permille = 500});
   sim::Simulation sim(sim::SimConfig{.seed = seed});
+  if (max_delay_ns > 0) sim.AttachPolicy(&policy);
   constexpr int kNodes = 6;
   for (int i = 0; i < kNodes; ++i) sim.AddNode("n");
   sim::Fabric fabric(sim, sim::NicConfig{});
@@ -182,6 +191,9 @@ TEST_P(FabricPropertyTest, EveryMessageDeliversOnceAndRespectsLatencyFloor) {
   int dropped = 0;
   int sent = 0;
   uint64_t bytes_sent = 0;
+  uint64_t bytes_delivered = 0;
+  // Per (src,dst) path: messages sent, and messages delivered so far.
+  std::map<std::pair<uint32_t, uint32_t>, uint64_t> path_sent, path_done;
   for (int i = 0; i < 400; ++i) {
     const auto src = static_cast<uint32_t>(rng.NextBelow(kNodes));
     auto dst = static_cast<uint32_t>(rng.NextBelow(kNodes));
@@ -192,9 +204,16 @@ TEST_P(FabricPropertyTest, EveryMessageDeliversOnceAndRespectsLatencyFloor) {
     ++sent;
     bytes_sent += size;
     sim.At(sent_at, [&, src, dst, size, sent_at] {
+      // Send order is the order of the Send calls (a policy may reorder
+      // same-instant events).
+      const uint64_t seq = path_sent[{src, dst}]++;
       fabric.Send(src, dst, size,
-                  [&, sent_at, size] {
+                  [&, src, dst, seq, sent_at, size] {
                     ++delivered;
+                    bytes_delivered += size;
+                    // RC same-path FIFO: delivery order is send order.
+                    const uint64_t nth = path_done[{src, dst}]++;
+                    EXPECT_EQ(nth, seq) << src << "->" << dst;
                     const sim::Nanos latency = sim.NowNanos() - sent_at;
                     EXPECT_GE(latency,
                               fabric.config().base_latency +
@@ -213,8 +232,18 @@ TEST_P(FabricPropertyTest, EveryMessageDeliversOnceAndRespectsLatencyFloor) {
     in += fabric.bytes_in(n);
     out += fabric.bytes_out(n);
   }
+  EXPECT_EQ(in, bytes_delivered);
   EXPECT_EQ(in, bytes_sent);
   EXPECT_EQ(out, bytes_sent);
+  // The policy did deviate (delays are recorded trace entries).
+  if (max_delay_ns > 0) {
+    EXPECT_FALSE(policy.entries().empty());
+  }
+}
+
+TEST_P(FabricPropertyTest, EveryMessageDeliversOnceAndRespectsLatencyFloor) {
+  RunFabricSweep(GetParam(), /*max_delay_ns=*/0);
+  RunFabricSweep(GetParam(), /*max_delay_ns=*/sim::Micros(200));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FabricPropertyTest,
