@@ -66,7 +66,7 @@ struct FaninPoint {
   uint64_t shed = 0;
   uint64_t deferred = 0;
   uint64_t retries = 0;
-  uint64_t key_waits = 0;   // writes parked behind their key's holder
+  uint64_t key_waits = 0;   // writes that found their key held
   uint64_t combined = 0;    // writes completed as riders (no IO)
   uint64_t p50 = 0, p99 = 0, p999 = 0;  // ns, intended -> done
   double achieved_kops = 0;

@@ -9,9 +9,9 @@
 // (kv::StepIssuer, step_issuer.h) for both callers: KvStore (kv.h), one
 // session that waits, and LoadEngine (src/load), thousands of sessions
 // resumed from completion cookies. The engine also runs one write per
-// key at a time (load/key_claims.h): later same-key writes wait, and
-// those that share the finished op's kind complete through Ride()
-// instead of running their own steps.
+// key at a time (load/key_claims.h): later same-key writes of the
+// running op's kind complete through Ride() with it instead of running
+// their own steps.
 //
 // The protocol (Pilaf/FaRM-style seqlock slots, linear probing). An
 // uncontended read is one round trip (the probe), an uncontended write
@@ -224,11 +224,12 @@ class SlotOp {
   void Fail(Status status);
   // Completes a just-started write, without a step, as a rider of
   // `holder`: a finished op of the same kind on the same key whose
-  // outcome was a write or kNotFound, and whose CAS was posted after this
-  // op was invoked. The rider's write is ordered just before the
-  // holder's, so it takes the holder's status; on a write it composes
-  // its own value (a drawn value consumes the RNG as a posted write
-  // would) so that image() and RecordLin carry it.
+  // outcome was a write whose payload write was posted after this op was
+  // invoked, or kNotFound from a probe posted after it. The rider's
+  // write is ordered just before the holder's, so it takes the holder's
+  // status; on a write it composes its own value (a drawn value consumes
+  // the RNG as a posted write would) so that image() and RecordLin carry
+  // it.
   void Ride(const SlotOp& holder);
 
   [[nodiscard]] SlotStep::Kind step_kind() const noexcept { return phase_; }

@@ -264,15 +264,25 @@ void LoadEngine::BeginOp(uint32_t s) {
   hotkeys_.Offer(ses.key_id);
   ses.server_idx = issuer_.ServerIndexOf(
       SlotLayout::SlotOffset(ses.slot_op.home(), geometry_.slot_bytes));
-  if (KeyClaims::Claims(ses.op) && !claims_.Acquire(ses.key_id, s, ses.op)) {
-    // Parked behind the key's holder: posts nothing and holds no
-    // admission slot until HandOff runs or completes it.
-    ++stats_.key_waits;
-    ses.busy = true;
-    return;
+  if (KeyClaims::Claims(ses.op)) {
+    const KeyClaims::Role role =
+        claims_.Acquire(ses.key_id, s, ses.op, [this](uint32_t h) {
+          return sessions_[h].slot_op.wrote();
+        });
+    if (role != KeyClaims::Role::kHolder) {
+      // Joined the holder's open batch, or parked behind the holder:
+      // posts nothing and holds no admission slot until HandOff runs or
+      // completes it.
+      ++stats_.key_waits;
+      if (role == KeyClaims::Role::kRider) ++stats_.joined;
+      ses.busy = true;
+      return;
+    }
   }
   // A shed leaves the session idle; the caller loop starts the next op.
-  if (!AdmitOrShed(s) && KeyClaims::Claims(ses.op)) HandOff(s, false);
+  if (!AdmitOrShed(s) && KeyClaims::Claims(ses.op)) {
+    HandOff(s, KeyClaims::Outcome::kError);
+  }
 }
 
 bool LoadEngine::AdmitOrShed(uint32_t s) {
@@ -415,17 +425,20 @@ void LoadEngine::FinishOp(uint32_t s) {
   Respond(s);
   if (KeyClaims::Claims(ses.op)) {
     // Only an answer passes on: an error leaves the riders to run.
+    using Outcome = KeyClaims::Outcome;
     const Status& st = ses.slot_op.status();
-    HandOff(s, st.ok() || st.code() == ErrorCode::kNotFound);
+    HandOff(s, st.ok() ? Outcome::kWrite
+               : st.code() == ErrorCode::kNotFound ? Outcome::kNotFound
+                                                   : Outcome::kError);
   }
   StartNextFromBacklog(s);
   if (readmit >= 0) BeginAdmitted(static_cast<uint32_t>(readmit));
 }
 
-void LoadEngine::HandOff(uint32_t s, bool pass) {
+void LoadEngine::HandOff(uint32_t s, KeyClaims::Outcome outcome) {
   const uint64_t key = sessions_[s].key_id;
   std::vector<uint32_t> ended;  // sessions whose op ended here
-  int64_t next = claims_.Release(key, pass, ended);
+  int64_t next = claims_.Release(key, outcome, ended);
   for (const uint32_t r : ended) {
     Session& rider = sessions_[r];
     rider.slot_op.Ride(sessions_[s].slot_op);
@@ -439,7 +452,7 @@ void LoadEngine::HandOff(uint32_t s, bool pass) {
   // batch.
   while (next >= 0 && !AdmitOrShed(static_cast<uint32_t>(next))) {
     ended.push_back(static_cast<uint32_t>(next));
-    next = claims_.Release(key, false, ended);
+    next = claims_.Release(key, KeyClaims::Outcome::kError, ended);
   }
   for (const uint32_t r : ended) StartNextFromBacklog(r);
 }

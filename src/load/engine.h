@@ -12,8 +12,9 @@
 // and rtrace stages per round trip. A read is one round trip; an
 // uncontended update three (probe, CAS + re-check, payload + release).
 // Writes of one key run one at a time per engine (key_claims.h): a write
-// that finds its key held parks, and the parked writes of the holder's
-// kind then complete with the next holder's one remote write.
+// that finds its key held joins the holder's batch while the holder has
+// not posted its payload write, else parks for a later batch; every
+// write of a batch completes with its holder's one remote write.
 //
 // Coordinated-omission safety: every operation's latency is measured
 // from its *intended* send time under the arrival schedule. When a
@@ -74,7 +75,8 @@ struct EngineStats {
   uint64_t errors = 0;          // ops abandoned (budget/probe window/verbs)
   uint64_t shed = 0;            // ops rejected by admission
   uint64_t retries = 0;         // seqlock conflicts + CAS losses
-  uint64_t key_waits = 0;       // writes that parked behind a key's holder
+  uint64_t key_waits = 0;       // writes that found their key held
+  uint64_t joined = 0;          // ... and joined the holder's open batch
   uint64_t combined = 0;        // writes completed as riders (no IO)
   uint64_t stale_completions = 0;
   uint64_t steps = 0;           // session state-machine steps executed
@@ -197,9 +199,9 @@ class LoadEngine {
   // Records a done op's response (stats, rlin, rtrace) and frees the
   // session for its backlog.
   void Respond(uint32_t s);
-  // Holder `s` of its key ended, passing its outcome on when `pass`:
-  // completes its riders and starts the key's next holder.
-  void HandOff(uint32_t s, bool pass);
+  // Holder `s` of its key ended with `outcome`: completes the riders it
+  // passes to and starts the key's next holder.
+  void HandOff(uint32_t s, KeyClaims::Outcome outcome);
   void CountShed();
   // Ends a scheduling round that ran `steps` session steps.
   Status EndRound(uint64_t steps);

@@ -4,27 +4,21 @@
 
 namespace rstore::load {
 
-bool KeyClaims::Acquire(uint64_t key, uint32_t s, OpType op) {
-  auto [it, fresh] = claims_.try_emplace(key);
-  if (fresh) {
-    it->second.op = op;
-    return true;
-  }
-  it->second.parked.push_back({s, op});
-  return false;
-}
-
-int64_t KeyClaims::Release(uint64_t key, bool pass,
+int64_t KeyClaims::Release(uint64_t key, Outcome outcome,
                            std::vector<uint32_t>& riders) {
   const auto it = claims_.find(key);
   if (it == claims_.end()) return -1;
   Claim& c = it->second;
-  if (pass) {
-    riders.insert(riders.end(), c.riders.begin(), c.riders.end());
-  } else {
+  const size_t passed = outcome == Outcome::kWrite      ? c.riders.size()
+                        : outcome == Outcome::kNotFound ? c.batched
+                                                        : 0;
+  riders.insert(riders.end(), c.riders.begin(), c.riders.begin() + passed);
+  if (passed < c.riders.size()) {
     std::vector<Waiter> back;
-    back.reserve(c.riders.size() + c.parked.size());
-    for (const uint32_t r : c.riders) back.push_back({r, c.op});
+    back.reserve(c.riders.size() - passed + c.parked.size());
+    for (size_t i = passed; i < c.riders.size(); ++i) {
+      back.push_back({c.riders[i], c.op});
+    }
     back.insert(back.end(), c.parked.begin(), c.parked.end());
     c.parked = std::move(back);
   }
@@ -36,6 +30,7 @@ int64_t KeyClaims::Release(uint64_t key, bool pass,
   // The next batch: the first parked op holds, the rest of its type
   // ride, and every other op keeps its place in the FIFO.
   const Waiter next = c.parked.front();
+  c.holder = next.session;
   c.op = next.op;
   size_t kept = 0;
   for (size_t i = 1; i < c.parked.size(); ++i) {
@@ -47,6 +42,7 @@ int64_t KeyClaims::Release(uint64_t key, bool pass,
     }
   }
   c.parked.resize(kept);
+  c.batched = c.riders.size();
   return next.session;
 }
 

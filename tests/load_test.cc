@@ -81,37 +81,89 @@ TEST(AdmissionTest, DisabledPassesThroughButStillTracks) {
 TEST(KeyClaimsTest, BatchesByKindAndRequeuesRidersOfAFailedHolder) {
   constexpr OpType kU = OpType::kUpdate;
   constexpr OpType kR = OpType::kReadModifyWrite;
+  using Role = KeyClaims::Role;
+  using Outcome = KeyClaims::Outcome;
   EXPECT_TRUE(KeyClaims::Claims(kU));
   EXPECT_TRUE(KeyClaims::Claims(kR));
   EXPECT_FALSE(KeyClaims::Claims(OpType::kRead));
   EXPECT_FALSE(KeyClaims::Claims(OpType::kInsert));
   EXPECT_FALSE(KeyClaims::Claims(OpType::kScan));
 
+  // Every holder has already posted its write, so nothing joins a batch.
+  const auto posted = [](uint32_t) { return true; };
   KeyClaims claims;
-  EXPECT_TRUE(claims.Acquire(7, 0, kU));   // holder
-  EXPECT_TRUE(claims.Acquire(8, 9, kU));   // another key: its own holder
-  EXPECT_FALSE(claims.Acquire(7, 1, kR));  // parked, in FIFO order
-  EXPECT_FALSE(claims.Acquire(7, 2, kU));
-  EXPECT_FALSE(claims.Acquire(7, 3, kR));
-  EXPECT_FALSE(claims.Acquire(7, 4, kU));
+  EXPECT_EQ(claims.Acquire(7, 0, kU, posted), Role::kHolder);
+  EXPECT_EQ(claims.Acquire(8, 9, kU, posted), Role::kHolder);  // another key
+  EXPECT_EQ(claims.Acquire(7, 1, kR, posted), Role::kParked);  // FIFO order
+  EXPECT_EQ(claims.Acquire(7, 2, kU, posted), Role::kParked);
+  EXPECT_EQ(claims.Acquire(7, 3, kR, posted), Role::kParked);
+  EXPECT_EQ(claims.Acquire(7, 4, kU, posted), Role::kParked);
 
   // The first holder had no riders. The next batch is session 1 (an
   // RMW) with the later RMW riding; the upserts keep their places.
   std::vector<uint32_t> riders;
-  EXPECT_EQ(claims.Release(7, /*pass=*/true, riders), 1);
+  EXPECT_EQ(claims.Release(7, Outcome::kWrite, riders), 1);
   EXPECT_TRUE(riders.empty());
   // Session 1 fails: its rider goes back to the front of the FIFO and
   // runs its own op, and the upserts still wait for a batch of their own.
-  EXPECT_EQ(claims.Release(7, /*pass=*/false, riders), 3);
+  EXPECT_EQ(claims.Release(7, Outcome::kError, riders), 3);
   EXPECT_TRUE(riders.empty());
   // Session 3 answers: the upserts form one batch.
-  EXPECT_EQ(claims.Release(7, /*pass=*/true, riders), 2);
+  EXPECT_EQ(claims.Release(7, Outcome::kWrite, riders), 2);
   EXPECT_TRUE(riders.empty());
-  EXPECT_EQ(claims.Release(7, /*pass=*/true, riders), -1);
+  EXPECT_EQ(claims.Release(7, Outcome::kWrite, riders), -1);
   EXPECT_EQ(riders, std::vector<uint32_t>({4}));
   // The key is free again: the next write holds it at once.
-  EXPECT_TRUE(claims.Acquire(7, 5, kR));
-  EXPECT_FALSE(claims.Acquire(8, 6, kU));
+  EXPECT_EQ(claims.Acquire(7, 5, kR, posted), Role::kHolder);
+  EXPECT_EQ(claims.Acquire(8, 6, kU, posted), Role::kParked);
+}
+
+TEST(KeyClaimsTest, JoinsTheOpenBatchUntilItsWriteIsPosted) {
+  constexpr OpType kU = OpType::kUpdate;
+  constexpr OpType kR = OpType::kReadModifyWrite;
+  using Role = KeyClaims::Role;
+  using Outcome = KeyClaims::Outcome;
+  std::vector<bool> wrote(16, false);  // per session: write posted
+  const auto posted = [&](uint32_t h) { return bool{wrote[h]}; };
+  KeyClaims claims;
+  std::vector<uint32_t> riders;
+
+  // A same-kind write joins the holder's open batch; a write of the
+  // other kind parks, and so does a same-kind write once the holder has
+  // posted its write.
+  EXPECT_EQ(claims.Acquire(7, 0, kU, posted), Role::kHolder);
+  EXPECT_EQ(claims.Acquire(7, 1, kU, posted), Role::kRider);
+  EXPECT_EQ(claims.Acquire(7, 2, kR, posted), Role::kParked);
+  wrote[0] = true;
+  EXPECT_EQ(claims.Acquire(7, 3, kU, posted), Role::kParked);
+  // The holder's write completes the joined rider. The parked RMW holds
+  // next, and the parked upsert waits for a batch of its own.
+  EXPECT_EQ(claims.Release(7, Outcome::kWrite, riders), 2);
+  EXPECT_EQ(riders, std::vector<uint32_t>({1}));
+  riders.clear();
+  EXPECT_EQ(claims.Release(7, Outcome::kNotFound, riders), 3);
+  EXPECT_EQ(claims.Release(7, Outcome::kWrite, riders), -1);
+  EXPECT_TRUE(riders.empty());
+
+  // RMWs: session 11 joins holder 10's open batch, and 12 and 13 park
+  // behind its posted write. 10 writes and completes 11; 12 holds with
+  // 13 batched, and 14 joins 12's open batch.
+  EXPECT_EQ(claims.Acquire(9, 10, kR, posted), Role::kHolder);
+  EXPECT_EQ(claims.Acquire(9, 11, kR, posted), Role::kRider);
+  wrote[10] = true;
+  EXPECT_EQ(claims.Acquire(9, 12, kR, posted), Role::kParked);
+  EXPECT_EQ(claims.Acquire(9, 13, kR, posted), Role::kParked);
+  EXPECT_EQ(claims.Release(9, Outcome::kWrite, riders), 12);
+  EXPECT_EQ(riders, std::vector<uint32_t>({11}));
+  EXPECT_EQ(claims.Acquire(9, 14, kR, posted), Role::kRider);
+  // 12 misses. Its probe may predate 14's invocation, so the miss passes
+  // to the batched 13 only, and 14 runs its own op as the next holder.
+  riders.clear();
+  EXPECT_EQ(claims.Release(9, Outcome::kNotFound, riders), 14);
+  EXPECT_EQ(riders, std::vector<uint32_t>({13}));
+  riders.clear();
+  EXPECT_EQ(claims.Release(9, Outcome::kNotFound, riders), -1);
+  EXPECT_TRUE(riders.empty());
 }
 
 // ------------------------------------------------------------- Workload --
@@ -594,6 +646,24 @@ TEST(KeyClaimsEngineTest, SameKeyWritesCombineAndStayLinearizable) {
   EXPECT_LT(r.locks, st.completed);
   EXPECT_EQ(r.locks + st.combined, st.completed);
   // Riders record their own writes, and the history stays linearizable.
+  EXPECT_EQ(r.lin_ops, st.completed);
+  EXPECT_EQ(r.lin_violations, 0u);
+}
+
+TEST(KeyClaimsEngineTest, JoinedWritesStayLinearizableUnderReads) {
+  // Half the ops read key 0 and see each batch's last write; the rest
+  // update it, and many join a holder's batch before its write is posted.
+  LoadOptions opts = OneKeyOptions(0.5, 0.0);
+  opts.mix.read = 0.5;
+  const OneKeyRun r = RunOneKey(opts, false);
+  const EngineStats& st = r.stats;
+  EXPECT_GT(st.completed, 100u);
+  EXPECT_EQ(st.errors, 0u);
+  EXPECT_GT(st.joined, 0u);
+  EXPECT_GE(st.combined, st.joined);
+  // Each completed update took the lock or rode.
+  EXPECT_EQ(r.locks + st.combined,
+            st.completed_by_type[static_cast<uint32_t>(OpType::kUpdate)]);
   EXPECT_EQ(r.lin_ops, st.completed);
   EXPECT_EQ(r.lin_violations, 0u);
 }

@@ -37,12 +37,15 @@ using sim::Millis;
 // ---------------------------------------------------------------------------
 // Model-based IO equivalence
 // ---------------------------------------------------------------------------
+// No padding bytes: gtest names each case with a byte dump of the param,
+// and padding would put stack garbage into the test names.
 struct IoModelParam {
   uint64_t seed;
-  uint32_t servers;
+  uint64_t servers;
   uint64_t slab_size;
   uint64_t region_size;
 };
+static_assert(sizeof(IoModelParam) == 4 * sizeof(uint64_t));
 
 class IoModelTest : public ::testing::TestWithParam<IoModelParam> {};
 
